@@ -25,7 +25,7 @@ from .errors import (InputError, InternalError, ResourceLimitError,
                      StarprodError)
 from .expr import parse_poly, poly_to_expr
 from .scalars import Scalar, format_scalar
-from .superalg import GradedPoly, coeff_space
+from .superalg import coeff_space
 
 DEFAULT_ORDER = wick.DEFAULT_ORDER
 
@@ -53,15 +53,14 @@ def _decode_json(text: str, what: str) -> dict:
 
 
 def load_bivector(text: str) -> poisson.Multivector:
-    """Fixture name, inline JSON, or @file with JSON."""
+    """Fixture name, inline JSON, or @file with JSON.
+
+    The degree is checked by the library call that uses the bivector.
+    """
     payload = _read_payload(text).strip()
     if payload.startswith("{"):
-        alpha = poisson.Multivector.from_data(_decode_json(payload, "bivector"))
-    else:
-        alpha = structures.fixture(payload)
-    if alpha.degree != 2:
-        raise InputError("expected a bivector (degree 2)")
-    return alpha
+        return poisson.Multivector.from_data(_decode_json(payload, "bivector"))
+    return structures.fixture(payload)
 
 
 def load_multivector(text: str) -> poisson.Multivector:
@@ -77,7 +76,7 @@ def load_one_form(text: str) -> koszul.DifferentialForm:
     return form
 
 
-def parse_basepoint(text: str, dim: int) -> list[Scalar]:
+def parse_basepoint(text: str) -> list[Scalar]:
     parts = [p.strip() for p in text.split(",")]
     if parts == [""]:
         parts = []
@@ -88,8 +87,6 @@ def parse_basepoint(text: str, dim: int) -> list[Scalar]:
         except (ValueError, ZeroDivisionError):
             raise InputError(f"bad basepoint entry {part!r}; "
                              "use rationals like 2 or -1/3") from None
-    if len(values) != dim:
-        raise InputError(f"basepoint has {len(values)} entries, expected {dim}")
     return values
 
 
@@ -102,34 +99,18 @@ def _series_report(basepoint: Sequence[Scalar], series) -> dict:
 
 # command handlers ------------------------------------------------------------------
 
-def _cmd_star(args) -> dict:
+def _cmd_series(args) -> dict:
+    """star, moyal and associator: the wick function of the same name."""
     alpha = load_bivector(args.alpha)
     ring = coeff_space(alpha.dim)
-    f = parse_poly(args.f, ring)
-    g = parse_poly(args.g, ring)
-    at = parse_basepoint(args.at, alpha.dim)
-    series = wick.star(alpha, f, g, at, args.order, args.max_work)
-    return _series_report(at, series)
-
-
-def _cmd_moyal(args) -> dict:
-    alpha = load_bivector(args.alpha)
-    ring = coeff_space(alpha.dim)
-    f = parse_poly(args.f, ring)
-    g = parse_poly(args.g, ring)
-    at = parse_basepoint(args.at, alpha.dim)
-    series = wick.moyal(alpha, f, g, at, args.order, args.max_work)
-    return _series_report(at, series)
-
-
-def _cmd_associator(args) -> dict:
-    alpha = load_bivector(args.alpha)
-    ring = coeff_space(alpha.dim)
-    f = parse_poly(args.f, ring)
-    g = parse_poly(args.g, ring)
-    h = parse_poly(args.h, ring)
-    at = parse_basepoint(args.at, alpha.dim)
-    series = wick.associator(alpha, f, g, h, at, args.order, args.max_work)
+    factors = [parse_poly(args.f, ring), parse_poly(args.g, ring)]
+    if "h" in args:
+        factors.append(parse_poly(args.h, ring))
+    at = parse_basepoint(args.at)
+    # looked up at call time, so a rebound wick.star (or moyal, associator)
+    # is the one called
+    series = getattr(wick, args.command)(alpha, *factors, at, args.order,
+                                         args.max_work)
     return _series_report(at, series)
 
 
@@ -252,12 +233,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="report format (default json)")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def series_flags(p, with_h=False):
+    for name, help_text in (
+            ("star", "deformation product at a basepoint"),
+            ("moyal", "constant-bivector exponential product"),
+            ("associator", "associativity defect of the product")):
+        p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("--alpha", required=True,
                        help="bivector: fixture name, inline JSON, or @file")
         p.add_argument("--f", required=True, help="first factor expression")
         p.add_argument("--g", required=True, help="second factor expression")
-        if with_h:
+        if name == "associator":
             p.add_argument("--h", required=True, help="third factor expression")
         p.add_argument("--at", required=True,
                        help="comma-separated rational basepoint, e.g. 0,1/2")
@@ -265,21 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"truncation order (default {DEFAULT_ORDER})")
         p.add_argument("--max-work", type=int, default=wick.DEFAULT_MAX_WORK,
                        help="refuse jobs beyond this enumeration budget")
-
-    p = sub.add_parser("star", parents=[common],
-                       help="deformation product at a basepoint")
-    series_flags(p)
-    p.set_defaults(handler=_cmd_star)
-
-    p = sub.add_parser("moyal", parents=[common],
-                       help="constant-bivector exponential product")
-    series_flags(p)
-    p.set_defaults(handler=_cmd_moyal)
-
-    p = sub.add_parser("associator", parents=[common],
-                       help="associativity defect of the product")
-    series_flags(p, with_h=True)
-    p.set_defaults(handler=_cmd_associator)
+        p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("check-poisson", parents=[common],
                        help="Jacobi identity check with witness")
@@ -349,7 +320,8 @@ def _job_to_argv(job: dict) -> list[str]:
             rendered = ",".join(str(v) for v in value)
         else:
             rendered = str(value)
-        argv.extend([flag, rendered])
+        # one token, so a value that starts with "-" is not read as a flag
+        argv.append(f"{flag}={rendered}")
     return argv
 
 

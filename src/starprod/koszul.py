@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError
-from .poisson import ComponentField, Multivector
+from .poisson import ComponentField, Multivector, _require_bivector
 from .superalg import GradedPoly
 
 
@@ -156,8 +156,7 @@ def _bivector_pairing(alpha: Multivector, w1: DifferentialForm,
 
 def _check_bracket_args(alpha: Multivector, w1: DifferentialForm,
                         w2: DifferentialForm) -> None:
-    if not isinstance(alpha, Multivector) or alpha.degree != 2:
-        raise InputError("expected a bivector (degree 2 multivector)")
+    _require_bivector(alpha)
     for w in (w1, w2):
         if not isinstance(w, DifferentialForm) or w.degree != 1:
             raise InputError("bracket arguments must be one-forms")
@@ -210,31 +209,25 @@ def bullet_diagrams(alpha: Multivector, w1: DifferentialForm,
     def comp(w: DifferentialForm, i: int) -> GradedPoly:
         return w.components.get((i,), zero)
 
+    # each stored component A^{ij} in both orientations, A^{ji} = -A^{ij}
+    oriented = []
+    for (i, j), a in alpha.components.items():
+        oriented += [(i, j, a), (j, i, -a)]
     transport_second: dict = {}
     transport_first: dict = {}
     vertex_derivative: dict = {}
     t_of = {}
     for target, w in (("first", w1), ("second", w2)):
         total = zero
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                a = alpha.component(i, j)
-                if a.is_zero():
-                    continue
-                total = total + a.deriv_left(f"x{i}") * comp(w, j)
+        for i, j, a in oriented:
+            total = total + a.deriv_left(f"x{i}") * comp(w, j)
         t_of[target] = total
     for k in range(1, d + 1):
-        acc_ts = zero
-        acc_tf = zero
-        acc_vd = zero
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                a = alpha.component(i, j)
-                if a.is_zero():
-                    continue
-                acc_ts = acc_ts + a * comp(w1, i) * comp(w2, k).deriv_left(f"x{j}")
-                acc_tf = acc_tf + a * comp(w1, k).deriv_left(f"x{i}") * comp(w2, j)
-                acc_vd = acc_vd + a.deriv_left(f"x{k}") * comp(w1, i) * comp(w2, j)
+        acc_ts = acc_tf = acc_vd = zero
+        for i, j, a in oriented:
+            acc_ts = acc_ts + a * comp(w1, i) * comp(w2, k).deriv_left(f"x{j}")
+            acc_tf = acc_tf + a * comp(w1, k).deriv_left(f"x{i}") * comp(w2, j)
+            acc_vd = acc_vd + a.deriv_left(f"x{k}") * comp(w1, i) * comp(w2, j)
         transport_second[(k,)] = acc_ts
         transport_first[(k,)] = acc_tf
         vertex_derivative[(k,)] = acc_vd

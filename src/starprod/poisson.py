@@ -312,7 +312,7 @@ def poisson_bracket(alpha: Multivector, f: GradedPoly, g: GradedPoly) -> GradedP
 
 
 def _require_bivector(alpha: Multivector) -> None:
-    if alpha.degree != 2:
+    if not isinstance(alpha, Multivector) or alpha.degree != 2:
         raise InputError("expected a bivector (degree 2 multivector)")
 
 

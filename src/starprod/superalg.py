@@ -74,9 +74,6 @@ class GradedSpace:
         except KeyError:
             raise InputError(f"unknown generator {name!r}") from None
 
-    def parity_of(self, name: str) -> int:
-        return self.parities[self.index(name)]
-
 
 @lru_cache(maxsize=None)
 def super_space(d: int, hbar_order: int = DEFAULT_HBAR_ORDER) -> GradedSpace:
@@ -95,6 +92,19 @@ def coeff_space(d: int) -> GradedSpace:
     if d < 1:
         raise InputError("dimension must be positive")
     return GradedSpace(tuple(f"x{i}" for i in range(1, d + 1)), (0,) * d)
+
+
+def _accumulate(out: dict, key: tuple[int, ...], c: Scalar) -> None:
+    """Add c to out[key], dropping the key when the sum cancels."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = c
+    else:
+        s = acc + c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
 
 
 def _require_same_space(a: "GradedPoly", b: "GradedPoly") -> None:
@@ -126,15 +136,7 @@ class GradedPoly:
                     continue
                 c = Scalar.of(coeff)
                 if c:
-                    acc = normalized.get(key)
-                    if acc is None:
-                        normalized[key] = c
-                    else:
-                        s = acc + c
-                        if s:
-                            normalized[key] = s
-                        else:
-                            del normalized[key]
+                    _accumulate(normalized, key, c)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", normalized)
 
@@ -201,15 +203,7 @@ class GradedPoly:
         _require_same_space(self, other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            acc = out.get(key)
-            if acc is None:
-                out[key] = c
-            else:
-                s = acc + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+            _accumulate(out, key, c)
         return self._raw(self.space, out)
 
     __radd__ = __add__
@@ -256,17 +250,7 @@ class GradedPoly:
                 if hidx is not None and key[hidx] > horder:
                     continue
                 c = ca * cb
-                if swaps & 1:
-                    c = -c
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = c
-                else:
-                    s = acc + c
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
+                _accumulate(out, key, -c if swaps & 1 else c)
         return self._raw(space, out)
 
     def __rmul__(self, other) -> "GradedPoly":
@@ -321,20 +305,15 @@ class GradedPoly:
                 e = key[k]
                 if e == 0:
                     continue
-                nk = key[:k] + (e - 1,) + key[k + 1:]
-                nc = c * e
-                acc = out.get(nk)
-                out[nk] = nc if acc is None else acc + nc
+                _accumulate(out, key[:k] + (e - 1,) + key[k + 1:], c * e)
         else:
             for key, c in self.terms.items():
                 if not key[k]:
                     continue
                 crossings = sum(key[i] for i in space.odd_indices if i < k)
-                nk = key[:k] + (0,) + key[k + 1:]
-                nc = -c if crossings & 1 else c
-                acc = out.get(nk)
-                out[nk] = nc if acc is None else acc + nc
-        return GradedPoly(space, out)
+                _accumulate(out, key[:k] + (0,) + key[k + 1:],
+                            -c if crossings & 1 else c)
+        return self._raw(space, out)
 
     def deriv_right(self, name: str) -> "GradedPoly":
         """Right derivative: move the generator to the back, then strike it."""
@@ -347,11 +326,9 @@ class GradedPoly:
             if not key[k]:
                 continue
             crossings = sum(key[i] for i in space.odd_indices if i > k)
-            nk = key[:k] + (0,) + key[k + 1:]
-            nc = -c if crossings & 1 else c
-            acc = out.get(nk)
-            out[nk] = nc if acc is None else acc + nc
-        return GradedPoly(space, out)
+            _accumulate(out, key[:k] + (0,) + key[k + 1:],
+                        -c if crossings & 1 else c)
+        return self._raw(space, out)
 
     # substitution and evaluation
 
@@ -502,6 +479,14 @@ def _odd_name(space: GradedSpace, i: int) -> str:
     return name
 
 
+def _point_values(basepoint: Sequence[ScalarLike], d: int) -> list[Scalar]:
+    """The basepoint as d exact scalars, or InputError."""
+    values = [Scalar.of(v) for v in basepoint]
+    if len(values) != d:
+        raise InputError(f"basepoint has {len(values)} entries, expected {d}")
+    return values
+
+
 def taylor_shift(p: GradedPoly, basepoint: Sequence[ScalarLike],
                  hbar_order: int = DEFAULT_HBAR_ORDER) -> GradedPoly:
     """Shift a polynomial in x1..xd to the superspace: p(x0 + xi).
@@ -512,9 +497,7 @@ def taylor_shift(p: GradedPoly, basepoint: Sequence[ScalarLike],
     d = len(p.space)
     if p.space != coeff_space(d):
         raise InputError("taylor_shift expects a plain polynomial in x1..xd")
-    pt = [Scalar.of(v) for v in basepoint]
-    if len(pt) != d:
-        raise InputError(f"basepoint has length {len(pt)}, expected {d}")
+    pt = _point_values(basepoint, d)
     target = super_space(d, hbar_order)
     images = {}
     for i in range(1, d + 1):
@@ -552,16 +535,6 @@ class HbarSeries:
     def __post_init__(self):
         if len(self.coefficients) != self.order + 1:
             raise InternalError("hbar series length does not match its order")
-
-    @staticmethod
-    def from_map(order: int, entries: Mapping[int, Scalar]) -> "HbarSeries":
-        coeffs = [Scalar() for _ in range(order + 1)]
-        for k, v in entries.items():
-            if k < 0:
-                raise InternalError("negative hbar order in a series")
-            if k <= order:
-                coeffs[k] = coeffs[k] + Scalar.of(v)
-        return HbarSeries(order, tuple(coeffs))
 
     def coefficient(self, k: int) -> Scalar:
         if 0 <= k <= self.order:

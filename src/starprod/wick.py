@@ -1,4 +1,4 @@
-"""Exact deformation product driven by Gaussian pairing combinatorics.
+"""Exact deformation product driven by contraction-pattern combinatorics.
 
 The product of two polynomials against a bivector structure is computed as a
 finite sum of contraction patterns.  Order n places n bivector insertions;
@@ -19,9 +19,10 @@ Consequences worth knowing:
    product is in general NOT associative beyond first order.  That defect is
    measured by associator.
 
-Normalization is not hard-coded: calibrate fixes the per-leg and
-per-insertion weights from a probe computation, and the product routines use
-the cached result.  Everything is exact; hbar is a truncated formal series.
+Normalization is not hard-coded: calibrate derives the insertion weight w
+from a probe computation, order n of the product carries w^n / n!, and the
+product routines use the cached weight.  Everything is exact; hbar is a
+truncated formal series.
 """
 
 from __future__ import annotations
@@ -30,99 +31,22 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
-from .errors import (CalibrationError, InputError, InternalError,
-                     ResourceLimitError)
-from .poisson import Multivector, poisson_bracket
+from .errors import CalibrationError, InputError, ResourceLimitError
+from .poisson import Multivector, _require_bivector, poisson_bracket
 from .scalars import HALF_I, ONE, Scalar, ScalarLike
-from .superalg import GradedPoly, HbarSeries, coeff_space, super_space
+from .superalg import (GradedPoly, GradedSpace, HbarSeries, _point_values,
+                       coeff_space)
 
 DEFAULT_ORDER = 3
 MAX_ORDER = 6
 DEFAULT_MAX_WORK = 5_000_000
-DEFAULT_MAX_XI = 14
 
 Series = dict[int, GradedPoly]
 
 
-# Gaussian pairing on the superspace -------------------------------------------
-
-def expectation(p: GradedPoly, max_xi: int = DEFAULT_MAX_XI) -> GradedPoly:
-    """Gaussian expectation of a superspace polynomial.
-
-    A monomial xi^K eta_J hbar^e has expectation hbar^(e + |J|) when K is
-    exactly the 0/1 indicator of J, and zero otherwise: each eta_i pairs with
-    one matching xi_i and every pairing carries one power of hbar.  Repeated
-    xi factors beyond the indicator leave unpaired legs, hence zero.
-
-    max_xi bounds the xi count of any single monomial (the size of the
-    underlying pairing problem); beyond it the call refuses to proceed.
-    """
-    space = p.space
-    d, _ = _super_shape(space)
-    out: dict[tuple[int, ...], Scalar] = {}
-    zero_key = [0] * len(space)
-    for key, c in p.terms.items():
-        K = key[:d]
-        J = key[d:2 * d]
-        if sum(K) > max_xi:
-            raise ResourceLimitError(
-                f"monomial with {sum(K)} xi factors exceeds the pairing "
-                f"cap {max_xi}")
-        if K != J:
-            continue
-        power = key[2 * d] + sum(J)
-        if power > space.hbar_order:
-            continue
-        nk = list(zero_key)
-        nk[2 * d] = power
-        nk = tuple(nk)
-        acc = out.get(nk)
-        out[nk] = c if acc is None else acc + c
-    return GradedPoly(space, out)
-
-
-def _super_shape(space) -> tuple[int, int]:
-    """(dimension, truncation order) of a standard superspace, or InputError."""
-    if space.hbar_index is None or len(space) % 2 == 0:
-        raise InputError("expected a standard superspace (xi, eta, hbar)")
-    d = (len(space) - 1) // 2
-    if space != super_space(d, space.hbar_order):
-        raise InputError("expected a standard superspace (xi, eta, hbar)")
-    return d, space.hbar_order
-
-
 # calibration --------------------------------------------------------------------
-
-class HbarMonomial(NamedTuple):
-    """A scalar times an integer (possibly negative) power of hbar."""
-    coeff: Scalar
-    power: int
-
-
-class Calibration(NamedTuple):
-    """Per-leg weight kappa and per-insertion weight vertex.
-
-    Fixed so that the order-n term of the product carries
-    vertex^n * kappa^(2n) / n!; with the calibrated values that is
-    (i/2)^n hbar^n / n!.
-    """
-    kappa: HbarMonomial
-    vertex: HbarMonomial
-
-    def order_weight(self, n: int) -> tuple[Scalar, int]:
-        scale = (self.vertex.coeff ** n) * (self.kappa.coeff ** (2 * n)) \
-            * Fraction(1, math.factorial(n))
-        power = n * self.vertex.power + 2 * n * self.kappa.power
-        return scale, power
-
-    @property
-    def mu(self) -> HbarMonomial:
-        """Combined weight of one insertion with both its legs."""
-        return HbarMonomial(self.vertex.coeff * self.kappa.coeff ** 2,
-                            self.vertex.power + 2 * self.kappa.power)
-
 
 def _proportionality(a: GradedPoly, b: GradedPoly) -> Optional[Scalar]:
     """The scalar c with a == c * b, or None if no such scalar exists."""
@@ -138,16 +62,16 @@ def _proportionality(a: GradedPoly, b: GradedPoly) -> Optional[Scalar]:
 
 
 def calibrate(alpha: Multivector, f_probe: GradedPoly, g_probe: GradedPoly,
-              max_work: int = DEFAULT_MAX_WORK) -> Calibration:
-    """Fix the leg and insertion weights from a first-order probe.
+              max_work: int = DEFAULT_MAX_WORK) -> Scalar:
+    """Derive the insertion weight w from a first-order probe.
 
-    Runs the raw order-1 contraction sum with unit weights and matches its
+    Runs the raw order-1 contraction sum with unit weight and matches its
     antisymmetric part against the bivector bracket of the probes.  The
-    product normalization then makes the antisymmetric first-order term equal
-    to (i/2) hbar {f, g}.  Probes whose bracket vanishes, or for which the
-    raw term is not proportional to the bracket, raise CalibrationError.
+    weight makes the antisymmetric first-order term equal to
+    (i/2) hbar {f, g}; order n of the product then carries w^n / n!.
+    Probes whose bracket vanishes, or for which the raw term is not
+    proportional to the bracket, raise CalibrationError.
     """
-    _require_bivector(alpha)
     raw_fg = _engine_terms(alpha, f_probe, g_probe, 1, max_work)[1]
     raw_gf = _engine_terms(alpha, g_probe, f_probe, 1, max_work)[1]
     anti = (raw_fg - raw_gf) * Fraction(1, 2)
@@ -163,19 +87,20 @@ def calibrate(alpha: Multivector, f_probe: GradedPoly, g_probe: GradedPoly,
                                  poisson_bracket(alpha, g_probe, f_probe))
     if c_swapped != c:
         raise CalibrationError("probe calibration is not swap-consistent")
-    # split: each leg carries one plain power of hbar, the insertion weight
-    # absorbs the scalar (i/2)/c and balances the hbar count back to one
-    # per insertion
-    return Calibration(kappa=HbarMonomial(ONE, 1),
-                       vertex=HbarMonomial(HALF_I / c, -1))
+    return HALF_I / c
 
 
 @lru_cache(maxsize=None)
-def _default_calibration() -> Calibration:
+def _default_calibration() -> Scalar:
     ring = coeff_space(2)
     probe = Multivector(2, 2, {(1, 2): 1})
     return calibrate(probe, GradedPoly.generator(ring, "x1"),
                      GradedPoly.generator(ring, "x2"))
+
+
+def _order_weight(n: int) -> Scalar:
+    """w^n / n!, the weight of order n (it sits at hbar^n)."""
+    return _default_calibration() ** n * Fraction(1, math.factorial(n))
 
 
 # contraction engine -------------------------------------------------------------
@@ -199,9 +124,19 @@ class _Derivs:
         return self.get(key).is_zero()
 
 
-def _require_bivector(alpha: Multivector) -> None:
-    if not isinstance(alpha, Multivector) or alpha.degree != 2:
-        raise InputError("expected a bivector (degree 2 multivector)")
+def _check_factors(alpha: Multivector, f: GradedPoly, g: GradedPoly,
+                   order: int) -> GradedSpace:
+    """Bivector, factor ring, order and order cap; returns the ring."""
+    _require_bivector(alpha)
+    ring = alpha.ring()
+    if f.space != ring or g.space != ring:
+        raise InputError("factors must live in the coefficient ring of the "
+                         f"bivector (x1..x{alpha.dim})")
+    if not isinstance(order, int) or order < 0:
+        raise InputError("order must be a nonnegative integer")
+    if order > MAX_ORDER:
+        raise ResourceLimitError(f"order {order} exceeds the cap {MAX_ORDER}")
+    return ring
 
 
 def _oriented_pairs(alpha: Multivector):
@@ -215,18 +150,7 @@ def _oriented_pairs(alpha: Multivector):
 def _engine_terms(alpha: Multivector, f: GradedPoly, g: GradedPoly,
                   order: int, max_work: int = DEFAULT_MAX_WORK) -> Series:
     """Raw unweighted contraction sums E_n for n = 0..order."""
-    _require_bivector(alpha)
-    ring = alpha.ring()
-    if f.space != ring or g.space != ring:
-        raise InputError("factors must live in the coefficient ring of the "
-                         f"bivector (x1..x{alpha.dim})")
-    if not isinstance(order, int) or order < 0:
-        raise InputError("order must be a nonnegative integer")
-    if order > MAX_ORDER:
-        estimate = (max(2 * len(alpha.components), 1) * (order + 1) ** 2) ** order
-        raise ResourceLimitError(
-            f"order {order} exceeds the cap {MAX_ORDER} "
-            f"(roughly {estimate} contraction patterns)")
+    ring = _check_factors(alpha, f, g, order)
     oriented = _oriented_pairs(alpha)
     acache = {key: _Derivs(poly) for key, poly in alpha.components.items()}
     maxdeg = {key: poly.total_degree() for key, poly in alpha.components.items()}
@@ -325,29 +249,36 @@ def _enumerate(n, oriented, acache, maxdeg, global_max,
 
 # products -----------------------------------------------------------------------
 
+def _at_basepoint(series_poly: Callable[..., Series], alpha: Multivector,
+                  factors: Sequence[GradedPoly],
+                  basepoint: Sequence[ScalarLike], order: int,
+                  max_work: int) -> HbarSeries:
+    """Evaluate the hbar coefficients of series_poly at a basepoint.
+
+    The basepoint is checked before any work, so a malformed point is an
+    input error even when the order would be refused.
+    """
+    _require_bivector(alpha)
+    point = {f"x{i}": v for i, v in
+             enumerate(_point_values(basepoint, alpha.dim), start=1)}
+    series = series_poly(alpha, *factors, order, max_work)
+    return HbarSeries(order, tuple(series[k].evaluate(point)
+                                   for k in range(order + 1)))
+
+
 def star_poly(alpha: Multivector, f: GradedPoly, g: GradedPoly,
               order: int = DEFAULT_ORDER,
               max_work: int = DEFAULT_MAX_WORK) -> Series:
     """hbar coefficients of f * g as polynomials (symbolic basepoint)."""
-    cal = _default_calibration()
     raw = _engine_terms(alpha, f, g, order, max_work)
-    out: Series = {k: GradedPoly.zero(alpha.ring()) for k in range(order + 1)}
-    for n, term in raw.items():
-        scale, power = cal.order_weight(n)
-        if power != n:
-            raise InternalError("calibration does not place order n at hbar^n")
-        out[power] = out[power] + term * scale
-    return out
+    return {n: term * _order_weight(n) for n, term in raw.items()}
 
 
 def star(alpha: Multivector, f: GradedPoly, g: GradedPoly,
          basepoint: Sequence[ScalarLike], order: int = DEFAULT_ORDER,
          max_work: int = DEFAULT_MAX_WORK) -> HbarSeries:
     """Deformation product evaluated at a basepoint, as an hbar series."""
-    series = star_poly(alpha, f, g, order, max_work)
-    point = _point_dict(alpha.dim, basepoint)
-    return HbarSeries(order, tuple(series[k].evaluate(point)
-                                   for k in range(order + 1)))
+    return _at_basepoint(star_poly, alpha, (f, g), basepoint, order, max_work)
 
 
 def star_series(alpha: Multivector, u: Mapping[int, GradedPoly],
@@ -389,10 +320,8 @@ def associator(alpha: Multivector, f: GradedPoly, g: GradedPoly,
                order: int = DEFAULT_ORDER,
                max_work: int = DEFAULT_MAX_WORK) -> HbarSeries:
     """Associativity defect at a basepoint, as an hbar series."""
-    series = associator_poly(alpha, f, g, h, order, max_work)
-    point = _point_dict(alpha.dim, basepoint)
-    return HbarSeries(order, tuple(series[k].evaluate(point)
-                                   for k in range(order + 1)))
+    return _at_basepoint(associator_poly, alpha, (f, g, h), basepoint, order,
+                         max_work)
 
 
 # constant-coefficient reference product ------------------------------------------
@@ -406,15 +335,7 @@ def moyal_poly(alpha: Multivector, f: GradedPoly, g: GradedPoly,
     (i/2)^n/n! sum over index rows A^(i1 j1)..A^(in jn) of the corresponding
     iterated derivatives of f and g.  Requires constant coefficients.
     """
-    _require_bivector(alpha)
-    ring = alpha.ring()
-    if f.space != ring or g.space != ring:
-        raise InputError("factors must live in the coefficient ring of the "
-                         f"bivector (x1..x{alpha.dim})")
-    if not isinstance(order, int) or order < 0:
-        raise InputError("order must be a nonnegative integer")
-    if order > MAX_ORDER:
-        raise ResourceLimitError(f"order {order} exceeds the cap {MAX_ORDER}")
+    ring = _check_factors(alpha, f, g, order)
     entries: list[tuple[int, int, Scalar]] = []
     for (i, j), comp in sorted(alpha.components.items()):
         if not comp.is_constant():
@@ -426,14 +347,10 @@ def moyal_poly(alpha: Multivector, f: GradedPoly, g: GradedPoly,
         raise ResourceLimitError(
             f"about {len(entries) ** order} index rows at order {order} "
             f"exceed max_work={max_work}")
-    cal = _default_calibration()
     fcache = _Derivs(f)
     gcache = _Derivs(g)
     out: Series = {}
     for n in range(order + 1):
-        scale, power = cal.order_weight(n)
-        if power != n:
-            raise InternalError("calibration does not place order n at hbar^n")
         total = GradedPoly.zero(ring)
         for row in product(entries, repeat=n):
             fkey = tuple(sorted(i for i, _, _ in row))
@@ -446,7 +363,7 @@ def moyal_poly(alpha: Multivector, f: GradedPoly, g: GradedPoly,
             for _, _, value in row:
                 coeff = coeff * value
             total = total + fcache.get(fkey) * gcache.get(gkey) * coeff
-        out[n] = total * scale
+        out[n] = total * _order_weight(n)
     return out
 
 
@@ -454,14 +371,4 @@ def moyal(alpha: Multivector, f: GradedPoly, g: GradedPoly,
           basepoint: Sequence[ScalarLike], order: int = DEFAULT_ORDER,
           max_work: int = DEFAULT_MAX_WORK) -> HbarSeries:
     """Constant-bivector exponential product evaluated at a basepoint."""
-    series = moyal_poly(alpha, f, g, order, max_work)
-    point = _point_dict(alpha.dim, basepoint)
-    return HbarSeries(order, tuple(series[k].evaluate(point)
-                                   for k in range(order + 1)))
-
-
-def _point_dict(dim: int, basepoint: Sequence[ScalarLike]) -> dict[str, Scalar]:
-    values = [Scalar.of(v) for v in basepoint]
-    if len(values) != dim:
-        raise InputError(f"basepoint has length {len(values)}, expected {dim}")
-    return {f"x{i}": values[i - 1] for i in range(1, dim + 1)}
+    return _at_basepoint(moyal_poly, alpha, (f, g), basepoint, order, max_work)

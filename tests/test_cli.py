@@ -139,6 +139,18 @@ def test_json_job_file(tmp_path):
     assert report["series"]["1"] == "3/8i"
 
 
+@pytest.mark.parametrize("job, key, expected", [
+    ({"command": "star", "alpha": "canonical2d", "f": "x1", "g": "x2",
+      "at": "-1/2,0", "order": 1}, "basepoint", ["-1/2", "0"]),
+    ({"command": "star", "alpha": "canonical2d", "f": "-x1", "g": "x2",
+      "at": "1,1", "order": 1}, "series", {"0": "-1", "1": "-1/2i"}),
+])
+def test_json_job_with_negative_values(tmp_path, job, key, expected):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert run_json(["--json", str(path)])[key] == expected
+
+
 def test_json_job_rejects_extra_command(tmp_path):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"command": "moduli", "n": 3}))
@@ -160,6 +172,29 @@ def test_parse_errors_exit_2():
     assert code == 2
     code, _ = run(["check-poisson", "--alpha", "unknown_fixture"])
     assert code == 2
+
+
+NOT_BIVECTORS = [
+    json.dumps({"dim": 3, "degree": 1, "components": {"1": "x2"}}),
+    json.dumps({"dim": 3, "degree": 3, "components": {"1,2,3": "1"}}),
+]
+ONE_FORM = json.dumps({"dim": 3, "degree": 1, "components": {"1": "x2"}})
+SERIES_ARGS = ["--f", "x1", "--g", "x2", "--at", "0,0,0"]
+
+
+@pytest.mark.parametrize("alpha", NOT_BIVECTORS, ids=["degree1", "degree3"])
+@pytest.mark.parametrize("command, rest", [
+    ("star", SERIES_ARGS),
+    ("moyal", SERIES_ARGS),
+    ("associator", SERIES_ARGS + ["--h", "x3"]),
+    ("check-poisson", []),
+    ("koszul", ["--w1", ONE_FORM, "--w2", ONE_FORM]),
+])
+def test_non_bivector_alpha_exits_2(capsys, command, rest, alpha):
+    code, text = run([command, "--alpha", alpha] + rest)
+    assert code == 2
+    assert text == ""
+    assert "error: expected a bivector" in capsys.readouterr().err
 
 
 def test_resource_limits_exit_3():

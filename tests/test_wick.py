@@ -1,15 +1,12 @@
-"""Deformed product engine: pairing expectations, calibration, goldens."""
+"""Deformed product engine: calibration, goldens, budgets."""
 
 import random
-import time
 from fractions import Fraction
 
 import pytest
 
 from starprod import (
     CalibrationError,
-    GradedPoly,
-    HbarMonomial,
     HbarSeries,
     InputError,
     Multivector,
@@ -19,7 +16,6 @@ from starprod import (
     associator_poly,
     calibrate,
     coeff_space,
-    expectation,
     fixture,
     moyal,
     moyal_poly,
@@ -28,8 +24,8 @@ from starprod import (
     star,
     star_poly,
     star_series,
-    super_space,
 )
+from starprod.wick import _order_weight
 from support import (
     random_basepoint,
     random_constant_bivector,
@@ -37,72 +33,14 @@ from support import (
 )
 
 
-def brute_expectation(p):
-    """Keep a monomial only when its two odd blocks match slot for slot."""
-    space = p.space
-    d = (len(space.names) - 1) // 2
-    hbar_idx = space.names.index("hbar")
-    out = {}
-    for key, coeff in p.terms.items():
-        xi, eta = key[:d], key[d:2 * d]
-        if xi != eta:
-            continue
-        power = key[hbar_idx] + sum(eta)
-        if space.hbar_order is not None and power > space.hbar_order:
-            continue
-        new_key = tuple([0] * (2 * d) + [power])
-        out[new_key] = out.get(new_key, Scalar()) + coeff
-    return GradedPoly(space, {k: c for k, c in out.items() if c != Scalar()})
-
-
-def test_expectation_pairs_matching_slots():
-    s = super_space(2)
-    assert expectation(parse_poly("xi1*eta1", s)) == parse_poly("hbar", s)
-    assert expectation(parse_poly("xi1*eta2", s)).is_zero()
-    assert expectation(parse_poly("xi1*xi2*eta1*eta2", s)) == \
-        parse_poly("hbar^2", s)
-    assert expectation(parse_poly("3 + hbar*xi1*eta1", s)) == \
-        parse_poly("3 + hbar^2", s)
-
-
-def test_expectation_matches_brute_filter():
-    rng = random.Random(23)
-    s = super_space(2)
-    names = list(s.names)
-    for _ in range(60):
-        terms = {}
-        for _ in range(rng.randint(1, 5)):
-            key = [0] * len(names)
-            for _ in range(rng.randint(0, 4)):
-                idx = rng.randrange(len(names))
-                if s.parities[idx] == 1 and key[idx] >= 1:
-                    continue
-                key[idx] += 1
-            terms[tuple(key)] = Scalar(Fraction(rng.randint(-3, 3)))
-        p = GradedPoly(s, terms)
-        assert expectation(p) == brute_expectation(p)
-
-
-def test_expectation_budget():
-    s = super_space(3)
-    p = parse_poly("xi1^8*xi2^7", s)
-    with pytest.raises(ResourceLimitError):
-        expectation(p, max_xi=14)
-    assert expectation(p, max_xi=15).is_zero()
-
-
 def test_calibration_from_canonical_fixture():
-    cal = calibrate(fixture("canonical2d"),
-                    parse_poly("x1", coeff_space(2)),
-                    parse_poly("x2", coeff_space(2)))
-    assert cal.kappa == HbarMonomial(Scalar(1), 1)
-    assert cal.vertex == HbarMonomial(Scalar(0, Fraction(1, 2)), -1)
-    weight, power = cal.order_weight(1)
+    weight = calibrate(fixture("canonical2d"),
+                       parse_poly("x1", coeff_space(2)),
+                       parse_poly("x2", coeff_space(2)))
     assert weight == Scalar(0, Fraction(1, 2))
-    assert power == 1
-    weight2, power2 = cal.order_weight(2)
-    assert weight2 == Scalar(Fraction(-1, 8))
-    assert power2 == 2
+    # the products scale order n by weight^n / n!
+    assert _order_weight(1) == weight
+    assert _order_weight(2) == Scalar(Fraction(-1, 8))
 
 
 def test_calibration_rejects_degenerate_probes():
@@ -243,6 +181,9 @@ def test_basepoint_validation():
     f = parse_poly("x1", ring)
     with pytest.raises(InputError):
         star(c2, f, f, [0], order=1)
+    # the basepoint is checked before the order cap
+    with pytest.raises(InputError):
+        star(c2, f, f, [0], order=7)
 
 
 def test_ring_mismatch_rejected():

@@ -33,7 +33,7 @@ from .koszul import (DifferentialForm, anchor, bullet, bullet_diagrams,
 from .bv import (AxiomReport, BVSpace, QmeResult, bv_bracket, bv_laplacian,
                  check_bv_axioms, omega, qme_residual)
 from .moduli import (FacetComposition, Stratum, dim, enumerate_strata,
-                     facet_compositions)
+                     facet_compositions, stratum_count)
 from .structures import FIXTURE_NAMES, all_fixtures, fixture
 
 __version__ = "0.1.0"
@@ -55,6 +55,6 @@ __all__ = [
     "pairing_bracket", "parse_expr", "parse_poly", "parse_scalar",
     "poisson_bracket", "poisson_differential", "poly_to_expr", "qme_residual",
     "scalar_to_expr", "schouten", "star", "star_poly", "star_series",
-    "super_space", "symbol", "taylor_shift", "to_poly", "unsymbol",
+    "stratum_count", "super_space", "symbol", "taylor_shift", "to_poly", "unsymbol",
     "vector_insertion", "wedge",
 ]

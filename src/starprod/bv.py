@@ -49,21 +49,25 @@ class BVSpace:
     def build(fields: FieldSpec,
               antifields: Optional[Mapping[str, str]] = None,
               hbar_order: int = DEFAULT_HBAR_ORDER) -> "BVSpace":
+        if not isinstance(fields, (list, tuple)):
+            raise InputError("fields must be a list of (name, parity) pairs")
         names = []
         parities = []
         for entry in fields:
-            try:
-                name, parity = entry
-            except (TypeError, ValueError):
-                raise InputError("each field must be a (name, parity) pair") from None
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise InputError("each field must be a (name, parity) pair")
+            name, parity = entry
             if not isinstance(name, str) or not name:
                 raise InputError("field names must be nonempty strings")
-            if parity not in (0, 1):
+            if not isinstance(parity, int) or isinstance(parity, bool) \
+                    or parity not in (0, 1):
                 raise InputError(f"field {name!r} parity must be 0 or 1")
             names.append(name)
             parities.append(parity)
         if not names:
             raise InputError("a BV space needs at least one field")
+        if antifields is not None and not isinstance(antifields, Mapping):
+            raise InputError("antifields must map field names to names")
         overrides = dict(antifields or {})
         partner = []
         for name in names:
@@ -95,22 +99,8 @@ class BVSpace:
     def from_data(data: Mapping) -> "BVSpace":
         if not isinstance(data, Mapping):
             raise InputError("BV space data must be a JSON object")
-        fields = data.get("fields")
-        if not isinstance(fields, Sequence) or isinstance(fields, str):
-            raise InputError("BV space data needs a 'fields' array")
-        antifields = data.get("antifields")
-        if antifields is not None and not isinstance(antifields, Mapping):
-            raise InputError("'antifields' must map field names to names")
-        order = data.get("hbar_order", DEFAULT_HBAR_ORDER)
-        if not isinstance(order, int) or order < 0:
-            raise InputError("'hbar_order' must be a nonnegative integer")
-        cooked = []
-        for entry in fields:
-            if not isinstance(entry, Sequence) or isinstance(entry, str) \
-                    or len(entry) != 2:
-                raise InputError("each field must be a [name, parity] pair")
-            cooked.append((entry[0], entry[1]))
-        return BVSpace.build(cooked, antifields, order)
+        return BVSpace.build(data.get("fields"), data.get("antifields"),
+                             data.get("hbar_order", DEFAULT_HBAR_ORDER))
 
 
 def _check_member(space: BVSpace, p: GradedPoly, what: str) -> None:

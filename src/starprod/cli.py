@@ -10,6 +10,12 @@ A whole job can be supplied as a JSON file through --json FILE; the file
 holds {"command": "star", "alpha": ..., "f": ..., ...} using the long
 option names (underscores allowed) and is expanded to the equivalent
 command line.
+
+Numbers in expressions and --at entries are the same rational literals
+(2, -1/3; no decimals, exponents or '+').  Expressions nest parentheses and
+unary minus at most expr.MAX_NESTING (100) levels deep.  moduli jobs past
+moduli.MAX_N inputs, and listings whose trees exceed
+moduli.MAX_LISTED_LEAVES leaves, are refused with exit 3.
 """
 
 from __future__ import annotations
@@ -17,14 +23,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
 from . import bv, koszul, moduli, poisson, structures, wick
 from .errors import (InputError, InternalError, ResourceLimitError,
                      StarprodError)
 from .expr import parse_poly, poly_to_expr
-from .scalars import Scalar, format_scalar
+from .scalars import Scalar, format_scalar, parse_rational
 from .superalg import coeff_space
 
 DEFAULT_ORDER = wick.DEFAULT_ORDER
@@ -42,9 +47,10 @@ def _read_payload(text: str) -> str:
     return text
 
 
-def _decode_json(text: str, what: str) -> dict:
+def _load_json(text: str, what: str) -> dict:
+    """A JSON object given inline or as @file."""
     try:
-        data = json.loads(text)
+        data = json.loads(_read_payload(text))
     except json.JSONDecodeError as exc:
         raise InputError(f"bad JSON for {what}: {exc}") from None
     if not isinstance(data, dict):
@@ -59,35 +65,15 @@ def load_bivector(text: str) -> poisson.Multivector:
     """
     payload = _read_payload(text).strip()
     if payload.startswith("{"):
-        return poisson.Multivector.from_data(_decode_json(payload, "bivector"))
+        return poisson.Multivector.from_data(_load_json(payload, "bivector"))
     return structures.fixture(payload)
-
-
-def load_multivector(text: str) -> poisson.Multivector:
-    payload = _read_payload(text).strip()
-    return poisson.Multivector.from_data(_decode_json(payload, "multivector"))
-
-
-def load_one_form(text: str) -> koszul.DifferentialForm:
-    payload = _read_payload(text).strip()
-    form = koszul.DifferentialForm.from_data(_decode_json(payload, "one-form"))
-    if form.degree != 1:
-        raise InputError("expected a one-form (degree 1)")
-    return form
 
 
 def parse_basepoint(text: str) -> list[Scalar]:
     parts = [p.strip() for p in text.split(",")]
     if parts == [""]:
         parts = []
-    values = []
-    for part in parts:
-        try:
-            values.append(Scalar.of(Fraction(part)))
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad basepoint entry {part!r}; "
-                             "use rationals like 2 or -1/3") from None
-    return values
+    return [Scalar(parse_rational(part, "in the basepoint")) for part in parts]
 
 
 def _series_report(basepoint: Sequence[Scalar], series) -> dict:
@@ -131,15 +117,16 @@ def _cmd_check_poisson(args) -> dict:
 
 
 def _cmd_schouten(args) -> dict:
-    a = load_multivector(args.a)
-    b = load_multivector(args.b)
+    a = poisson.Multivector.from_data(_load_json(args.a, "multivector"))
+    b = poisson.Multivector.from_data(_load_json(args.b, "multivector"))
     return {"bracket": poisson.schouten(a, b).to_data()}
 
 
 def _cmd_koszul(args) -> dict:
     alpha = load_bivector(args.alpha)
-    w1 = load_one_form(args.w1)
-    w2 = load_one_form(args.w2)
+    # the degree is checked by koszul_bracket
+    w1 = koszul.DifferentialForm.from_data(_load_json(args.w1, "one-form"))
+    w2 = koszul.DifferentialForm.from_data(_load_json(args.w2, "one-form"))
     report: dict = {}
     if args.route in ("geometric", "both"):
         geometric = koszul.koszul_bracket(alpha, w1, w2, "geometric")
@@ -152,17 +139,8 @@ def _cmd_koszul(args) -> dict:
     return report
 
 
-def _load_bv_space(text: str, order: Optional[int] = None) -> bv.BVSpace:
-    payload = _read_payload(text).strip()
-    data = _decode_json(payload, "BV space")
-    if order is not None:
-        data = dict(data)
-        data["hbar_order"] = order
-    return bv.BVSpace.from_data(data)
-
-
 def _cmd_bv_check(args) -> dict:
-    space = _load_bv_space(args.space)
+    space = bv.BVSpace.from_data(_load_json(args.space, "BV space"))
     f = space.poly(args.f)
     g = space.poly(args.g)
     h = space.poly(args.h)
@@ -176,7 +154,10 @@ def _cmd_bv_check(args) -> dict:
 
 
 def _cmd_qme(args) -> dict:
-    space = _load_bv_space(args.space, args.order)
+    data = _load_json(args.space, "BV space")
+    if args.order is not None:
+        data["hbar_order"] = args.order
+    space = bv.BVSpace.from_data(data)
     action = space.poly(args.s)
     result = bv.qme_residual(space, action)
     return {
@@ -209,8 +190,7 @@ def _cmd_moduli(args) -> dict:
             "strata": [s.serialize() for s in strata],
         }
     top = moduli.dim(n)
-    counts = {str(c): len(moduli.enumerate_strata(n, c))
-              for c in range(top + 1)}
+    counts = {str(c): moduli.stratum_count(n, c) for c in range(top + 1)}
     return {
         "n": n,
         "dim": top,
@@ -302,6 +282,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: nothing in it depends on the call
+_PARSER = _build_parser()
+
+
 def _job_to_argv(job: dict) -> list[str]:
     if "command" not in job or not isinstance(job["command"], str):
         raise InputError("job file needs a 'command' string")
@@ -343,9 +327,8 @@ def _emit_text(report: dict, out: TextIO, prefix: str = "") -> None:
 
 def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
@@ -354,10 +337,10 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
             if args.command is not None:
                 raise InputError("--json replaces the command line; "
                                  "drop the explicit command")
-            job = _decode_json(_read_payload("@" + args.json), "job file")
+            job = _load_json("@" + args.json, "job file")
             return main(_job_to_argv(job), out)
         if args.command is None:
-            parser.print_usage(sys.stderr)
+            _PARSER.print_usage(sys.stderr)
             print("error: a command or --json FILE is required", file=sys.stderr)
             return 2
         report = args.handler(args)

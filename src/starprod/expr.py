@@ -8,11 +8,15 @@ Grammar (the only operators are + - * ^):
     atom   := rational | name | '(' expr ')'
 
 Rational literals are single tokens like 7 or 3/2 (there is no division
-operator).  'I' is the imaginary unit.  Every other name must resolve to a
-generator of the target space.  Exponents are nonnegative integer literals.
+operator) with at most MAX_DIGITS (4300) digits per part.  'I' is the
+imaginary unit.  Every other name must resolve to a generator of the target
+space.  Exponents are nonnegative integer literals.  Parentheses and unary
+minus nest at most MAX_NESTING (100) levels deep; deeper input raises
+InputError naming the cap.
 
 parse_expr produces a small AST; to_poly interprets it over a GradedSpace;
-poly_to_expr prints a polynomial back in a canonical form that round-trips.
+poly_to_expr prints a polynomial back in a canonical form that round-trips,
+however many terms it has.
 """
 
 from __future__ import annotations
@@ -23,8 +27,12 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InputError
-from .scalars import Scalar, scalar_to_expr
+from .scalars import Scalar, parse_rational, scalar_to_expr
 from .superalg import GradedPoly, GradedSpace
+
+# parenthesis and unary-minus levels; each costs the parser four stack
+# frames, so the cap keeps parsing well inside the recursion limit
+MAX_NESTING = 100
 
 # AST ------------------------------------------------------------------------
 
@@ -106,6 +114,7 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -114,6 +123,12 @@ class _Parser:
         tok = self.tokens[self.k]
         self.k += 1
         return tok
+
+    def nest(self, pos: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise InputError(f"expression nests deeper than the cap of "
+                             f"{MAX_NESTING} levels at column {pos}")
 
     def expr(self) -> Node:
         node = self.term()
@@ -140,7 +155,10 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.factor(), pos)
+            self.nest(pos)
+            node = Neg(self.factor(), pos)
+            self.depth -= 1
+            return node
         node = self.atom()
         while True:
             kind, text, pos = self.peek()
@@ -155,20 +173,18 @@ class _Parser:
         if kind != "num" or "/" in text:
             raise InputError("exponent must be a nonnegative integer "
                              f"at column {pos}")
-        return int(text)
+        return int(parse_rational(text, f"at column {pos}"))
 
     def atom(self) -> Node:
         kind, text, pos = self.advance()
         if kind == "num":
-            try:
-                value = Fraction(text)
-            except ZeroDivisionError:
-                raise InputError(f"zero denominator at column {pos}") from None
-            return Num(value, pos)
+            return Num(parse_rational(text, f"at column {pos}"), pos)
         if kind == "name":
             return Name(text, pos)
         if kind == "op" and text == "(":
+            self.nest(pos)
             node = self.expr()
+            self.depth -= 1
             kind, text, pos = self.advance()
             if not (kind == "op" and text == ")"):
                 raise InputError(f"expected ')' at column {pos}")
@@ -193,7 +209,32 @@ def parse_expr(text: str) -> Node:
 # interpretation ---------------------------------------------------------------
 
 def to_poly(node: Node, space: GradedSpace) -> GradedPoly:
-    """Interpret an AST over a graded space."""
+    """Interpret an AST over a graded space.
+
+    The left spine of Add/Sub/Mul/Pow nodes is walked with a loop, so long
+    sums and products cost no stack depth.
+    """
+    spine = []
+    while isinstance(node, (Add, Sub, Mul, Pow)):
+        spine.append(node)
+        node = node.base if isinstance(node, Pow) else node.left
+    acc = _leaf_poly(node, space)
+    for op in reversed(spine):
+        if isinstance(op, Pow):
+            if acc.parity() == 1 and op.exponent > 1:
+                acc = GradedPoly.zero(space)
+            else:
+                acc = acc ** op.exponent
+        elif isinstance(op, Add):
+            acc = acc + to_poly(op.right, space)
+        elif isinstance(op, Sub):
+            acc = acc - to_poly(op.right, space)
+        else:
+            acc = acc * to_poly(op.right, space)
+    return acc
+
+
+def _leaf_poly(node: Node, space: GradedSpace) -> GradedPoly:
     if isinstance(node, Num):
         return GradedPoly.constant(space, node.value)
     if isinstance(node, Name):
@@ -205,18 +246,6 @@ def to_poly(node: Node, space: GradedSpace) -> GradedPoly:
                          f"at column {node.pos}")
     if isinstance(node, Neg):
         return -to_poly(node.arg, space)
-    if isinstance(node, Add):
-        return to_poly(node.left, space) + to_poly(node.right, space)
-    if isinstance(node, Sub):
-        return to_poly(node.left, space) - to_poly(node.right, space)
-    if isinstance(node, Mul):
-        return to_poly(node.left, space) * to_poly(node.right, space)
-    if isinstance(node, Pow):
-        base = to_poly(node.base, space)
-        par = base.parity()
-        if par == 1 and node.exponent > 1:
-            return GradedPoly.zero(space)
-        return base ** node.exponent
     raise InputError(f"unrecognized expression node {node!r}")
 
 

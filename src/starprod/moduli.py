@@ -15,12 +15,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from typing import Iterator, Union
+from itertools import combinations, product
+from math import comb
+from typing import Iterable, Iterator, Union
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 Tree = Union[int, tuple]
+
+# inputs of any job; keeps every count's digits far below Python's
+# int/str conversion limit, so reports stay printable
+MAX_N = 1000
+# leaves summed over the trees one listing builds: the strata on 9 inputs
+# hold 20,793 * 9 = 187,137; a facet listing stops near n = 74
+MAX_LISTED_LEAVES = 200_000
 
 
 def _internal_count(tree: Tree) -> int:
@@ -142,33 +150,12 @@ def _trees_over(leaves: tuple[int, ...]) -> tuple[Tree, ...]:
     if len(leaves) == 1:
         return (leaves[0],)
     out: list[Tree] = []
-    for split in _compositions(len(leaves)):
-        blocks = []
-        start = 0
-        for size in split:
-            blocks.append(leaves[start:start + size])
-            start += size
-        for children in product(*[_trees_over(b) for b in blocks]):
-            out.append(tuple(children))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _compositions(total: int) -> tuple[tuple[int, ...], ...]:
-    """Ways to split total into an ordered sequence of >= 2 positive parts."""
-    out = []
-
-    def extend(prefix: list[int], remaining: int) -> None:
-        if remaining == 0:
-            if len(prefix) >= 2:
-                out.append(tuple(prefix))
-            return
-        for part in range(1, remaining + 1):
-            prefix.append(part)
-            extend(prefix, remaining - part)
-            prefix.pop()
-
-    extend([], total)
+    # the root's children cover the leaves in 2 or more blocks, cut at `cuts`
+    for k in range(1, len(leaves)):
+        for cuts in combinations(range(1, len(leaves)), k):
+            bounds = (0, *cuts, len(leaves))
+            out.extend(product(*(_trees_over(leaves[a:b])
+                                 for a, b in zip(bounds, bounds[1:]))))
     return tuple(out)
 
 
@@ -179,11 +166,37 @@ def dim(n: int) -> int:
     return n - 2
 
 
-def enumerate_strata(n: int, codim: int) -> tuple[Stratum, ...]:
-    """All strata of the given codimension, in serialization order."""
+def stratum_count(n: int, codim: int) -> int:
+    """Number of strata of the given codimension, without building them.
+
+    The planar trees on n leaves with codim + 1 internal vertices are the
+    dissections of an (n+1)-gon by codim diagonals, counted by the
+    Kirkman-Cayley number C(n-2, c) C(n+c, c) / (c+1).
+    """
     top = dim(n)
     if not isinstance(codim, int) or not 0 <= codim <= top:
         raise InputError(f"codimension must lie in 0..{top} for n={n}")
+    if n > MAX_N:
+        raise ResourceLimitError(f"n={n} exceeds the cap of {MAX_N} inputs")
+    return comb(n - 2, codim) * comb(n + codim, codim) // (codim + 1)
+
+
+def _require_listable(n: int, codims: Iterable[int]) -> None:
+    """Refuse, before building, a listing that builds the trees of these codims."""
+    trees = 0
+    for codim in codims:
+        trees += stratum_count(n, codim)
+        if trees * n > MAX_LISTED_LEAVES:
+            raise ResourceLimitError(
+                f"listing strata on n={n} inputs builds trees with more than "
+                f"the cap of {MAX_LISTED_LEAVES} leaves")
+
+
+def enumerate_strata(n: int, codim: int) -> tuple[Stratum, ...]:
+    """All strata of the given codimension, in serialization order."""
+    stratum_count(n, codim)  # checks n and codim
+    # every planar tree on n leaves is built, then filtered by codimension
+    _require_listable(n, range(dim(n) + 1))
     found = [Stratum(t) for t in _trees_over(tuple(range(1, n + 1)))
              if _internal_count(t) == codim + 1]
     return tuple(sorted(found, key=Stratum.serialize))
@@ -211,6 +224,7 @@ def facet_compositions(n: int) -> tuple[FacetComposition, ...]:
     """The codimension-1 strata with their substitution descriptions."""
     if not isinstance(n, int) or n < 3:
         raise InputError("facets need at least 3 inputs")
+    _require_listable(n, (1,))
     out = []
     for inner in range(2, n):
         outer = n - inner + 1

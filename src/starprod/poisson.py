@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InputError, InternalError
 from .scalars import Scalar, ScalarLike
-from .superalg import (DEFAULT_HBAR_ORDER, CoeffLike, GradedPoly, GradedSpace,
+from .superalg import (DEFAULT_HBAR_ORDER, GradedPoly, GradedSpace,
                        coeff_space, pairing_bracket, super_space, taylor_shift)
 
 Index = tuple[int, ...]
@@ -41,7 +41,10 @@ class ComponentField:
     __slots__ = ("dim", "degree", "components")
 
     def __init__(self, dim: int, degree: int,
-                 components: Optional[Mapping[Sequence[int], Union[GradedPoly, CoeffLike]]] = None):
+                 components: Optional[Mapping[Sequence[int], Union[GradedPoly, ScalarLike]]] = None):
+        for what, value in (("dimension", dim), ("degree", degree)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InputError(f"{what} must be an integer")
         if dim < 1:
             raise InputError("dimension must be positive")
         if degree < 0:
@@ -121,7 +124,7 @@ class ComponentField:
         return type(self)(self.dim, self.degree,
                           {k: -p for k, p in self.components.items()})
 
-    def __mul__(self, scalar: CoeffLike):
+    def __mul__(self, scalar: ScalarLike):
         return type(self)(self.dim, self.degree,
                           {k: p * scalar for k, p in self.components.items()})
 
@@ -150,17 +153,15 @@ class ComponentField:
         from .expr import parse_poly
         if not isinstance(data, Mapping):
             raise InputError("component field data must be a JSON object")
-        for field in ("dim", "degree"):
-            if field not in data or not isinstance(data[field], int):
-                raise InputError(f"component field data needs an integer {field!r}")
-        dim = data["dim"]
-        degree = data["degree"]
-        if dim < 1:
-            raise InputError("dimension must be positive")
+        try:
+            # the empty field checks dim and degree before any parsing
+            empty = cls(data["dim"], data["degree"])
+        except KeyError as exc:
+            raise InputError(f"component field data needs {exc.args[0]!r}") from None
         raw = data.get("components", {})
         if not isinstance(raw, Mapping):
             raise InputError("components must be an object")
-        ring = coeff_space(dim)
+        ring = empty.ring()
         components = {}
         for key_text, expr_text in raw.items():
             if not isinstance(expr_text, str):
@@ -173,7 +174,7 @@ class ComponentField:
                 except ValueError:
                     raise InputError(f"bad component key {key_text!r}") from None
             components[key] = parse_poly(expr_text, ring)
-        return cls(dim, degree, components)
+        return cls(empty.dim, empty.degree, components)
 
 
 class Multivector(ComponentField):

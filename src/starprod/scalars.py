@@ -15,6 +15,10 @@ from .errors import InputError
 
 ScalarLike = Union["Scalar", int, Fraction]
 
+# digits per numerator or denominator of a literal: Python's default limit
+# on int/str conversion, checked here so it holds whatever that setting is
+MAX_DIGITS = 4300
+
 
 @dataclass(frozen=True, slots=True)
 class Scalar:
@@ -88,14 +92,10 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self
 
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
-
     def __repr__(self) -> str:
         return f"Scalar({self.re!r}, {self.im!r})"
 
 
-ZERO = Scalar()
 ONE = Scalar(Fraction(1))
 I = Scalar(Fraction(0), Fraction(1))
 HALF_I = Scalar(Fraction(0), Fraction(1, 2))
@@ -120,55 +120,40 @@ def format_scalar(z: Scalar) -> str:
     return f"{re}{istr}"
 
 
-def _parse_term(term: str, where: str) -> tuple[Fraction, bool]:
-    # returns (value, is_imaginary); sign already stripped by caller
-    if term.endswith("i"):
-        body = term[:-1]
-        if body == "":
-            return Fraction(1), True
-        try:
-            return Fraction(body), True
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad scalar term {term!r} in {where!r}") from exc
-    try:
-        return Fraction(term), False
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad scalar term {term!r} in {where!r}") from exc
+def parse_rational(text: str, where: str) -> Fraction:
+    """A rational literal: an optional leading '-', digits, an optional '/digits'.
+
+    This is the one reader for rationals in user text: expression number
+    tokens, basepoint entries and scalar strings.  Decimals, exponents and
+    '+' are refused, and so is a part longer than MAX_DIGITS digits; `where`
+    places the literal in the InputError message.
+    """
+    negative = text.startswith("-")
+    num, slash, den = text[negative:].partition("/")
+    if not num.isdecimal() or (slash and not den.isdecimal()):
+        raise InputError(f"bad rational {text!r} {where}; "
+                         "use literals like 2 or -1/3")
+    if max(len(num), len(den)) > MAX_DIGITS:
+        raise InputError(f"literal {where} exceeds the cap of {MAX_DIGITS} digits")
+    if slash and int(den) == 0:
+        raise InputError(f"zero denominator {where}")
+    value = Fraction(int(num), int(den) if slash else 1)
+    return -value if negative else value
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Inverse of format_scalar.  Accepts "a", "bi", "a+bi", "a-bi" with a, b rational."""
+    """Inverse of format_scalar: "a", "bi", "a+bi" or "a-bi" with a, b rational."""
     s = text.strip()
-    if not s:
-        raise InputError("empty scalar string")
-    split = -1
-    for k in range(1, len(s)):
-        if s[k] in "+-":
-            split = k
-            break
-    chunks = [s] if split < 0 else [s[:split], s[split:]]
-    re = Fraction(0)
-    im = Fraction(0)
-    seen_re = seen_im = False
-    for chunk in chunks:
-        sign = 1
-        if chunk and chunk[0] in "+-":
-            sign = -1 if chunk[0] == "-" else 1
-            chunk = chunk[1:]
-        if not chunk:
-            raise InputError(f"bad scalar string {text!r}")
-        value, imaginary = _parse_term(chunk, text)
-        if imaginary:
-            if seen_im:
-                raise InputError(f"duplicate imaginary part in {text!r}")
-            seen_im = True
-            im = sign * value
-        else:
-            if seen_re:
-                raise InputError(f"duplicate real part in {text!r}")
-            seen_re = True
-            re = sign * value
-    return Scalar(re, im)
+    where = f"in {text!r}"
+    if not s.endswith("i"):
+        return Scalar(parse_rational(s, where))
+    # the imaginary part starts at its sign, or at the start of the text
+    cut = max(s.rfind("+"), s.rfind("-"), 0)
+    im_text = s[cut:-1].removeprefix("+")
+    im = {"": 1, "-": -1}.get(im_text)
+    if im is None:
+        im = parse_rational(im_text, where)
+    return Scalar(parse_rational(s[:cut], where) if cut else 0, im)
 
 
 def scalar_to_expr(z: Scalar) -> str:

@@ -29,8 +29,6 @@ from .scalars import ONE, Scalar, ScalarLike
 HBAR = "hbar"
 DEFAULT_HBAR_ORDER = 3
 
-CoeffLike = Union[Scalar, int, Fraction]
-
 
 @dataclass(frozen=True)
 class GradedSpace:
@@ -50,8 +48,10 @@ class GradedSpace:
         if HBAR in self.names:
             if self.parities[self.names.index(HBAR)] != 0:
                 raise InputError("hbar must be an even generator")
-            if self.hbar_order is None:
-                raise InputError("spaces containing hbar need a truncation order")
+            order = self.hbar_order
+            if not isinstance(order, int) or isinstance(order, bool) or order < 0:
+                raise InputError("spaces containing hbar need a nonnegative "
+                                 "integer truncation order")
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -150,7 +150,7 @@ class GradedPoly:
         return cls(space)
 
     @classmethod
-    def constant(cls, space: GradedSpace, value: CoeffLike) -> "GradedPoly":
+    def constant(cls, space: GradedSpace, value: ScalarLike) -> "GradedPoly":
         return cls(space, {(0,) * len(space): Scalar.of(value)})
 
     @classmethod
@@ -332,37 +332,17 @@ class GradedPoly:
 
     # substitution and evaluation
 
-    def substitute_even(self, images: Mapping[str, Union["GradedPoly", CoeffLike]]) -> "GradedPoly":
+    def substitute_even(self, images: Mapping[str, Union["GradedPoly", ScalarLike]]) -> "GradedPoly":
         """Replace even generators by polynomials of the same space."""
         space = self.space
-        cooked: dict[int, GradedPoly] = {}
+        full = {name: GradedPoly.generator(space, name) for name in space.names}
         for name, img in images.items():
-            idx = space.index(name)
-            if space.parities[idx]:
+            if space.parities[space.index(name)]:
                 raise InputError(f"substitute_even cannot replace odd generator {name!r}")
             if not isinstance(img, GradedPoly):
                 img = GradedPoly.constant(space, img)
-            else:
-                _require_same_space(self, img)
-            cooked[idx] = img
-        powers: dict[tuple[int, int], GradedPoly] = {}
-
-        def power(idx: int, e: int) -> GradedPoly:
-            got = powers.get((idx, e))
-            if got is None:
-                got = cooked[idx] ** e
-                powers[(idx, e)] = got
-            return got
-
-        out = GradedPoly.zero(space)
-        for key, c in self.terms.items():
-            rest = tuple(0 if i in cooked and key[i] else key[i] for i in range(len(key)))
-            piece = self._raw(space, {rest: c})
-            for idx in cooked:
-                if key[idx]:
-                    piece = piece * power(idx, key[idx])
-            out = out + piece
-        return out
+            full[name] = img
+        return self.map_into(space, full)
 
     def map_into(self, target: GradedSpace,
                  images: Mapping[str, "GradedPoly"]) -> "GradedPoly":

@@ -43,6 +43,19 @@ def test_build_accepts_antifield_renames():
         BVSpace.build([("v", 0), ("vp", 0)])
 
 
+@pytest.mark.parametrize("fields, hbar_order", [
+    ([("v", 0)], -1),
+    ([("v", 0)], True),
+    ([("v", True)], 2),
+    ([("v", 0.0)], 2),
+    ("v0", 2),
+    ([("v", 0, 7)], 2),
+])
+def test_build_checks_each_declaration(fields, hbar_order):
+    with pytest.raises(InputError):
+        BVSpace.build(fields, hbar_order=hbar_order)
+
+
 def test_data_round_trip():
     bvs = BVSpace.build([("v", 0), ("c", 1)], hbar_order=2)
     again = BVSpace.from_data(bvs.to_data())

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import starprod
 from starprod.cli import main
 
 
@@ -217,3 +222,61 @@ def test_repeated_runs_are_byte_identical():
 def test_output_ends_with_newline():
     _, text = run(["moduli", "--n", "3"])
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("at", ["0.5,0,0", "1e5000,0,0", "1e100000000,0,0",
+                                "+1,0,0", "1/0,0,0"])
+def test_basepoint_entries_are_rational_literals(capsys, at):
+    code, text = run(["star", "--alpha", "so3", "--f", "x1", "--g", "x2",
+                      f"--at={at}"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-poisson", "--alpha",
+     json.dumps({"dim": True, "degree": 2, "components": {}})],
+    # the degree is checked by koszul_bracket, not by the loader
+    ["koszul", "--alpha", "so3", "--w2", ONE_FORM, "--w1",
+     json.dumps({"dim": 3, "degree": 2, "components": {"1,2": "x2"}})],
+    ["qme", "--space", json.dumps({"fields": [["v", 0]], "hbar_order": True}),
+     "--s", "v"],
+    ["star", "--alpha", "so3", "--f", "(" * 300 + "x1" + ")" * 300,
+     "--g", "x2", "--at", "0,0,0"],
+    ["star", "--alpha", "so3", "--f", "1" * 5000, "--g", "x2",
+     "--at", "0,0,0"],
+], ids=["bool-dim", "degree2-w1", "bool-hbar-order", "deep-parens",
+        "long-literal"])
+def test_malformed_input_exits_2(capsys, argv):
+    assert run(argv) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["moduli", "--n", "10", "--codim", "1"],
+    ["moduli", "--n", "80", "--facets"],
+    ["moduli", "--n", "1001"],
+])
+def test_moduli_jobs_over_the_cap_exit_3(capsys, argv):
+    assert run(argv) == (3, "")
+    assert "cap of" in capsys.readouterr().err
+
+
+def test_parser_is_shared_without_leaking_state(tmp_path):
+    text_job = ["check-poisson", "--alpha", "so3", "--format", "text"]
+    json_job = ["qme", "--space", '{"fields": [["v", 0], ["c", 1]]}',
+                "--s", "vp*c", "--order", "1"]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "moduli", "n": 4, "format": "text"}))
+    file_job = ["--json", str(path)]
+    argv_job = ["schouten",
+                "--a", '{"dim": 3, "degree": 1, "components": {"1": "x1"}}',
+                "--b", '{"dim": 3, "degree": 2, "components": {"1,2": "x3"}}']
+    env = dict(os.environ, PYTHONPATH=str(Path(starprod.__file__).parents[1]))
+    for first, second in ((text_job, json_job), (file_job, argv_job)):
+        together = [run(first), run(second)]
+        alone = [subprocess.run([sys.executable, "-m", "starprod", *argv],
+                                capture_output=True, text=True, env=env,
+                                check=True).stdout
+                 for argv in (first, second)]
+        assert together == [(0, alone[0]), (0, alone[1])]

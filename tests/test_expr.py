@@ -15,6 +15,7 @@ from starprod import (
     coeff_space,
     super_space,
 )
+from starprod.expr import MAX_NESTING
 from support import random_poly
 
 
@@ -133,3 +134,24 @@ def test_parse_expr_exposes_positions():
     # the AST keeps 1-based source columns for diagnostics
     assert type(node).__name__ == "Add"
     assert node.pos == 4
+
+
+def test_long_sums_round_trip():
+    ring = coeff_space(3)
+    p = parse_poly("(x1 + x2 + x3 + 1)^20", ring)
+    assert len(p.terms) == 1771
+    assert parse_poly(poly_to_expr(p), ring) == p
+
+
+def test_nesting_cap_and_literal_length():
+    ring = coeff_space(1)
+    deep = "(" * MAX_NESTING + "-x1" + ")" * MAX_NESTING
+    with pytest.raises(InputError, match=f"cap of {MAX_NESTING}"):
+        parse_poly(deep, ring)
+    assert parse_poly(deep[1:-1], ring) == -parse_poly("x1", ring)
+    with pytest.raises(InputError, match=f"cap of {MAX_NESTING}"):
+        parse_poly("-" * (MAX_NESTING + 1) + "x1", ring)
+    assert parse_poly("1" * 4300, ring).constant_value().re == int("1" * 4300)
+    for text in ("1" * 4301, "1/" + "1" * 4301, "x1^" + "1" * 4301):
+        with pytest.raises(InputError, match="4300 digits"):
+            parse_poly(text, ring)

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 from starprod import (
     FacetComposition,
     InputError,
+    ResourceLimitError,
     Stratum,
     dim,
     enumerate_strata,
     facet_compositions,
+    stratum_count,
 )
+from starprod.moduli import MAX_N
 
 # interior strata count 1; each extra nesting level adds a codimension
 SUPERCATALAN = {2: 1, 3: 3, 4: 11, 5: 45, 6: 197, 7: 903}
@@ -115,6 +118,22 @@ def test_invalid_trees_rejected():
         Stratum.parse("(2 1)")
     with pytest.raises(InputError):
         Stratum.parse("(1 2")
+
+
+def test_closed_form_counts_match_enumeration():
+    for n in range(2, 9):
+        for c in range(dim(n) + 1):
+            assert stratum_count(n, c) == len(enumerate_strata(n, c))
+
+
+def test_listings_and_counts_refuse_before_building():
+    with pytest.raises(ResourceLimitError, match="200000"):
+        enumerate_strata(10, 0)
+    with pytest.raises(ResourceLimitError, match="200000"):
+        facet_compositions(80)
+    assert stratum_count(MAX_N, 1) == (MAX_N - 2) * (MAX_N + 1) // 2
+    with pytest.raises(ResourceLimitError, match=str(MAX_N)):
+        stratum_count(MAX_N + 1, 0)
 
 
 def test_enumeration_bounds():

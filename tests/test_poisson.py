@@ -91,6 +91,9 @@ def test_data_round_trip():
     assert Multivector.from_data({"dim": 2, "degree": 2}) == Multivector.zero(2, 2)
     with pytest.raises(InputError):
         Multivector.from_data({"degree": 2, "components": {}})
+    for dim, degree in ((True, 2), ("2", 2), (2, 2.0)):
+        with pytest.raises(InputError):
+            Multivector.from_data({"dim": dim, "degree": degree})
     with pytest.raises(InputError):
         Multivector.from_data({"dim": 2, "degree": 2,
                                "components": {"2,1": "1"}})

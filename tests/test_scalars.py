@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from starprod import Scalar, format_scalar, parse_scalar, scalar_to_expr
+from starprod import (InputError, Scalar, format_scalar, parse_scalar,
+                      scalar_to_expr)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -61,6 +62,12 @@ def test_pow():
 @given(s=scalars)
 def test_report_format_round_trips(s):
     assert parse_scalar(format_scalar(s)) == s
+
+
+@pytest.mark.parametrize("text", ["", "0.5", "1e3i", "1+2", "i+1", "1/0i"])
+def test_scalar_strings_use_rational_literals(text):
+    with pytest.raises(InputError):
+        parse_scalar(text)
 
 
 def test_report_format_spellings():

@@ -130,6 +130,10 @@ def test_space_validation():
         GradedSpace(("hbar",), (1,), hbar_order=2)
     with pytest.raises(InputError):
         GradedSpace(("x", "hbar"), (0, 0))
+    with pytest.raises(InputError):
+        super_space(2, -1)
+    with pytest.raises(InputError):
+        GradedSpace(("hbar",), (0,), hbar_order=True)
 
 
 def test_super_space_layout():
@@ -267,3 +271,15 @@ def test_map_into_respects_parity_and_signs():
         even = GradedSpace(("t",), (0,))
         p.map_into(even, {"a": GradedPoly.generator(even, "t"),
                           "b": GradedPoly.generator(even, "t")})
+
+
+def test_substitute_even_replaces_only_the_named_generators():
+    s = super_space(2)
+    p = parse_poly("xi1^2*eta1 + hbar*xi1*eta2 - eta1*eta2*xi2", s)
+    shifted = p.substitute_even({"xi1": parse_poly("xi2 + 1", s)})
+    assert shifted == parse_poly(
+        "(xi2 + 1)^2*eta1 + hbar*(xi2 + 1)*eta2 - eta1*eta2*xi2", s)
+    assert p.substitute_even({"xi1": 2, "xi2": 0}) == \
+        parse_poly("4*eta1 + 2*hbar*eta2", s)
+    with pytest.raises(InputError):
+        p.substitute_even({"eta1": parse_poly("xi1", s)})

@@ -15,7 +15,10 @@ Numbers in expressions and --at entries are the same rational literals
 (2, -1/3; no decimals, exponents or '+').  Expressions nest parentheses and
 unary minus at most expr.MAX_NESTING (100) levels deep.  moduli jobs past
 moduli.MAX_N inputs, and listings whose trees exceed
-moduli.MAX_LISTED_LEAVES leaves, are refused with exit 3.
+moduli.MAX_LISTED_LEAVES leaves, are refused with exit 3, and so are
+powers past superalg.MAX_POWER_DEGREE or superalg.MAX_POWER_BITS, reports
+with a number part over scalars.MAX_DIGITS digits, and products over their
+--max-work budget.
 """
 
 from __future__ import annotations
@@ -229,7 +232,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=int, default=DEFAULT_ORDER,
                        help=f"truncation order (default {DEFAULT_ORDER})")
         p.add_argument("--max-work", type=int, default=wick.DEFAULT_MAX_WORK,
-                       help="refuse jobs beyond this enumeration budget")
+                       help="work budget: operator terms visited, or index "
+                            "rows for moyal (default "
+                            f"{wick.DEFAULT_MAX_WORK})")
         p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("check-poisson", parents=[common],

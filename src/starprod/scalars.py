@@ -11,13 +11,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 ScalarLike = Union["Scalar", int, Fraction]
 
-# digits per numerator or denominator of a literal: Python's default limit
-# on int/str conversion, checked here so it holds whatever that setting is
+# digits per numerator or denominator of a literal or a printed scalar:
+# Python's default limit on int/str conversion, checked here so it holds
+# whatever that setting is
 MAX_DIGITS = 4300
+_TOO_LONG = 10 ** MAX_DIGITS
+_TOO_LONG_BITS = _TOO_LONG.bit_length()
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,8 +104,19 @@ I = Scalar(Fraction(0), Fraction(1))
 HALF_I = Scalar(Fraction(0), Fraction(1, 2))
 
 
+def _require_printable(z: Scalar) -> None:
+    """Refuse a scalar with a part over MAX_DIGITS digits, before converting it."""
+    for n in (z.re.numerator, z.re.denominator, z.im.numerator,
+              z.im.denominator):
+        # the bit length clears every part that is not near the limit
+        if n.bit_length() >= _TOO_LONG_BITS and abs(n) >= _TOO_LONG:
+            raise ResourceLimitError(f"a result has a part over the cap of "
+                                     f"{MAX_DIGITS} digits")
+
+
 def format_scalar(z: Scalar) -> str:
     """Render a scalar in report style: "0", "3/2", "1/2i", "3/2-1/4i", "i"."""
+    _require_printable(z)
     re, im = z.re, z.im
     if im == 0:
         return str(re)
@@ -158,6 +172,7 @@ def parse_scalar(text: str) -> Scalar:
 
 def scalar_to_expr(z: Scalar) -> str:
     """Render a scalar as a parseable expression: "3/2", "1/2*I", "(3/2-1/4*I)"."""
+    _require_printable(z)
     re, im = z.re, z.im
     if im == 0:
         return str(re)

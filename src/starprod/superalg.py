@@ -23,11 +23,16 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, ResourceLimitError
 from .scalars import ONE, Scalar, ScalarLike
 
 HBAR = "hbar"
 DEFAULT_HBAR_ORDER = 3
+# caps on a power's estimated result, checked before multiplying: its total
+# degree (the exponent times the base's degree, at least 1) and its
+# coefficient size (the exponent times the bits of the base's largest part)
+MAX_POWER_DEGREE = 1000
+MAX_POWER_BITS = 100_000
 
 
 @dataclass(frozen=True)
@@ -261,6 +266,17 @@ class GradedPoly:
     def __pow__(self, n: int) -> "GradedPoly":
         if not isinstance(n, int) or n < 0:
             raise InputError("polynomial powers must be nonnegative integers")
+        degree = n * max(self.total_degree(), 1)
+        if degree > MAX_POWER_DEGREE:
+            raise ResourceLimitError(f"a power of degree {degree} exceeds the "
+                                     f"cap of {MAX_POWER_DEGREE}")
+        bits = n * max((max(q.numerator.bit_length(), q.denominator.bit_length())
+                        for c in self.terms.values() for q in (c.re, c.im)),
+                       default=0)
+        if bits > MAX_POWER_BITS:
+            raise ResourceLimitError(f"a power with coefficients of about "
+                                     f"{bits} bits exceeds the cap of "
+                                     f"{MAX_POWER_BITS}")
         out = GradedPoly.one(self.space)
         for _ in range(n):
             out = out * self

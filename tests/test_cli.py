@@ -211,6 +211,47 @@ def test_resource_limits_exit_3():
     assert code == 3
 
 
+NINES = "9" * 3000
+
+
+@pytest.mark.parametrize("f, limit", [
+    ("x1^3000000", "cap of 1000"),
+    ("2^3000000", "cap of 1000"),
+    (f"{NINES}^40", "cap of 100000"),
+    (f"{NINES}*{NINES}", "cap of 4300 digits"),
+], ids=["monomial-power", "constant-power", "wide-constant-power",
+        "long-product"])
+def test_oversized_powers_and_results_exit_3(capsys, f, limit):
+    assert run(["star", "--alpha", "so3", "--f", f, "--g", "x2",
+                "--at", "0,1,0", "--order", "1"]) == (3, "")
+    assert limit in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["0", "3"])
+@pytest.mark.parametrize("command", ["star", "moyal"])
+def test_negative_max_work_exits_2(capsys, command, order):
+    code, text = run([command, "--alpha", "canonical2d", "--f", "x1",
+                      "--g", "x2", "--at", "0,0", "--order", order,
+                      "--max-work=-1"])
+    assert (code, text) == (2, "")
+    assert "max_work" in capsys.readouterr().err
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(starprod.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "starprod", "star", "--alpha", "so3",
+             "--f", "x1", "--g", "x2", "--at", "0,0,0", "--order", "0"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""
+
+
 def test_repeated_runs_are_byte_identical():
     argv = ["star", "--alpha", "so3", "--f", "x1^2 - x2", "--g", "x3*x1",
             "--at", "1/2,2,-1", "--order", "3"]

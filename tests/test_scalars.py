@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from starprod import (InputError, Scalar, format_scalar, parse_scalar,
-                      scalar_to_expr)
+from starprod import (InputError, ResourceLimitError, Scalar, format_scalar,
+                      parse_scalar, scalar_to_expr)
+from starprod.scalars import MAX_DIGITS
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -86,3 +87,13 @@ def test_expression_form_spellings():
     assert scalar_to_expr(Scalar(0, -1)) == "-I"
     # mixed values parenthesize so they can be pasted into a product
     assert scalar_to_expr(Scalar(Fraction(3, 2), Fraction(1, 4))) == "(3/2+1/4*I)"
+
+
+@pytest.mark.parametrize("render", [format_scalar, scalar_to_expr])
+def test_printing_refuses_parts_over_the_digit_cap(render):
+    widest = 10 ** MAX_DIGITS - 1
+    assert render(Scalar(widest)) == str(widest)
+    for z in (Scalar(widest + 1), Scalar(-widest - 1),
+              Scalar(Fraction(1, widest + 1)), Scalar(1, widest + 1)):
+        with pytest.raises(ResourceLimitError):
+            render(z)

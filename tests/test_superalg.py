@@ -19,6 +19,7 @@ from starprod import (
     GradedPoly,
     GradedSpace,
     InputError,
+    ResourceLimitError,
     Scalar,
     coeff_space,
     deriv_even,
@@ -31,6 +32,7 @@ from starprod import (
     super_space,
     taylor_shift,
 )
+from starprod.superalg import MAX_POWER_BITS, MAX_POWER_DEGREE
 from support import random_poly
 
 
@@ -283,3 +285,18 @@ def test_substitute_even_replaces_only_the_named_generators():
         parse_poly("4*eta1 + 2*hbar*eta2", s)
     with pytest.raises(InputError):
         p.substitute_even({"eta1": parse_poly("xi1", s)})
+
+
+def test_power_caps_refuse_before_multiplying():
+    ring = coeff_space(2)
+    x1 = GradedPoly.generator(ring, "x1")
+    assert (x1 ** MAX_POWER_DEGREE).total_degree() == MAX_POWER_DEGREE
+    wide = GradedPoly.constant(ring, 2 ** 999)  # 1,000 bits
+    assert wide ** (MAX_POWER_BITS // 1000) == \
+        GradedPoly.constant(ring, 2 ** (999 * MAX_POWER_BITS // 1000))
+    for base, n in ((x1, MAX_POWER_DEGREE + 1),
+                    (x1 * x1 + 1, MAX_POWER_DEGREE // 2 + 1),
+                    (GradedPoly.constant(ring, 2), MAX_POWER_DEGREE + 1),
+                    (wide, MAX_POWER_BITS // 1000 + 1)):
+        with pytest.raises(ResourceLimitError):
+            base ** n

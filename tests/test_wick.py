@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starprod import (
     CalibrationError,
+    GradedPoly,
     HbarSeries,
     InputError,
     Multivector,
@@ -25,10 +28,11 @@ from starprod import (
     star_poly,
     star_series,
 )
-from starprod.wick import _order_weight
+from starprod.wick import DEFAULT_MAX_WORK, _order_weight
 from support import (
     random_basepoint,
     random_constant_bivector,
+    random_multivector,
     random_poly,
 )
 
@@ -173,6 +177,125 @@ def test_order_and_work_budgets():
     with pytest.raises(ResourceLimitError):
         moyal_poly(fixture("canonical2d"), parse_poly("x1", ring2),
                    parse_poly("x2", ring2), order=3, max_work=1)
+
+
+@pytest.mark.parametrize("max_work", [-1, True, 1.5, "10"])
+@pytest.mark.parametrize("order", [0, 3])
+def test_max_work_must_be_a_nonnegative_int(max_work, order):
+    ring = coeff_space(3)
+    f = parse_poly("x1", ring)
+    g = parse_poly("x2", ring)
+    with pytest.raises(InputError):
+        star_poly(fixture("so3"), f, g, order=order, max_work=max_work)
+    ring2 = coeff_space(2)
+    with pytest.raises(InputError):
+        moyal(fixture("canonical2d"), parse_poly("x1", ring2),
+              parse_poly("x2", ring2), [0, 0], order=order, max_work=max_work)
+
+
+# the smallest budget that computes star_poly(so3, x1^2*x2 + x3,
+# x2*x3^2 + x1) at each order: a regression in the pruning changes these
+# counts exactly, without depending on timings
+BASELINE_WORK = {3: 423, 4: 864, 5: 1317, 6: 1836}
+
+
+@pytest.mark.parametrize("order, work", sorted(BASELINE_WORK.items()))
+def test_baseline_work_counts(order, work):
+    ring = coeff_space(3)
+    f = parse_poly("x1^2*x2 + x3", ring)
+    g = parse_poly("x2*x3^2 + x1", ring)
+    star_poly(fixture("so3"), f, g, order=order, max_work=work)
+    with pytest.raises(ResourceLimitError):
+        star_poly(fixture("so3"), f, g, order=order, max_work=work - 1)
+    assert work < DEFAULT_MAX_WORK
+
+
+@st.composite
+def product_cases(draw):
+    """A fixture or a random bivector with degree-2 coefficients, three
+    factors, a basepoint and an order."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    name = draw(st.sampled_from(["so3", "nonpoisson4d", "canonical2d",
+                                 "random"]))
+    if name == "random":
+        ring = coeff_space(3)
+        alpha = random_multivector(rng, 3, 2, ring, max_coeff_degree=2)
+    else:
+        alpha = fixture(name)
+        ring = alpha.ring()
+    f, g, h = (random_poly(rng, ring, max_degree=2) for _ in range(3))
+    order = draw(st.integers(min_value=0, max_value=3))
+    return alpha, f, g, h, random_basepoint(rng, alpha.dim), order
+
+
+@given(case=product_cases())
+@settings(max_examples=25, deadline=None)
+def test_lower_orders_are_a_prefix(case):
+    alpha, f, g, h, _, order = case
+    full = star_poly(alpha, f, g, order=3)
+    assert star_poly(alpha, f, g, order=order) == \
+        {k: full[k] for k in range(order + 1)}
+    full = associator_poly(alpha, f, g, h, order=3)
+    assert associator_poly(alpha, f, g, h, order=order) == \
+        {k: full[k] for k in range(order + 1)}
+
+
+@given(case=product_cases())
+@settings(max_examples=25, deadline=None)
+def test_products_at_a_point_evaluate_the_polynomials(case):
+    alpha, f, g, h, point, order = case
+    values = {f"x{i}": v for i, v in enumerate(point, start=1)}
+    series = star_poly(alpha, f, g, order=order)
+    assert star(alpha, f, g, point, order=order).coefficients == \
+        tuple(series[k].evaluate(values) for k in range(order + 1))
+    series = associator_poly(alpha, f, g, h, order=order)
+    assert associator(alpha, f, g, h, point, order=order).coefficients == \
+        tuple(series[k].evaluate(values) for k in range(order + 1))
+
+
+def _det(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _inverse(m):
+    det = _det(m)
+    return [[(m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+              - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3])
+             / det for j in range(3)] for i in range(3)]
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       order=st.integers(min_value=1, max_value=3))
+@settings(max_examples=10, deadline=None)
+def test_star_is_equivariant_under_a_reflection(seed, order):
+    """x = A y with det A = -1: pulling so3, f and g back along it pulls
+    back every order of f * g."""
+    rng = random.Random(seed)
+    m = [[0] * 3] * 3
+    while not _det(m):
+        m = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+              for _ in range(3)] for _ in range(3)]
+    m[0] = [-x / _det(m) for x in m[0]]
+    inv = _inverse(m)
+    assert _det(m) == -1
+    ring = coeff_space(3)
+    xs = [parse_poly(f"x{i}", ring) for i in range(1, 4)]
+    pull = {f"x{i + 1}": sum((xs[j] * m[i][j] for j in range(3)),
+                             GradedPoly.zero(ring)) for i in range(3)}
+    so3 = fixture("so3")
+    back = {(k, l): sum((so3.component(i, j).substitute_even(pull)
+                         * (inv[k - 1][i - 1] * inv[l - 1][j - 1])
+                         for i in range(1, 4) for j in range(1, 4)),
+                        GradedPoly.zero(ring))
+            for k, l in ((1, 2), (1, 3), (2, 3))}
+    f = random_poly(rng, ring, max_degree=2)
+    g = random_poly(rng, ring, max_degree=2)
+    moved = star_poly(Multivector(3, 2, back), f.substitute_even(pull),
+                      g.substitute_even(pull), order=order)
+    fixed = star_poly(so3, f, g, order=order)
+    assert moved == {k: p.substitute_even(pull) for k, p in fixed.items()}
 
 
 def test_basepoint_validation():

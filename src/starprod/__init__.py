@@ -3,7 +3,8 @@
 Everything is computed over Gaussian rationals with hbar as a truncated
 formal variable; there is no floating point anywhere.  The layers:
 
-  superalg    graded-commutative polynomial engine (xi, eta, hbar)
+  superalg    graded-commutative polynomials (xi, eta, hbar), multiplied,
+              differentiated and evaluated with one kernel each
   poisson     multivector fields, symbol map, odd bracket, bracket route
   wick        contraction-pattern deformation product, the order weight
               calibrated once from a probe, constant-coefficient reference

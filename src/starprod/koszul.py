@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError
-from .poisson import ComponentField, Multivector, _require_bivector
+from .poisson import ComponentField, Multivector, _pairing, _require_bivector
 from .superalg import GradedPoly
 
 
@@ -139,21 +139,6 @@ def anchor(alpha: Multivector, w: DifferentialForm) -> Multivector:
     return Multivector(alpha.dim, 1, out)
 
 
-def _bivector_pairing(alpha: Multivector, w1: DifferentialForm,
-                      w2: DifferentialForm) -> GradedPoly:
-    # <alpha | w1 ^ w2> = sum over components a^{ij} (w1_i w2_j - w1_j w2_i)
-    ring = alpha.ring()
-    zero = GradedPoly.zero(ring)
-    total = zero
-    for (i, j), a in alpha.components.items():
-        w1i = w1.components.get((i,), zero)
-        w1j = w1.components.get((j,), zero)
-        w2i = w2.components.get((i,), zero)
-        w2j = w2.components.get((j,), zero)
-        total = total + a * (w1i * w2j - w1j * w2i)
-    return total
-
-
 def _check_bracket_args(alpha: Multivector, w1: DifferentialForm,
                         w2: DifferentialForm) -> None:
     _require_bivector(alpha)
@@ -174,8 +159,8 @@ def koszul_bracket(alpha: Multivector, w1: DifferentialForm,
     """
     _check_bracket_args(alpha, w1, w2)
     if route == "geometric":
-        pairing = DifferentialForm(alpha.dim, 0,
-                                   {(): _bivector_pairing(alpha, w1, w2)})
+        u, v = ({i: p for (i,), p in w.components.items()} for w in (w1, w2))
+        pairing = DifferentialForm(alpha.dim, 0, {(): _pairing(alpha, u, v)})
         return lie_derivative(anchor(alpha, w1), w2) \
             - lie_derivative(anchor(alpha, w2), w1) \
             - exterior_derivative(pairing)

@@ -302,14 +302,21 @@ def poisson_bracket(alpha: Multivector, f: GradedPoly, g: GradedPoly) -> GradedP
     if f.space != ring or g.space != ring:
         raise InputError("bracket arguments must live in the coefficient ring "
                          f"of the bivector (x1..x{alpha.dim})")
-    out = GradedPoly.zero(ring)
+    coords = {i for key in alpha.components for i in key}
+    return _pairing(alpha, {i: f.deriv_left(f"x{i}") for i in coords},
+                    {i: g.deriv_left(f"x{i}") for i in coords})
+
+
+def _pairing(alpha: Multivector, u: Mapping[int, GradedPoly],
+             v: Mapping[int, GradedPoly]) -> GradedPoly:
+    """sum over components a^{ij} (u_i v_j - u_j v_i); u and v map
+    coordinates to polynomials (gradients, one-form components), else zero."""
+    zero = GradedPoly.zero(alpha.ring())
+    total = zero
     for (i, j), a in alpha.components.items():
-        fi = f.deriv_left(f"x{i}")
-        fj = f.deriv_left(f"x{j}")
-        gi = g.deriv_left(f"x{i}")
-        gj = g.deriv_left(f"x{j}")
-        out = out + a * (fi * gj - fj * gi)
-    return out
+        total = total + a * (u.get(i, zero) * v.get(j, zero)
+                             - u.get(j, zero) * v.get(i, zero))
+    return total
 
 
 def _require_bivector(alpha: Multivector) -> None:

@@ -80,13 +80,17 @@ class Scalar:
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int) or n < 0:
             raise ValueError("scalar powers must be nonnegative integers")
-        out = ONE
+        if not n:
+            return ONE
+        # start from the base at the lowest set bit, square up to the highest
         base = self
-        while n:
+        while not n & 1:
+            base, n = base * base, n >> 1
+        out = base
+        while n := n >> 1:
+            base = base * base
             if n & 1:
                 out = out * base
-            base = base * base
-            n >>= 1
         return out
 
     def __bool__(self) -> bool:

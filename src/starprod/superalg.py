@@ -18,10 +18,12 @@ coefficient rings) is the same machinery with different declarations.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InputError, InternalError, ResourceLimitError
 from .scalars import ONE, Scalar, ScalarLike
@@ -29,10 +31,11 @@ from .scalars import ONE, Scalar, ScalarLike
 HBAR = "hbar"
 DEFAULT_HBAR_ORDER = 3
 # caps on a power's estimated result, checked before multiplying: its total
-# degree (the exponent times the base's degree, at least 1) and its
-# coefficient size (the exponent times the bits of the base's largest part)
+# degree (the exponent times the base's degree, at least 1), its coefficient
+# size (the exponent times the bits of the base's largest part) and its terms
 MAX_POWER_DEGREE = 1000
 MAX_POWER_BITS = 100_000
+MAX_POWER_TERMS = 5000
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,8 @@ def coeff_space(d: int) -> GradedSpace:
     return GradedSpace(tuple(f"x{i}" for i in range(1, d + 1)), (0,) * d)
 
 
-def _accumulate(out: dict, key: tuple[int, ...], c: Scalar) -> None:
-    """Add c to out[key], dropping the key when the sum cancels."""
+def _accumulate(out: dict, key, c) -> None:
+    """Add a nonzero Scalar or int c to out[key], dropping the key on cancel."""
     acc = out.get(key)
     if acc is None:
         out[key] = c
@@ -110,6 +113,10 @@ def _accumulate(out: dict, key: tuple[int, ...], c: Scalar) -> None:
             out[key] = s
         else:
             del out[key]
+
+
+def _bump(counts: tuple[int, ...], k: int, by: int) -> tuple[int, ...]:
+    return counts[:k] + (counts[k] + by,) + counts[k + 1:] if by else counts
 
 
 def _require_same_space(a: "GradedPoly", b: "GradedPoly") -> None:
@@ -277,6 +284,17 @@ class GradedPoly:
             raise ResourceLimitError(f"a power with coefficients of about "
                                      f"{bits} bits exceeds the cap of "
                                      f"{MAX_POWER_BITS}")
+        # a t-term base has at most C(n+t-1, t-1) terms in its n-th power,
+        # and a base in v generators at most the C(degree+v, v) monomials
+        # of the power's degree or less
+        t = max(len(self.terms), 1)
+        v = sum(map(any, zip(*self.terms)))
+        size = min(math.comb(n + t - 1, t - 1),
+                   math.comb(n * self.total_degree() + v, v))
+        if size > MAX_POWER_TERMS:
+            raise ResourceLimitError(f"a power with up to {size} terms "
+                                     f"exceeds the cap of {MAX_POWER_TERMS} "
+                                     f"terms")
         out = GradedPoly.one(self.space)
         for _ in range(n):
             out = out * self
@@ -313,37 +331,26 @@ class GradedPoly:
 
     def deriv_left(self, name: str) -> "GradedPoly":
         """Left derivative: move the generator to the front, then strike it."""
-        space = self.space
-        k = space.index(name)
-        out: dict[tuple[int, ...], Scalar] = {}
-        if space.parities[k] == 0:
-            for key, c in self.terms.items():
-                e = key[k]
-                if e == 0:
-                    continue
-                _accumulate(out, key[:k] + (e - 1,) + key[k + 1:], c * e)
-        else:
-            for key, c in self.terms.items():
-                if not key[k]:
-                    continue
-                crossings = sum(key[i] for i in space.odd_indices if i < k)
-                _accumulate(out, key[:k] + (0,) + key[k + 1:],
-                            -c if crossings & 1 else c)
-        return self._raw(space, out)
+        return self._strike(name, operator.lt)
 
     def deriv_right(self, name: str) -> "GradedPoly":
         """Right derivative: move the generator to the back, then strike it."""
+        return self._strike(name, operator.gt)
+
+    def _strike(self, name: str, crosses: Callable[[int, int], bool]
+                ) -> "GradedPoly":
+        """The derivative in one generator.  An odd generator k is first
+        moved past the odd generators i with crosses(i, k), a sign each."""
         space = self.space
         k = space.index(name)
-        if space.parities[k] == 0:
-            return self.deriv_left(name)
+        if not space.parities[k]:
+            return _deriv(self, _bump((0,) * len(space), k, 1))
+        crossed = [i for i in space.odd_indices if crosses(i, k)]
         out: dict[tuple[int, ...], Scalar] = {}
         for key, c in self.terms.items():
-            if not key[k]:
-                continue
-            crossings = sum(key[i] for i in space.odd_indices if i > k)
-            _accumulate(out, key[:k] + (0,) + key[k + 1:],
-                        -c if crossings & 1 else c)
+            if key[k]:
+                crossings = sum(key[i] for i in crossed)
+                out[key[:k] + (0,) + key[k + 1:]] = -c if crossings & 1 else c
         return self._raw(space, out)
 
     # substitution and evaluation
@@ -398,24 +405,17 @@ class GradedPoly:
     def evaluate(self, point: Mapping[str, ScalarLike]) -> Scalar:
         """Full evaluation; every generator appearing in a term must be assigned."""
         space = self.space
-        values: dict[int, Scalar] = {}
+        values: list[Optional[Scalar]] = [None] * len(space)
         for name, v in point.items():
             idx = space.index(name)
             if space.parities[idx]:
                 raise InputError(f"cannot assign a number to odd generator {name!r}")
             values[idx] = Scalar.of(v)
-        total = Scalar()
-        for key, c in self.terms.items():
-            term = c
-            for idx, e in enumerate(key):
-                if not e:
-                    continue
-                if idx not in values:
-                    raise InputError(f"no value given for generator "
-                                     f"{space.names[idx]!r}")
-                term = term * values[idx] ** e
-            total = total + term
-        return total
+        for idx, column in enumerate(zip(*self.terms)):
+            if any(column) and values[idx] is None:
+                raise InputError(f"no value given for generator "
+                                 f"{space.names[idx]!r}")
+        return _evaluator(values)(self, (0,) * len(space))
 
     # hbar views
 
@@ -473,6 +473,60 @@ def _odd_name(space: GradedSpace, i: int) -> str:
     if name not in space._index:
         raise InputError(f"odd index {i} out of range for this space")
     return name
+
+
+# even derivatives and point values ----------------------------------------------
+
+def _deriv(p: GradedPoly, counts: tuple[int, ...]) -> GradedPoly:
+    """d^counts p, counts[k] derivatives in the even generator k."""
+    wanted = [(k, m) for k, m in enumerate(counts) if m]
+    if not wanted:
+        return p
+    out: dict[tuple[int, ...], Scalar] = {}
+    for beta, c in p.terms.items():
+        factor = 1  # beta!/(beta - counts)!
+        for k, m in wanted:
+            if beta[k] < m:
+                break
+            factor *= math.perm(beta[k], m)
+        else:
+            # distinct surviving monomials stay distinct; no factor is zero
+            out[tuple(map(operator.sub, beta, counts))] = \
+                c * factor if factor != 1 else c
+    return GradedPoly._raw(p.space, out)
+
+
+def _evaluator(values: Sequence[Optional[Scalar]]
+               ) -> Callable[[GradedPoly, tuple[int, ...]], Scalar]:
+    """(p, counts) -> d^counts p at the point, values[k] for generator k.
+
+    Every call shares one table of the monomials x^gamma at the point, each
+    built from the one with a factor fewer.  Generators that a surviving
+    monomial uses must have a value.
+    """
+    # x^0 is None, so that no value is multiplied by one
+    monomials: dict = {(0,) * len(values): None}
+
+    def monomial(gamma: tuple[int, ...]) -> Optional[Scalar]:
+        chain = []  # a loop, not recursion: degrees may run to thousands
+        while gamma not in monomials:
+            k = max(k for k, e in enumerate(gamma) if e)
+            chain.append((gamma, k))
+            gamma = _bump(gamma, k, -1)
+        got = monomials[gamma]
+        for gamma, k in reversed(chain):
+            got = monomials[gamma] = values[k] if got is None \
+                else got * values[k]
+        return got
+
+    def at(p: GradedPoly, counts: tuple[int, ...]) -> Scalar:
+        total = Scalar()
+        for gamma, c in _deriv(p, counts).terms.items():
+            x = monomial(gamma)
+            total = total + (c if x is None else c * x)
+        return total
+
+    return at
 
 
 def _point_values(basepoint: Sequence[ScalarLike], d: int) -> list[Scalar]:

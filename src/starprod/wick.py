@@ -24,11 +24,11 @@ its count vector, which is tested without differentiating; a multiset whose
 is a split that leaves P_M more legs than its degree; the products P_M are
 built from each other and shared across multisets and orders.
 
-The operator is applied in one of two ways: symbolically, to get the
-coefficients of the product as polynomials (star_poly, star_series,
-associator_poly, calibrate), or at a basepoint, where d_I f, d_J g and
-C^(n)_IJ are evaluated before anything is multiplied (star, moyal and the
-outer products of associator).
+The operator is applied symbolically, for the coefficients of the product
+as polynomials (star_poly, star_series, associator_poly, calibrate), or at
+a basepoint, where d_I f, d_J g and C^(n)_IJ are evaluated before anything
+is multiplied (star, moyal, the outer products of associator).  Either way
+the derivatives and point values come from superalg's kernels.
 
 Consequences worth knowing:
 
@@ -58,8 +58,8 @@ from typing import Callable, Mapping, Optional, Sequence
 from .errors import CalibrationError, InputError, ResourceLimitError
 from .poisson import Multivector, _require_bivector, poisson_bracket
 from .scalars import HALF_I, ONE, Scalar, ScalarLike
-from .superalg import (GradedPoly, GradedSpace, HbarSeries, _point_values,
-                       coeff_space)
+from .superalg import (GradedPoly, GradedSpace, HbarSeries, _accumulate,
+                       _bump, _deriv, _evaluator, _point_values, coeff_space)
 
 DEFAULT_ORDER = 3
 MAX_ORDER = 6
@@ -151,10 +151,6 @@ def _check_factors(alpha: Multivector, f: GradedPoly, g: GradedPoly,
     return ring
 
 
-def _bump(counts: tuple[int, ...], k: int, by: int) -> tuple[int, ...]:
-    return counts[:k] + (counts[k] + by,) + counts[k + 1:] if by else counts
-
-
 def _rooms(poly: GradedPoly) -> Callable[[tuple[int, ...]], int]:
     """counts -> how many more derivatives d^counts poly can take, -1 if none.
 
@@ -204,12 +200,11 @@ def _orientations(keys: Sequence[tuple[int, int]], mult: tuple[int, ...],
         grown: dict = {}
         for (left, right), w in classes.items():
             for u in range(m + 1):
-                key = (_bump(_bump(left, i, u), j, m - u),
-                       _bump(_bump(right, j, u), i, m - u))
-                grown[key] = grown.get(key, 0) \
-                    + w * math.comb(m, u) * (-1) ** (m - u)
+                _accumulate(grown, (_bump(_bump(left, i, u), j, m - u),
+                                    _bump(_bump(right, j, u), i, m - u)),
+                            w * math.comb(m, u) * (-1) ** (m - u))
         classes = grown
-    return {key: w * weight for key, w in classes.items() if w}
+    return {key: w * weight for key, w in classes.items()}
 
 
 def _landings(legs: tuple[int, ...], room: Callable, sign: int) -> list:
@@ -301,45 +296,19 @@ def _operator(alpha: Multivector, f: GradedPoly, g: GradedPoly, order: int,
                         K = tuple(map(operator.sub, legs,
                                       map(operator.add, I, J)))
                         if room_p(K) >= 0:
-                            cell = tally.setdefault((I, J), {})
-                            cell[(mult, K)] = cell.get((mult, K), 0) \
-                                + weight * wl * wr
-        terms = {}
-        for ij, cell in tally.items():
-            cell = {key: count for key, count in cell.items() if count}
-            if cell:
-                terms[ij] = cell
-        orders.append(terms)
+                            _accumulate(tally.setdefault((I, J), {}),
+                                        (mult, K), weight * wl * wr)
+        orders.append({ij: cell for ij, cell in tally.items() if cell})
     return polys, orders
 
 
-def _deriv_terms(p: GradedPoly, counts: tuple[int, ...]):
-    """(beta - counts, c, beta!/(beta - counts)!) for each term c x^beta of p
-    that survives d^counts, counts[k] derivatives in x(k+1)."""
-    for beta, c in p.terms.items():
-        factor = 1
-        for b, k in zip(beta, counts):
-            if b < k:
-                break
-            factor *= math.perm(b, k)
-        else:
-            yield tuple(map(operator.sub, beta, counts)), c, factor
-
-
-def _deriv(p: GradedPoly, counts: tuple[int, ...]) -> GradedPoly:
-    if not any(counts):
-        return p
-    return GradedPoly(p.space, {gamma: c * factor if factor != 1 else c
-                                for gamma, c, factor in _deriv_terms(p, counts)})
-
-
 def _apply(op: Operator, f: GradedPoly, g: GradedPoly,
-           point: Optional[Mapping[str, Scalar]] = None) -> list:
+           point: Optional[Sequence[Scalar]] = None) -> list:
     """B_0(f, g)..B_order(f, g), unweighted: polynomials, or numbers at a point.
 
     At a point, d_I f, d_J g and each d_K P_M are evaluated there before
     anything is multiplied, so polynomials that would only be evaluated are
-    never multiplied.
+    never multiplied, and all of them share one table of monomials.
     """
     polys, orders = op
     if point is None:
@@ -347,26 +316,7 @@ def _apply(op: Operator, f: GradedPoly, g: GradedPoly,
         at = _deriv
     else:
         zero, unit = Scalar(), ONE
-        values = [point[name] for name in f.space.names]
-        monomials: dict[tuple[int, ...], Scalar] = {}
-
-        def monomial(gamma):
-            # x0^gamma for gamma != 0, from the monomial with one factor fewer
-            got = monomials.get(gamma)
-            if got is None:
-                k = max(k for k, e in enumerate(gamma) if e)
-                fewer = _bump(gamma, k, -1)
-                got = monomial(fewer) * values[k] if any(fewer) else values[k]
-                monomials[gamma] = got
-            return got
-
-        def at(p, counts):
-            total = zero
-            for gamma, c, factor in _deriv_terms(p, counts):
-                term = c * monomial(gamma) if any(gamma) else c
-                total = total + (term * factor if factor != 1 else term)
-            return total
-
+        at = _evaluator(point)
     seen: dict = {}
 
     def d(name, p, counts):
@@ -392,22 +342,18 @@ def _apply(op: Operator, f: GradedPoly, g: GradedPoly,
 # products -----------------------------------------------------------------------
 
 def _product(op: Operator, f: GradedPoly, g: GradedPoly,
-             point: Optional[Mapping[str, Scalar]] = None) -> list:
+             point: Optional[Sequence[Scalar]] = None) -> list:
     """hbar coefficients w^n/n! B_n(f, g): polynomials, or numbers at a point."""
     return [term * _order_weight(n) if n else term
             for n, term in enumerate(_apply(op, f, g, point))]
 
 
 def _point(alpha: Multivector,
-           basepoint: Sequence[ScalarLike]) -> dict[str, Scalar]:
-    """The basepoint as an evaluation map.
-
-    It is checked before any other work, so a malformed point is an input
-    error even when the order would be refused.
-    """
+           basepoint: Sequence[ScalarLike]) -> list[Scalar]:
+    """The basepoint as one scalar per coordinate, checked before any other
+    work: a malformed point is an input error even at a refused order."""
     _require_bivector(alpha)
-    return {f"x{i}": v for i, v in
-            enumerate(_point_values(basepoint, alpha.dim), start=1)}
+    return _point_values(basepoint, alpha.dim)
 
 
 def star_poly(alpha: Multivector, f: GradedPoly, g: GradedPoly,
@@ -429,7 +375,7 @@ def star(alpha: Multivector, f: GradedPoly, g: GradedPoly,
 
 def _series_product(alpha: Multivector, u: Mapping[int, GradedPoly],
                     v: Mapping[int, GradedPoly], order: int, max_work: int,
-                    point: Optional[Mapping[str, Scalar]] = None) -> list:
+                    point: Optional[Sequence[Scalar]] = None) -> list:
     """Bilinear extension of the product to truncated hbar series."""
     zero = GradedPoly.zero(alpha.ring()) if point is None else Scalar()
     out = [zero] * (order + 1)
@@ -458,7 +404,7 @@ def star_series(alpha: Multivector, u: Mapping[int, GradedPoly],
 
 def _associator(alpha: Multivector, f: GradedPoly, g: GradedPoly,
                 h: GradedPoly, order: int, max_work: int,
-                point: Optional[Mapping[str, Scalar]] = None) -> list:
+                point: Optional[Sequence[Scalar]] = None) -> list:
     """(f * g) * h - f * (g * h); the outer products at the point if given."""
     left = _series_product(alpha, star_poly(alpha, f, g, order, max_work),
                            {0: h}, order, max_work, point)
@@ -518,11 +464,9 @@ def _moyal_operator(alpha: Multivector, f: GradedPoly, g: GradedPoly,
                 I, J = _bump(I, i, 1), _bump(J, j, 1)
             if room_f(I) < 0 or room_g(J) < 0:
                 continue
-            coeff = ONE
-            for _, _, value in row:
-                coeff = coeff * value
-            coeffs[(I, J)] = coeffs.get((I, J), Scalar()) + coeff
-        orders.append({ij: {((), zero): c} for ij, c in coeffs.items() if c})
+            _accumulate(coeffs, (I, J),
+                        math.prod((value for _, _, value in row), start=ONE))
+        orders.append({ij: {((), zero): c} for ij, c in coeffs.items()})
     return {(): GradedPoly.one(ring)}, orders
 
 

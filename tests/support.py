@@ -63,3 +63,31 @@ def random_constant_bivector(rng, dim, span=3):
         if rng.random() < 0.8:
             comps[key] = random_rational(rng, span)
     return Multivector(dim, 2, comps)
+
+
+def odd_permutation(rng, dim):
+    """A random permutation of 1..dim with sign -1 (det -1), as a dict."""
+    while True:
+        images = list(range(1, dim + 1))
+        rng.shuffle(images)
+        if sum(1 for a, b in combinations(images, 2) if a > b) & 1:
+            return dict(zip(range(1, dim + 1), images))
+
+
+def relabel(field, perm):
+    """The field moved along the coordinate relabelling x_i -> x_perm[i].
+
+    Component I goes to the sorted image of perm on I, times the sign of
+    that sorting; coefficients are renamed through substitute_even.  For
+    multivectors and for forms alike, since the Jacobian is a permutation.
+    """
+    ring = field.ring()
+    rename = {f"x{i}": GradedPoly.generator(ring, f"x{j}")
+              for i, j in perm.items()}
+    out = {}
+    for key, poly in field.components.items():
+        image = [perm[i] for i in key]
+        moved = poly.substitute_even(rename)
+        swaps = sum(1 for a, b in combinations(image, 2) if a > b)
+        out[tuple(sorted(image))] = -moved if swaps & 1 else moved
+    return type(field)(field.dim, field.degree, out)

@@ -214,17 +214,37 @@ def test_resource_limits_exit_3():
 NINES = "9" * 3000
 
 
-@pytest.mark.parametrize("f, limit", [
-    ("x1^3000000", "cap of 1000"),
-    ("2^3000000", "cap of 1000"),
-    (f"{NINES}^40", "cap of 100000"),
-    (f"{NINES}*{NINES}", "cap of 4300 digits"),
+DENSE = "(x1+x2+x3+1)"
+
+
+def _star_of(f):
+    return ["star", "--alpha", "so3", "--f", f, "--g", "x2",
+            "--at", "0,1,0", "--order", "1"]
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (_star_of("x1^3000000"), "cap of 1000"),
+    (_star_of("2^3000000"), "cap of 1000"),
+    (_star_of(f"{NINES}^40"), "cap of 100000"),
+    (_star_of(f"{NINES}*{NINES}"), "cap of 4300 digits"),
+    (_star_of(f"{DENSE}^40"), "cap of 5000 terms"),
+    (["check-poisson", "--alpha", json.dumps({
+        "dim": 3, "degree": 2,
+        "components": {"1,2": f"{DENSE}^200", "2,3": "x1"}})],
+     "cap of 5000 terms"),
 ], ids=["monomial-power", "constant-power", "wide-constant-power",
-        "long-product"])
-def test_oversized_powers_and_results_exit_3(capsys, f, limit):
-    assert run(["star", "--alpha", "so3", "--f", f, "--g", "x2",
-                "--at", "0,1,0", "--order", "1"]) == (3, "")
+        "long-product", "dense-power", "dense-component"])
+def test_oversized_powers_and_results_exit_3(capsys, argv, limit):
+    assert run(argv) == (3, "")
     assert limit in capsys.readouterr().err
+
+
+def test_high_degree_monomials_evaluate_at_a_point():
+    # x1^600*x2^600 at (1, 1, 1): the point evaluator must not recurse once
+    # per factor; order 1 is (i/2) {f, x2} = (i/2) 600 x1^599 x2^600 x3
+    report = run_json(["star", "--alpha", "so3", "--f", "x1^600*x2^600",
+                       "--g", "x2", "--at", "1,1,1", "--order", "1"])
+    assert report["series"] == {"0": "1", "1": "300i"}
 
 
 @pytest.mark.parametrize("order", ["0", "3"])

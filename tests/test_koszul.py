@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starprod import (
     DifferentialForm,
@@ -23,7 +25,8 @@ from starprod import (
     poisson_bracket,
     vector_insertion,
 )
-from support import random_one_form, random_poly
+from support import (odd_permutation, random_multivector, random_one_form,
+                     random_poly, relabel)
 
 
 def test_exact_form_is_the_gradient():
@@ -98,6 +101,23 @@ def test_bracket_routes_agree_on_random_inputs():
             geo = koszul_bracket(alpha, w1, w2, route="geometric")
             dia = koszul_bracket(alpha, w1, w2, route="diagram")
             assert geo == dia
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       dim=st.integers(min_value=2, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_bracket_is_equivariant_under_an_odd_permutation(seed, dim):
+    """Relabelling the coordinates by a permutation of sign -1 moves the
+    bivector, both one-forms and their bracket, along both routes."""
+    rng = random.Random(seed)
+    ring = coeff_space(dim)
+    perm = odd_permutation(rng, dim)
+    alpha = random_multivector(rng, dim, 2, ring)
+    w1, w2 = random_one_form(rng, dim, ring), random_one_form(rng, dim, ring)
+    moved = [relabel(x, perm) for x in (alpha, w1, w2)]
+    for route in ("geometric", "diagram"):
+        assert koszul_bracket(*moved, route=route) == \
+            relabel(koszul_bracket(alpha, w1, w2, route=route), perm)
 
 
 def test_bracket_of_exact_forms_tracks_function_bracket():

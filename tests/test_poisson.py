@@ -29,7 +29,7 @@ from starprod import (
     wedge,
 )
 from reference_brackets import schouten_direct
-from support import random_multivector, random_poly
+from support import odd_permutation, random_multivector, random_poly, relabel
 
 
 def test_component_storage_is_antisymmetric():
@@ -161,6 +161,21 @@ def test_bracket_graded_antisymmetry(pair):
     flipped = schouten(b, a)
     expected = flipped if sign > 0 else -flipped
     assert schouten(a, b) == expected
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       dim=st.integers(min_value=2, max_value=4))
+@settings(max_examples=50, deadline=None)
+def test_bracket_is_equivariant_under_an_odd_permutation(seed, dim):
+    """Relabelling the coordinates by a permutation of sign -1 commutes
+    with the bracket."""
+    rng = random.Random(seed)
+    ring = coeff_space(dim)
+    perm = odd_permutation(rng, dim)
+    a, b = (random_multivector(rng, dim, rng.randint(1, min(3, dim)), ring)
+            for _ in range(2))
+    assert schouten(relabel(a, perm), relabel(b, perm)) == \
+        relabel(schouten(a, b), perm)
 
 
 def test_bracket_of_vector_fields_is_negative_lie():

@@ -51,13 +51,26 @@ def test_division_by_zero():
         Scalar(1) / Scalar(0)
 
 
-def test_pow():
+def test_pow(monkeypatch):
     i = Scalar(0, 1)
     assert i ** 2 == Scalar(-1)
     assert i ** 0 == Scalar(1)
     assert (Scalar(2) ** 10).re == 1024
     with pytest.raises(ValueError):
         i ** -1
+    # squarings up to the highest bit plus one product per further set bit
+    calls = []
+    multiply = Scalar.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    for n, products in ((0, 0), (1, 0), (2, 1), (5, 3), (8, 3), (13, 5)):
+        calls.clear()
+        assert Scalar(3) ** n == Scalar(3 ** n)
+        assert len(calls) == products, n
 
 
 @given(s=scalars)

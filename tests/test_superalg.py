@@ -32,8 +32,10 @@ from starprod import (
     super_space,
     taylor_shift,
 )
-from starprod.superalg import MAX_POWER_BITS, MAX_POWER_DEGREE
-from support import random_poly
+from starprod.superalg import (MAX_POWER_BITS, MAX_POWER_DEGREE,
+                               MAX_POWER_TERMS, _deriv)
+import reference_polys
+from support import random_poly, random_scalar
 
 
 def brute_multiply(space, p, q):
@@ -120,6 +122,38 @@ def test_product_associative(data):
     space, p, q = data
     r = GradedPoly.generator(space, space.names[0]) + GradedPoly.one(space)
     assert (p * q) * r == p * (q * r)
+
+
+@given(data=poly_pairs(), seed=st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=100, deadline=None)
+def test_kernels_match_the_per_generator_loops(data, seed):
+    """evaluate, deriv_left/deriv_right and the multi-index even derivative
+    against the loops in reference_polys."""
+    space, p, q = data
+    rng = random.Random(seed)
+    even = [k for k, par in enumerate(space.parities) if not par]
+    point = {space.names[k]: random_scalar(rng) for k in even}
+    odd_free = GradedPoly(space, {key: c for key, c in p.terms.items()
+                                  if not any(key[k] for k in space.odd_indices)})
+    assert odd_free.evaluate(point) == \
+        reference_polys.evaluate(odd_free, point)
+    if odd_free != p:  # an odd generator is never assigned
+        with pytest.raises(InputError):
+            p.evaluate(point)
+        with pytest.raises(InputError):
+            reference_polys.evaluate(p, point)
+    for poly in (p, q):
+        for name in space.names:
+            assert poly.deriv_left(name) == \
+                reference_polys.deriv_left(poly, name)
+            assert poly.deriv_right(name) == \
+                reference_polys.deriv_right(poly, name)
+    counts = tuple(0 if par else rng.randint(0, 3) for par in space.parities)
+    iterated = p
+    for name, m in zip(space.names, counts):
+        for _ in range(m):
+            iterated = reference_polys.deriv_left(iterated, name)
+    assert _deriv(p, counts) == iterated
 
 
 def test_space_validation():
@@ -294,6 +328,14 @@ def test_power_caps_refuse_before_multiplying():
     wide = GradedPoly.constant(ring, 2 ** 999)  # 1,000 bits
     assert wide ** (MAX_POWER_BITS // 1000) == \
         GradedPoly.constant(ring, 2 ** (999 * MAX_POWER_BITS // 1000))
+    # ten terms in x1 alone: C(19, 9) = 92,378 by the term count, but at
+    # most the 91 monomials of degree <= 90, and the smaller estimate holds
+    ladder = sum((x1 ** k for k in range(10)), GradedPoly.zero(ring))
+    assert len((ladder ** 10).terms) == 91
+    dense = parse_poly("x1 + x2 + 1", ring)
+    assert len((dense ** 20).terms) == 231  # C(22, 2)
+    with pytest.raises(ResourceLimitError, match=f"cap of {MAX_POWER_TERMS}"):
+        dense ** 99  # C(101, 2) = 5,050 terms
     for base, n in ((x1, MAX_POWER_DEGREE + 1),
                     (x1 * x1 + 1, MAX_POWER_DEGREE // 2 + 1),
                     (GradedPoly.constant(ring, 2), MAX_POWER_DEGREE + 1),

@@ -203,9 +203,6 @@ class QmeResult:
     def solves(self) -> bool:
         return self.residual.is_zero()
 
-    def solves_classically(self) -> bool:
-        return self.classical.is_zero()
-
 
 def qme_residual(space: BVSpace, S: GradedPoly) -> QmeResult:
     """(S,S) - 2 i hbar laplacian(S); S must be even."""

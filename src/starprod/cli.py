@@ -17,8 +17,9 @@ unary minus at most expr.MAX_NESTING (100) levels deep.  moduli jobs past
 moduli.MAX_N inputs, and listings whose trees exceed
 moduli.MAX_LISTED_LEAVES leaves, are refused with exit 3, and so are
 powers past superalg.MAX_POWER_DEGREE, superalg.MAX_POWER_BITS or
-superalg.MAX_POWER_TERMS (5,000 terms), reports with a number part over
-scalars.MAX_DIGITS digits, and products over their --max-work budget.
+superalg.MAX_POWER_TERMS (5,000 terms), polynomial products past that term
+cap, reports with a number part over scalars.MAX_DIGITS digits, and
+products over their --max-work budget.
 """
 
 from __future__ import annotations

@@ -60,37 +60,6 @@ def serialize_tree(tree: Tree) -> str:
     return "(" + " ".join(serialize_tree(child) for child in tree) + ")"
 
 
-def parse_tree(text: str) -> Tree:
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def node() -> Tree:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise InputError("unexpected end of tree text")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            children = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                children.append(node())
-            if pos >= len(tokens):
-                raise InputError("missing ')' in tree text")
-            pos += 1
-            return tuple(children)
-        if tok == ")":
-            raise InputError("unexpected ')' in tree text")
-        try:
-            return int(tok)
-        except ValueError:
-            raise InputError(f"bad leaf label {tok!r}") from None
-
-    tree = node()
-    if pos != len(tokens):
-        raise InputError("trailing text after tree")
-    return tree
-
-
 @dataclass(frozen=True)
 class Stratum:
     """A stratum of the complex on n inputs, named by its planar tree."""
@@ -123,10 +92,6 @@ class Stratum:
     def contractions(self) -> tuple["Stratum", ...]:
         """All strata reached by contracting exactly one internal edge."""
         return tuple(Stratum(t) for t in _contract_one(self.tree))
-
-    @staticmethod
-    def parse(text: str) -> "Stratum":
-        return Stratum(parse_tree(text))
 
     def __repr__(self) -> str:
         return f"<Stratum {self.serialize()}>"

@@ -96,15 +96,11 @@ class Scalar:
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 
-    def is_zero(self) -> bool:
-        return not self
-
     def __repr__(self) -> str:
         return f"Scalar({self.re!r}, {self.im!r})"
 
 
 ONE = Scalar(Fraction(1))
-I = Scalar(Fraction(0), Fraction(1))
 HALF_I = Scalar(Fraction(0), Fraction(1, 2))
 
 
@@ -141,8 +137,8 @@ def format_scalar(z: Scalar) -> str:
 def parse_rational(text: str, where: str) -> Fraction:
     """A rational literal: an optional leading '-', digits, an optional '/digits'.
 
-    This is the one reader for rationals in user text: expression number
-    tokens, basepoint entries and scalar strings.  Decimals, exponents and
+    This is the one reader for rationals in user text: the number tokens
+    of expressions and the basepoint entries.  Decimals, exponents and
     '+' are refused, and so is a part longer than MAX_DIGITS digits; `where`
     places the literal in the InputError message.
     """
@@ -157,21 +153,6 @@ def parse_rational(text: str, where: str) -> Fraction:
         raise InputError(f"zero denominator {where}")
     value = Fraction(int(num), int(den) if slash else 1)
     return -value if negative else value
-
-
-def parse_scalar(text: str) -> Scalar:
-    """Inverse of format_scalar: "a", "bi", "a+bi" or "a-bi" with a, b rational."""
-    s = text.strip()
-    where = f"in {text!r}"
-    if not s.endswith("i"):
-        return Scalar(parse_rational(s, where))
-    # the imaginary part starts at its sign, or at the start of the text
-    cut = max(s.rfind("+"), s.rfind("-"), 0)
-    im_text = s[cut:-1].removeprefix("+")
-    im = {"": 1, "-": -1}.get(im_text)
-    if im is None:
-        im = parse_rational(im_text, where)
-    return Scalar(parse_rational(s[:cut], where) if cut else 0, im)
 
 
 def scalar_to_expr(z: Scalar) -> str:

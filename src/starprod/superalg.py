@@ -32,7 +32,8 @@ HBAR = "hbar"
 DEFAULT_HBAR_ORDER = 3
 # caps on a power's estimated result, checked before multiplying: its total
 # degree (the exponent times the base's degree, at least 1), its coefficient
-# size (the exponent times the bits of the base's largest part) and its terms
+# size (the exponent times the bits of the base's largest part) and its
+# terms; a product's estimated terms meet the same term cap
 MAX_POWER_DEGREE = 1000
 MAX_POWER_BITS = 100_000
 MAX_POWER_TERMS = 5000
@@ -201,10 +202,6 @@ class GradedPoly:
             return seen.pop()
         return None
 
-    def homogeneous_part(self, parity: int) -> "GradedPoly":
-        return GradedPoly(self.space, {k: c for k, c in self.terms.items()
-                                       if self.term_parity(k) == parity})
-
     def total_degree(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
 
@@ -237,6 +234,21 @@ class GradedPoly:
             return self._raw(self.space, {k: v * c for k, v in self.terms.items()})
         other = self._coerce(other)
         _require_same_space(self, other)
+        # at most |a| |b| terms, and at most the C(deg a + deg b + v, v)
+        # monomials of the product's degree or less in the v generators used
+        size = len(self.terms) * len(other.terms)
+        if size > MAX_POWER_TERMS:
+            v = sum(map(any, zip(*self.terms, *other.terms)))
+            size = min(size, math.comb(
+                self.total_degree() + other.total_degree() + v, v))
+            if size > MAX_POWER_TERMS:
+                raise ResourceLimitError(f"a product with up to {size} terms "
+                                         f"exceeds the cap of "
+                                         f"{MAX_POWER_TERMS} terms")
+        return self._times(other)
+
+    def _times(self, other: "GradedPoly") -> "GradedPoly":
+        """The product of two polynomials of one space, with no size check."""
         space = self.space
         odd = space.odd_indices
         hidx = space.hbar_index
@@ -295,9 +307,11 @@ class GradedPoly:
             raise ResourceLimitError(f"a power with up to {size} terms "
                                      f"exceeds the cap of {MAX_POWER_TERMS} "
                                      f"terms")
+        # unchecked steps: one may pass the product estimate, but the power's
+        # own estimate already bounds every step's result
         out = GradedPoly.one(self.space)
         for _ in range(n):
-            out = out * self
+            out = out._times(self)
         return out
 
     def __eq__(self, other) -> bool:
@@ -431,12 +445,6 @@ class GradedPoly:
             if key[hidx] == k:
                 out[key[:hidx] + (0,) + key[hidx + 1:]] = c
         return self._raw(self.space, out)
-
-    def hbar_support(self) -> tuple[int, ...]:
-        hidx = self.space.hbar_index
-        if hidx is None:
-            return (0,) if self.terms else ()
-        return tuple(sorted({key[hidx] for key in self.terms}))
 
 
 # spec-level operation surface ------------------------------------------------
@@ -590,9 +598,6 @@ class HbarSeries:
         if 0 <= k <= self.order:
             return self.coefficients[k]
         return Scalar()
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coefficients)
 
     def as_strings(self) -> dict[str, str]:
         from .scalars import format_scalar

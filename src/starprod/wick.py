@@ -38,7 +38,11 @@ Consequences worth knowing:
    constant-bivector exponential formula (moyal below), which is associative;
  * for non-constant coefficients legs may land on insertions, and the
    product is in general NOT associative beyond first order.  That defect is
-   measured by associator.
+   measured by associator;
+ * star is the uniform-weight product: every graph weighs (i/2)^n/n!, where
+   Kontsevich's weights are configuration-space integrals.  The two agree
+   on (i/2){f, g} at order 1 and for constant bivectors (moyal), not at
+   hbar^2: on so3, 1 * g differs from g there.
 
 Normalization is not hard-coded: calibrate derives the insertion weight w
 from a probe computation, order n of the product carries w^n / n!, and the
@@ -377,16 +381,14 @@ def _series_product(alpha: Multivector, u: Mapping[int, GradedPoly],
                     v: Mapping[int, GradedPoly], order: int, max_work: int,
                     point: Optional[Sequence[Scalar]] = None) -> list:
     """Bilinear extension of the product to truncated hbar series."""
+    if not all(isinstance(k, int) and k >= 0 for k in (*u, *v)):
+        raise InputError("series keys must be nonnegative integers")
     zero = GradedPoly.zero(alpha.ring()) if point is None else Scalar()
     out = [zero] * (order + 1)
     for k, uk in sorted(u.items()):
-        if not isinstance(k, int) or k < 0:
-            raise InputError("series keys must be nonnegative integers")
         if k > order or uk.is_zero():
             continue
         for l, vl in sorted(v.items()):
-            if not isinstance(l, int) or l < 0:
-                raise InputError("series keys must be nonnegative integers")
             if k + l > order or vl.is_zero():
                 continue
             op = _operator(alpha, uk, vl, order - k - l, max_work)

@@ -228,12 +228,14 @@ def _star_of(f):
     (_star_of(f"{NINES}^40"), "cap of 100000"),
     (_star_of(f"{NINES}*{NINES}"), "cap of 4300 digits"),
     (_star_of(f"{DENSE}^40"), "cap of 5000 terms"),
+    (["star", "--alpha", "so3", "--f", f"{DENSE}^20*(x1+x2+x3+2)^20",
+      "--g", "x2", "--at", "0,1,0", "--order", "0"], "cap of 5000 terms"),
     (["check-poisson", "--alpha", json.dumps({
         "dim": 3, "degree": 2,
         "components": {"1,2": f"{DENSE}^200", "2,3": "x1"}})],
      "cap of 5000 terms"),
 ], ids=["monomial-power", "constant-power", "wide-constant-power",
-        "long-product", "dense-power", "dense-component"])
+        "long-product", "dense-power", "dense-product", "dense-component"])
 def test_oversized_powers_and_results_exit_3(capsys, argv, limit):
     assert run(argv) == (3, "")
     assert limit in capsys.readouterr().err

@@ -29,7 +29,8 @@ from starprod import (
     wedge,
 )
 from reference_brackets import schouten_direct
-from support import odd_permutation, random_multivector, random_poly, relabel
+from support import (odd_permutation, random_basepoint, random_multivector,
+                     random_poly, relabel)
 
 
 def test_component_storage_is_antisymmetric():
@@ -176,6 +177,36 @@ def test_bracket_is_equivariant_under_an_odd_permutation(seed, dim):
             for _ in range(2))
     assert schouten(relabel(a, perm), relabel(b, perm)) == \
         relabel(schouten(a, b), perm)
+
+
+@pytest.mark.parametrize("name", ["canonical2d", "so3", "nonpoisson4d"])
+@given(seed=st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=15, deadline=None)
+def test_differential_is_equivariant_under_an_odd_permutation(name, seed):
+    """Relabelling xi_i, eta_i, the bivector and the basepoint by one
+    permutation of sign -1 commutes with poisson_differential."""
+    rng = random.Random(seed)
+    alpha = fixture(name)
+    d = alpha.dim
+    space = super_space(d)
+    perm = odd_permutation(rng, d)
+    rename = {f"{letter}{i}": GradedPoly.generator(space, f"{letter}{j}")
+              for i, j in perm.items() for letter in ("xi", "eta")}
+    rename["hbar"] = GradedPoly.generator(space, "hbar")
+    point = random_basepoint(rng, d)
+    moved_point = [None] * d
+    for i, j in perm.items():
+        moved_point[j - 1] = point[i - 1]
+    F = GradedPoly.zero(space)
+    for _ in range(3):
+        etas = rng.sample(range(1, d + 1), rng.randint(0, 2))
+        term = random_poly(rng, space, max_degree=2, max_terms=2)
+        for k in etas:
+            term = term * GradedPoly.generator(space, f"eta{k}")
+        F = F + term
+    assert poisson_differential(relabel(alpha, perm),
+                                F.map_into(space, rename), moved_point) == \
+        poisson_differential(alpha, F, point).map_into(space, rename)
 
 
 def test_bracket_of_vector_fields_is_negative_lie():

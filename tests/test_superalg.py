@@ -32,6 +32,7 @@ from starprod import (
     super_space,
     taylor_shift,
 )
+from starprod import superalg
 from starprod.superalg import (MAX_POWER_BITS, MAX_POWER_DEGREE,
                                MAX_POWER_TERMS, _deriv)
 import reference_polys
@@ -235,7 +236,8 @@ def test_left_derivative_leibniz(data):
     # graded Leibniz: d(pq) = dp q + (-1)^{|p|} p dq on homogeneous parts
     rhs = GradedPoly.zero(space)
     for par in (0, 1):
-        ph = p.homogeneous_part(par)
+        ph = GradedPoly(space, {k: c for k, c in p.terms.items()
+                                if p.term_parity(k) == par})
         sign = -1 if par else 1
         dq = q.deriv_left(name)
         rhs = rhs + ph.deriv_left(name) * q + (ph * dq if sign > 0 else -(ph * dq))
@@ -282,7 +284,8 @@ def test_hbar_coefficient_extraction():
     p = parse_poly("xi1 + 3*hbar*xi1 + hbar^2*eta1", s)
     assert p.hbar_coefficient(1) == parse_poly("3*xi1", s)
     assert p.hbar_coefficient(3).is_zero()
-    assert p.hbar_support() == (0, 1, 2)
+    assert [k for k in range(4) if not p.hbar_coefficient(k).is_zero()] \
+        == [0, 1, 2]
 
 
 def test_pairing_bracket_on_canonical_pairs():
@@ -342,3 +345,21 @@ def test_power_caps_refuse_before_multiplying():
                     (wide, MAX_POWER_BITS // 1000 + 1)):
         with pytest.raises(ResourceLimitError):
             base ** n
+
+
+def test_product_cap_refuses_before_multiplying(monkeypatch):
+    ring = coeff_space(3)
+    dense = parse_poly("x1 + x2 + x3 + 1", ring) ** 20  # 1,771 terms
+    # 1,771 x 4 term pairs, but at most the C(24, 3) = 2,024 monomials of
+    # degree <= 21 in three generators
+    assert len((dense * parse_poly("x1 + x2 + x3 + 2", ring)).terms) == 2024
+    with pytest.raises(ResourceLimitError, match="12341 terms"):
+        dense * (dense + 1)  # C(43, 3) = 12,341 monomials of degree <= 40
+    # a power keeps its own estimate: with the cap at 20, the 15-term
+    # fourth power below is accepted although its last step, 10 x 3 term
+    # pairs of degree 20, is a product over the cap
+    monkeypatch.setattr(superalg, "MAX_POWER_TERMS", 20)
+    base = parse_poly("x1^5 + x2^5 + x3^5", ring)
+    assert len((base ** 4).terms) == 15
+    with pytest.raises(ResourceLimitError, match="cap of 20 terms"):
+        base ** 3 * base

@@ -24,6 +24,7 @@ from starprod import (
     moyal_poly,
     parse_poly,
     poisson_bracket,
+    poly_to_expr,
     star,
     star_poly,
     star_series,
@@ -162,6 +163,45 @@ def test_star_series_is_bilinear_in_coefficients():
         assert out[k] == expected
     with pytest.raises(InputError):
         star_series(so3, {-1: f}, v, order=2)
+    # keys are checked before they are sorted, so a str key is no TypeError
+    plane = coeff_space(2)
+    x1 = parse_poly("x1", plane)
+    with pytest.raises(InputError):
+        star_series(fixture("canonical2d"), {0: x1, "a": x1}, {0: x1}, order=1)
+    with pytest.raises(InputError):
+        star_series(fixture("canonical2d"), {0: x1}, {0: x1, "a": x1}, order=1)
+
+
+# star gives every graph the uniform weight (i/2)^n/n!, where Kontsevich's
+# product weighs graphs by configuration-space integrals.  On so3 the graphs
+# whose legs land on bivector copies then break two of his product's laws
+# at hbar^2.  The values are exact goldens of the uniform weight.
+
+def test_unit_law_fails_at_hbar_squared_on_so3():
+    # uniform weight (i/2)^n/n!: 1 * g and g * 1 keep x2/2 at hbar^2
+    so3 = fixture("so3")
+    ring = coeff_space(3)
+    one, g = parse_poly("1", ring), parse_poly("x1 + x2*x3^2", ring)
+    for left, right in ((one, g), (g, one)):
+        series = star_poly(so3, left, right, order=4)
+        assert [poly_to_expr(series[k]) for k in range(5)] == \
+            ["x1 + x2*x3^2", "0", "1/2*x2", "0", "0"]
+
+
+@pytest.mark.parametrize("f, g, at_hbar_squared", [
+    ("x1*x2", "x3^2", "2*x1*x2"),
+    ("x1", "x2*x3^2", "x1*x2"),
+])
+def test_skew_law_fails_at_hbar_squared_on_so3(f, g, at_hbar_squared):
+    # uniform weight (i/2)^n/n!: f * g(hbar) - g * f(-hbar) is zero at odd
+    # orders and at hbar^4, and keeps these values at hbar^2
+    so3 = fixture("so3")
+    ring = coeff_space(3)
+    f, g = parse_poly(f, ring), parse_poly(g, ring)
+    fg = star_poly(so3, f, g, order=4)
+    gf = star_poly(so3, g, f, order=4)
+    assert [poly_to_expr(fg[k] - gf[k] * (-1) ** k) for k in range(5)] == \
+        ["0", "0", at_hbar_squared, "0", "0"]
 
 
 def test_order_and_work_budgets():

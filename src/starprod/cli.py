@@ -46,7 +46,8 @@ def _read_payload(text: str) -> str:
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 return fh.read()
-        except OSError as exc:
+        # ValueError: bytes that are not UTF-8, or a NUL in the file name
+        except (OSError, ValueError) as exc:
             raise InputError(f"cannot read {text[1:]!r}: {exc}") from None
     return text
 
@@ -55,8 +56,11 @@ def _load_json(text: str, what: str) -> dict:
     """A JSON object given inline or as @file."""
     try:
         data = json.loads(_read_payload(text))
-    except json.JSONDecodeError as exc:
+    # ValueError: malformed JSON, or an integer past Python's digit limit
+    except ValueError as exc:
         raise InputError(f"bad JSON for {what}: {exc}") from None
+    except RecursionError:
+        raise InputError(f"bad JSON for {what}: nested too deeply") from None
     if not isinstance(data, dict):
         raise InputError(f"{what} must be a JSON object")
     return data
@@ -205,7 +209,7 @@ def _cmd_moduli(args) -> dict:
 
 # plumbing -----------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, tuple[str, ...]]:
     parser = argparse.ArgumentParser(
         prog="starprod",
         description="Exact deformation products, graded brackets, and "
@@ -285,16 +289,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="list codimension-1 compositions")
     p.set_defaults(handler=_cmd_moduli)
 
-    return parser
+    return parser, tuple(sub.choices)
 
 
 # built once: nothing in it depends on the call
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def _job_to_argv(job: dict) -> list[str]:
-    if "command" not in job or not isinstance(job["command"], str):
-        raise InputError("job file needs a 'command' string")
+    if job.get("command") not in _COMMANDS:
+        raise InputError(f"job file needs a 'command' naming one of: "
+                         f"{', '.join(_COMMANDS)}")
     argv = [job["command"]]
     for key, value in job.items():
         if key == "command":

@@ -276,7 +276,8 @@ def poly_to_expr(p: GradedPoly) -> str:
     rendered = []
     for key in keys:
         c = p.terms[key]
-        negative = (c.im == 0 and c.re < 0) or (c.re == 0 and c.im < 0)
+        re, _, im, _ = c.parts()
+        negative = (im == 0 and re < 0) or (re == 0 and im < 0)
         mag = -c if negative else c
         body = _monomial_body(p.space, key)
         if not body:

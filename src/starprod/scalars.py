@@ -1,14 +1,16 @@
 """Exact Gaussian-rational scalars.
 
-Every coefficient in this package is a complex number whose real and
-imaginary parts are `fractions.Fraction` values, so all arithmetic is exact
-and printed results are ratios of integers.  No floating point anywhere.
+Every coefficient in this package is a complex number (a + b*i)/d stored as
+three ints, with d > 0 and gcd(a, b, d) = 1, so each value has one form and
+an operation costs a few integer products and at most one gcd.  The real
+and imaginary parts read back as `fractions.Fraction` values, so printed
+results are ratios of integers.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .errors import InputError, ResourceLimitError
@@ -23,56 +25,103 @@ _TOO_LONG = 10 ** MAX_DIGITS
 _TOO_LONG_BITS = _TOO_LONG.bit_length()
 
 
-@dataclass(frozen=True, slots=True)
 class Scalar:
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    """The Gaussian rational (a + b*i)/d; immutable, like GradedPoly."""
 
-    def __post_init__(self):
-        # exactness guard: int components would float-divide in __truediv__
-        if not isinstance(self.re, Fraction):
-            object.__setattr__(self, "re", Fraction(self.re))
-        if not isinstance(self.im, Fraction):
-            object.__setattr__(self, "im", Fraction(self.im))
+    __slots__ = ("_a", "_b", "_d")
+
+    def __new__(cls, re: Union[int, Fraction] = 0,
+                im: Union[int, Fraction] = 0) -> "Scalar":
+        if type(re) is int and type(im) is int:
+            return _exact(re, im, 1)
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.denominator, im.denominator
+        # over the lcm of two reduced denominators gcd(a, b, d) is 1
+        d = p * q // gcd(p, q)
+        return _exact(re.numerator * (d // p), im.numerator * (d // q), d)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Scalar is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def parts(self) -> tuple[int, int, int, int]:
+        """re and im in lowest terms: (re num, re den, im num, im den)."""
+        a, b, d = self._a, self._b, self._d
+        if d == 1:
+            return a, 1, b, 1
+        g, h = gcd(a, d), gcd(b, d)
+        return a // g, d // g, b // h, d // h
 
     @staticmethod
     def of(value: ScalarLike) -> "Scalar":
         if isinstance(value, Scalar):
             return value
         if isinstance(value, (int, Fraction)):
-            return Scalar(Fraction(value))
+            return Scalar(value)
         raise TypeError(f"cannot interpret {type(value).__name__} as a Scalar")
 
     def __add__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
-        return Scalar(self.re + o.re, self.im + o.im)
+        a, b, d = self._a, self._b, self._d
+        if type(other) is Scalar:
+            c, e, f = other._a, other._b, other._d
+        elif type(other) is int:
+            # gcd(a + n d, b, d) = gcd(a, b, d) = 1
+            return _exact(a + other * d, b, d)
+        else:
+            c, e, f = _ints(other)
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
-        return Scalar(self.re - o.re, self.im - o.im)
+        a, b, d = self._a, self._b, self._d
+        if type(other) is Scalar:
+            c, e, f = other._a, other._b, other._d
+        elif type(other) is int:
+            return _exact(a - other * d, b, d)
+        else:
+            c, e, f = _ints(other)
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
         return Scalar.of(other) - self
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _exact(-self._a, -self._b, self._d)
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
-        return Scalar(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
+        a, b, d = self._a, self._b, self._d
+        if type(other) is Scalar:
+            c, e, f = other._a, other._b, other._d
+        elif type(other) is int:
+            return _reduced(a * other, b * other, d)
+        else:
+            c, e, f = _ints(other)
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
-        n = o.re * o.re + o.im * o.im
+        a, b, d = self._a, self._b, self._d
+        c, e, f = _ints(other)
+        # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("scalar division by zero")
-        return Scalar((self.re * o.re + self.im * o.im) / n,
-                      (self.im * o.re - self.re * o.im) / n)
+        return _reduced(f * (a * c + b * e), f * (b * c - a * e), d * n)
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
         return Scalar.of(other) / self
@@ -93,42 +142,90 @@ class Scalar:
                 out = out * base
         return out
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not Scalar:
+            return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __repr__(self) -> str:
         return f"Scalar({self.re!r}, {self.im!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the parts, not through __setattr__
+        return _exact, (self._a, self._b, self._d)
+
+
+_set_a = Scalar._a.__set__
+_set_b = Scalar._b.__set__
+_set_d = Scalar._d.__set__
+_blank = object.__new__
+
+
+def _exact(a: int, b: int, d: int) -> Scalar:
+    """The scalar (a + b*i)/d from parts already in lowest terms, d > 0."""
+    z = _blank(Scalar)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> Scalar:
+    """The scalar (a + b*i)/d, d > 0, with gcd(a, b, d) divided out."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _exact(a, b, d)
+
+
+def _ints(value: ScalarLike) -> tuple[int, int, int]:
+    """(a, b, d) of a Scalar, int or Fraction operand, or TypeError."""
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    value = Scalar.of(value)
+    return value._a, value._b, value._d
 
 
 ONE = Scalar(Fraction(1))
 HALF_I = Scalar(Fraction(0), Fraction(1, 2))
 
 
-def _require_printable(z: Scalar) -> None:
-    """Refuse a scalar with a part over MAX_DIGITS digits, before converting it."""
-    for n in (z.re.numerator, z.re.denominator, z.im.numerator,
-              z.im.denominator):
+def _part_strings(z: Scalar) -> tuple[str, str]:
+    """The real and imaginary parts as literals ("3", "-1/2"), refusing a
+    part over MAX_DIGITS digits before converting it."""
+    parts = z.parts()
+    for n in parts:
         # the bit length clears every part that is not near the limit
         if n.bit_length() >= _TOO_LONG_BITS and abs(n) >= _TOO_LONG:
             raise ResourceLimitError(f"a result has a part over the cap of "
                                      f"{MAX_DIGITS} digits")
+    a, p, b, q = parts
+    return (str(a) if p == 1 else f"{a}/{p}",
+            str(b) if q == 1 else f"{b}/{q}")
 
 
 def format_scalar(z: Scalar) -> str:
     """Render a scalar in report style: "0", "3/2", "1/2i", "3/2-1/4i", "i"."""
-    _require_printable(z)
-    re, im = z.re, z.im
-    if im == 0:
-        return str(re)
-    if im == 1:
+    re, im = _part_strings(z)
+    if im == "0":
+        return re
+    if im == "1":
         istr = "i"
-    elif im == -1:
+    elif im == "-1":
         istr = "-i"
     else:
         istr = f"{im}i"
-    if re == 0:
+    if re == "0":
         return istr
-    if im > 0:
+    if im[0] != "-":
         return f"{re}+{istr}"
     # istr already starts with the minus sign
     return f"{re}{istr}"
@@ -157,18 +254,17 @@ def parse_rational(text: str, where: str) -> Fraction:
 
 def scalar_to_expr(z: Scalar) -> str:
     """Render a scalar as a parseable expression: "3/2", "1/2*I", "(3/2-1/4*I)"."""
-    _require_printable(z)
-    re, im = z.re, z.im
-    if im == 0:
-        return str(re)
-    if im == 1:
+    re, im = _part_strings(z)
+    if im == "0":
+        return re
+    if im == "1":
         istr = "I"
-    elif im == -1:
+    elif im == "-1":
         istr = "-I"
     else:
         istr = f"{im}*I"
-    if re == 0:
+    if re == "0":
         return istr
-    if im > 0:
+    if im[0] != "-":
         return f"({re}+{istr})"
     return f"({re}{istr})"

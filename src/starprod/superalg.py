@@ -289,9 +289,8 @@ class GradedPoly:
         if degree > MAX_POWER_DEGREE:
             raise ResourceLimitError(f"a power of degree {degree} exceeds the "
                                      f"cap of {MAX_POWER_DEGREE}")
-        bits = n * max((max(q.numerator.bit_length(), q.denominator.bit_length())
-                        for c in self.terms.values() for q in (c.re, c.im)),
-                       default=0)
+        bits = n * max((part.bit_length() for c in self.terms.values()
+                        for part in c.parts()), default=0)
         if bits > MAX_POWER_BITS:
             raise ResourceLimitError(f"a power with coefficients of about "
                                      f"{bits} bits exceeds the cap of "

@@ -308,8 +308,11 @@ def test_basepoint_entries_are_rational_literals(capsys, at):
      "--g", "x2", "--at", "0,0,0"],
     ["star", "--alpha", "so3", "--f", "1" * 5000, "--g", "x2",
      "--at", "0,0,0"],
+    # json reads a number past Python's int digit limit as ValueError
+    ["schouten", "--b", "{}", "--a", '{"dim": ' + "9" * 5000 + "}"],
+    ["check-poisson", "--alpha", "@alpha\x00.json"],
 ], ids=["bool-dim", "degree2-w1", "bool-hbar-order", "deep-parens",
-        "long-literal"])
+        "long-literal", "long-json-number", "nul-in-file-name"])
 def test_malformed_input_exits_2(capsys, argv):
     assert run(argv) == (2, "")
     assert capsys.readouterr().err.startswith("error: ")
@@ -343,3 +346,38 @@ def test_parser_is_shared_without_leaking_state(tmp_path):
                                 check=True).stdout
                  for argv in (first, second)]
         assert together == [(0, alone[0]), (0, alone[1])]
+
+
+NOT_UTF8 = b"\xff\xfe{bad"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--json", "{path}"],
+    ["check-poisson", "--alpha", "@{path}"],
+], ids=["job-file", "at-file"])
+def test_non_utf8_files_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(NOT_UTF8)
+    assert run([a.format(path=path) for a in argv]) == (2, "")
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+def test_job_file_command_must_name_a_subcommand(tmp_path, capsys):
+    # a job naming itself through --json would expand forever
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"command": f"--json={path}"}))
+    assert run(["--json", str(path)]) == (2, "")
+    assert "'command' naming one of: star," in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["inline", "job-file"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, where):
+    nested = "[" * 100_000
+    if where == "inline":
+        argv = ["schouten", "--a", nested, "--b", "{}"]
+    else:
+        path = tmp_path / "deep.json"
+        path.write_text(nested)
+        argv = ["--json", str(path)]
+    assert run(argv) == (2, "")
+    assert "nested too deeply" in capsys.readouterr().err

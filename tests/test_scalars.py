@@ -1,13 +1,19 @@
-"""Exact complex-rational scalar arithmetic and its two text forms."""
+"""Exact complex-rational scalar arithmetic and its two text forms, checked
+against the two-Fraction reference in reference_scalars."""
 
+import copy
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starprod import ResourceLimitError, Scalar, format_scalar, scalar_to_expr
 from starprod.scalars import MAX_DIGITS
+
+import reference_scalars
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -106,3 +112,122 @@ def test_printing_refuses_parts_over_the_digit_cap(render):
               Scalar(Fraction(1, widest + 1)), Scalar(1, widest + 1)):
         with pytest.raises(ResourceLimitError):
             render(z)
+
+
+# the three-int Scalar against the two-Fraction dataclass it replaced ---------
+
+wide = st.integers(min_value=-10 ** 40, max_value=10 ** 40)
+wide_rationals = st.one_of(
+    rationals,
+    st.builds(Fraction, wide, st.integers(min_value=1, max_value=10 ** 40)))
+
+
+@st.composite
+def scalar_pairs(draw):
+    """(library Scalar, reference Scalar) holding one value."""
+    re, im = draw(wide_rationals), draw(wide_rationals)
+    return Scalar(re, im), reference_scalars.Scalar(re, im)
+
+
+def same(got, want) -> bool:
+    return (type(got.re) is Fraction and type(got.im) is Fraction
+            and (got.re, got.im) == (want.re, want.im))
+
+
+def outcome(op, *args):
+    """op(*args), or the class of the refusal it raised."""
+    try:
+        return op(*args)
+    except (ZeroDivisionError, ResourceLimitError) as exc:
+        return type(exc)
+
+
+@given(x=scalar_pairs(), y=scalar_pairs(), n=wide, q=wide_rationals)
+@settings(max_examples=300, deadline=None)
+def test_arithmetic_matches_the_fraction_reference(x, y, n, q):
+    new, old = x
+    new2, old2 = y
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        # Scalar, int and Fraction operands, on either side
+        for got, want in ((outcome(op, new, new2), outcome(op, old, old2)),
+                          (outcome(op, new, n), outcome(op, old, n)),
+                          (outcome(op, n, new), outcome(op, n, old)),
+                          (outcome(op, new, q), outcome(op, old, q)),
+                          (outcome(op, q, new), outcome(op, q, old))):
+            if want is ZeroDivisionError:
+                assert got is ZeroDivisionError
+            else:
+                assert same(got, want), (op, got, want)
+    assert same(-new, -old)
+    assert bool(new) == bool(old)
+    assert (new == new2) == (old == old2)
+    # a Scalar equals only a Scalar
+    assert new != n and old != n
+    assert hash(new) == hash(old)
+    assert repr(new) == repr(old)
+
+
+@given(x=scalar_pairs(), n=st.integers(min_value=0, max_value=7))
+@settings(max_examples=100, deadline=None)
+def test_powers_match_the_fraction_reference(x, n):
+    new, old = x
+    assert same(new ** n, old ** n)
+
+
+@given(x=scalar_pairs())
+@settings(max_examples=200, deadline=None)
+def test_printing_matches_the_fraction_reference(x):
+    new, old = x
+    assert format_scalar(new) == reference_scalars.format_scalar(old)
+    assert scalar_to_expr(new) == reference_scalars.scalar_to_expr(old)
+
+
+near_cap = st.sampled_from([10 ** MAX_DIGITS - 1, 10 ** MAX_DIGITS,
+                            10 ** MAX_DIGITS + 1, 2 * 10 ** MAX_DIGITS])
+
+
+@given(big=near_cap, other=wide, den=st.integers(min_value=1, max_value=99),
+       slot=st.integers(min_value=0, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_digit_cap_refusals_match_the_fraction_reference(big, other, den, slot):
+    # one part near the cap in one of the four places, the rest ordinary
+    parts = [other, den, other, den]
+    parts[slot] = big if slot % 2 else -big
+    re, im = Fraction(*parts[:2]), Fraction(*parts[2:])
+    for render, reference in ((format_scalar, reference_scalars.format_scalar),
+                              (scalar_to_expr,
+                               reference_scalars.scalar_to_expr)):
+        assert outcome(render, Scalar(re, im)) == \
+            outcome(reference, reference_scalars.Scalar(re, im))
+
+
+def test_digit_cap_reads_parts_in_lowest_terms():
+    # (q + p i)/(p q) stores a denominator over the cap while each part,
+    # 1/p and 1/q, stays under it: printable, as with the reference
+    p, q = 2 ** 7200, 3 ** 4600
+    re, im = Fraction(1, p), Fraction(1, q)
+    assert p * q > 10 ** MAX_DIGITS > max(p, q)
+    assert format_scalar(Scalar(re, im)) == \
+        reference_scalars.format_scalar(reference_scalars.Scalar(re, im))
+
+
+def test_one_value_has_one_form():
+    a = Scalar(Fraction(2, 4), Fraction(3, 6))
+    b = Scalar(Fraction(1, 2), Fraction(1, 2))
+    assert a == b and hash(a) == hash(b)
+    # 1/6 + 1/10 i is (5 + 3i)/30 over the lcm of the denominators
+    assert Scalar(Fraction(1, 6), Fraction(1, 10)) * 30 == Scalar(5, 3)
+    assert Scalar(Fraction(1, 2)) + Scalar(Fraction(1, 2)) == Scalar(1)
+
+
+def test_scalars_are_immutable():
+    z = Scalar(1, 2)
+    for name in ("re", "im", "_a", "_d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(z, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(z, name)
+    assert z == Scalar(1, 2)
+    # copies are rebuilt from the parts, as the dataclass's were
+    w = Scalar(Fraction(-3, 4), Fraction(5, 6))
+    assert copy.deepcopy(w) == pickle.loads(pickle.dumps(w)) == w

@@ -237,9 +237,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, tuple[str, ...]]:
         p.add_argument("--order", type=int, default=DEFAULT_ORDER,
                        help=f"truncation order (default {DEFAULT_ORDER})")
         p.add_argument("--max-work", type=int, default=wick.DEFAULT_MAX_WORK,
-                       help="work budget: operator terms visited, or index "
-                            "rows for moyal (default "
-                            f"{wick.DEFAULT_MAX_WORK})")
+                       help="work budget for each product (associator "
+                            "makes four): operator terms visited, or index "
+                            f"rows for moyal (default {wick.DEFAULT_MAX_WORK})")
         p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("check-poisson", parents=[common],

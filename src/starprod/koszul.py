@@ -41,12 +41,8 @@ class DifferentialForm(ComponentField):
 def exact_form(f: GradedPoly) -> DifferentialForm:
     """df as a one-form; f is a plain polynomial in x1..xd."""
     d = len(f.space)
-    out = {}
-    for i in range(1, d + 1):
-        df = f.deriv_left(f"x{i}")
-        if not df.is_zero():
-            out[(i,)] = df
-    return DifferentialForm(d, 1, out)
+    return DifferentialForm(d, 1, {(i,): f.deriv_left(f"x{i}")
+                                   for i in range(1, d + 1)})
 
 
 def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
@@ -65,8 +61,7 @@ def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
             term = comp.deriv_left(f"x{idx}")
             total = total - term if pos & 1 else total + term
         out[key] = total
-    return DifferentialForm(d, p + 1, {k: v for k, v in out.items()
-                                       if not v.is_zero()})
+    return DifferentialForm(d, p + 1, out)
 
 
 def vector_insertion(X: Multivector, omega: DifferentialForm) -> DifferentialForm:
@@ -218,17 +213,12 @@ def bullet_diagrams(alpha: Multivector, w1: DifferentialForm,
         vertex_derivative[(k,)] = acc_vd
     tadpole_second = {(k,): t_of["second"] * comp(w1, k) for k in range(1, d + 1)}
     tadpole_first = {(k,): t_of["first"] * comp(w2, k) for k in range(1, d + 1)}
-
-    def form(components: dict) -> DifferentialForm:
-        return DifferentialForm(d, 1, {k: v for k, v in components.items()
-                                       if not v.is_zero()})
-
     return [
-        ("transport-of-second", form(transport_second)),
-        ("transport-of-first", form(transport_first)),
-        ("vertex-derivative", form(vertex_derivative)),
-        ("tadpole-on-second", form(tadpole_second)),
-        ("tadpole-on-first", form(tadpole_first)),
+        ("transport-of-second", DifferentialForm(d, 1, transport_second)),
+        ("transport-of-first", DifferentialForm(d, 1, transport_first)),
+        ("vertex-derivative", DifferentialForm(d, 1, vertex_derivative)),
+        ("tadpole-on-second", DifferentialForm(d, 1, tadpole_second)),
+        ("tadpole-on-first", DifferentialForm(d, 1, tadpole_first)),
     ]
 
 

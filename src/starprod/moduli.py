@@ -139,7 +139,8 @@ def stratum_count(n: int, codim: int) -> int:
     Kirkman-Cayley number C(n-2, c) C(n+c, c) / (c+1).
     """
     top = dim(n)
-    if not isinstance(codim, int) or not 0 <= codim <= top:
+    if not isinstance(codim, int) or isinstance(codim, bool) \
+            or not 0 <= codim <= top:
         raise InputError(f"codimension must lie in 0..{top} for n={n}")
     if n > MAX_N:
         raise ResourceLimitError(f"n={n} exceeds the cap of {MAX_N} inputs")

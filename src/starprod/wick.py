@@ -24,11 +24,14 @@ its count vector, which is tested without differentiating; a multiset whose
 is a split that leaves P_M more legs than its degree; the products P_M are
 built from each other and shared across multisets and orders.
 
-The operator is applied symbolically, for the coefficients of the product
-as polynomials (star_poly, star_series, associator_poly, calibrate), or at
-a basepoint, where d_I f, d_J g and C^(n)_IJ are evaluated before anything
-is multiplied (star, moyal, the outer products of associator).  Either way
-the derivatives and point values come from superalg's kernels.
+Every product is a series product sum_{k,l} hbar^(k+l) u_k * v_l (star has
+one coefficient a side).  The C^(n)_IJ depend on the factors only through
+the pruning, so one operator, pruned to the union of each side's supports,
+serves every pair (k, l); an associator is four products.  The operator is
+applied symbolically (star_poly, star_series, associator_poly, calibrate),
+or at a basepoint, where d_I u_k, d_J v_l and C^(n)_IJ are evaluated before
+anything is multiplied (star, moyal, the outer products of associator).
+Either way the derivatives and point values come from superalg's kernels.
 
 Consequences worth knowing:
 
@@ -70,9 +73,10 @@ MAX_ORDER = 6
 DEFAULT_MAX_WORK = 5_000_000
 
 Series = dict[int, GradedPoly]
-# (polys, orders): orders[n] maps (I, J) to {(M, K): coefficient}, and
-# B_n(f, g) sums coefficient * d_K polys[M] * d_I f * d_J g
-Operator = tuple[dict, list[dict]]
+# (polys, orders, us, vs, order): orders[n] maps (I, J) to {(M, K): coeff},
+# B_n(u_k, v_l) sums coeff * d_K polys[M] * d_I u_k * d_J v_l, and us and vs
+# are the nonzero (k, u_k) and (l, v_l) with k, l <= order, by key
+Operator = tuple[dict, list[dict], list, list, int]
 
 
 # calibration --------------------------------------------------------------------
@@ -101,10 +105,9 @@ def calibrate(alpha: Multivector, f_probe: GradedPoly, g_probe: GradedPoly,
     Probes whose bracket vanishes, or for which the raw term is not
     proportional to the bracket, raise CalibrationError.
     """
-    raw_fg = _apply(_operator(alpha, f_probe, g_probe, 1, max_work),
-                    f_probe, g_probe)[1]
-    raw_gf = _apply(_operator(alpha, g_probe, f_probe, 1, max_work),
-                    g_probe, f_probe)[1]
+    u, v = {0: f_probe}, {0: g_probe}
+    raw_fg = _apply(_operator(alpha, u, v, 1, max_work), w=ONE)[1]
+    raw_gf = _apply(_operator(alpha, v, u, 1, max_work), w=ONE)[1]
     anti = (raw_fg - raw_gf) * Fraction(1, 2)
     bracket = poisson_bracket(alpha, f_probe, g_probe)
     if bracket.is_zero():
@@ -130,39 +133,49 @@ def _default_calibration() -> Scalar:
 
 
 @lru_cache(maxsize=None)
-def _order_weight(n: int) -> Scalar:
-    """w^n / n!, the weight of order n (it sits at hbar^n)."""
-    return _default_calibration() ** n * Fraction(1, math.factorial(n))
+def _order_weight(n: int, w: Optional[Scalar] = None) -> Scalar:
+    """w^n / n!, the weight of order n (it sits at hbar^n); w defaults to
+    the calibrated weight."""
+    if w is None:
+        w = _default_calibration()
+    return w ** n * Fraction(1, math.factorial(n))
 
 
 # bidifferential operators -------------------------------------------------------
 
-def _check_factors(alpha: Multivector, f: GradedPoly, g: GradedPoly,
-                   order: int, max_work: int) -> GradedSpace:
-    """Bivector, factor ring, order, work budget and order cap; returns the ring."""
+def _check_factors(alpha: Multivector, u: Series, v: Series, order: int,
+                   max_work: int) -> tuple[GradedSpace, list, list, int]:
+    """Bivector, every key and coefficient of both series, order, work budget
+    and order cap, before any is filtered out.  Returns the ring, each side's
+    nonzero (k, p) with k <= order, by key, and the highest operator order a
+    pair of them needs (-1 if none)."""
     _require_bivector(alpha)
     ring = alpha.ring()
-    if f.space != ring or g.space != ring:
-        raise InputError("factors must live in the coefficient ring of the "
-                         f"bivector (x1..x{alpha.dim})")
-    if not isinstance(order, int) or order < 0:
-        raise InputError("order must be a nonnegative integer")
-    if not isinstance(max_work, int) or isinstance(max_work, bool) \
-            or max_work < 0:
-        raise InputError("max_work must be a nonnegative integer")
+    for side in (u, v):
+        for k, p in side.items():
+            if not isinstance(k, int) or k < 0:
+                raise InputError("series keys must be nonnegative integers")
+            if not isinstance(p, GradedPoly) or p.space != ring:
+                raise InputError("factors must live in the coefficient ring "
+                                 f"of the bivector (x1..x{alpha.dim})")
+    for what, value in (("order", order), ("max_work", max_work)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise InputError(f"{what} must be a nonnegative integer")
     if order > MAX_ORDER:
         raise ResourceLimitError(f"order {order} exceeds the cap {MAX_ORDER}")
-    return ring
+    us = [(k, p) for k, p in sorted(u.items()) if k <= order and p.terms]
+    vs = [(l, p) for l, p in sorted(v.items()) if l <= order and p.terms]
+    return ring, us, vs, (order - us[0][0] - vs[0][0] if us and vs else -1)
 
 
-def _rooms(poly: GradedPoly) -> Callable[[tuple[int, ...]], int]:
-    """counts -> how many more derivatives d^counts poly can take, -1 if none.
+def _rooms(polys: Sequence[GradedPoly]) -> Callable[[tuple[int, ...]], int]:
+    """counts -> how many more derivatives d^counts leaves some poly, or -1.
 
     d^K x^beta is nonzero exactly when beta dominates K, and distinct beta
-    stay distinct, so d^K poly vanishes exactly when no monomial of the
+    stay distinct, so d^K p vanishes exactly when no monomial of its
     support dominates the count vector K.  Nothing is differentiated.
     """
-    support = [(beta, sum(beta)) for beta in poly.terms]
+    support = {beta: sum(beta) for p in polys for beta in p.terms}.items()
     cache: dict[tuple[int, ...], int] = {}
 
     def room(counts: tuple[int, ...]) -> int:
@@ -230,22 +243,24 @@ def _landings(legs: tuple[int, ...], room: Callable, sign: int) -> list:
     return out
 
 
-def _operator(alpha: Multivector, f: GradedPoly, g: GradedPoly, order: int,
+def _operator(alpha: Multivector, u: Series, v: Series, order: int,
               max_work: int) -> Operator:
-    """The coefficients C^(n)_IJ of B_0..B_order, pruned to the factors f, g.
+    """The coefficients C^(n)_IJ of B_0..B_n, pruned to the factor series.
 
-    Returns (polys, orders).  orders[n] maps (I, J) to {(M, K): count}, and
-    C^(n)_IJ is the sum of count * d_K polys[M], where M counts the
-    insertions of each component and polys[M] is their product P_M.  Each
+    orders[n] maps (I, J) to {(M, K): count}, and C^(n)_IJ is the sum of
+    count * d_K polys[M], where M counts the insertions of each component
+    and polys[M] is their product P_M.  The pruning tests the union of the
+    supports of each side's coefficients, so one operator serves every pair
+    (u_k, v_l), and it stops at the highest order such a pair needs.  Each
     multiset of components, each orientation class of it and each split of
-    its legs between f, g and P_M is one unit of work against max_work.
+    its legs between u, v and P_M is one unit of work against max_work.
     """
-    ring = _check_factors(alpha, f, g, order, max_work)
+    ring, us, vs, reach = _check_factors(alpha, u, v, order, max_work)
     keys = sorted(alpha.components)
     comps = [alpha.components[key] for key in keys]
     degs = [p.total_degree() for p in comps]
-    deg_fg = f.total_degree() + g.total_degree()
-    room_f, room_g = _rooms(f), _rooms(g)
+    room_u = _rooms([p for _, p in us])
+    room_v = _rooms([p for _, p in vs])
     lefts: dict[tuple[int, ...], list] = {}
     rights: dict[tuple[int, ...], list] = {}
     zero, none = (0,) * alpha.dim, (0,) * len(comps)
@@ -268,27 +283,28 @@ def _operator(alpha: Multivector, f: GradedPoly, g: GradedPoly, order: int,
             got = polys[mult] = product_of(_bump(mult, c, -1)) * comps[c]
         return got
 
-    # B_0(f, g) = f g: no insertions
-    orders = [{(zero, zero): {(none, zero): 1}} if f.terms and g.terms
-              else {}]
-    for n in range(1, order + 1):
+    # B_0(u_k, v_l) = u_k v_l: no insertions
+    orders = [{(zero, zero): {(none, zero): 1}}] if reach >= 0 else []
+    # with no derivatives taken, the room is the largest degree
+    deg_uv = room_u(zero) + room_v(zero)
+    for n in range(1, reach + 1):
         tally: dict = {}
         for mult in _multisets(n, len(comps)):
             spend(1)
-            # the 2n legs land on f, g and P_M, so at least need of them
-            # land on f and g
+            # the 2n legs land on u, v and P_M, so at least need of them
+            # land on u and v
             need = 2 * n - sum(map(operator.mul, mult, degs))
-            if need > deg_fg:
+            if need > deg_uv:
                 continue
-            room_p = _rooms(product_of(mult))
+            room_p = _rooms([product_of(mult)])
             classes = _orientations(keys, mult, alpha.dim)
             spend(len(classes))
             for (left, right), weight in classes.items():
                 legs = tuple(map(operator.add, left, right))
                 if right not in rights:
-                    rights[right] = _landings(right, room_g, -1)
+                    rights[right] = _landings(right, room_v, -1)
                 if left not in lefts:
-                    lefts[left] = _landings(left, room_f, 1)
+                    lefts[left] = _landings(left, room_u, 1)
                 to_g = rights[right]
                 for I, wl, nl in lefts[left]:
                     if not to_g or nl + to_g[0][2] < need:
@@ -303,20 +319,24 @@ def _operator(alpha: Multivector, f: GradedPoly, g: GradedPoly, order: int,
                             _accumulate(tally.setdefault((I, J), {}),
                                         (mult, K), weight * wl * wr)
         orders.append({ij: cell for ij, cell in tally.items() if cell})
-    return polys, orders
+    return polys, orders, us, vs, order
 
 
-def _apply(op: Operator, f: GradedPoly, g: GradedPoly,
-           point: Optional[Sequence[Scalar]] = None) -> list:
-    """B_0(f, g)..B_order(f, g), unweighted: polynomials, or numbers at a point.
+def _apply(op: Operator, point: Optional[Sequence[Scalar]] = None,
+           w: Optional[Scalar] = None) -> list:
+    """hbar coefficients 0..order of the product of the series op was built
+    for: polynomials, or numbers at a point.
 
-    At a point, d_I f, d_J g and each d_K P_M are evaluated there before
+    The pair (u_k, v_l) adds w^n/n! B_n(u_k, v_l) at hbar^(k+l+n), w the
+    calibrated weight unless given, and each C^(n)_IJ is formed once for all
+    pairs.  At a point, each d_I u_k, d_J v_l and d_K P_M is evaluated before
     anything is multiplied, so polynomials that would only be evaluated are
     never multiplied, and all of them share one table of monomials.
     """
-    polys, orders = op
+    polys, orders, us, vs, order = op
+    ring = next(iter(polys.values())).space  # every P_M lives in it
     if point is None:
-        zero, unit = GradedPoly.zero(f.space), GradedPoly.one(f.space)
+        zero, unit = GradedPoly.zero(ring), GradedPoly.one(ring)
         at = _deriv
     else:
         zero, unit = Scalar(), ONE
@@ -329,28 +349,31 @@ def _apply(op: Operator, f: GradedPoly, g: GradedPoly,
             got = seen[(name, counts)] = at(p, counts)
         return got
 
-    out = []
-    for terms in orders:
-        total = zero
+    out = [zero] * (order + 1)
+    for n, terms in enumerate(orders):
+        top = order - n  # the largest k + l at this order
+        # the pairs that fit at this order, with cache names ("u", k) and
+        # ("v", l) that no multiset M equals
+        pairs = [(k + l, ("u", k), uk, ("v", l), vl)
+                 for k, uk in us for l, vl in vs if k + l <= top]
+        sums = [zero] * (top + 1)  # by k + l
         for (I, J), cell in terms.items():
             coeff = zero
             for (mult, K), count in cell.items():
                 term = d(mult, polys[mult], K)
                 coeff = coeff + (term if count == 1 else term * count)
-            piece = d("f", f, I) * d("g", g, J)
-            total = total + (piece if coeff == unit else piece * coeff)
-        out.append(total)
+            for kl, uname, uk, vname, vl in pairs:
+                piece = d(uname, uk, I) * d(vname, vl, J)
+                sums[kl] = sums[kl] + (piece if coeff == unit
+                                       else piece * coeff)
+        for t, total in enumerate(sums, start=n):
+            if total is not zero:  # zero: no cell met these pairs
+                total = total * _order_weight(n, w) if n else total
+                out[t] = total if out[t] is zero else out[t] + total
     return out
 
 
 # products -----------------------------------------------------------------------
-
-def _product(op: Operator, f: GradedPoly, g: GradedPoly,
-             point: Optional[Sequence[Scalar]] = None) -> list:
-    """hbar coefficients w^n/n! B_n(f, g): polynomials, or numbers at a point."""
-    return [term * _order_weight(n) if n else term
-            for n, term in enumerate(_apply(op, f, g, point))]
-
 
 def _point(alpha: Multivector,
            basepoint: Sequence[ScalarLike]) -> list[Scalar]:
@@ -365,7 +388,7 @@ def star_poly(alpha: Multivector, f: GradedPoly, g: GradedPoly,
               max_work: int = DEFAULT_MAX_WORK) -> Series:
     """hbar coefficients of f * g as polynomials (symbolic basepoint)."""
     return dict(enumerate(
-        _product(_operator(alpha, f, g, order, max_work), f, g)))
+        _apply(_operator(alpha, {0: f}, {0: g}, order, max_work))))
 
 
 def star(alpha: Multivector, f: GradedPoly, g: GradedPoly,
@@ -374,45 +397,25 @@ def star(alpha: Multivector, f: GradedPoly, g: GradedPoly,
     """Deformation product evaluated at a basepoint, as an hbar series."""
     point = _point(alpha, basepoint)
     return HbarSeries(order, tuple(
-        _product(_operator(alpha, f, g, order, max_work), f, g, point)))
-
-
-def _series_product(alpha: Multivector, u: Mapping[int, GradedPoly],
-                    v: Mapping[int, GradedPoly], order: int, max_work: int,
-                    point: Optional[Sequence[Scalar]] = None) -> list:
-    """Bilinear extension of the product to truncated hbar series."""
-    if not all(isinstance(k, int) and k >= 0 for k in (*u, *v)):
-        raise InputError("series keys must be nonnegative integers")
-    zero = GradedPoly.zero(alpha.ring()) if point is None else Scalar()
-    out = [zero] * (order + 1)
-    for k, uk in sorted(u.items()):
-        if k > order or uk.is_zero():
-            continue
-        for l, vl in sorted(v.items()):
-            if k + l > order or vl.is_zero():
-                continue
-            op = _operator(alpha, uk, vl, order - k - l, max_work)
-            for m, p in enumerate(_product(op, uk, vl, point)):
-                out[k + l + m] = out[k + l + m] + p
-    return out
+        _apply(_operator(alpha, {0: f}, {0: g}, order, max_work), point)))
 
 
 def star_series(alpha: Multivector, u: Mapping[int, GradedPoly],
                 v: Mapping[int, GradedPoly], order: int = DEFAULT_ORDER,
                 max_work: int = DEFAULT_MAX_WORK) -> Series:
     """Bilinear extension of the product to truncated hbar series."""
-    return dict(enumerate(_series_product(alpha, u, v, order, max_work)))
+    return dict(enumerate(_apply(_operator(alpha, u, v, order, max_work))))
 
 
 def _associator(alpha: Multivector, f: GradedPoly, g: GradedPoly,
                 h: GradedPoly, order: int, max_work: int,
                 point: Optional[Sequence[Scalar]] = None) -> list:
     """(f * g) * h - f * (g * h); the outer products at the point if given."""
-    left = _series_product(alpha, star_poly(alpha, f, g, order, max_work),
-                           {0: h}, order, max_work, point)
-    right = _series_product(alpha, {0: f},
-                            star_poly(alpha, g, h, order, max_work),
-                            order, max_work, point)
+    left = _apply(_operator(alpha, star_poly(alpha, f, g, order, max_work),
+                            {0: h}, order, max_work), point)
+    right = _apply(_operator(alpha, {0: f},
+                             star_poly(alpha, g, h, order, max_work),
+                             order, max_work), point)
     return [a - b for a, b in zip(left, right)]
 
 
@@ -435,15 +438,15 @@ def associator(alpha: Multivector, f: GradedPoly, g: GradedPoly,
 
 # constant-coefficient reference product ------------------------------------------
 
-def _moyal_operator(alpha: Multivector, f: GradedPoly, g: GradedPoly,
-                    order: int, max_work: int) -> Operator:
+def _moyal_operator(alpha: Multivector, u: Series, v: Series, order: int,
+                    max_work: int) -> Operator:
     """The exponential formula's constant coefficients, by index rows.
 
     Independent of the insertion multisets: C^(n)_IJ sums
     A^(i1 j1)..A^(in jn) over the index rows whose left indices make I and
     whose right indices make J.  Requires constant coefficients.
     """
-    ring = _check_factors(alpha, f, g, order, max_work)
+    ring, us, vs, reach = _check_factors(alpha, u, v, order, max_work)
     entries: list[tuple[int, int, Scalar]] = []
     for (i, j), comp in sorted(alpha.components.items()):
         if not comp.is_constant():
@@ -455,21 +458,22 @@ def _moyal_operator(alpha: Multivector, f: GradedPoly, g: GradedPoly,
         raise ResourceLimitError(
             f"about {len(entries) ** order} index rows at order {order} "
             f"exceed max_work={max_work}")
-    room_f, room_g = _rooms(f), _rooms(g)
+    room_u = _rooms([p for _, p in us])
+    room_v = _rooms([p for _, p in vs])
     zero = (0,) * alpha.dim
     orders = []
-    for n in range(order + 1):
+    for n in range(reach + 1):
         coeffs: dict = {}
         for row in product(entries, repeat=n):
             I = J = zero
             for i, j, _ in row:
                 I, J = _bump(I, i, 1), _bump(J, j, 1)
-            if room_f(I) < 0 or room_g(J) < 0:
+            if room_u(I) < 0 or room_v(J) < 0:
                 continue
             _accumulate(coeffs, (I, J),
                         math.prod((value for _, _, value in row), start=ONE))
         orders.append({ij: {((), zero): c} for ij, c in coeffs.items()})
-    return {(): GradedPoly.one(ring)}, orders
+    return {(): GradedPoly.one(ring)}, orders, us, vs, order
 
 
 def moyal_poly(alpha: Multivector, f: GradedPoly, g: GradedPoly,
@@ -482,7 +486,7 @@ def moyal_poly(alpha: Multivector, f: GradedPoly, g: GradedPoly,
     iterated derivatives of f and g.  Requires constant coefficients.
     """
     return dict(enumerate(
-        _product(_moyal_operator(alpha, f, g, order, max_work), f, g)))
+        _apply(_moyal_operator(alpha, {0: f}, {0: g}, order, max_work))))
 
 
 def moyal(alpha: Multivector, f: GradedPoly, g: GradedPoly,
@@ -490,5 +494,5 @@ def moyal(alpha: Multivector, f: GradedPoly, g: GradedPoly,
           max_work: int = DEFAULT_MAX_WORK) -> HbarSeries:
     """Constant-bivector exponential product evaluated at a basepoint."""
     point = _point(alpha, basepoint)
-    return HbarSeries(order, tuple(
-        _product(_moyal_operator(alpha, f, g, order, max_work), f, g, point)))
+    return HbarSeries(order, tuple(_apply(
+        _moyal_operator(alpha, {0: f}, {0: g}, order, max_work), point)))

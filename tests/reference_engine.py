@@ -1,21 +1,60 @@
-"""The labelled contraction enumerator, kept as the reference for wick.
+"""Replaced wick engines, kept as references for the library.
 
-This is the engine the library used before it computed each hbar order as
-one bidifferential operator.  It walks every labelled wiring of n
-insertions: each insertion picks an oriented index pair, its left leg
-differentiates f or an insertion, and its right leg differentiates g or an
-insertion (a factor -1).  Equal value shapes are tallied before any
-polynomial work.  The raw sums E_n it returns must equal the library's
-operator form exactly.  It is slow: a single random degree-2 bivector at
-order 4 can take 18 s.
+_engine_terms is the labelled contraction enumerator the library used
+before it computed each hbar order as one bidifferential operator.  It
+walks every labelled wiring of n insertions: each insertion picks an
+oriented index pair, its left leg differentiates f or an insertion, and its
+right leg differentiates g or an insertion (a factor -1).  Equal value
+shapes are tallied before any polynomial work.  The raw sums E_n it returns
+must equal the library's operator form exactly.  It is slow: a single
+random degree-2 bivector at order 4 can take 18 s.
+
+_series_product and _associator are the per-pair composition the library
+used before one operator served every pair of series coefficients: one
+operator, pruned to u_k and v_l alone, and one single-pair apply for each
+pair (k, l).
 """
+
+from typing import Optional, Sequence
 
 from starprod.errors import ResourceLimitError
 from starprod.poisson import Multivector
+from starprod.scalars import Scalar
 from starprod.superalg import GradedPoly
-from starprod.wick import DEFAULT_MAX_WORK, _check_factors
+from starprod.wick import (DEFAULT_MAX_WORK, _apply, _check_factors,
+                           _operator, star_poly)
 
 Series = dict[int, GradedPoly]
+
+
+def _series_product(alpha: Multivector, u: Series, v: Series, order: int,
+                    max_work: int = DEFAULT_MAX_WORK,
+                    point: Optional[Sequence[Scalar]] = None) -> list:
+    """hbar coefficients 0..order of the series product, pair by pair."""
+    zero = GradedPoly.zero(alpha.ring()) if point is None else Scalar()
+    out = [zero] * (order + 1)
+    for k, uk in sorted(u.items()):
+        if k > order or uk.is_zero():
+            continue
+        for l, vl in sorted(v.items()):
+            if k + l > order or vl.is_zero():
+                continue
+            op = _operator(alpha, {0: uk}, {0: vl}, order - k - l, max_work)
+            for m, p in enumerate(_apply(op, point)):
+                out[k + l + m] = out[k + l + m] + p
+    return out
+
+
+def _associator(alpha: Multivector, f: GradedPoly, g: GradedPoly,
+                h: GradedPoly, order: int, max_work: int = DEFAULT_MAX_WORK,
+                point: Optional[Sequence[Scalar]] = None) -> list:
+    """(f * g) * h - f * (g * h), its outer products pair by pair."""
+    left = _series_product(alpha, star_poly(alpha, f, g, order, max_work),
+                           {0: h}, order, max_work, point)
+    right = _series_product(alpha, {0: f},
+                            star_poly(alpha, g, h, order, max_work),
+                            order, max_work, point)
+    return [a - b for a, b in zip(left, right)]
 
 
 class _Derivs:
@@ -48,7 +87,7 @@ def _oriented_pairs(alpha: Multivector):
 def _engine_terms(alpha: Multivector, f: GradedPoly, g: GradedPoly,
                   order: int, max_work: int = DEFAULT_MAX_WORK) -> Series:
     """Raw unweighted contraction sums E_n for n = 0..order."""
-    ring = _check_factors(alpha, f, g, order, max_work)
+    ring = _check_factors(alpha, {0: f}, {0: g}, order, max_work)[0]
     oriented = _oriented_pairs(alpha)
     acache = {key: _Derivs(poly) for key, poly in alpha.components.items()}
     maxdeg = {key: poly.total_degree() for key, poly in alpha.components.items()}

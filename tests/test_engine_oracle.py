@@ -1,24 +1,34 @@
-"""The operator form of the product against the labelled enumerator it replaced.
+"""The operator form of the product against the engines it replaced.
 
 tests/reference_engine.py walks every labelled wiring of the insertions; the
 library sums over insertion multisets and lets Leibniz collect the legs that
 land on insertions.  The raw, unweighted sums E_n must agree exactly.
+
+It also keeps the per-pair composition of series products: one operator for
+each pair of coefficients (u_k, v_l).  The library builds one operator for
+all pairs; star_series, associator_poly and associator must agree exactly.
 """
 
+import math
 import random
 
 import pytest
 
-from starprod import coeff_space, fixture
+from starprod import (associator, associator_poly, coeff_space, fixture,
+                      parse_poly, star_series, wick)
+from starprod.scalars import ONE, Scalar
 from starprod.wick import _apply, _operator
-from reference_engine import _engine_terms
-from support import random_multivector, random_poly
+from reference_engine import _associator, _engine_terms, _series_product
+from support import random_basepoint, random_multivector, random_poly
 
 BUDGET = 10 ** 7
 
 
 def raw_sums(alpha, f, g, order):
-    return _apply(_operator(alpha, f, g, order, BUDGET), f, g)
+    # with w = 1, order n carries 1/n!
+    op = _operator(alpha, {0: f}, {0: g}, order, BUDGET)
+    return [term * math.factorial(n)
+            for n, term in enumerate(_apply(op, w=ONE))]
 
 
 def reference_sums(alpha, f, g, order):
@@ -46,3 +56,56 @@ def test_fixtures_at_order_4(name):
         f = random_poly(rng, ring)
         g = random_poly(rng, ring)
         assert raw_sums(alpha, f, g, 4) == reference_sums(alpha, f, g, 4)
+
+
+def assert_series_products_match(rng, alpha, order):
+    ring = alpha.ring()
+    u = {k: random_poly(rng, ring, max_degree=2, max_terms=3)
+         for k in rng.sample(range(order + 2), 2)}
+    v = {0: random_poly(rng, ring, max_degree=2, max_terms=3),
+         rng.randint(1, 2): random_poly(rng, ring, max_degree=2, max_terms=3)}
+    assert star_series(alpha, u, v, order=order) == \
+        dict(enumerate(_series_product(alpha, u, v, order)))
+    f, g, h = (random_poly(rng, ring, max_degree=2, max_terms=2)
+               for _ in range(3))
+    assert associator_poly(alpha, f, g, h, order=order) == \
+        dict(enumerate(_associator(alpha, f, g, h, order)))
+    point = random_basepoint(rng, alpha.dim)
+    assert associator(alpha, f, g, h, point, order=order).coefficients == \
+        tuple(_associator(alpha, f, g, h, order,
+                          point=[Scalar.of(x) for x in point]))
+
+
+@pytest.mark.parametrize("name", ["so3", "nonpoisson4d", "canonical2d"])
+def test_series_products_match_the_per_pair_composition(name):
+    rng = random.Random(name)
+    for order in range(5):
+        assert_series_products_match(rng, fixture(name), order)
+
+
+def test_series_products_match_on_random_bivectors():
+    rng = random.Random(8)
+    for _ in range(6):
+        dim = rng.randint(2, 3)
+        alpha = random_multivector(rng, dim, 2, coeff_space(dim),
+                                   max_coeff_degree=2)
+        for order in range(4):
+            assert_series_products_match(rng, alpha, order)
+
+
+def test_an_associator_builds_four_operators(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args[3])
+        return operator_of(*args)
+
+    operator_of = wick._operator
+    wick._default_calibration()  # its probe products are built once, first
+    monkeypatch.setattr(wick, "_operator", counted)
+    ring = coeff_space(3)
+    f, g, h = (parse_poly(p, ring)
+               for p in ("x1^2*x2 + x3", "x2*x3^2 + x1", "x1*x3 + x2"))
+    associator(fixture("so3"), f, g, h, [1, 2, 3], order=3)
+    # f * g and g * h, then (f * g) * h and f * (g * h)
+    assert built == [3, 3, 3, 3]

@@ -139,6 +139,14 @@ def test_enumeration_bounds():
         facet_compositions(2)
 
 
+@pytest.mark.parametrize("codim", [True, False])
+@pytest.mark.parametrize("strata, n", [(stratum_count, 5),
+                                       (enumerate_strata, 4)])
+def test_codimension_is_not_a_bool(strata, n, codim):
+    with pytest.raises(InputError):
+        strata(n, codim)
+
+
 @given(n=st.integers(min_value=3, max_value=6))
 @settings(max_examples=10, deadline=None)
 def test_facets_match_codim_one_strata(n):

@@ -172,6 +172,41 @@ def test_star_series_is_bilinear_in_coefficients():
         star_series(fixture("canonical2d"), {0: x1}, {0: x1, "a": x1}, order=1)
 
 
+@pytest.mark.parametrize("u, v, order, max_work, error", [
+    # no case has a coefficient pair in range, so only the checks refuse it
+    ({}, {0: "x1"}, -1, 10, InputError),
+    ({}, {0: "x1"}, 9, 10, ResourceLimitError),
+    ({5: "x1"}, {0: "x1"}, 2, -5, InputError),
+    ({0: "x1", 3: "plane"}, {0: "x1"}, 2, 10 ** 6, InputError),
+], ids=["negative-order", "order-over-cap", "negative-budget",
+        "coefficient-out-of-ring"])
+def test_star_series_checks_every_input_before_filtering(u, v, order,
+                                                         max_work, error):
+    so3 = fixture("so3")
+    polys = {"x1": parse_poly("x1", coeff_space(3)),
+             "plane": parse_poly("x1", coeff_space(2))}
+    with pytest.raises(error):
+        star_series(so3, {k: polys[p] for k, p in u.items()},
+                    {k: polys[p] for k, p in v.items()}, order=order,
+                    max_work=max_work)
+
+
+@pytest.mark.parametrize("order", [True, False])
+def test_order_is_not_a_bool(order):
+    so3 = fixture("so3")
+    f = parse_poly("x1", coeff_space(3))
+    for product in (lambda: star_poly(so3, f, f, order=order),
+                    lambda: star(so3, f, f, [0, 0, 0], order=order),
+                    lambda: star_series(so3, {0: f}, {0: f}, order=order),
+                    lambda: associator_poly(so3, f, f, f, order=order),
+                    lambda: moyal_poly(fixture("canonical2d"),
+                                       parse_poly("x1", coeff_space(2)),
+                                       parse_poly("x2", coeff_space(2)),
+                                       order=order)):
+        with pytest.raises(InputError):
+            product()
+
+
 # star gives every graph the uniform weight (i/2)^n/n!, where Kontsevich's
 # product weighs graphs by configuration-space integrals.  On so3 the graphs
 # whose legs land on bivector copies then break two of his product's laws
@@ -248,6 +283,24 @@ def test_baseline_work_counts(order, work):
     with pytest.raises(ResourceLimitError):
         star_poly(fixture("so3"), f, g, order=order, max_work=work - 1)
     assert work < DEFAULT_MAX_WORK
+
+
+# the same for associator_poly(so3, x1^2*x2 + x3, x2*x3^2 + x1,
+# x1*x3 + x2): max_work is one budget per product, and the associator makes
+# four, so the count is that of its largest product
+ASSOCIATOR_WORK = {2: 187, 3: 742, 4: 2078}
+
+
+@pytest.mark.parametrize("order, work", sorted(ASSOCIATOR_WORK.items()))
+def test_associator_work_counts(order, work):
+    ring = coeff_space(3)
+    f = parse_poly("x1^2*x2 + x3", ring)
+    g = parse_poly("x2*x3^2 + x1", ring)
+    h = parse_poly("x1*x3 + x2", ring)
+    associator_poly(fixture("so3"), f, g, h, order=order, max_work=work)
+    with pytest.raises(ResourceLimitError):
+        associator_poly(fixture("so3"), f, g, h, order=order,
+                        max_work=work - 1)
 
 
 @st.composite

@@ -29,7 +29,7 @@ from itertools import combinations
 
 from .errors import InputError
 from .poisson import ComponentField, Multivector, _pairing, _require_bivector
-from .superalg import GradedPoly
+from .superalg import GradedPoly, _mac
 
 
 class DifferentialForm(ComponentField):
@@ -94,19 +94,15 @@ def one_form_insertion(w: DifferentialForm, psi: Multivector) -> Multivector:
 
 def _first_slot_contraction(single: ComponentField, multi: ComponentField) -> dict:
     # (i_s m)_{rest} = sum over positions t of (-1)^t s_{K[t]} m_K
-    ring = multi.ring()
-    out: dict[tuple[int, ...], GradedPoly] = {}
+    pairs: dict[tuple[int, ...], list] = {}
     for key, comp in multi.components.items():
         for t, idx in enumerate(key):
             weight = single.components.get((idx,))
-            if weight is None:
-                continue
-            rest = key[:t] + key[t + 1:]
-            term = weight * comp
-            if t & 1:
-                term = -term
-            out[rest] = out.get(rest, GradedPoly.zero(ring)) + term
-    return out
+            if weight is not None:
+                pairs.setdefault(key[:t] + key[t + 1:], []).append(
+                    (-1 if t & 1 else 1, weight, comp))
+    ring = multi.ring()
+    return {rest: _mac(ring, terms) for rest, terms in pairs.items()}
 
 
 def lie_derivative(X: Multivector, omega: DifferentialForm) -> DifferentialForm:
@@ -122,16 +118,17 @@ def lie_derivative(X: Multivector, omega: DifferentialForm) -> DifferentialForm:
 def anchor(alpha: Multivector, w: DifferentialForm) -> Multivector:
     """The vector field X_w with components X^j = sum_i w_i A^{ij}."""
     _check_bracket_args(alpha, w, w)
-    ring = alpha.ring()
-    out: dict[tuple[int, ...], GradedPoly] = {}
+    pairs: dict[tuple[int, ...], list] = {}
     for (i, j), a in alpha.components.items():
         wi = w.components.get((i,))
         wj = w.components.get((j,))
         if wi is not None:
-            out[(j,)] = out.get((j,), GradedPoly.zero(ring)) + wi * a
+            pairs.setdefault((j,), []).append((1, wi, a))
         if wj is not None:
-            out[(i,)] = out.get((i,), GradedPoly.zero(ring)) - wj * a
-    return Multivector(alpha.dim, 1, out)
+            pairs.setdefault((i,), []).append((-1, wj, a))
+    ring = alpha.ring()
+    return Multivector(alpha.dim, 1, {key: _mac(ring, terms)
+                                      for key, terms in pairs.items()})
 
 
 def _check_bracket_args(alpha: Multivector, w1: DifferentialForm,
@@ -189,28 +186,24 @@ def bullet_diagrams(alpha: Multivector, w1: DifferentialForm,
     def comp(w: DifferentialForm, i: int) -> GradedPoly:
         return w.components.get((i,), zero)
 
-    # each stored component A^{ij} in both orientations, A^{ji} = -A^{ij}
+    # each stored component A^{ij} in both orientations, A^{ji} = -A^{ij},
+    # the sign carried apart from the polynomial
     oriented = []
     for (i, j), a in alpha.components.items():
-        oriented += [(i, j, a), (j, i, -a)]
-    transport_second: dict = {}
-    transport_first: dict = {}
-    vertex_derivative: dict = {}
-    t_of = {}
-    for target, w in (("first", w1), ("second", w2)):
-        total = zero
-        for i, j, a in oriented:
-            total = total + a.deriv_left(f"x{i}") * comp(w, j)
-        t_of[target] = total
-    for k in range(1, d + 1):
-        acc_ts = acc_tf = acc_vd = zero
-        for i, j, a in oriented:
-            acc_ts = acc_ts + a * comp(w1, i) * comp(w2, k).deriv_left(f"x{j}")
-            acc_tf = acc_tf + a * comp(w1, k).deriv_left(f"x{i}") * comp(w2, j)
-            acc_vd = acc_vd + a.deriv_left(f"x{k}") * comp(w1, i) * comp(w2, j)
-        transport_second[(k,)] = acc_ts
-        transport_first[(k,)] = acc_tf
-        vertex_derivative[(k,)] = acc_vd
+        oriented += [(1, i, j, a), (-1, j, i, a)]
+    t_of = {target: _mac(ring, [(s, a.deriv_left(f"x{i}"), comp(w, j))
+                                for s, i, j, a in oriented])
+            for target, w in (("first", w1), ("second", w2))}
+    a_w1 = [(s, j, a * comp(w1, i)) for s, i, j, a in oriented]
+    transport_second = {(k,): _mac(ring, [
+        (s, aw, comp(w2, k).deriv_left(f"x{j}")) for s, j, aw in a_w1])
+        for k in range(1, d + 1)}
+    transport_first = {(k,): _mac(ring, [
+        (s, a * comp(w1, k).deriv_left(f"x{i}"), comp(w2, j))
+        for s, i, j, a in oriented]) for k in range(1, d + 1)}
+    vertex_derivative = {(k,): _mac(ring, [
+        (s, a.deriv_left(f"x{k}") * comp(w1, i), comp(w2, j))
+        for s, i, j, a in oriented]) for k in range(1, d + 1)}
     tadpole_second = {(k,): t_of["second"] * comp(w1, k) for k in range(1, d + 1)}
     tadpole_first = {(k,): t_of["first"] * comp(w2, k) for k in range(1, d + 1)}
     return [

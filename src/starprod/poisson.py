@@ -18,12 +18,13 @@ The route through the antibracket forces this choice; see README.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InputError, InternalError
 from .scalars import Scalar, ScalarLike
-from .superalg import (DEFAULT_HBAR_ORDER, GradedPoly, GradedSpace,
+from .superalg import (DEFAULT_HBAR_ORDER, GradedPoly, GradedSpace, _mac,
                        coeff_space, pairing_bracket, super_space, taylor_shift)
 
 Index = tuple[int, ...]
@@ -108,17 +109,22 @@ class ComponentField:
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other):
+        return self._merge(other, operator.add)
+
+    def __sub__(self, other):
+        return self._merge(other, operator.sub)
+
+    def _merge(self, other, op):
+        """The components of self op other, op adding or subtracting."""
         if type(other) is not type(self):
             return NotImplemented
         if self.dim != other.dim or self.degree != other.degree:
             raise InputError("dimension or degree mismatch")
         merged = dict(self.components)
+        zero = GradedPoly.zero(self.ring())
         for key, poly in other.components.items():
-            merged[key] = merged.get(key, GradedPoly.zero(self.ring())) + poly
+            merged[key] = op(merged.get(key, zero), poly)
         return type(self)(self.dim, self.degree, merged)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __neg__(self):
         return type(self)(self.dim, self.degree,
@@ -189,19 +195,17 @@ def wedge(a: ComponentField, b: ComponentField) -> ComponentField:
         raise InputError("wedge factors must be of the same kind")
     if a.dim != b.dim:
         raise InputError("dimension mismatch")
-    out: dict[Index, GradedPoly] = {}
-    ring = a.ring()
+    pairs: dict[Index, list] = {}
     for ka, pa in a.components.items():
         for kb, pb in b.components.items():
             if set(ka) & set(kb):
                 continue
             crossings = sum(1 for i in ka for j in kb if i > j)
-            key = tuple(sorted(ka + kb))
-            term = pa * pb
-            if crossings & 1:
-                term = -term
-            out[key] = out.get(key, GradedPoly.zero(ring)) + term
-    return type(a)(a.dim, a.degree + b.degree, out)
+            pairs.setdefault(tuple(sorted(ka + kb)), []).append(
+                (-1 if crossings & 1 else 1, pa, pb))
+    ring = a.ring()
+    return type(a)(a.dim, a.degree + b.degree,
+                   {key: _mac(ring, terms) for key, terms in pairs.items()})
 
 
 # symbol map -------------------------------------------------------------------
@@ -211,14 +215,14 @@ def symbol(psi: Multivector, basepoint: Sequence[ScalarLike],
     """Superspace symbol: sum of psi^I(x0 + xi) eta_I over ascending I."""
     d = psi.dim
     space = super_space(d, hbar_order)
-    out = GradedPoly.zero(space)
+    pairs = []
     for key, comp in psi.components.items():
-        shifted = taylor_shift(comp, basepoint, hbar_order)
         eta_key = [0] * len(space)
         for i in key:
             eta_key[d + i - 1] = 1
-        out = out + shifted * GradedPoly(space, {tuple(eta_key): 1})
-    return out
+        pairs.append((1, taylor_shift(comp, basepoint, hbar_order),
+                      GradedPoly(space, {tuple(eta_key): 1})))
+    return _mac(space, pairs)
 
 
 def unsymbol(F: GradedPoly, dim: int) -> Multivector:
@@ -311,12 +315,15 @@ def _pairing(alpha: Multivector, u: Mapping[int, GradedPoly],
              v: Mapping[int, GradedPoly]) -> GradedPoly:
     """sum over components a^{ij} (u_i v_j - u_j v_i); u and v map
     coordinates to polynomials (gradients, one-form components), else zero."""
-    zero = GradedPoly.zero(alpha.ring())
-    total = zero
-    for (i, j), a in alpha.components.items():
-        total = total + a * (u.get(i, zero) * v.get(j, zero)
-                             - u.get(j, zero) * v.get(i, zero))
-    return total
+    ring = alpha.ring()
+    zero = GradedPoly.zero(ring)
+
+    def skew(i: int, j: int) -> GradedPoly:
+        return _mac(ring, ((1, u.get(i, zero), v.get(j, zero)),
+                           (-1, u.get(j, zero), v.get(i, zero))))
+
+    return _mac(ring, [(1, a, skew(i, j))
+                       for (i, j), a in alpha.components.items()])
 
 
 def _require_bivector(alpha: Multivector) -> None:

@@ -14,6 +14,12 @@ products drop every monomial whose hbar exponent exceeds it.
 The standard working space is super_space(d): commuting xi1..xid, odd
 eta1..etad, plus hbar.  Everything else (Batalin-Vilkovisky spaces, plain
 coefficient rings) is the same machinery with different declarations.
+
+Coefficients are stored as Scalar.  Products, powers and the bracket
+contractions built on them go through one multiply-accumulate kernel,
+_mac: it puts each operand over one common denominator, sums the
+Gaussian-integer numerators of every term pair over one denominator, and
+reduces each surviving monomial once.
 """
 
 from __future__ import annotations
@@ -23,10 +29,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InputError, InternalError, ResourceLimitError
-from .scalars import ONE, Scalar, ScalarLike
+from .scalars import ONE, Scalar, ScalarLike, _reduced
 
 HBAR = "hbar"
 DEFAULT_HBAR_ORDER = 3
@@ -126,6 +133,135 @@ def _require_same_space(a: "GradedPoly", b: "GradedPoly") -> None:
                          "(generator set or hbar truncation mismatch)")
 
 
+# products ----------------------------------------------------------------------
+
+def _check_product(a: "GradedPoly", b: "GradedPoly") -> None:
+    """ResourceLimitError if a * b may have more than MAX_POWER_TERMS terms."""
+    # at most |a| |b| terms, and at most the C(deg a + deg b + v, v)
+    # monomials of the product's degree or less in the v generators used
+    size = len(a.terms) * len(b.terms)
+    if size > MAX_POWER_TERMS:
+        v = sum(map(any, zip(*a.terms, *b.terms)))
+        size = min(size, math.comb(a.total_degree() + b.total_degree() + v, v))
+        if size > MAX_POWER_TERMS:
+            raise ResourceLimitError(f"a product with up to {size} terms "
+                                     f"exceeds the cap of "
+                                     f"{MAX_POWER_TERMS} terms")
+
+
+def _odd_mask(key: tuple[int, ...], odd: tuple[int, ...]) -> int:
+    """Bit t set when the t-th odd generator occurs in the monomial."""
+    return sum(1 << t for t, i in enumerate(odd) if key[i])
+
+
+def _crossings(ma: int, mb: int) -> int:
+    """Parity of the pairs (i of ma, j of mb) with i after j: the swaps of
+    odd generators that bring the monomial a b into canonical order."""
+    n = 0
+    while mb:
+        low = mb & -mb
+        n += (ma & -(low << 1)).bit_count()
+        mb ^= low
+    return n & 1
+
+
+def _numerators(p: "GradedPoly", odd: tuple[int, ...], hidx: Optional[int]
+                ) -> tuple[int, bool, dict]:
+    """p over one denominator: (D, real, groups).  D is the lcm of the
+    coefficient denominators, real says every imaginary part is zero, and
+    groups maps (odd mask, hbar exponent) to the (key, a, b) with
+    (a + b*i)/D the coefficient of key."""
+    # Scalar's slots are read directly: this is the one place that turns
+    # coefficients into integer numerators, and _mac the one that reads them
+    terms = p.terms.items()
+    d = math.lcm(*[c._d for _, c in terms])
+    real = True
+    groups: dict[tuple[int, int], list] = {}
+    for key, c in terms:
+        group = (_odd_mask(key, odd) if odd else 0,
+                 key[hidx] if hidx is not None else 0)
+        s = d // c._d
+        real = real and not c._b
+        groups.setdefault(group, []).append((key, c._a * s, c._b * s))
+    return d, real, groups
+
+
+def _mac(space: GradedSpace, pairs: Iterable[tuple[int, "GradedPoly",
+                                                   "GradedPoly"]],
+         capped: bool = True) -> "GradedPoly":
+    """sum of sign * a * b over (sign, a, b), sign = 1 or -1, in one space.
+
+    The one multiply-accumulate kernel.  Each operand goes over one common
+    denominator, so a term pair costs one integer product (four with
+    imaginary parts) and the sums are integer numerators over the lcm of
+    the pairs' denominators; each surviving monomial is reduced once.
+    Terms are grouped by their odd generators and hbar exponent: a group
+    pair whose odd generators collide, or past the space's hbar order, is
+    skipped whole, and the reordering sign is one per group pair.  With
+    capped, each product first meets the term cap, as `*` does; the steps
+    of `**` pass capped=False, because the power's estimate bounds them.
+    """
+    pairs = [(s, a, b) for s, a, b in pairs if a.terms and b.terms]
+    if capped:
+        for _, a, b in pairs:
+            _check_product(a, b)
+    odd = space.odd_indices
+    hidx = space.hbar_index
+    horder = space.hbar_order
+    add = operator.add
+    if len(pairs) == 1 and min(len(pairs[0][1].terms),
+                               len(pairs[0][2].terms)) == 1:
+        # a one-term factor merges no keys: multiply the coefficients
+        s, a, b = pairs[0]
+        out: dict = {}
+        for (ka, ca), (kb, cb) in product(a.terms.items(), b.terms.items()):
+            key = tuple(map(add, ka, kb))
+            if hidx is not None and key[hidx] > horder:
+                continue
+            sign = s
+            if odd:
+                ma, mb = _odd_mask(ka, odd), _odd_mask(kb, odd)
+                if ma & mb:
+                    continue
+                if _crossings(ma, mb):
+                    sign = -sign
+            c = ca * cb
+            out[key] = c if sign > 0 else -c
+        return GradedPoly._raw(space, out)
+    over = [(s, _numerators(a, odd, hidx), _numerators(b, odd, hidx))
+            for s, a, b in pairs]
+    lcm = math.lcm(*[na[0] * nb[0] for _, na, nb in over])
+    re: dict = {}
+    im: dict = {}
+    re_get, im_get = re.get, im.get
+    for s, (da, real_a, groups_a), (db, real_b, groups_b) in over:
+        scale = s * (lcm // (da * db))
+        for (ma, ha), terms_a in groups_a.items():
+            for (mb, hb), terms_b in groups_b.items():
+                if ma & mb or (hidx is not None and ha + hb > horder):
+                    continue
+                f = -scale if odd and _crossings(ma, mb) else scale
+                scaled = terms_a if f == 1 else \
+                    [(k, x * f, y * f) for k, x, y in terms_a]
+                if real_a and real_b:
+                    for ka, x, _ in scaled:
+                        for kb, u, _ in terms_b:
+                            key = tuple(map(add, ka, kb))
+                            re[key] = re_get(key, 0) + x * u
+                else:
+                    for ka, x, y in scaled:
+                        for kb, u, v in terms_b:
+                            key = tuple(map(add, ka, kb))
+                            re[key] = re_get(key, 0) + (x * u - y * v)
+                            im[key] = im_get(key, 0) + (x * v + y * u)
+    out = {}
+    for key, x in re.items():
+        y = im_get(key, 0)
+        if x or y:
+            out[key] = _reduced(x, y, lcm)
+    return GradedPoly._raw(space, out)
+
+
 class GradedPoly:
     """Immutable-by-convention polynomial over a GradedSpace."""
 
@@ -218,10 +354,21 @@ class GradedPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "GradedPoly":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        _require_same_space(self, other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            acc = out.get(key)
+            if acc is None:
+                out[key] = -c
+            elif acc != c:
+                out[key] = acc - c
+            else:
+                del out[key]
+        return self._raw(self.space, out)
 
     def __rsub__(self, other) -> "GradedPoly":
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __neg__(self) -> "GradedPoly":
         return self._raw(self.space, {k: -c for k, c in self.terms.items()})
@@ -234,48 +381,7 @@ class GradedPoly:
             return self._raw(self.space, {k: v * c for k, v in self.terms.items()})
         other = self._coerce(other)
         _require_same_space(self, other)
-        # at most |a| |b| terms, and at most the C(deg a + deg b + v, v)
-        # monomials of the product's degree or less in the v generators used
-        size = len(self.terms) * len(other.terms)
-        if size > MAX_POWER_TERMS:
-            v = sum(map(any, zip(*self.terms, *other.terms)))
-            size = min(size, math.comb(
-                self.total_degree() + other.total_degree() + v, v))
-            if size > MAX_POWER_TERMS:
-                raise ResourceLimitError(f"a product with up to {size} terms "
-                                         f"exceeds the cap of "
-                                         f"{MAX_POWER_TERMS} terms")
-        return self._times(other)
-
-    def _times(self, other: "GradedPoly") -> "GradedPoly":
-        """The product of two polynomials of one space, with no size check."""
-        space = self.space
-        odd = space.odd_indices
-        hidx = space.hbar_index
-        horder = space.hbar_order
-        out: dict[tuple[int, ...], Scalar] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                # odd exponents collide -> zero; count inversions for the sign
-                swaps = 0
-                dead = False
-                behind = 0  # odd generators of ka seen so far (scanning right to left)
-                for i in reversed(odd):
-                    if kb[i]:
-                        if ka[i]:
-                            dead = True
-                            break
-                        swaps += behind
-                    if ka[i]:
-                        behind += 1
-                if dead:
-                    continue
-                key = tuple(a + b for a, b in zip(ka, kb))
-                if hidx is not None and key[hidx] > horder:
-                    continue
-                c = ca * cb
-                _accumulate(out, key, -c if swaps & 1 else c)
-        return self._raw(space, out)
+        return _mac(self.space, ((1, self, other),))
 
     def __rmul__(self, other) -> "GradedPoly":
         if isinstance(other, (Scalar, int, Fraction)):
@@ -307,10 +413,11 @@ class GradedPoly:
                                      f"exceeds the cap of {MAX_POWER_TERMS} "
                                      f"terms")
         # unchecked steps: one may pass the product estimate, but the power's
-        # own estimate already bounds every step's result
+        # own estimate already bounds every step's result; as the bits
+        # estimate assumes, each step's coefficients are reduced
         out = GradedPoly.one(self.space)
         for _ in range(n):
-            out = out._times(self)
+            out = _mac(self.space, ((1, out, self),), capped=False)
         return out
 
     def __eq__(self, other) -> bool:
@@ -575,11 +682,9 @@ def pairing_bracket(f: GradedPoly, g: GradedPoly,
     w = eta_i) and the field/antifield bracket (u = v_i, w = its antifield).
     """
     _require_same_space(f, g)
-    out = GradedPoly.zero(f.space)
-    for u, w in pairs:
-        out = out + f.deriv_right(u) * g.deriv_left(w)
-        out = out - f.deriv_right(w) * g.deriv_left(u)
-    return out
+    return _mac(f.space, [term for u, w in pairs for term in (
+        (1, f.deriv_right(u), g.deriv_left(w)),
+        (-1, f.deriv_right(w), g.deriv_left(u)))])
 
 
 @dataclass(frozen=True)

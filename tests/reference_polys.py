@@ -6,13 +6,82 @@ is raised to its exponents with ``**`` and each derivative strikes one
 generator.  They are written out independently of those kernels, so the
 library's `evaluate`, `deriv_left` and `deriv_right`, and the evaluator
 behind `star` at a point, have an oracle.
+
+`times`, `power`, `pairing_bracket` and `pairing` are the products and
+bracket contractions from before the multiply-accumulate kernel: one
+`Scalar` product per term pair, each partial sum added one `Scalar` at a
+time.  The brackets multiply with `times`, never with `*`, so they share
+no arithmetic with the kernel they check.
 """
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from starprod.errors import InputError
+from starprod.poisson import Multivector
 from starprod.scalars import Scalar, ScalarLike
 from starprod.superalg import GradedPoly, _accumulate
+
+
+def times(a: GradedPoly, b: GradedPoly) -> GradedPoly:
+    """The product of two polynomials of one space, with no size check."""
+    space = a.space
+    odd = space.odd_indices
+    hidx = space.hbar_index
+    horder = space.hbar_order
+    out: dict[tuple[int, ...], Scalar] = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            # odd exponents collide -> zero; count inversions for the sign
+            swaps = 0
+            dead = False
+            behind = 0  # odd generators of ka seen so far (scanning right to left)
+            for i in reversed(odd):
+                if kb[i]:
+                    if ka[i]:
+                        dead = True
+                        break
+                    swaps += behind
+                if ka[i]:
+                    behind += 1
+            if dead:
+                continue
+            key = tuple(x + y for x, y in zip(ka, kb))
+            if hidx is not None and key[hidx] > horder:
+                continue
+            c = ca * cb
+            _accumulate(out, key, -c if swaps & 1 else c)
+    return GradedPoly._raw(space, out)
+
+
+def power(p: GradedPoly, n: int) -> GradedPoly:
+    """p^n as n steps of `times`, with no cap."""
+    out = GradedPoly.one(p.space)
+    for _ in range(n):
+        out = times(out, p)
+    return out
+
+
+def pairing_bracket(f: GradedPoly, g: GradedPoly,
+                    pairs: Iterable[tuple[str, str]]) -> GradedPoly:
+    """sum over pairs (u, w) of (right-deriv of f by u) * (left-deriv of g
+    by w) - (right-deriv of f by w) * (left-deriv of g by u)."""
+    out = GradedPoly.zero(f.space)
+    for u, w in pairs:
+        out = out + times(f.deriv_right(u), g.deriv_left(w))
+        out = out - times(f.deriv_right(w), g.deriv_left(u))
+    return out
+
+
+def pairing(alpha: Multivector, u: Mapping[int, GradedPoly],
+            v: Mapping[int, GradedPoly]) -> GradedPoly:
+    """sum over components a^{ij} (u_i v_j - u_j v_i); u and v map
+    coordinates to polynomials (gradients, one-form components), else zero."""
+    zero = GradedPoly.zero(alpha.ring())
+    total = zero
+    for (i, j), a in alpha.components.items():
+        total = total + times(a, times(u.get(i, zero), v.get(j, zero))
+                              - times(u.get(j, zero), v.get(i, zero)))
+    return total
 
 
 def evaluate(p: GradedPoly, point: Mapping[str, ScalarLike]) -> Scalar:

@@ -347,6 +347,14 @@ def test_power_caps_refuse_before_multiplying():
             base ** n
 
 
+def test_largest_admitted_power_matches_the_reference_loop():
+    # C(100, 2) = 4,950 terms pass the term cap; C(101, 2) = 5,050 do not
+    base = parse_poly("1/13*x1 - 2/11*x2 + 3/7*x3", coeff_space(3))
+    assert base ** 98 == reference_polys.power(base, 98)
+    with pytest.raises(ResourceLimitError, match=f"cap of {MAX_POWER_TERMS}"):
+        base ** 99
+
+
 def test_product_cap_refuses_before_multiplying(monkeypatch):
     ring = coeff_space(3)
     dense = parse_poly("x1 + x2 + x3 + 1", ring) ** 20  # 1,771 terms

@@ -8,6 +8,9 @@ import importlib.util
 from pathlib import Path
 
 import starprod
+# the tracer resolves each layer through the starprod modules already
+# imported, and the package does not import its CLI
+import starprod.cli  # noqa: F401
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 

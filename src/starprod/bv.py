@@ -25,13 +25,13 @@ passes the qme test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from dataclasses import dataclass, fields as dataclass_fields
+from typing import Mapping, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError, require_int
 from .scalars import Scalar
-from .superalg import (DEFAULT_HBAR_ORDER, GradedPoly, GradedSpace,
-                       pairing_bracket)
+from .superalg import (DEFAULT_HBAR_ORDER, MAX_COORDINATES, GradedPoly,
+                       GradedSpace, pairing_bracket)
 
 FieldSpec = Sequence[tuple[str, int]]
 
@@ -51,6 +51,9 @@ class BVSpace:
               hbar_order: int = DEFAULT_HBAR_ORDER) -> "BVSpace":
         if not isinstance(fields, (list, tuple)):
             raise InputError("fields must be a list of (name, parity) pairs")
+        if len(fields) > MAX_COORDINATES:
+            raise ResourceLimitError(f"{len(fields)} fields exceed the cap of "
+                                     f"{MAX_COORDINATES}")
         names = []
         parities = []
         for entry in fields:
@@ -59,9 +62,7 @@ class BVSpace:
             name, parity = entry
             if not isinstance(name, str) or not name:
                 raise InputError("field names must be nonempty strings")
-            if not isinstance(parity, int) or isinstance(parity, bool) \
-                    or parity not in (0, 1):
-                raise InputError(f"field {name!r} parity must be 0 or 1")
+            require_int(parity, f"field {name!r} parity", 0, 1)
             names.append(name)
             parities.append(parity)
         if not names:
@@ -147,13 +148,7 @@ class AxiomReport:
     laplacian_square: GradedPoly
 
     def residuals(self) -> dict[str, GradedPoly]:
-        return {
-            "antisymmetry": self.antisymmetry,
-            "jacobi": self.jacobi,
-            "leibniz": self.leibniz,
-            "compatibility": self.compatibility,
-            "laplacian_square": self.laplacian_square,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
 
     def all_zero(self) -> bool:
         return all(r.is_zero() for r in self.residuals().values())
@@ -183,14 +178,14 @@ def check_bv_axioms(space: BVSpace, f: GradedPoly, g: GradedPoly,
     def lap(a):
         return bv_laplacian(space, a)
 
-    antisymmetry = br(f, g) + br(g, f) * _sign((pf + 1) * (pg + 1))
-    jacobi = br(f, br(g, h)) - br(br(f, g), h) \
-        - br(g, br(f, h)) * _sign((pf + 1) * (pg + 1))
-    leibniz = br(f, g * h) - br(f, g) * h - g * br(f, h) * _sign((pf + 1) * pg)
-    compatibility = br(f, g) - lap(f * g) * _sign(pf) \
-        + lap(f) * g * _sign(pf) + f * lap(g)
-    return AxiomReport(antisymmetry, jacobi, leibniz, compatibility,
-                       lap(lap(f)))
+    fg, fh, lf = br(f, g), br(f, h), lap(f)
+    antisymmetry = fg + br(g, f) * _sign((pf + 1) * (pg + 1))
+    jacobi = br(f, br(g, h)) - br(fg, h) \
+        - br(g, fh) * _sign((pf + 1) * (pg + 1))
+    leibniz = br(f, g * h) - fg * h - g * fh * _sign((pf + 1) * pg)
+    compatibility = fg - lap(f * g) * _sign(pf) \
+        + lf * g * _sign(pf) + f * lap(g)
+    return AxiomReport(antisymmetry, jacobi, leibniz, compatibility, lap(lf))
 
 
 @dataclass(frozen=True)

@@ -23,3 +23,12 @@ class InternalError(StarprodError):
 
 class CalibrationError(InternalError):
     """The propagator/vertex weight calibration produced inconsistent constants."""
+
+
+def require_int(value, what: str, low: int = 0, high: int | None = None) -> int:
+    """value if it is an int in low..high (a bool is not), else InputError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low \
+            or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise InputError(f"{what} must be an integer {bound}")
+    return value

@@ -1,7 +1,8 @@
 """Bracket of one-forms induced by a bivector, by two independent routes.
 
 The geometric route composes standard operations: a one-form w is anchored
-to the vector field X_w = <w, alpha>, and
+to the vector field X_w = i_w alpha, the insertion of w into the bivector
+(one_form_insertion), and
 
     [w1, w2] = L_{X_{w1}} w2 - L_{X_{w2}} w1 - d<alpha | w1 ^ w2>
 
@@ -40,9 +41,7 @@ class DifferentialForm(ComponentField):
 
 def exact_form(f: GradedPoly) -> DifferentialForm:
     """df as a one-form; f is a plain polynomial in x1..xd."""
-    d = len(f.space)
-    return DifferentialForm(d, 1, {(i,): f.deriv_left(f"x{i}")
-                                   for i in range(1, d + 1)})
+    return exterior_derivative(DifferentialForm(len(f.space), 0, {(): f}))
 
 
 def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
@@ -116,19 +115,9 @@ def lie_derivative(X: Multivector, omega: DifferentialForm) -> DifferentialForm:
 
 
 def anchor(alpha: Multivector, w: DifferentialForm) -> Multivector:
-    """The vector field X_w with components X^j = sum_i w_i A^{ij}."""
+    """The vector field X_w = i_w alpha, X^j = sum_i w_i A^{ij}."""
     _check_bracket_args(alpha, w, w)
-    pairs: dict[tuple[int, ...], list] = {}
-    for (i, j), a in alpha.components.items():
-        wi = w.components.get((i,))
-        wj = w.components.get((j,))
-        if wi is not None:
-            pairs.setdefault((j,), []).append((1, wi, a))
-        if wj is not None:
-            pairs.setdefault((i,), []).append((-1, wj, a))
-    ring = alpha.ring()
-    return Multivector(alpha.dim, 1, {key: _mac(ring, terms)
-                                      for key, terms in pairs.items()})
+    return one_form_insertion(w, alpha)
 
 
 def _check_bracket_args(alpha: Multivector, w1: DifferentialForm,

@@ -19,7 +19,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterable, Iterator, Union
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, require_int
 
 Tree = Union[int, tuple]
 
@@ -126,9 +126,7 @@ def _trees_over(leaves: tuple[int, ...]) -> tuple[Tree, ...]:
 
 def dim(n: int) -> int:
     """Dimension of the complex on n inputs."""
-    if not isinstance(n, int) or n < 2:
-        raise InputError("the complex needs at least 2 inputs")
-    return n - 2
+    return require_int(n, "the number of inputs", 2) - 2
 
 
 def stratum_count(n: int, codim: int) -> int:
@@ -139,9 +137,7 @@ def stratum_count(n: int, codim: int) -> int:
     Kirkman-Cayley number C(n-2, c) C(n+c, c) / (c+1).
     """
     top = dim(n)
-    if not isinstance(codim, int) or isinstance(codim, bool) \
-            or not 0 <= codim <= top:
-        raise InputError(f"codimension must lie in 0..{top} for n={n}")
+    require_int(codim, f"the codimension for n={n}", 0, top)
     if n > MAX_N:
         raise ResourceLimitError(f"n={n} exceeds the cap of {MAX_N} inputs")
     return comb(n - 2, codim) * comb(n + codim, codim) // (codim + 1)
@@ -188,8 +184,7 @@ class FacetComposition:
 
 def facet_compositions(n: int) -> tuple[FacetComposition, ...]:
     """The codimension-1 strata with their substitution descriptions."""
-    if not isinstance(n, int) or n < 3:
-        raise InputError("facets need at least 3 inputs")
+    require_int(n, "the number of inputs of a facet listing", 3)
     _require_listable(n, (1,))
     out = []
     for inner in range(2, n):

@@ -22,10 +22,11 @@ import operator
 from itertools import combinations
 from typing import Mapping, Optional, Sequence, Union
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, ResourceLimitError, require_int
 from .scalars import Scalar, ScalarLike
-from .superalg import (DEFAULT_HBAR_ORDER, GradedPoly, GradedSpace, _mac,
-                       coeff_space, pairing_bracket, super_space, taylor_shift)
+from .superalg import (DEFAULT_HBAR_ORDER, MAX_COORDINATES, GradedPoly,
+                       GradedSpace, _mac, coeff_space, pairing_bracket,
+                       super_space, taylor_shift)
 
 Index = tuple[int, ...]
 
@@ -43,13 +44,11 @@ class ComponentField:
 
     def __init__(self, dim: int, degree: int,
                  components: Optional[Mapping[Sequence[int], Union[GradedPoly, ScalarLike]]] = None):
-        for what, value in (("dimension", dim), ("degree", degree)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InputError(f"{what} must be an integer")
-        if dim < 1:
-            raise InputError("dimension must be positive")
-        if degree < 0:
-            raise InputError("degree must be nonnegative")
+        require_int(dim, "dimension", 1)
+        require_int(degree, "degree")
+        if dim > MAX_COORDINATES:
+            raise ResourceLimitError(f"dimension {dim} exceeds the cap of "
+                                     f"{MAX_COORDINATES} coordinates")
         ring = coeff_space(dim)
         clean: dict[Index, GradedPoly] = {}
         if components:
@@ -58,8 +57,8 @@ class ComponentField:
                 if len(key) != degree:
                     raise InputError(f"component key {key} has length "
                                      f"{len(key)}, expected degree {degree}")
-                if any(not isinstance(i, int) or not 1 <= i <= dim for i in key):
-                    raise InputError(f"component indices {key} out of range 1..{dim}")
+                for i in key:
+                    require_int(i, f"each index of component {key}", 1, dim)
                 if any(key[t] >= key[t + 1] for t in range(len(key) - 1)):
                     raise InputError(f"component key {key} must be strictly ascending")
                 if not isinstance(value, GradedPoly):
@@ -307,23 +306,27 @@ def poisson_bracket(alpha: Multivector, f: GradedPoly, g: GradedPoly) -> GradedP
         raise InputError("bracket arguments must live in the coefficient ring "
                          f"of the bivector (x1..x{alpha.dim})")
     coords = {i for key in alpha.components for i in key}
-    return _pairing(alpha, {i: f.deriv_left(f"x{i}") for i in coords},
-                    {i: g.deriv_left(f"x{i}") for i in coords})
+    # the gradients keep the coordinates each polynomial uses, so that
+    # _pairing skips every product with a zero derivative
+    u, v = ({i: p.deriv_left(f"x{i}") for i in coords
+             if any(key[i - 1] for key in p.terms)} for p in (f, g))
+    return _pairing(alpha, u, v)
 
 
 def _pairing(alpha: Multivector, u: Mapping[int, GradedPoly],
              v: Mapping[int, GradedPoly]) -> GradedPoly:
     """sum over components a^{ij} (u_i v_j - u_j v_i); u and v map
-    coordinates to polynomials (gradients, one-form components), else zero."""
+    coordinates to polynomials (gradients, one-form components), else zero.
+    A product with a missing entry is skipped, and so is a component with
+    none left."""
     ring = alpha.ring()
-    zero = GradedPoly.zero(ring)
-
-    def skew(i: int, j: int) -> GradedPoly:
-        return _mac(ring, ((1, u.get(i, zero), v.get(j, zero)),
-                           (-1, u.get(j, zero), v.get(i, zero))))
-
-    return _mac(ring, [(1, a, skew(i, j))
-                       for (i, j), a in alpha.components.items()])
+    terms = []
+    for (i, j), a in alpha.components.items():
+        skew = [(s, u[p], v[q]) for s, p, q in ((1, i, j), (-1, j, i))
+                if p in u and q in v]
+        if skew:
+            terms.append((1, a, _mac(ring, skew)))
+    return _mac(ring, terms)
 
 
 def _require_bivector(alpha: Multivector) -> None:

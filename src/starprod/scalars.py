@@ -198,9 +198,11 @@ ONE = Scalar(Fraction(1))
 HALF_I = Scalar(Fraction(0), Fraction(1, 2))
 
 
-def _part_strings(z: Scalar) -> tuple[str, str]:
-    """The real and imaginary parts as literals ("3", "-1/2"), refusing a
-    part over MAX_DIGITS digits before converting it."""
+def _render(z: Scalar, unit: str, parens: bool) -> str:
+    """The one scalar printer: the real part, then the imaginary part as a
+    multiple of unit ("i" or "*I", the sign kept, a coefficient of 1
+    dropped), in parentheses when both show and parens is set.  A part
+    over MAX_DIGITS digits is refused before it is converted."""
     parts = z.parts()
     for n in parts:
         # the bit length clears every part that is not near the limit
@@ -208,27 +210,22 @@ def _part_strings(z: Scalar) -> tuple[str, str]:
             raise ResourceLimitError(f"a result has a part over the cap of "
                                      f"{MAX_DIGITS} digits")
     a, p, b, q = parts
-    return (str(a) if p == 1 else f"{a}/{p}",
-            str(b) if q == 1 else f"{b}/{q}")
+    re = str(a) if p == 1 else f"{a}/{p}"
+    if not b:
+        return re
+    im = str(b) if q == 1 else f"{b}/{q}"
+    # a coefficient of 1 or -1 keeps only its sign: "i", "-I"
+    istr = im[:-1] + unit.lstrip("*") if im in ("1", "-1") else im + unit
+    if not a:
+        return istr
+    # istr already starts with the minus sign
+    text = f"{re}{istr}" if b < 0 else f"{re}+{istr}"
+    return f"({text})" if parens else text
 
 
 def format_scalar(z: Scalar) -> str:
     """Render a scalar in report style: "0", "3/2", "1/2i", "3/2-1/4i", "i"."""
-    re, im = _part_strings(z)
-    if im == "0":
-        return re
-    if im == "1":
-        istr = "i"
-    elif im == "-1":
-        istr = "-i"
-    else:
-        istr = f"{im}i"
-    if re == "0":
-        return istr
-    if im[0] != "-":
-        return f"{re}+{istr}"
-    # istr already starts with the minus sign
-    return f"{re}{istr}"
+    return _render(z, "i", False)
 
 
 def parse_rational(text: str, where: str) -> Fraction:
@@ -254,17 +251,4 @@ def parse_rational(text: str, where: str) -> Fraction:
 
 def scalar_to_expr(z: Scalar) -> str:
     """Render a scalar as a parseable expression: "3/2", "1/2*I", "(3/2-1/4*I)"."""
-    re, im = _part_strings(z)
-    if im == "0":
-        return re
-    if im == "1":
-        istr = "I"
-    elif im == "-1":
-        istr = "-I"
-    else:
-        istr = f"{im}*I"
-    if re == "0":
-        return istr
-    if im[0] != "-":
-        return f"({re}+{istr})"
-    return f"({re}{istr})"
+    return _render(z, "*I", True)

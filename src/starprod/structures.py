@@ -12,47 +12,35 @@ row divergence d_i A^{ij}, which several identities in the test suite rely on.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 from .errors import InputError
 from .poisson import Multivector
 from .superalg import GradedPoly, coeff_space
 
 
-@lru_cache(maxsize=None)
-def canonical2d() -> Multivector:
-    return Multivector(2, 2, {(1, 2): 1})
+def _x(d: int, i: int) -> GradedPoly:
+    return GradedPoly.generator(coeff_space(d), f"x{i}")
+
+
+# name -> builder, in catalog order
+_BUILDERS: dict[str, Callable[[], Multivector]] = {
+    "canonical2d": lambda: Multivector(2, 2, {(1, 2): 1}),
+    "so3": lambda: Multivector(3, 2, {(1, 2): _x(3, 3), (2, 3): _x(3, 1),
+                                      (1, 3): -_x(3, 2)}),
+    "nonpoisson4d": lambda: Multivector(4, 2, {(1, 2): 1, (3, 4): _x(4, 1)}),
+}
+FIXTURE_NAMES = tuple(_BUILDERS)
 
 
 @lru_cache(maxsize=None)
-def so3() -> Multivector:
-    x = coeff_space(3)
-    return Multivector(3, 2, {
-        (1, 2): GradedPoly.generator(x, "x3"),
-        (2, 3): GradedPoly.generator(x, "x1"),
-        (1, 3): -GradedPoly.generator(x, "x2"),
-    })
-
-
-@lru_cache(maxsize=None)
-def nonpoisson4d() -> Multivector:
-    x = coeff_space(4)
-    return Multivector(4, 2, {
-        (1, 2): 1,
-        (3, 4): GradedPoly.generator(x, "x1"),
-    })
-
-
-FIXTURE_NAMES = ("canonical2d", "so3", "nonpoisson4d")
-
-
 def fixture(name: str) -> Multivector:
-    builders = {"canonical2d": canonical2d, "so3": so3,
-                "nonpoisson4d": nonpoisson4d}
     try:
-        return builders[name]()
+        builder = _BUILDERS[name]
     except KeyError:
         raise InputError(f"unknown structure {name!r}; available: "
                          + ", ".join(FIXTURE_NAMES)) from None
+    return builder()
 
 
 def all_fixtures() -> dict[str, Multivector]:

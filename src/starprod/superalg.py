@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import InputError, InternalError, ResourceLimitError
+from .errors import InputError, InternalError, ResourceLimitError, require_int
 from .scalars import ONE, Scalar, ScalarLike, _reduced
 
 HBAR = "hbar"
@@ -44,6 +44,8 @@ DEFAULT_HBAR_ORDER = 3
 MAX_POWER_DEGREE = 1000
 MAX_POWER_BITS = 100_000
 MAX_POWER_TERMS = 5000
+# coordinates a user can declare: a field's dimension, a BV space's fields
+MAX_COORDINATES = 16
 
 
 @dataclass(frozen=True)
@@ -64,10 +66,7 @@ class GradedSpace:
         if HBAR in self.names:
             if self.parities[self.names.index(HBAR)] != 0:
                 raise InputError("hbar must be an even generator")
-            order = self.hbar_order
-            if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-                raise InputError("spaces containing hbar need a nonnegative "
-                                 "integer truncation order")
+            require_int(self.hbar_order, "the hbar order of a space")
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -91,22 +90,21 @@ class GradedSpace:
             raise InputError(f"unknown generator {name!r}") from None
 
 
-@lru_cache(maxsize=None)
+# typed, so that a bool never reads the cached space of 0 or 1
+@lru_cache(maxsize=None, typed=True)
 def super_space(d: int, hbar_order: int = DEFAULT_HBAR_ORDER) -> GradedSpace:
     """The (xi, eta) superspace in dimension d with truncated hbar."""
-    if d < 1:
-        raise InputError("dimension must be positive")
+    require_int(d, "dimension", 1)
     names = tuple(f"xi{i}" for i in range(1, d + 1)) \
         + tuple(f"eta{i}" for i in range(1, d + 1)) + (HBAR,)
     parities = (0,) * d + (1,) * d + (0,)
     return GradedSpace(names, parities, hbar_order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def coeff_space(d: int) -> GradedSpace:
     """Plain commuting polynomials in x1..xd (no hbar)."""
-    if d < 1:
-        raise InputError("dimension must be positive")
+    require_int(d, "dimension", 1)
     return GradedSpace(tuple(f"x{i}" for i in range(1, d + 1)), (0,) * d)
 
 
@@ -383,14 +381,11 @@ class GradedPoly:
         _require_same_space(self, other)
         return _mac(self.space, ((1, self, other),))
 
-    def __rmul__(self, other) -> "GradedPoly":
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self * other
-        return self._coerce(other) * self
+    # scalars are even, so they commute with every polynomial
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "GradedPoly":
-        if not isinstance(n, int) or n < 0:
-            raise InputError("polynomial powers must be nonnegative integers")
+        require_int(n, "a polynomial power's exponent")
         degree = n * max(self.total_degree(), 1)
         if degree > MAX_POWER_DEGREE:
             raise ResourceLimitError(f"a power of degree {degree} exceeds the "
@@ -562,30 +557,25 @@ def mul(a: GradedPoly, b: GradedPoly) -> GradedPoly:
 
 def deriv_even(a: GradedPoly, i: int) -> GradedPoly:
     """Partial derivative in the i-th commuting superspace variable (1-based)."""
-    return a.deriv_left(_even_name(a.space, i))
+    return a.deriv_left(_indexed_name(a.space, "xi", i))
 
 
 def deriv_odd_left(a: GradedPoly, i: int) -> GradedPoly:
     """Left derivative in the i-th odd variable (1-based)."""
-    return a.deriv_left(_odd_name(a.space, i))
+    return a.deriv_left(_indexed_name(a.space, "eta", i))
 
 
 def deriv_odd_right(a: GradedPoly, i: int) -> GradedPoly:
     """Right derivative in the i-th odd variable (1-based)."""
-    return a.deriv_right(_odd_name(a.space, i))
+    return a.deriv_right(_indexed_name(a.space, "eta", i))
 
 
-def _even_name(space: GradedSpace, i: int) -> str:
-    name = f"xi{i}"
+def _indexed_name(space: GradedSpace, prefix: str, i: int) -> str:
+    """The generator prefix + i of the space ("xi2", "eta1"), or InputError."""
+    name = f"{prefix}{i}"
     if name not in space._index:
-        raise InputError(f"even index {i} out of range for this space")
-    return name
-
-
-def _odd_name(space: GradedSpace, i: int) -> str:
-    name = f"eta{i}"
-    if name not in space._index:
-        raise InputError(f"odd index {i} out of range for this space")
+        kind = "odd" if prefix == "eta" else "even"
+        raise InputError(f"{kind} index {i} out of range for this space")
     return name
 
 

@@ -62,7 +62,8 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Callable, Mapping, Optional, Sequence
 
-from .errors import CalibrationError, InputError, ResourceLimitError
+from .errors import (CalibrationError, InputError, ResourceLimitError,
+                     require_int)
 from .poisson import Multivector, _require_bivector, poisson_bracket
 from .scalars import HALF_I, ONE, Scalar, ScalarLike
 from .superalg import (GradedPoly, GradedSpace, HbarSeries, _accumulate,
@@ -153,14 +154,12 @@ def _check_factors(alpha: Multivector, u: Series, v: Series, order: int,
     ring = alpha.ring()
     for side in (u, v):
         for k, p in side.items():
-            if not isinstance(k, int) or k < 0:
-                raise InputError("series keys must be nonnegative integers")
+            require_int(k, "each series key")
             if not isinstance(p, GradedPoly) or p.space != ring:
                 raise InputError("factors must live in the coefficient ring "
                                  f"of the bivector (x1..x{alpha.dim})")
-    for what, value in (("order", order), ("max_work", max_work)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise InputError(f"{what} must be a nonnegative integer")
+    require_int(order, "order")
+    require_int(max_work, "max_work")
     if order > MAX_ORDER:
         raise ResourceLimitError(f"order {order} exceeds the cap {MAX_ORDER}")
     us = [(k, p) for k, p in sorted(u.items()) if k <= order and p.terms]

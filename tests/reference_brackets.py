@@ -1,4 +1,5 @@
-"""Independent reference implementation of the multivector bracket.
+"""Independent reference implementations of the multivector bracket and
+the anchor of a one-form.
 
 This deliberately avoids the library's odd-coordinate machinery: it
 evaluates the classical component formula directly, with explicit
@@ -11,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
-from starprod import GradedPoly, Multivector, coeff_space
+from starprod import DifferentialForm, GradedPoly, Multivector, coeff_space
 
 
 def _perm_sign(seq):
@@ -79,3 +80,21 @@ def schouten_direct(a, b):
             comps[key] = value
     result = Multivector(dim, out_degree, comps)
     return -result
+
+
+def anchor(alpha, w):
+    """X^j = sum_i w_i A^{ij}: the component loop koszul.anchor ran before it
+    became the insertion of w into alpha."""
+    if not isinstance(alpha, Multivector) or alpha.degree != 2 \
+            or not isinstance(w, DifferentialForm) or w.degree != 1:
+        raise ValueError("anchor takes a bivector and a one-form")
+    ring = alpha.ring()
+    comps = {}
+    for (i, j), a in alpha.components.items():
+        wi = w.components.get((i,))
+        wj = w.components.get((j,))
+        if wi is not None:
+            comps[(j,)] = comps.get((j,), GradedPoly.zero(ring)) + wi * a
+        if wj is not None:
+            comps[(i,)] = comps.get((i,), GradedPoly.zero(ring)) - wj * a
+    return Multivector(alpha.dim, 1, comps)

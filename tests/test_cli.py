@@ -5,12 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import starprod
 from starprod.cli import main
+from starprod.superalg import MAX_COORDINATES
 
 
 def run(argv):
@@ -326,6 +329,33 @@ def test_malformed_input_exits_2(capsys, argv):
 def test_moduli_jobs_over_the_cap_exit_3(capsys, argv):
     assert run(argv) == (3, "")
     assert "cap of" in capsys.readouterr().err
+
+
+def _bivector(dim, components):
+    return json.dumps({"dim": dim, "degree": 2, "components": components})
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-poisson", "--alpha", _bivector(10 ** 8, {"1,2": "x1"})],
+    ["check-poisson", "--alpha", _bivector(MAX_COORDINATES + 1, {"1,2": "x1"})],
+    ["bv-check", "--space", json.dumps({"fields": [
+        [f"v{i}", 0] for i in range(MAX_COORDINATES + 1)]}),
+     "--f", "v0", "--g", "v1", "--h", "v2"],
+], ids=["dim-1e8", "dim-over-cap", "fields-over-cap"])
+def test_declared_coordinates_over_the_cap_exit_3_at_once(capsys, argv):
+    start = time.perf_counter()
+    assert run(argv) == (3, "")
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
+def test_densest_constant_bivector_under_the_cap_is_poisson():
+    components = {f"{i},{j}": str(i + j) for i, j in
+                  combinations(range(1, MAX_COORDINATES + 1), 2)}
+    report = run_json(["check-poisson", "--alpha",
+                       _bivector(MAX_COORDINATES, components)])
+    assert report["poisson"] is True and report["witness"] is None
 
 
 def test_parser_is_shared_without_leaking_state(tmp_path):

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starprod.cli import main
+from starprod.superalg import MAX_COORDINATES
 
 # stand-ins for file names, replaced by paths in the test's directory: an
 # example writes the job and data files, the other two hold fixed bytes
@@ -50,6 +51,12 @@ POOLS = {
         json.dumps({"dim": 2, "degree": 2, "components": {"1,2": "x1^2"}}),
         json.dumps({"fields": [["v", 0], ["c", 1]]}),
         json.dumps({"fields": [["v", 0]], "hbar_order": 1}),
+        # past the cap on declared coordinates, which must refuse them at once
+        json.dumps({"dim": MAX_COORDINATES + 1, "degree": 2,
+                    "components": {"1,2": "x3"}}),
+        json.dumps({"dim": 10 ** 8, "degree": 2, "components": {"1,2": "x1"}}),
+        json.dumps({"fields": [[f"v{i}", i % 2]
+                               for i in range(MAX_COORDINATES + 1)]}),
         '{"dim": 3', "[]", "{}"],
     "expr": ["x1", "x1*x2 - 1/2", "x2^2 + I*x3", "vp*c", "c*v", "v^2",
              "(x1", "x1^", "1/0", "2^40", "x9"],

@@ -25,6 +25,7 @@ from starprod import (
     poisson_bracket,
     vector_insertion,
 )
+import reference_brackets
 from support import (odd_permutation, random_multivector, random_one_form,
                      random_poly, relabel)
 
@@ -88,6 +89,17 @@ def test_anchor_turns_forms_into_vectors():
     assert x.component(2) == parse_poly("x3", ring)
     assert x.component(3) == parse_poly("-x2", ring)
     assert x.component(1).is_zero()
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       dim=st.integers(min_value=2, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_anchor_matches_the_reference_loop(seed, dim):
+    rng = random.Random(seed)
+    ring = coeff_space(dim)
+    alpha = random_multivector(rng, dim, 2, ring)
+    w = random_one_form(rng, dim, ring)
+    assert anchor(alpha, w) == reference_brackets.anchor(alpha, w)
 
 
 def test_bracket_routes_agree_on_random_inputs():

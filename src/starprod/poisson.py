@@ -335,13 +335,14 @@ def _require_bivector(alpha: Multivector) -> None:
 
 
 def jacobi_defect(alpha: Multivector, i: int, j: int, k: int) -> GradedPoly:
-    """{{x_i,x_j},x_k} + {{x_j,x_k},x_i} + {{x_k,x_i},x_j}."""
+    """{{x_i,x_j},x_k} + {{x_j,x_k},x_i} + {{x_k,x_i},x_j}; each inner
+    bracket {x_a, x_b} is the component A^{ab} itself."""
     _require_bivector(alpha)
     ring = alpha.ring()
     x = {t: GradedPoly.generator(ring, f"x{t}") for t in (i, j, k)}
     out = GradedPoly.zero(ring)
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        out = out + poisson_bracket(alpha, poisson_bracket(alpha, x[a], x[b]), x[c])
+        out = out + poisson_bracket(alpha, alpha.component(a, b), x[c])
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Optional, Union
 
 from .errors import InputError, ResourceLimitError
 
@@ -76,8 +76,10 @@ class Scalar:
         elif type(other) is int:
             # gcd(a + n d, b, d) = gcd(a, b, d) = 1
             return _exact(a + other * d, b, d)
+        elif (parts := _ints(other)) is None:
+            return NotImplemented
         else:
-            c, e, f = _ints(other)
+            c, e, f = parts
         if d == f:
             return _reduced(a + c, b + e, d)
         return _reduced(a * f + c * d, b * f + e * d, d * f)
@@ -90,8 +92,10 @@ class Scalar:
             c, e, f = other._a, other._b, other._d
         elif type(other) is int:
             return _exact(a - other * d, b, d)
+        elif (parts := _ints(other)) is None:
+            return NotImplemented
         else:
-            c, e, f = _ints(other)
+            c, e, f = parts
         if d == f:
             return _reduced(a - c, b - e, d)
         return _reduced(a * f - c * d, b * f - e * d, d * f)
@@ -108,15 +112,19 @@ class Scalar:
             c, e, f = other._a, other._b, other._d
         elif type(other) is int:
             return _reduced(a * other, b * other, d)
+        elif (parts := _ints(other)) is None:
+            return NotImplemented
         else:
-            c, e, f = _ints(other)
+            c, e, f = parts
         return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
+        if (parts := _ints(other)) is None:
+            return NotImplemented
         a, b, d = self._a, self._b, self._d
-        c, e, f = _ints(other)
+        c, e, f = parts
         # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
         n = c * c + e * e
         if n == 0:
@@ -186,12 +194,13 @@ def _reduced(a: int, b: int, d: int) -> Scalar:
     return _exact(a, b, d)
 
 
-def _ints(value: ScalarLike) -> tuple[int, int, int]:
-    """(a, b, d) of a Scalar, int or Fraction operand, or TypeError."""
-    if isinstance(value, Fraction):
+def _ints(value) -> Optional[tuple[int, int, int]]:
+    """(a, b, d) of a Scalar, int or Fraction operand, else None."""
+    if isinstance(value, Scalar):
+        return value._a, value._b, value._d
+    if isinstance(value, (int, Fraction)):
         return value.numerator, 0, value.denominator
-    value = Scalar.of(value)
-    return value._a, value._b, value._d
+    return None
 
 
 ONE = Scalar(Fraction(1))

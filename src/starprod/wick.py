@@ -21,8 +21,8 @@ J, M, K) before any polynomial work.  Three prunings keep the tally small:
 a derivative is zero exactly when no monomial of the polynomial dominates
 its count vector, which is tested without differentiating; a multiset whose
 2n legs cannot all land (2n > deg f + deg g + deg P_M) is skipped, and so
-is a split that leaves P_M more legs than its degree; the products P_M are
-built from each other and shared across multisets and orders.
+is a split that leaves P_M more legs than its degree.  P_M, the orientation
+classes and the rooms are built once per bivector and kept in a bounded table.
 
 Every product is a series product sum_{k,l} hbar^(k+l) u_k * v_l (star has
 one coefficient a side).  The C^(n)_IJ depend on the factors only through
@@ -60,7 +60,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import (CalibrationError, InputError, ResourceLimitError,
                      require_int)
@@ -167,25 +167,24 @@ def _check_factors(alpha: Multivector, u: Series, v: Series, order: int,
     return ring, us, vs, (order - us[0][0] - vs[0][0] if us and vs else -1)
 
 
-def _rooms(polys: Sequence[GradedPoly]) -> Callable[[tuple[int, ...]], int]:
+class _Rooms(dict):
     """counts -> how many more derivatives d^counts leaves some poly, or -1.
 
     d^K x^beta is nonzero exactly when beta dominates K, and distinct beta
     stay distinct, so d^K p vanishes exactly when no monomial of its
     support dominates the count vector K.  Nothing is differentiated.
     """
-    support = {beta: sum(beta) for p in polys for beta in p.terms}.items()
-    cache: dict[tuple[int, ...], int] = {}
 
-    def room(counts: tuple[int, ...]) -> int:
-        got = cache.get(counts)
-        if got is None:
-            degs = [deg for beta, deg in support
-                    if all(map(operator.ge, beta, counts))]
-            got = cache[counts] = max(degs) - sum(counts) if degs else -1
+    __slots__ = ("support",)
+
+    def __init__(self, polys: Sequence[GradedPoly]):
+        self.support = {b: sum(b) for p in polys for b in p.terms}.items()
+
+    def __missing__(self, counts: tuple[int, ...]) -> int:
+        degs = [deg for beta, deg in self.support
+                if all(map(operator.ge, beta, counts))]
+        got = self[counts] = max(degs) - sum(counts) if degs else -1
         return got
-
-    return room
 
 
 def _multisets(n: int, count: int):
@@ -223,7 +222,7 @@ def _orientations(keys: Sequence[tuple[int, int]], mult: tuple[int, ...],
     return {key: w * weight for key, w in classes.items()}
 
 
-def _landings(legs: tuple[int, ...], room: Callable, sign: int) -> list:
+def _landings(legs: tuple[int, ...], room: _Rooms, sign: int) -> list:
     """Which of the legs of each direction land on one factor.
 
     Entries (D, C(legs, D) * sign^(|legs| - |D|), |D|) for each D <= legs
@@ -233,13 +232,41 @@ def _landings(legs: tuple[int, ...], room: Callable, sign: int) -> list:
     out = []
     total = sum(legs)
     for sub in product(*(range(k + 1) for k in legs)):
-        if room(sub) >= 0:
+        if room[sub] >= 0:
             w = sign ** (total - sum(sub))
             for k, s in zip(legs, sub):
                 w *= math.comb(k, s)
             out.append((sub, w, sum(sub)))
     out.sort(key=lambda entry: -entry[2])
     return out
+
+
+class _Pieces:
+    """One bivector's factor-independent pieces, built on first use: P_M by
+    multiset M, and the rooms of P_M and classes of M for each M reached."""
+
+    def __init__(self, alpha: Multivector):
+        self.keys = sorted(alpha.components)
+        self.comps = [alpha.components[key] for key in self.keys]
+        self.degs = [p.total_degree() for p in self.comps]
+        self.polys = {(0,) * len(self.keys): GradedPoly.one(alpha.ring())}
+        self.multisets, self.size = {}, 0  # size: entries at the last trim
+
+    def product(self, mult: tuple[int, ...]) -> GradedPoly:
+        """P_M, from the product with one factor fewer."""
+        got = self.polys.get(mult)
+        if got is None:
+            c = max(k for k, m in enumerate(mult) if m)
+            got = self.polys[mult] = (self.product(_bump(mult, c, -1))
+                                      * self.comps[c])
+        return got
+
+
+# pieces by bivector content, least recently used first, trimmed to both
+# bounds (entries: P_M terms, room values, classes) after each operator
+_TABLE: dict[tuple, _Pieces] = {}
+_TABLE_BIVECTORS = 8
+_TABLE_ENTRIES = 50_000
 
 
 def _operator(alpha: Multivector, u: Series, v: Series, order: int,
@@ -252,18 +279,19 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
     supports of each side's coefficients, so one operator serves every pair
     (u_k, v_l), and it stops at the highest order such a pair needs.  Each
     multiset of components, each orientation class of it and each split of
-    its legs between u, v and P_M is one unit of work against max_work.
+    its legs between u, v and P_M is one unit of work against max_work,
+    whether or not the bivector's pieces were already in the table.
     """
-    ring, us, vs, reach = _check_factors(alpha, u, v, order, max_work)
-    keys = sorted(alpha.components)
-    comps = [alpha.components[key] for key in keys]
-    degs = [p.total_degree() for p in comps]
-    room_u = _rooms([p for _, p in us])
-    room_v = _rooms([p for _, p in vs])
+    _, us, vs, reach = _check_factors(alpha, u, v, order, max_work)
+    key = (alpha.dim, tuple(sorted(
+        (k, tuple(sorted((m, c.parts()) for m, c in p.terms.items())))
+        for k, p in alpha.components.items())))
+    pieces = _TABLE[key] = _TABLE.pop(key, None) or _Pieces(alpha)
+    room_u = _Rooms([p for _, p in us])
+    room_v = _Rooms([p for _, p in vs])
     lefts: dict[tuple[int, ...], list] = {}
     rights: dict[tuple[int, ...], list] = {}
-    zero, none = (0,) * alpha.dim, (0,) * len(comps)
-    polys = {none: GradedPoly.one(ring)}
+    zero, none = (0,) * alpha.dim, (0,) * len(pieces.keys)
     work = 0
 
     def spend(units: int) -> None:
@@ -274,51 +302,53 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
                 f"operator enumeration exceeded max_work={max_work}; raise "
                 "the limit or lower the order")
 
-    def product_of(mult: tuple[int, ...]) -> GradedPoly:
-        # P_M from the product with one factor fewer
-        got = polys.get(mult)
-        if got is None:
-            c = max(k for k, m in enumerate(mult) if m)
-            got = polys[mult] = product_of(_bump(mult, c, -1)) * comps[c]
-        return got
-
     # B_0(u_k, v_l) = u_k v_l: no insertions
     orders = [{(zero, zero): {(none, zero): 1}}] if reach >= 0 else []
     # with no derivatives taken, the room is the largest degree
-    deg_uv = room_u(zero) + room_v(zero)
-    for n in range(1, reach + 1):
-        tally: dict = {}
-        for mult in _multisets(n, len(comps)):
-            spend(1)
-            # the 2n legs land on u, v and P_M, so at least need of them
-            # land on u and v
-            need = 2 * n - sum(map(operator.mul, mult, degs))
-            if need > deg_uv:
-                continue
-            room_p = _rooms([product_of(mult)])
-            classes = _orientations(keys, mult, alpha.dim)
-            spend(len(classes))
-            for (left, right), weight in classes.items():
-                legs = tuple(map(operator.add, left, right))
-                if right not in rights:
-                    rights[right] = _landings(right, room_v, -1)
-                if left not in lefts:
-                    lefts[left] = _landings(left, room_u, 1)
-                to_g = rights[right]
-                for I, wl, nl in lefts[left]:
-                    if not to_g or nl + to_g[0][2] < need:
-                        break
-                    for J, wr, nr in to_g:
-                        if nl + nr < need:
+    deg_uv = room_u[zero] + room_v[zero]
+    try:
+        for n in range(1, reach + 1):
+            tally: dict = {}
+            for mult in _multisets(n, len(pieces.keys)):
+                spend(1)
+                # the 2n legs land on u, v and P_M, so at least need of
+                # them land on u and v
+                need = 2 * n - sum(map(operator.mul, mult, pieces.degs))
+                if need > deg_uv:
+                    continue
+                if mult not in pieces.multisets:
+                    pieces.multisets[mult] = (
+                        _Rooms([pieces.product(mult)]),
+                        _orientations(pieces.keys, mult, alpha.dim))
+                room_p, classes = pieces.multisets[mult]
+                spend(len(classes))
+                for (left, right), weight in classes.items():
+                    legs = tuple(map(operator.add, left, right))
+                    if right not in rights:
+                        rights[right] = _landings(right, room_v, -1)
+                    if left not in lefts:
+                        lefts[left] = _landings(left, room_u, 1)
+                    to_g = rights[right]
+                    for I, wl, nl in lefts[left]:
+                        if not to_g or nl + to_g[0][2] < need:
                             break
-                        spend(1)
-                        K = tuple(map(operator.sub, legs,
-                                      map(operator.add, I, J)))
-                        if room_p(K) >= 0:
-                            _accumulate(tally.setdefault((I, J), {}),
-                                        (mult, K), weight * wl * wr)
-        orders.append({ij: cell for ij, cell in tally.items() if cell})
-    return polys, orders, us, vs, order
+                        for J, wr, nr in to_g:
+                            if nl + nr < need:
+                                break
+                            spend(1)
+                            K = tuple(map(operator.sub, legs,
+                                          map(operator.add, I, J)))
+                            if room_p[K] >= 0:
+                                _accumulate(tally.setdefault((I, J), {}),
+                                            (mult, K), weight * wl * wr)
+            orders.append({ij: cell for ij, cell in tally.items() if cell})
+    finally:
+        pieces.size = sum(len(p.terms) for p in pieces.polys.values()) + sum(
+            len(r) + len(c) for r, c in pieces.multisets.values())
+        total = sum(entry.size for entry in _TABLE.values())
+        while len(_TABLE) > _TABLE_BIVECTORS or total > _TABLE_ENTRIES:
+            total -= _TABLE.pop(next(iter(_TABLE))).size
+    return pieces.polys, orders, us, vs, order
 
 
 def _apply(op: Operator, point: Optional[Sequence[Scalar]] = None,
@@ -457,8 +487,8 @@ def _moyal_operator(alpha: Multivector, u: Series, v: Series, order: int,
         raise ResourceLimitError(
             f"about {len(entries) ** order} index rows at order {order} "
             f"exceed max_work={max_work}")
-    room_u = _rooms([p for _, p in us])
-    room_v = _rooms([p for _, p in vs])
+    room_u = _Rooms([p for _, p in us])
+    room_v = _Rooms([p for _, p in vs])
     zero = (0,) * alpha.dim
     orders = []
     for n in range(reach + 1):
@@ -467,7 +497,7 @@ def _moyal_operator(alpha: Multivector, u: Series, v: Series, order: int,
             I = J = zero
             for i, j, _ in row:
                 I, J = _bump(I, i, 1), _bump(J, j, 1)
-            if room_u(I) < 0 or room_v(J) < 0:
+            if room_u[I] < 0 or room_v[J] < 0:
                 continue
             _accumulate(coeffs, (I, J),
                         math.prod((value for _, _, value in row), start=ONE))

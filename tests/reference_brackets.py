@@ -1,5 +1,5 @@
-"""Independent reference implementations of the multivector bracket and
-the anchor of a one-form.
+"""Independent reference implementations of the multivector bracket, the
+anchor of a one-form and the Jacobi defect of a bivector.
 
 This deliberately avoids the library's odd-coordinate machinery: it
 evaluates the classical component formula directly, with explicit
@@ -12,7 +12,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
-from starprod import DifferentialForm, GradedPoly, Multivector, coeff_space
+from starprod import (DifferentialForm, GradedPoly, Multivector, coeff_space,
+                      poisson_bracket)
 
 
 def _perm_sign(seq):
@@ -98,3 +99,16 @@ def anchor(alpha, w):
         if wj is not None:
             comps[(i,)] = comps.get((i,), GradedPoly.zero(ring)) - wj * a
     return Multivector(alpha.dim, 1, comps)
+
+
+def jacobi_defect(alpha, i, j, k):
+    """{{x_i,x_j},x_k} + {{x_j,x_k},x_i} + {{x_k,x_i},x_j} with both brackets
+    of every cyclic term computed: the loop poisson.jacobi_defect ran before
+    it read each inner bracket off the components."""
+    ring = alpha.ring()
+    x = {t: GradedPoly.generator(ring, f"x{t}") for t in (i, j, k)}
+    out = GradedPoly.zero(ring)
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        out = out + poisson_bracket(alpha, poisson_bracket(alpha, x[a], x[b]),
+                                    x[c])
+    return out

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from starprod import (
     unsymbol,
     wedge,
 )
+import reference_brackets
 from reference_brackets import schouten_direct
 from support import (odd_permutation, random_basepoint, random_multivector,
                      random_poly, relabel)
@@ -248,6 +250,27 @@ def test_jacobi_classification_of_fixtures():
     assert poly_to_expr(defect) == "1"
     assert jacobi_defect(np4, 2, 3, 4) == defect
     assert jacobi_witness(fixture("so3")) is None
+
+
+@pytest.mark.parametrize("name", ["canonical2d", "so3", "nonpoisson4d"])
+def test_jacobi_defect_matches_the_reference_loop_on_fixtures(name):
+    alpha = fixture(name)
+    # every ordered triple, repeats included, so components are also read
+    # against their stored orientation and on the diagonal
+    for triple in product(range(1, alpha.dim + 1), repeat=3):
+        assert jacobi_defect(alpha, *triple) == \
+            reference_brackets.jacobi_defect(alpha, *triple)
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       dim=st.sampled_from([3, 4]))
+@settings(max_examples=20, deadline=None)
+def test_jacobi_defect_matches_the_reference_loop(seed, dim):
+    rng = random.Random(seed)
+    alpha = random_multivector(rng, dim, 2, coeff_space(dim))
+    for triple in permutations(range(1, dim + 1), 3):
+        assert jacobi_defect(alpha, *triple) == \
+            reference_brackets.jacobi_defect(alpha, *triple)
 
 
 def test_self_bracket_detects_jacobi():

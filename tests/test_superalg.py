@@ -125,6 +125,26 @@ def test_product_associative(data):
     assert (p * q) * r == p * (q * r)
 
 
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+scalar_likes = st.one_of(
+    st.integers(min_value=-9, max_value=9), rationals,
+    st.builds(Scalar, rationals),
+    st.builds(Scalar, rationals, rationals.filter(bool)))
+
+
+@given(data=poly_pairs(), c=scalar_likes)
+@settings(max_examples=60, deadline=None)
+def test_scalars_act_on_polynomials_from_either_side(data, c):
+    """A Scalar operand leaves a polynomial to GradedPoly's reflected
+    methods, as int and Fraction operands do."""
+    _, p, _ = data
+    assert c + p == p + c
+    assert c * p == p * c
+    assert c - p == -(p - c)
+    with pytest.raises(TypeError):
+        c / p
+
+
 @given(data=poly_pairs(), seed=st.integers(min_value=0, max_value=10 ** 6))
 @settings(max_examples=100, deadline=None)
 def test_kernels_match_the_per_generator_loops(data, seed):

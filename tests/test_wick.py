@@ -29,6 +29,7 @@ from starprod import (
     star_poly,
     star_series,
 )
+from starprod import wick
 from starprod.wick import DEFAULT_MAX_WORK, _order_weight
 from support import (
     random_basepoint,
@@ -344,6 +345,105 @@ def test_products_at_a_point_evaluate_the_polynomials(case):
     series = associator_poly(alpha, f, g, h, order=order)
     assert associator(alpha, f, g, h, point, order=order).coefficients == \
         tuple(series[k].evaluate(values) for k in range(order + 1))
+
+
+@given(case=product_cases())
+@settings(max_examples=10, deadline=None)
+def test_the_pieces_table_does_not_change_results(case):
+    """Each product from an empty table, then again from a table warmed by
+    other factors, gives the same result."""
+    alpha, f, g, h, point, order = case
+    products = (lambda: star_poly(alpha, f, g, order=order),
+                lambda: star(alpha, f, g, point, order=order).coefficients,
+                lambda: associator_poly(alpha, f, g, h, order=order))
+    cold = []
+    for product in products:
+        wick._TABLE.clear()
+        cold.append(product())
+    star_poly(alpha, h, f + g, order=3)
+    assert [product() for product in products] == cold
+
+
+def test_equal_bivectors_share_their_pieces():
+    ring = coeff_space(3)
+    f = parse_poly("x1^2*x2 + x3", ring)
+    g = parse_poly("x2*x3^2 + x1", ring)
+    wick._TABLE.clear()
+    first = dict(wick._operator(fixture("so3"), {0: f}, {0: g}, 4,
+                                DEFAULT_MAX_WORK)[0])
+    data = fixture("so3").to_data()
+    again = wick._operator(Multivector.from_data(data), {0: g}, {0: f}, 4,
+                           DEFAULT_MAX_WORK)[0]
+    assert len(first) > 1
+    assert all(again[mult] is p for mult, p in first.items())
+    data["components"]["2,3"] = "2*x1"
+    changed = wick._operator(Multivector.from_data(data), {0: f}, {0: g}, 4,
+                             DEFAULT_MAX_WORK)[0]
+    assert not any(changed.get(mult) is p for mult, p in first.items())
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_work_counts_do_not_depend_on_the_table(warm):
+    """The pinned budgets hold from an empty table and from a full one, so
+    a job is refused at the same point either way."""
+    ring = coeff_space(3)
+    f = parse_poly("x1^2*x2 + x3", ring)
+    g = parse_poly("x2*x3^2 + x1", ring)
+    h = parse_poly("x1*x3 + x2", ring)
+    so3 = fixture("so3")
+    runs = [(lambda w, n=n: star_poly(so3, f, g, order=n, max_work=w), work)
+            for n, work in BASELINE_WORK.items()]
+    runs += [(lambda w, n=n: associator_poly(so3, f, g, h, order=n,
+                                             max_work=w), work)
+             for n, work in ASSOCIATOR_WORK.items()]
+    for run, work in runs:
+        for budget in (work, work - 1):
+            wick._TABLE.clear()
+            if warm:
+                run(DEFAULT_MAX_WORK)
+            if budget < work:
+                with pytest.raises(ResourceLimitError):
+                    run(budget)
+            else:
+                run(budget)
+
+
+def _entries(pieces):
+    return (sum(len(p.terms) for p in pieces.polys.values())
+            + sum(len(room) + len(classes)
+                  for room, classes in pieces.multisets.values()))
+
+
+def test_the_pieces_table_stays_within_its_bounds(monkeypatch):
+    ring = coeff_space(3)
+    f = parse_poly("x1^2*x2 + x3", ring)
+    g = parse_poly("x2*x3^2 + x1", ring)
+    wick._TABLE.clear()
+    # more bivectors than the table keeps: the oldest are evicted
+    alphas = [Multivector(3, 2, {(1, 2): parse_poly(f"x3 + {c}", ring),
+                                 (2, 3): parse_poly("x1", ring)})
+              for c in range(wick._TABLE_BIVECTORS + 3)]
+    for alpha in alphas:
+        star_poly(alpha, f, g, order=3)
+        assert len(wick._TABLE) <= wick._TABLE_BIVECTORS
+    star_poly(alphas[-1], f, g, order=3)  # no new record for a kept one
+    assert len(wick._TABLE) == wick._TABLE_BIVECTORS
+    sizes = [_entries(pieces) for pieces in wick._TABLE.values()]
+    assert sizes == [pieces.size for pieces in wick._TABLE.values()]
+    # a smaller entry bound evicts the least recently used first, and a
+    # bivector over it on its own is not kept
+    bound = sum(sizes[-2:])
+    monkeypatch.setattr(wick, "_TABLE_ENTRIES", bound)
+    star_poly(alphas[-1], f, g, order=3)
+    assert sum(map(_entries, wick._TABLE.values())) <= bound
+    assert len(wick._TABLE) == 2
+    monkeypatch.setattr(wick, "_TABLE_ENTRIES", 50)
+    star_poly(fixture("so3"), f, g, order=5)
+    assert sum(map(_entries, wick._TABLE.values())) <= 50
+    # the refused product's pieces are not kept either
+    with pytest.raises(ResourceLimitError):
+        star_poly(fixture("so3"), f, g, order=6, max_work=1500)
+    assert sum(map(_entries, wick._TABLE.values())) <= 50
 
 
 def _det(m):

@@ -335,8 +335,7 @@ def _require_bivector(alpha: Multivector) -> None:
 
 
 def jacobi_defect(alpha: Multivector, i: int, j: int, k: int) -> GradedPoly:
-    """{{x_i,x_j},x_k} + {{x_j,x_k},x_i} + {{x_k,x_i},x_j}; each inner
-    bracket {x_a, x_b} is the component A^{ab} itself."""
+    """{{x_i,x_j},x_k} + {{x_j,x_k},x_i} + {{x_k,x_i},x_j}; {x_a,x_b}=A^ab."""
     _require_bivector(alpha)
     ring = alpha.ring()
     x = {t: GradedPoly.generator(ring, f"x{t}") for t in (i, j, k)}

@@ -22,7 +22,7 @@ a derivative is zero exactly when no monomial of the polynomial dominates
 its count vector, which is tested without differentiating; a multiset whose
 2n legs cannot all land (2n > deg f + deg g + deg P_M) is skipped, and so
 is a split that leaves P_M more legs than its degree.  P_M, the orientation
-classes and the rooms are built once per bivector and kept in a bounded table.
+classes and the rooms are built once per bivector, kept in a bounded table.
 
 Every product is a series product sum_{k,l} hbar^(k+l) u_k * v_l (star has
 one coefficient a side).  The C^(n)_IJ depend on the factors only through
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -262,11 +263,12 @@ class _Pieces:
         return got
 
 
-# pieces by bivector content, least recently used first, trimmed to both
-# bounds (entries: P_M terms, room values, classes) after each operator
+# pieces by bivector content, least recently used first; each operator holds
+# the lock from lookup to trim, so threads take turns at the table
 _TABLE: dict[tuple, _Pieces] = {}
 _TABLE_BIVECTORS = 8
-_TABLE_ENTRIES = 50_000
+_TABLE_ENTRIES = 50_000  # P_M terms, room values and classes
+_TABLE_LOCK = threading.Lock()
 
 
 def _operator(alpha: Multivector, u: Series, v: Series, order: int,
@@ -286,12 +288,11 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
     key = (alpha.dim, tuple(sorted(
         (k, tuple(sorted((m, c.parts()) for m, c in p.terms.items())))
         for k, p in alpha.components.items())))
-    pieces = _TABLE[key] = _TABLE.pop(key, None) or _Pieces(alpha)
     room_u = _Rooms([p for _, p in us])
     room_v = _Rooms([p for _, p in vs])
     lefts: dict[tuple[int, ...], list] = {}
     rights: dict[tuple[int, ...], list] = {}
-    zero, none = (0,) * alpha.dim, (0,) * len(pieces.keys)
+    zero, none = (0,) * alpha.dim, (0,) * len(alpha.components)
     work = 0
 
     def spend(units: int) -> None:
@@ -306,48 +307,52 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
     orders = [{(zero, zero): {(none, zero): 1}}] if reach >= 0 else []
     # with no derivatives taken, the room is the largest degree
     deg_uv = room_u[zero] + room_v[zero]
-    try:
-        for n in range(1, reach + 1):
-            tally: dict = {}
-            for mult in _multisets(n, len(pieces.keys)):
-                spend(1)
-                # the 2n legs land on u, v and P_M, so at least need of
-                # them land on u and v
-                need = 2 * n - sum(map(operator.mul, mult, pieces.degs))
-                if need > deg_uv:
-                    continue
-                if mult not in pieces.multisets:
-                    pieces.multisets[mult] = (
-                        _Rooms([pieces.product(mult)]),
-                        _orientations(pieces.keys, mult, alpha.dim))
-                room_p, classes = pieces.multisets[mult]
-                spend(len(classes))
-                for (left, right), weight in classes.items():
-                    legs = tuple(map(operator.add, left, right))
-                    if right not in rights:
-                        rights[right] = _landings(right, room_v, -1)
-                    if left not in lefts:
-                        lefts[left] = _landings(left, room_u, 1)
-                    to_g = rights[right]
-                    for I, wl, nl in lefts[left]:
-                        if not to_g or nl + to_g[0][2] < need:
-                            break
-                        for J, wr, nr in to_g:
-                            if nl + nr < need:
+    with _TABLE_LOCK:
+        pieces = _TABLE[key] = _TABLE.pop(key, None) or _Pieces(alpha)
+        try:
+            for n in range(1, reach + 1):
+                tally: dict = {}
+                for mult in _multisets(n, len(pieces.keys)):
+                    spend(1)
+                    # the 2n legs land on u, v and P_M, so at least need of
+                    # them land on u and v
+                    need = 2 * n - sum(map(operator.mul, mult, pieces.degs))
+                    if need > deg_uv:
+                        continue
+                    if mult not in pieces.multisets:
+                        pieces.multisets[mult] = (
+                            _Rooms([pieces.product(mult)]),
+                            _orientations(pieces.keys, mult, alpha.dim))
+                    room_p, classes = pieces.multisets[mult]
+                    spend(len(classes))
+                    for (left, right), weight in classes.items():
+                        legs = tuple(map(operator.add, left, right))
+                        if right not in rights:
+                            rights[right] = _landings(right, room_v, -1)
+                        if left not in lefts:
+                            lefts[left] = _landings(left, room_u, 1)
+                        to_g = rights[right]
+                        for I, wl, nl in lefts[left]:
+                            if not to_g or nl + to_g[0][2] < need:
                                 break
-                            spend(1)
-                            K = tuple(map(operator.sub, legs,
-                                          map(operator.add, I, J)))
-                            if room_p[K] >= 0:
-                                _accumulate(tally.setdefault((I, J), {}),
-                                            (mult, K), weight * wl * wr)
-            orders.append({ij: cell for ij, cell in tally.items() if cell})
-    finally:
-        pieces.size = sum(len(p.terms) for p in pieces.polys.values()) + sum(
-            len(r) + len(c) for r, c in pieces.multisets.values())
-        total = sum(entry.size for entry in _TABLE.values())
-        while len(_TABLE) > _TABLE_BIVECTORS or total > _TABLE_ENTRIES:
-            total -= _TABLE.pop(next(iter(_TABLE))).size
+                            for J, wr, nr in to_g:
+                                if nl + nr < need:
+                                    break
+                                spend(1)
+                                K = tuple(map(operator.sub, legs,
+                                              map(operator.add, I, J)))
+                                if room_p[K] >= 0:
+                                    _accumulate(tally.setdefault((I, J), {}),
+                                                (mult, K), weight * wl * wr)
+                orders.append({ij: cell for ij, cell in tally.items() if cell})
+        finally:
+            pieces.size = sum(len(p.terms) for p in pieces.polys.values()) + sum(
+                len(r) + len(c) for r, c in pieces.multisets.values())
+            if pieces.size > _TABLE_ENTRIES:  # too big alone: drop it first
+                del _TABLE[key]
+            total = sum(entry.size for entry in _TABLE.values())
+            while len(_TABLE) > _TABLE_BIVECTORS or total > _TABLE_ENTRIES:
+                total -= _TABLE.pop(next(iter(_TABLE))).size
     return pieces.polys, orders, us, vs, order
 
 

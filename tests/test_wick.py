@@ -1,6 +1,7 @@
 """Deformed product engine: calibration, goldens, budgets."""
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -430,20 +431,49 @@ def test_the_pieces_table_stays_within_its_bounds(monkeypatch):
     assert len(wick._TABLE) == wick._TABLE_BIVECTORS
     sizes = [_entries(pieces) for pieces in wick._TABLE.values()]
     assert sizes == [pieces.size for pieces in wick._TABLE.values()]
-    # a smaller entry bound evicts the least recently used first, and a
-    # bivector over it on its own is not kept
+    # a smaller entry bound evicts the least recently used first
     bound = sum(sizes[-2:])
     monkeypatch.setattr(wick, "_TABLE_ENTRIES", bound)
     star_poly(alphas[-1], f, g, order=3)
     assert sum(map(_entries, wick._TABLE.values())) <= bound
-    assert len(wick._TABLE) == 2
-    monkeypatch.setattr(wick, "_TABLE_ENTRIES", 50)
+    kept = {key: list(pieces.polys.values())
+            for key, pieces in wick._TABLE.items()}
+    assert len(kept) == 2
+    # a bivector over the bound on its own is not kept, and the records
+    # already kept survive it, as do the refused product's
     star_poly(fixture("so3"), f, g, order=5)
-    assert sum(map(_entries, wick._TABLE.values())) <= 50
-    # the refused product's pieces are not kept either
     with pytest.raises(ResourceLimitError):
         star_poly(fixture("so3"), f, g, order=6, max_work=1500)
-    assert sum(map(_entries, wick._TABLE.values())) <= 50
+    assert list(wick._TABLE) == list(kept)
+    for key, polys in kept.items():
+        assert all(a is b for a, b in zip(wick._TABLE[key].polys.values(),
+                                          polys))
+
+
+def test_products_from_several_threads_agree(monkeypatch):
+    """Threads share the table, so each product builds its pieces under the
+    table's lock; products run at once give the results they give one at a
+    time."""
+    ring = coeff_space(3)
+    f = parse_poly("x1^2*x2 + x3", ring)
+    g = parse_poly("x2*x3^2 + x1", ring)
+    alphas = [fixture("so3"),
+              Multivector(3, 2, {(1, 2): parse_poly("x3 + 1", ring),
+                                 (2, 3): parse_poly("x1", ring)})]
+    want = [star_poly(alpha, f, g, order=4) for alpha in alphas]
+    build, held = wick._Pieces.product, []
+
+    def product(pieces, mult):
+        held.append(wick._TABLE_LOCK.locked())
+        return build(pieces, mult)
+
+    monkeypatch.setattr(wick._Pieces, "product", product)
+    wick._TABLE.clear()
+    with ThreadPoolExecutor(4) as pool:
+        got = list(pool.map(lambda i: star_poly(alphas[i % 2], f, g, order=4),
+                            range(8)))
+    assert got == want * 4
+    assert held and all(held)
 
 
 def _det(m):

@@ -23,6 +23,9 @@ its count vector, which is tested without differentiating; a multiset whose
 2n legs cannot all land (2n > deg f + deg g + deg P_M) is skipped, and so
 is a split that leaves P_M more legs than its degree.  P_M, the orientation
 classes and the rooms are built once per bivector, kept in a bounded table.
+The binomial weights of the splits depend only on the leg counts, so each
+leg vector's box of splits is built once, kept in a bounded cache, and each
+call only filters it against its factors.
 
 Every product is a series product sum_{k,l} hbar^(k+l) u_k * v_l (star has
 one coefficient a side).  The C^(n)_IJ depend on the factors only through
@@ -223,23 +226,35 @@ def _orientations(keys: Sequence[tuple[int, int]], mult: tuple[int, ...],
     return {key: w * weight for key, w in classes.items()}
 
 
-def _landings(legs: tuple[int, ...], room: _Rooms, sign: int) -> list:
-    """Which of the legs of each direction land on one factor.
+_BOXES = 1024  # (leg vector, sign) boxes kept, least recently used out
 
-    Entries (D, C(legs, D) * sign^(|legs| - |D|), |D|) for each D <= legs
-    with d_D of the factor nonzero, largest |D| first.  The sign is the
-    factor a leg pays for landing on an insertion instead.
+
+@lru_cache(maxsize=_BOXES)
+def _box(legs: tuple[int, ...], sign: int) -> tuple:
+    """Every way the legs of each direction can split between one factor and
+    the insertions, whatever the factor: entries (D, C(legs, D) *
+    sign^(|legs| - |D|), |D|, legs - D) for each D <= legs, largest |D|
+    first.  The sign is the factor a leg pays for landing on an insertion
+    instead.  It depends on the leg counts alone, not on pi or the factors.
     """
-    out = []
     total = sum(legs)
-    for sub in product(*(range(k + 1) for k in legs)):
-        if room[sub] >= 0:
-            w = sign ** (total - sum(sub))
-            for k, s in zip(legs, sub):
-                w *= math.comb(k, s)
-            out.append((sub, w, sum(sub)))
+    # legs - D is itself a D' <= legs: one tuple serves both
+    subs = {sub: sub for sub in product(*(range(k + 1) for k in legs))}
+    out = []
+    for sub in subs:
+        w = sign ** (total - sum(sub))
+        for k, s in zip(legs, sub):
+            w *= math.comb(k, s)
+        rest = subs[tuple(map(operator.sub, legs, sub))]
+        out.append((sub, w, sum(sub), rest))
     out.sort(key=lambda entry: -entry[2])
-    return out
+    return tuple(out)
+
+
+def _landings(legs: tuple[int, ...], room: _Rooms, sign: int) -> list:
+    """The entries of the legs' box whose D leaves d_D of the factor
+    nonzero, in the box's order: largest |D| first."""
+    return [entry for entry in _box(legs, sign) if room[entry[0]] >= 0]
 
 
 class _Pieces:
@@ -282,7 +297,9 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
     (u_k, v_l), and it stops at the highest order such a pair needs.  Each
     multiset of components, each orientation class of it and each split of
     its legs between u, v and P_M is one unit of work against max_work,
-    whether or not the bivector's pieces were already in the table.
+    whether or not the bivector's pieces and the boxes were already kept.
+    A class's splits are charged together after the class; the totals, and
+    so the smallest budget that succeeds, are those of one charge a split.
     """
     _, us, vs, reach = _check_factors(alpha, u, v, order, max_work)
     key = (alpha.dim, tuple(sorted(
@@ -326,24 +343,25 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
                     room_p, classes = pieces.multisets[mult]
                     spend(len(classes))
                     for (left, right), weight in classes.items():
-                        legs = tuple(map(operator.add, left, right))
                         if right not in rights:
                             rights[right] = _landings(right, room_v, -1)
                         if left not in lefts:
                             lefts[left] = _landings(left, room_u, 1)
-                        to_g = rights[right]
-                        for I, wl, nl in lefts[left]:
+                        to_g, splits = rights[right], 0
+                        for I, wl, nl, rest_i in lefts[left]:
                             if not to_g or nl + to_g[0][2] < need:
                                 break
-                            for J, wr, nr in to_g:
+                            wl *= weight
+                            for J, wr, nr, rest_j in to_g:
                                 if nl + nr < need:
                                     break
-                                spend(1)
-                                K = tuple(map(operator.sub, legs,
-                                              map(operator.add, I, J)))
+                                splits += 1
+                                # K = legs - I - J, the legs left to P_M
+                                K = tuple(map(operator.add, rest_i, rest_j))
                                 if room_p[K] >= 0:
                                     _accumulate(tally.setdefault((I, J), {}),
-                                                (mult, K), weight * wl * wr)
+                                                (mult, K), wl * wr)
+                        spend(splits)
                 orders.append({ij: cell for ij, cell in tally.items() if cell})
         finally:
             pieces.size = sum(len(p.terms) for p in pieces.polys.values()) + sum(

@@ -13,8 +13,14 @@ _series_product and _associator are the per-pair composition the library
 used before one operator served every pair of series coefficients: one
 operator, pruned to u_k and v_l alone, and one single-pair apply for each
 pair (k, l).
+
+_landings is the landing table the library built on every operator call
+before it kept one box per leg vector: it weighs each split D <= legs whose
+derivative d_D of the factor is nonzero, then sorts by |D|.
 """
 
+import math
+from itertools import product
 from typing import Optional, Sequence
 
 from starprod.errors import ResourceLimitError
@@ -22,7 +28,7 @@ from starprod.poisson import Multivector
 from starprod.scalars import Scalar
 from starprod.superalg import GradedPoly
 from starprod.wick import (DEFAULT_MAX_WORK, _apply, _check_factors,
-                           _operator, star_poly)
+                           _operator, _Rooms, star_poly)
 
 Series = dict[int, GradedPoly]
 
@@ -55,6 +61,21 @@ def _associator(alpha: Multivector, f: GradedPoly, g: GradedPoly,
                             star_poly(alpha, g, h, order, max_work),
                             order, max_work, point)
     return [a - b for a, b in zip(left, right)]
+
+
+def _landings(legs: tuple[int, ...], room: _Rooms, sign: int) -> list:
+    """Entries (D, C(legs, D) * sign^(|legs| - |D|), |D|) for each D <= legs
+    with d_D of the factor nonzero, largest |D| first."""
+    out = []
+    total = sum(legs)
+    for sub in product(*(range(k + 1) for k in legs)):
+        if room[sub] >= 0:
+            w = sign ** (total - sum(sub))
+            for k, s in zip(legs, sub):
+                w *= math.comb(k, s)
+            out.append((sub, w, sum(sub)))
+    out.sort(key=lambda entry: -entry[2])
+    return out
 
 
 class _Derivs:

@@ -7,18 +7,25 @@ land on insertions.  The raw, unweighted sums E_n must agree exactly.
 It also keeps the per-pair composition of series products: one operator for
 each pair of coefficients (u_k, v_l).  The library builds one operator for
 all pairs; star_series, associator_poly and associator must agree exactly.
+
+And it keeps the landing table built afresh on every call, which the
+library now filters out of one box per leg vector.
 """
 
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starprod import (associator, associator_poly, coeff_space, fixture,
                       parse_poly, star_series, wick)
 from starprod.scalars import ONE, Scalar
-from starprod.wick import _apply, _operator
-from reference_engine import _associator, _engine_terms, _series_product
+from starprod.superalg import GradedPoly
+from starprod.wick import _apply, _landings, _operator, _Rooms
+from reference_engine import (_associator, _engine_terms, _series_product,
+                              _landings as reference_landings)
 from support import random_basepoint, random_multivector, random_poly
 
 BUDGET = 10 ** 7
@@ -109,3 +116,31 @@ def test_an_associator_builds_four_operators(monkeypatch):
     associator(fixture("so3"), f, g, h, [1, 2, 3], order=3)
     # f * g and g * h, then (f * g) * h and f * (g * h)
     assert built == [3, 3, 3, 3]
+
+
+@st.composite
+def landing_cases(draw):
+    """A leg vector of dimension 1-5 with at most 6 legs, the support of a
+    factor and the sign a leg pays for landing on an insertion."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    legs = [0] * dim
+    for d in draw(st.lists(st.integers(min_value=0, max_value=dim - 1),
+                           max_size=6)):
+        legs[d] += 1
+    support = draw(st.lists(st.tuples(*[st.integers(min_value=0, max_value=3)]
+                                      * dim), max_size=4))
+    return tuple(legs), support, draw(st.sampled_from([1, -1]))
+
+
+@given(case=landing_cases())
+@settings(max_examples=200, deadline=None)
+def test_landings_match_the_per_call_loop(case):
+    legs, support, sign = case
+    room = _Rooms([GradedPoly(coeff_space(len(legs)),
+                              dict.fromkeys(support, 1))])
+    got = _landings(legs, room, sign)
+    assert [entry[:3] for entry in got] == reference_landings(legs, room,
+                                                              sign)
+    assert all(a[2] >= b[2] for a, b in zip(got, got[1:]))
+    assert all(rest == tuple(k - s for k, s in zip(legs, sub))
+               for sub, _, _, rest in got)

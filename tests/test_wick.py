@@ -3,6 +3,7 @@
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -351,8 +352,8 @@ def test_products_at_a_point_evaluate_the_polynomials(case):
 @given(case=product_cases())
 @settings(max_examples=10, deadline=None)
 def test_the_pieces_table_does_not_change_results(case):
-    """Each product from an empty table, then again from a table warmed by
-    other factors, gives the same result."""
+    """Each product from an empty table and box cache, then again from ones
+    warmed by other factors, gives the same result."""
     alpha, f, g, h, point, order = case
     products = (lambda: star_poly(alpha, f, g, order=order),
                 lambda: star(alpha, f, g, point, order=order).coefficients,
@@ -360,6 +361,7 @@ def test_the_pieces_table_does_not_change_results(case):
     cold = []
     for product in products:
         wick._TABLE.clear()
+        wick._box.cache_clear()
         cold.append(product())
     star_poly(alpha, h, f + g, order=3)
     assert [product() for product in products] == cold
@@ -385,8 +387,8 @@ def test_equal_bivectors_share_their_pieces():
 
 @pytest.mark.parametrize("warm", [False, True])
 def test_work_counts_do_not_depend_on_the_table(warm):
-    """The pinned budgets hold from an empty table and from a full one, so
-    a job is refused at the same point either way."""
+    """The pinned budgets hold from an empty table and box cache and from
+    full ones, so a job is refused at the same point either way."""
     ring = coeff_space(3)
     f = parse_poly("x1^2*x2 + x3", ring)
     g = parse_poly("x2*x3^2 + x1", ring)
@@ -400,6 +402,7 @@ def test_work_counts_do_not_depend_on_the_table(warm):
     for run, work in runs:
         for budget in (work, work - 1):
             wick._TABLE.clear()
+            wick._box.cache_clear()
             if warm:
                 run(DEFAULT_MAX_WORK)
             if budget < work:
@@ -469,11 +472,58 @@ def test_products_from_several_threads_agree(monkeypatch):
 
     monkeypatch.setattr(wick._Pieces, "product", product)
     wick._TABLE.clear()
+    wick._box.cache_clear()
     with ThreadPoolExecutor(4) as pool:
         got = list(pool.map(lambda i: star_poly(alphas[i % 2], f, g, order=4),
                             range(8)))
     assert got == want * 4
     assert held and all(held)
+
+
+def test_the_box_cache_stays_within_its_bound():
+    wick._box.cache_clear()
+    vectors = []
+    for dirs in combinations_with_replacement(range(16), 3):
+        legs = [0] * 16
+        for d in dirs:
+            legs[d] += 1
+        vectors.append(tuple(legs))
+    sweep = [(legs, sign) for sign in (1, -1) for legs in vectors]
+    assert len(sweep) > wick._BOXES
+    for legs, sign in sweep:
+        wick._box(legs, sign)
+        assert wick._box.cache_info().currsize <= wick._BOXES
+    assert wick._box.cache_info().currsize == wick._BOXES
+    # the most recent boxes are the ones kept
+    hits = wick._box.cache_info().hits
+    wick._box(*sweep[-1])
+    assert wick._box.cache_info().hits == hits + 1
+    wick._box.cache_clear()
+
+
+def test_bivectors_of_one_dimension_share_their_boxes(monkeypatch):
+    """A box depends on the leg vector and the sign alone: two different
+    dim-3 bivectors get the same box objects, and only their pieces differ."""
+    ring = coeff_space(3)
+    f = parse_poly("x1^2*x2 + x3", ring)
+    g = parse_poly("x2*x3^2 + x1", ring)
+    alphas = [fixture("so3"),
+              Multivector(3, 2, {(1, 2): parse_poly("x3 + 1", ring),
+                                 (2, 3): parse_poly("x1^2", ring)})]
+    box, seen = wick._box, [{}, {}]
+
+    def recorded(legs, sign):
+        got = seen[side][(legs, sign)] = box(legs, sign)
+        return got
+
+    monkeypatch.setattr(wick, "_box", recorded)
+    wick._TABLE.clear()
+    for side, alpha in enumerate(alphas):
+        star_poly(alpha, f, g, order=4)
+    shared = seen[0].keys() & seen[1].keys()
+    assert len(shared) > 1
+    assert all(seen[0][key] is seen[1][key] for key in shared)
+    assert len(wick._TABLE) == 2
 
 
 def _det(m):

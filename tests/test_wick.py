@@ -510,15 +510,16 @@ def test_bivectors_of_one_dimension_share_their_boxes(monkeypatch):
     alphas = [fixture("so3"),
               Multivector(3, 2, {(1, 2): parse_poly("x3 + 1", ring),
                                  (2, 3): parse_poly("x1^2", ring)})]
-    box, seen = wick._box, [{}, {}]
+    box, seen = wick._box, []
 
     def recorded(legs, sign):
-        got = seen[side][(legs, sign)] = box(legs, sign)
+        got = seen[-1][(legs, sign)] = box(legs, sign)
         return got
 
     monkeypatch.setattr(wick, "_box", recorded)
     wick._TABLE.clear()
-    for side, alpha in enumerate(alphas):
+    for alpha in alphas:
+        seen.append({})  # the boxes this bivector's product looks up
         star_poly(alpha, f, g, order=4)
     shared = seen[0].keys() & seen[1].keys()
     assert len(shared) > 1

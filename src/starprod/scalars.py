@@ -157,7 +157,8 @@ class Scalar:
                 and self._d == other._d)
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # the parts are in lowest terms, so equal scalars have equal parts
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0

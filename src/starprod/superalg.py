@@ -19,7 +19,8 @@ Coefficients are stored as Scalar.  Products, powers and the bracket
 contractions built on them go through one multiply-accumulate kernel,
 _mac: it puts each operand over one common denominator, sums the
 Gaussian-integer numerators of every term pair over one denominator, and
-reduces each surviving monomial once.
+reduces each surviving monomial once.  Derivatives of many orders (_deriv)
+and point values (_Point) work on the same integer numerators (_rows).
 """
 
 from __future__ import annotations
@@ -133,14 +134,14 @@ def _require_same_space(a: "GradedPoly", b: "GradedPoly") -> None:
 
 # products ----------------------------------------------------------------------
 
-def _check_product(a: "GradedPoly", b: "GradedPoly") -> None:
+def _check_product(a: dict, b: dict) -> None:
     """ResourceLimitError if a * b may have more than MAX_POWER_TERMS terms."""
     # at most |a| |b| terms, and at most the C(deg a + deg b + v, v)
     # monomials of the product's degree or less in the v generators used
-    size = len(a.terms) * len(b.terms)
+    size = len(a) * len(b)
     if size > MAX_POWER_TERMS:
-        v = sum(map(any, zip(*a.terms, *b.terms)))
-        size = min(size, math.comb(a.total_degree() + b.total_degree() + v, v))
+        v = sum(map(any, zip(*a, *b)))
+        size = min(size, math.comb(max(map(sum, a)) + max(map(sum, b)) + v, v))
         if size > MAX_POWER_TERMS:
             raise ResourceLimitError(f"a product with up to {size} terms "
                                      f"exceeds the cap of "
@@ -163,24 +164,27 @@ def _crossings(ma: int, mb: int) -> int:
     return n & 1
 
 
-def _numerators(p: "GradedPoly", odd: tuple[int, ...], hidx: Optional[int]
-                ) -> tuple[int, bool, dict]:
-    """p over one denominator: (D, real, groups).  D is the lcm of the
-    coefficient denominators, real says every imaginary part is zero, and
-    groups maps (odd mask, hbar exponent) to the (key, a, b) with
-    (a + b*i)/D the coefficient of key."""
+def _rows(terms: Mapping) -> tuple[int, dict]:
+    """(D, rows): D the lcm of the denominators of the scalars in terms, and
+    rows maps each key to (a, b), with (a + b*i)/D its scalar."""
     # Scalar's slots are read directly: this is the one place that turns
-    # coefficients into integer numerators, and _mac the one that reads them
-    terms = p.terms.items()
-    d = math.lcm(*[c._d for _, c in terms])
-    real = True
-    groups: dict[tuple[int, int], list] = {}
-    for key, c in terms:
+    # scalars into integer numerators
+    d = math.lcm(*[c._d for c in terms.values()])
+    return d, {key: (c._a * (d // c._d), c._b * (d // c._d))
+               for key, c in terms.items()}
+
+
+def _numerators(terms: Mapping, odd: tuple[int, ...], hidx: Optional[int]
+                ) -> tuple[int, bool, dict]:
+    """The _rows of terms as (D, real, groups): real says every imaginary
+    part is zero, and groups maps (odd mask, hbar exponent) to the (key, a,
+    b) with (a + b*i)/D the scalar at key."""
+    (d, rows), real, groups = _rows(terms), True, {}
+    for key, (a, b) in rows.items():
         group = (_odd_mask(key, odd) if odd else 0,
                  key[hidx] if hidx is not None else 0)
-        s = d // c._d
-        real = real and not c._b
-        groups.setdefault(group, []).append((key, c._a * s, c._b * s))
+        real = real and not b
+        groups.setdefault(group, []).append((key, a, b))
     return d, real, groups
 
 
@@ -202,7 +206,7 @@ def _mac(space: GradedSpace, pairs: Iterable[tuple[int, "GradedPoly",
     pairs = [(s, a, b) for s, a, b in pairs if a.terms and b.terms]
     if capped:
         for _, a, b in pairs:
-            _check_product(a, b)
+            _check_product(a.terms, b.terms)
     odd = space.odd_indices
     hidx = space.hbar_index
     horder = space.hbar_order
@@ -226,7 +230,8 @@ def _mac(space: GradedSpace, pairs: Iterable[tuple[int, "GradedPoly",
             c = ca * cb
             out[key] = c if sign > 0 else -c
         return GradedPoly._raw(space, out)
-    over = [(s, _numerators(a, odd, hidx), _numerators(b, odd, hidx))
+    over = [(s, _numerators(a.terms, odd, hidx),
+             _numerators(b.terms, odd, hidx))
             for s, a, b in pairs]
     lcm = math.lcm(*[na[0] * nb[0] for _, na, nb in over])
     re: dict = {}
@@ -337,7 +342,7 @@ class GradedPoly:
         return None
 
     def total_degree(self) -> int:
-        return max((sum(k) for k in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     # arithmetic
 
@@ -458,14 +463,14 @@ class GradedPoly:
         moved past the odd generators i with crosses(i, k), a sign each."""
         space = self.space
         k = space.index(name)
-        if not space.parities[k]:
-            return _deriv(self, _bump((0,) * len(space), k, 1))
-        crossed = [i for i in space.odd_indices if crosses(i, k)]
+        crossed = [i for i in space.odd_indices if crosses(i, k)] \
+            if space.parities[k] else []
         out: dict[tuple[int, ...], Scalar] = {}
         for key, c in self.terms.items():
-            if key[k]:
-                crossings = sum(key[i] for i in crossed)
-                out[key[:k] + (0,) + key[k + 1:]] = -c if crossings & 1 else c
+            if e := key[k]:  # an odd exponent is 1
+                c = c * e if e > 1 else c
+                odd = crossed and sum(key[i] for i in crossed) & 1
+                out[key[:k] + (e - 1,) + key[k + 1:]] = -c if odd else c
         return self._raw(space, out)
 
     # substitution and evaluation
@@ -530,7 +535,9 @@ class GradedPoly:
             if any(column) and values[idx] is None:
                 raise InputError(f"no value given for generator "
                                  f"{space.names[idx]!r}")
-        return _evaluator(values)(self, (0,) * len(space))
+        d, rows = _rows(self.terms)
+        at, deg = _Point(values), self.total_degree()
+        return _reduced(*at.value(rows, deg), d * at.q ** deg)
 
     # hbar views
 
@@ -581,13 +588,13 @@ def _indexed_name(space: GradedSpace, prefix: str, i: int) -> str:
 
 # even derivatives and point values ----------------------------------------------
 
-def _deriv(p: GradedPoly, counts: tuple[int, ...]) -> GradedPoly:
-    """d^counts p, counts[k] derivatives in the even generator k."""
+def _deriv(rows: dict, counts: tuple[int, ...]) -> dict:
+    """d^counts (counts[k] in even generator k) of _rows, over their D."""
     wanted = [(k, m) for k, m in enumerate(counts) if m]
     if not wanted:
-        return p
-    out: dict[tuple[int, ...], Scalar] = {}
-    for beta, c in p.terms.items():
+        return rows
+    out = {}
+    for beta, (a, b) in rows.items():
         factor = 1  # beta!/(beta - counts)!
         for k, m in wanted:
             if beta[k] < m:
@@ -595,42 +602,40 @@ def _deriv(p: GradedPoly, counts: tuple[int, ...]) -> GradedPoly:
             factor *= math.perm(beta[k], m)
         else:
             # distinct surviving monomials stay distinct; no factor is zero
-            out[tuple(map(operator.sub, beta, counts))] = \
-                c * factor if factor != 1 else c
-    return GradedPoly._raw(p.space, out)
+            out[tuple(map(operator.sub, beta, counts))] = a * factor, b * factor
+    return out
 
 
-def _evaluator(values: Sequence[Optional[Scalar]]
-               ) -> Callable[[GradedPoly, tuple[int, ...]], Scalar]:
-    """(p, counts) -> d^counts p at the point, values[k] for generator k.
+class _Point:
+    """A point as Gaussian integers X_k over q, the lcm of the coordinates'
+    denominators: a polynomial of degree deg or less, as _rows over D, takes
+    one over D q^deg there.  Each X^gamma is built once, from one below."""
 
-    Every call shares one table of the monomials x^gamma at the point, each
-    built from the one with a factor fewer.  Generators that a surviving
-    monomial uses must have a value.
-    """
-    # x^0 is None, so that no value is multiplied by one
-    monomials: dict = {(0,) * len(values): None}
+    __slots__ = ("q", "coords", "monomials")
 
-    def monomial(gamma: tuple[int, ...]) -> Optional[Scalar]:
+    def __init__(self, values: Sequence[Optional[Scalar]]):
+        self.q, self.coords = _rows({k: v for k, v in enumerate(values)
+                                     if v is not None})
+        self.monomials = {(0,) * len(values): (1, 0)}
+
+    def value(self, rows: dict, deg: int) -> tuple[int, int]:
+        re = im = 0  # the numerator over D q^deg
+        for gamma, (a, b) in rows.items():
+            x, y = self.monomials.get(gamma) or self._monomial(gamma)
+            s = self.q ** (deg - sum(gamma))
+            re, im = re + (a * x - b * y) * s, im + (a * y + b * x) * s
+        return re, im
+
+    def _monomial(self, gamma: tuple[int, ...]) -> tuple[int, int]:
         chain = []  # a loop, not recursion: degrees may run to thousands
-        while gamma not in monomials:
-            k = max(k for k, e in enumerate(gamma) if e)
-            chain.append((gamma, k))
+        while gamma not in self.monomials:
+            k = next(k for k, e in enumerate(gamma) if e)
+            chain.append((gamma, self.coords[k]))
             gamma = _bump(gamma, k, -1)
-        got = monomials[gamma]
-        for gamma, k in reversed(chain):
-            got = monomials[gamma] = values[k] if got is None \
-                else got * values[k]
-        return got
-
-    def at(p: GradedPoly, counts: tuple[int, ...]) -> Scalar:
-        total = Scalar()
-        for gamma, c in _deriv(p, counts).terms.items():
-            x = monomial(gamma)
-            total = total + (c if x is None else c * x)
-        return total
-
-    return at
+        x, y = self.monomials[gamma]
+        for gamma, (a, b) in reversed(chain):
+            x, y = self.monomials[gamma] = x * a - y * b, x * b + y * a
+        return x, y
 
 
 def _point_values(basepoint: Sequence[ScalarLike], d: int) -> list[Scalar]:

@@ -32,9 +32,9 @@ one coefficient a side).  The C^(n)_IJ depend on the factors only through
 the pruning, so one operator, pruned to the union of each side's supports,
 serves every pair (k, l); an associator is four products.  The operator is
 applied symbolically (star_poly, star_series, associator_poly, calibrate),
-or at a basepoint, where d_I u_k, d_J v_l and C^(n)_IJ are evaluated before
-anything is multiplied (star, moyal, the outer products of associator).
-Either way the derivatives and point values come from superalg's kernels.
+or at a basepoint (star, moyal, the outer products of associator), where
+d_I u_k, d_J v_l and C^(n)_IJ are evaluated before anything is multiplied,
+in Gaussian-integer numerators either way: a Scalar is built once a term.
 
 Consequences worth knowing:
 
@@ -69,18 +69,19 @@ from typing import Mapping, Optional, Sequence
 from .errors import (CalibrationError, InputError, ResourceLimitError,
                      require_int)
 from .poisson import Multivector, _require_bivector, poisson_bracket
-from .scalars import HALF_I, ONE, Scalar, ScalarLike
+from .scalars import HALF_I, ONE, Scalar, ScalarLike, _reduced
 from .superalg import (GradedPoly, GradedSpace, HbarSeries, _accumulate,
-                       _bump, _deriv, _evaluator, _point_values, coeff_space)
+                       _bump, _check_product, _deriv, _Point, _point_values,
+                       _rows, coeff_space)
 
 DEFAULT_ORDER = 3
 MAX_ORDER = 6
 DEFAULT_MAX_WORK = 5_000_000
 
 Series = dict[int, GradedPoly]
-# (polys, orders, us, vs, order): orders[n] maps (I, J) to {(M, K): coeff},
-# B_n(u_k, v_l) sums coeff * d_K polys[M] * d_I u_k * d_J v_l, and us and vs
-# are the nonzero (k, u_k) and (l, v_l) with k, l <= order, by key
+# (polys, orders, us, vs, order): orders[n] maps (I, J) to {(M, K): count},
+# B_n(u_k, v_l) sums count * d_K polys[M] * d_I u_k * d_J v_l, each count an
+# int; us and vs are the nonzero (k, u_k), (l, v_l), k, l <= order, by key
 Operator = tuple[dict, list[dict], list, list, int]
 
 
@@ -374,65 +375,116 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
     return pieces.polys, orders, us, vs, order
 
 
-def _apply(op: Operator, point: Optional[Sequence[Scalar]] = None,
+class _Values(dict):
+    """(name, counts) -> d^counts of factors[name] or polys[name]: rows over
+    its lcm D, or its value (re, im) over D q^deg at a point; (name, None)
+    -> (rows, deg, D or D q^deg).  superalg's _rows, _deriv and _Point."""
+
+    __slots__ = ("point", "factors", "polys")
+
+    def __init__(self, point: Optional[_Point], factors: dict, polys: dict):
+        self.point, self.factors, self.polys = point, factors, polys
+
+    def __missing__(self, key: tuple):
+        name, counts = key
+        if counts is None:
+            p = self.factors.get(name) or self.polys[name]
+            (d, rows), deg = _rows(p.terms), p.total_degree()
+            got = rows, deg, d * self.point.q ** deg if self.point else d
+        else:
+            rows, deg, _ = self[name, None]
+            got = _deriv(rows, counts) if self.point is None \
+                else self.point.value(_deriv(rows, counts), deg)
+        self[key] = got
+        return got
+
+
+def _products(pairs) -> dict:
+    """The sum of a * b over the rows (a, b) in pairs, less cancelled rows."""
+    re, im = {}, {}
+    for a, b in pairs:
+        for ka, (x, y) in a.items():
+            for kb, (u, v) in b.items():
+                key = tuple(map(operator.add, ka, kb))
+                re[key] = re.get(key, 0) + (x * u - y * v)
+                im[key] = im.get(key, 0) + (x * v + y * u)
+    return {key: (x, im[key]) for key, x in re.items() if x or im[key]}
+
+
+def _apply(op: Operator, point: Optional[_Point] = None,
            w: Optional[Scalar] = None) -> list:
     """hbar coefficients 0..order of the product of the series op was built
     for: polynomials, or numbers at a point.
 
     The pair (u_k, v_l) adds w^n/n! B_n(u_k, v_l) at hbar^(k+l+n), w the
-    calibrated weight unless given, and each C^(n)_IJ is formed once for all
-    pairs.  At a point, each d_I u_k, d_J v_l and d_K P_M is evaluated before
-    anything is multiplied, so polynomials that would only be evaluated are
-    never multiplied, and all of them share one table of monomials.
+    calibrated weight unless given.  u_k, v_l and P_M are read once into
+    Gaussian-integer rows (_Values), C^(n)_IJ is formed for all pairs over
+    the lcm of the denominators of order n, and a sum per (n, k, l) is
+    reduced once at a point, or else put over the lcm per hbar power.  As
+    with `*`, d_I u_k * d_J v_l and, unless C^(n)_IJ is 1, its product with
+    C^(n)_IJ meet the product cap (not at a point, where each is a number).
     """
     polys, orders, us, vs, order = op
     ring = next(iter(polys.values())).space  # every P_M lives in it
-    if point is None:
-        zero, unit = GradedPoly.zero(ring), GradedPoly.one(ring)
-        at = _deriv
-    else:
-        zero, unit = Scalar(), ONE
-        at = _evaluator(point)
-    seen: dict = {}
-
-    def d(name, p, counts):
-        got = seen.get((name, counts))
-        if got is None:
-            got = seen[(name, counts)] = at(p, counts)
-        return got
-
-    out = [zero] * (order + 1)
+    # ("u", k) and ("v", l) name the factors apart from every multiset M
+    at = _Values(point, {("u", k): p for k, p in us}
+                 | {("v", l): p for l, p in vs}, polys)
+    zero = (0,) * len(ring)
+    out: list = [Scalar()] * (order + 1)  # by hbar power, and symbolically
+    parts: list[list] = [[] for _ in range(order + 1)]  # the sums to add
     for n, terms in enumerate(orders):
-        top = order - n  # the largest k + l at this order
-        # the pairs that fit at this order, with cache names ("u", k) and
-        # ("v", l) that no multiset M equals
-        pairs = [(k + l, ("u", k), uk, ("v", l), vl)
-                 for k, uk in us for l, vl in vs if k + l <= top]
-        sums = [zero] * (top + 1)  # by k + l
+        pairs = [(("u", k), ("v", l), k + l, [0, 0] if point else [])
+                 for k, _ in us for l, _ in vs if k + l <= order - n]
+        den = math.lcm(*{at[m, None][2] for c in terms.values() for m, _ in c})
         for (I, J), cell in terms.items():
-            coeff = zero
-            for (mult, K), count in cell.items():
-                term = d(mult, polys[mult], K)
-                coeff = coeff + (term if count == 1 else term * count)
-            for kl, uname, uk, vname, vl in pairs:
-                piece = d(uname, uk, I) * d(vname, vl, J)
-                sums[kl] = sums[kl] + (piece if coeff == unit
-                                       else piece * coeff)
-        for t, total in enumerate(sums, start=n):
-            if total is not zero:  # zero: no cell met these pairs
-                total = total * _order_weight(n, w) if n else total
-                out[t] = total if out[t] is zero else out[t] + total
+            if point is not None:
+                x = y = 0
+                for (mult, K), count in cell.items():
+                    (a, b), s = at[mult, K], count * den // at[mult, None][2]
+                    x, y = x + a * s, y + b * s
+                for u, v, _, acc in pairs if x or y else ():
+                    (a, b), (c, e) = at[u, I], at[v, J]
+                    a, b = a * c - b * e, a * e + b * c
+                    acc[0] += a * x - b * y
+                    acc[1] += a * y + b * x
+                continue
+            coeff = _products(
+                (at[mult, K], {zero: (count * den // at[mult, None][2], 0)})
+                for (mult, K), count in cell.items())
+            for u, v, _, acc in pairs:
+                du, dv = at[u, I], at[v, J]
+                if du and dv:
+                    _check_product(du, dv)
+                    if coeff:
+                        piece = _products([(du, dv)])
+                        if piece and coeff != {zero: (den, 0)}:
+                            _check_product(piece, coeff)
+                        acc.append((piece, coeff))
+        wd, weight = _rows({(): _order_weight(n, w) if n else ONE})
+        a, b = weight[()]
+        for u, v, kl, acc in pairs:
+            d = wd * den * at[u, None][2] * at[v, None][2]
+            if point:  # one reduction per (n, k, l)
+                out[kl + n] += _reduced(acc[0] * a - acc[1] * b,
+                                        acc[0] * b + acc[1] * a, d)
+            else:
+                parts[kl + n].append((_products(acc), (a, b), d))
+    for t, got in enumerate(parts if point is None else ()):
+        lcm = math.lcm(*[d for _, _, d in got])
+        out[t] = GradedPoly._raw(ring, {
+            key: _reduced(x, y, lcm) for key, (x, y) in _products(
+                (rows, {zero: (a * (lcm // d), b * (lcm // d))})
+                for rows, (a, b), d in got).items()})
     return out
 
 
 # products -----------------------------------------------------------------------
 
-def _point(alpha: Multivector,
-           basepoint: Sequence[ScalarLike]) -> list[Scalar]:
-    """The basepoint as one scalar per coordinate, checked before any other
-    work: a malformed point is an input error even at a refused order."""
+def _point(alpha: Multivector, basepoint: Sequence[ScalarLike]) -> _Point:
+    """The basepoint, checked before any other work: a malformed point is
+    an input error even at a refused order."""
     _require_bivector(alpha)
-    return _point_values(basepoint, alpha.dim)
+    return _Point(_point_values(basepoint, alpha.dim))
 
 
 def star_poly(alpha: Multivector, f: GradedPoly, g: GradedPoly,
@@ -461,7 +513,7 @@ def star_series(alpha: Multivector, u: Mapping[int, GradedPoly],
 
 def _associator(alpha: Multivector, f: GradedPoly, g: GradedPoly,
                 h: GradedPoly, order: int, max_work: int,
-                point: Optional[Sequence[Scalar]] = None) -> list:
+                point: Optional[_Point] = None) -> list:
     """(f * g) * h - f * (g * h); the outer products at the point if given."""
     left = _apply(_operator(alpha, star_poly(alpha, f, g, order, max_work),
                             {0: h}, order, max_work), point)
@@ -513,6 +565,7 @@ def _moyal_operator(alpha: Multivector, u: Series, v: Series, order: int,
     room_u = _Rooms([p for _, p in us])
     room_v = _Rooms([p for _, p in vs])
     zero = (0,) * alpha.dim
+    polys = {(): GradedPoly.one(ring)}  # and each coefficient c under c
     orders = []
     for n in range(reach + 1):
         coeffs: dict = {}
@@ -524,8 +577,9 @@ def _moyal_operator(alpha: Multivector, u: Series, v: Series, order: int,
                 continue
             _accumulate(coeffs, (I, J),
                         math.prod((value for _, _, value in row), start=ONE))
-        orders.append({ij: {((), zero): c} for ij, c in coeffs.items()})
-    return {(): GradedPoly.one(ring)}, orders, us, vs, order
+        polys |= {c: GradedPoly._raw(ring, {zero: c}) for c in coeffs.values()}
+        orders.append({ij: {(c, zero): 1} for ij, c in coeffs.items()})
+    return polys, orders, us, vs, order
 
 
 def moyal_poly(alpha: Multivector, f: GradedPoly, g: GradedPoly,

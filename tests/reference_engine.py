@@ -17,18 +17,27 @@ pair (k, l).
 _landings is the landing table the library built on every operator call
 before it kept one box per leg vector: it weighs each split D <= legs whose
 derivative d_D of the factor is nonzero, then sorts by |D|.
+
+apply is the operator application the library used before it contracted
+in Gaussian-integer numerators: every multiply and add is a reduced Scalar
+or a GradedPoly product, each derivative a GradedPoly (deriv) and each
+point value a sum of Scalar monomials from one shared table (evaluator).
+It takes the library's operators as they are, so any difference in output
+or in the product caps it meets shows in the library's application.
 """
 
 import math
+import operator
 from itertools import product
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from starprod.errors import ResourceLimitError
 from starprod.poisson import Multivector
-from starprod.scalars import Scalar
-from starprod.superalg import GradedPoly
-from starprod.wick import (DEFAULT_MAX_WORK, _apply, _check_factors,
-                           _operator, _Rooms, star_poly)
+from starprod.scalars import ONE, Scalar
+from starprod.superalg import GradedPoly, _bump, _Point
+from starprod.wick import (DEFAULT_MAX_WORK, Operator, _apply,
+                           _check_factors, _operator, _order_weight, _Rooms,
+                           star_poly)
 
 Series = dict[int, GradedPoly]
 
@@ -46,7 +55,8 @@ def _series_product(alpha: Multivector, u: Series, v: Series, order: int,
             if k + l > order or vl.is_zero():
                 continue
             op = _operator(alpha, {0: uk}, {0: vl}, order - k - l, max_work)
-            for m, p in enumerate(_apply(op, point)):
+            at = None if point is None else _Point(point)
+            for m, p in enumerate(_apply(op, at)):
                 out[k + l + m] = out[k + l + m] + p
     return out
 
@@ -61,6 +71,94 @@ def _associator(alpha: Multivector, f: GradedPoly, g: GradedPoly,
                             star_poly(alpha, g, h, order, max_work),
                             order, max_work, point)
     return [a - b for a, b in zip(left, right)]
+
+
+def deriv(p: GradedPoly, counts: tuple[int, ...]) -> GradedPoly:
+    """d^counts p, counts[k] derivatives in the even generator k."""
+    wanted = [(k, m) for k, m in enumerate(counts) if m]
+    if not wanted:
+        return p
+    out: dict[tuple[int, ...], Scalar] = {}
+    for beta, c in p.terms.items():
+        factor = 1  # beta!/(beta - counts)!
+        for k, m in wanted:
+            if beta[k] < m:
+                break
+            factor *= math.perm(beta[k], m)
+        else:
+            out[tuple(map(operator.sub, beta, counts))] = \
+                c * factor if factor != 1 else c
+    return GradedPoly._raw(p.space, out)
+
+
+def evaluator(values: Sequence[Optional[Scalar]]
+              ) -> Callable[[GradedPoly, tuple[int, ...]], Scalar]:
+    """(p, counts) -> d^counts p at the point, values[k] for generator k,
+    every call sharing one table of the monomials at the point."""
+    monomials: dict = {(0,) * len(values): None}  # x^0 multiplies nothing
+
+    def monomial(gamma: tuple[int, ...]) -> Optional[Scalar]:
+        chain = []
+        while gamma not in monomials:
+            k = max(k for k, e in enumerate(gamma) if e)
+            chain.append((gamma, k))
+            gamma = _bump(gamma, k, -1)
+        got = monomials[gamma]
+        for gamma, k in reversed(chain):
+            got = monomials[gamma] = values[k] if got is None \
+                else got * values[k]
+        return got
+
+    def at(p: GradedPoly, counts: tuple[int, ...]) -> Scalar:
+        total = Scalar()
+        for gamma, c in deriv(p, counts).terms.items():
+            x = monomial(gamma)
+            total = total + (c if x is None else c * x)
+        return total
+
+    return at
+
+
+def apply(op: Operator, point: Optional[Sequence[Scalar]] = None,
+          w: Optional[Scalar] = None) -> list:
+    """hbar coefficients 0..order of the product of the series op was built
+    for, in reduced Scalars and GradedPoly products."""
+    polys, orders, us, vs, order = op
+    ring = next(iter(polys.values())).space
+    if point is None:
+        zero, unit = GradedPoly.zero(ring), GradedPoly.one(ring)
+        at = deriv
+    else:
+        zero, unit = Scalar(), ONE
+        at = evaluator(point)
+    seen: dict = {}
+
+    def d(name, p, counts):
+        got = seen.get((name, counts))
+        if got is None:
+            got = seen[(name, counts)] = at(p, counts)
+        return got
+
+    out = [zero] * (order + 1)
+    for n, terms in enumerate(orders):
+        top = order - n
+        pairs = [(k + l, ("u", k), uk, ("v", l), vl)
+                 for k, uk in us for l, vl in vs if k + l <= top]
+        sums = [zero] * (top + 1)
+        for (I, J), cell in terms.items():
+            coeff = zero
+            for (mult, K), count in cell.items():
+                term = d(mult, polys[mult], K)
+                coeff = coeff + (term if count == 1 else term * count)
+            for kl, uname, uk, vname, vl in pairs:
+                piece = d(uname, uk, I) * d(vname, vl, J)
+                sums[kl] = sums[kl] + (piece if coeff == unit
+                                       else piece * coeff)
+        for t, total in enumerate(sums, start=n):
+            if total is not zero:
+                total = total * _order_weight(n, w) if n else total
+                out[t] = total if out[t] is zero else out[t] + total
+    return out
 
 
 def _landings(legs: tuple[int, ...], room: _Rooms, sign: int) -> list:

@@ -9,23 +9,29 @@ each pair of coefficients (u_k, v_l).  The library builds one operator for
 all pairs; star_series, associator_poly and associator must agree exactly.
 
 And it keeps the landing table built afresh on every call, which the
-library now filters out of one box per leg vector.
+library now filters out of one box per leg vector, and the application of
+an operator in reduced Scalars and GradedPoly products, which the library
+now contracts in Gaussian-integer numerators: both must give the same
+numbers and refuse the same products.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starprod import (associator, associator_poly, coeff_space, fixture,
-                      parse_poly, star_series, wick)
+from starprod import (Multivector, ResourceLimitError, associator,
+                      associator_poly, coeff_space, fixture, parse_poly,
+                      star_poly, star_series, wick)
 from starprod.scalars import ONE, Scalar
-from starprod.superalg import GradedPoly
-from starprod.wick import _apply, _landings, _operator, _Rooms
+from starprod.superalg import MAX_POWER_TERMS, GradedPoly, _Point
+from starprod.wick import (_apply, _landings, _moyal_operator, _operator,
+                           _Rooms)
 from reference_engine import (_associator, _engine_terms, _series_product,
-                              _landings as reference_landings)
+                              _landings as reference_landings, apply)
 from support import random_basepoint, random_multivector, random_poly
 
 BUDGET = 10 ** 7
@@ -144,3 +150,74 @@ def test_landings_match_the_per_call_loop(case):
     assert all(a[2] >= b[2] for a, b in zip(got, got[1:]))
     assert all(rest == tuple(k - s for k, s in zip(legs, sub))
                for sub, _, _, rest in got)
+
+
+def over(q):
+    """Nonzero Gaussian rationals over the denominator q."""
+    parts = st.integers(-4, 4)
+    return st.builds(lambda a, b: Scalar(Fraction(a, q), Fraction(b, q)),
+                     parts.filter(bool), parts)
+
+
+def polys(ring, degree, size, q):
+    keys = st.tuples(*[st.integers(0, degree)] * len(ring))
+    return st.dictionaries(keys, over(q), min_size=1, max_size=size).map(
+        lambda terms: GradedPoly(ring, terms))
+
+
+@st.composite
+def applications(draw):
+    """An operator for two series, an order and a basepoint: the insertion
+    operator of a dim-2 or dim-3 bivector with Gaussian coefficients, or
+    the exponential formula's operator of a constant one.  Each component,
+    each series coefficient and each coordinate has its own denominator,
+    so every sum the kernel forms is over an lcm of unequal ones."""
+    dim = draw(st.sampled_from([2, 3]))
+    ring = coeff_space(dim)
+    constant = draw(st.booleans())
+    keys = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+    comps = {key: draw(polys(ring, 0 if constant else 1, 2, q))
+             for key, q in zip(keys, (2, 3, 5))
+             if key == (1, 2) or draw(st.booleans())}
+    powers = st.lists(st.sampled_from(range(4)), min_size=1, max_size=3,
+                      unique=True)
+    u, v = ({k: draw(polys(ring, 2, 3, q + k)) for k in draw(powers)}
+            for q in (1, 4))
+    build = _moyal_operator if constant else _operator
+    op = build(Multivector(dim, 2, comps), u, v, draw(st.integers(0, 3)),
+               BUDGET)
+    point = [Scalar(Fraction(draw(st.integers(-5, 5)), q),
+                    Fraction(draw(st.integers(-3, 3)), q + 1))
+             for q in draw(st.permutations([1, 2, 3, 5]))[:dim]]
+    return op, point
+
+
+@given(case=applications())
+@settings(max_examples=50, deadline=None)
+def test_applications_match_the_scalar_loop(case):
+    """Symbolic and at a point, with the calibrated weight and with w = 1,
+    the numerator kernel gives exactly what the Scalar loop gives."""
+    op, point = case
+    for w in (None, ONE):
+        assert _apply(op, w=w) == apply(op, w=w)
+        assert _apply(op, _Point(point), w) == apply(op, point, w)
+
+
+def test_a_capped_product_is_refused_as_the_scalar_loop_refuses_it():
+    """At order 0, d_I u * d_J v is f * g itself: 80 x 80 terms of degree
+    up to 4 in 8 generators, so at most C(16, 8) = 12870 monomials, and
+    both the library and the Scalar loop refuse it with the same message."""
+    ring = coeff_space(8)
+    rng = random.Random(8)
+    monomials = sorted({tuple(rng.randint(0, 1) for _ in range(8))
+                        for _ in range(400)}, key=sum)
+    f, g = (GradedPoly(ring, {key: rng.randint(1, 9) for key in part})
+            for part in (monomials[:80], monomials[80:160]))
+    assert len(f.terms) * len(g.terms) > MAX_POWER_TERMS
+    alpha = Multivector(8, 2, {(1, 2): GradedPoly.one(ring)})
+    with pytest.raises(ResourceLimitError) as ours:
+        star_poly(alpha, f, g, order=0)
+    with pytest.raises(ResourceLimitError) as theirs:
+        apply(_operator(alpha, {0: f}, {0: g}, 0, BUDGET))
+    assert str(ours.value) == str(theirs.value) == \
+        "a product with up to 6400 terms exceeds the cap of 5000 terms"

@@ -163,8 +163,23 @@ def test_arithmetic_matches_the_fraction_reference(x, y, n, q):
     assert (new == new2) == (old == old2)
     # a Scalar equals only a Scalar
     assert new != n and old != n
-    assert hash(new) == hash(old)
     assert repr(new) == repr(old)
+
+
+@given(x=scalar_pairs(), n=wide, q=wide_rationals)
+@settings(max_examples=100, deadline=None)
+def test_equal_scalars_hash_equal(x, n, q):
+    """A value hashes alike however it was built: from ints, from
+    Fractions, or by arithmetic that comes back to it."""
+    z = x[0]
+    built = [Scalar(z.re, z.im), Scalar(z.re) + Scalar(0, z.im),
+             z + n - n, z - q + q, z * 1, -(-z)]
+    if q:
+        built.append(z * q / q)
+    for other in built:
+        assert other == z and hash(other) == hash(z)
+    assert hash(Scalar(n)) == hash(Scalar(Fraction(2 * n, 2))) \
+        == hash(Scalar(n + 1) - 1) == hash(Scalar(Fraction(n)))
 
 
 @given(x=scalar_pairs(), n=st.integers(min_value=0, max_value=7))

@@ -34,7 +34,7 @@ from starprod import (
 )
 from starprod import superalg
 from starprod.superalg import (MAX_POWER_BITS, MAX_POWER_DEGREE,
-                               MAX_POWER_TERMS, _deriv)
+                               MAX_POWER_TERMS, _deriv, _rows)
 import reference_polys
 from support import random_poly, random_scalar
 
@@ -174,7 +174,10 @@ def test_kernels_match_the_per_generator_loops(data, seed):
     for name, m in zip(space.names, counts):
         for _ in range(m):
             iterated = reference_polys.deriv_left(iterated, name)
-    assert _deriv(p, counts) == iterated
+    d, rows = _rows(p.terms)
+    assert GradedPoly(space, {key: Scalar(Fraction(a, d), Fraction(b, d))
+                              for key, (a, b) in _deriv(rows, counts).items()}
+                      ) == iterated
 
 
 def test_space_validation():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from sympy import QQ_I, Poly
 
 from starprod import GradedPoly, GradedSpace, Scalar, coeff_space
-from starprod.superalg import _deriv, _evaluator
+from starprod.superalg import _deriv, _Point, _rows
 
 SPACES = [coeff_space(2), coeff_space(3),
           GradedSpace(("x1", "x2", "hbar"), (0, 0, 0), hbar_order=2)]
@@ -52,6 +52,17 @@ def as_poly(p: GradedPoly) -> Poly:
     return Poly(expr, *gens, domain=QQ_I)
 
 
+def derived(p: GradedPoly, counts) -> tuple[int, dict]:
+    """d^counts p by superalg's kernel, as rows (a, b) over a denominator."""
+    d, rows = _rows(p.terms)
+    return d, _deriv(rows, counts)
+
+
+def from_rows(space, d: int, rows: dict) -> GradedPoly:
+    return GradedPoly(space, {key: Scalar(Fraction(a, d), Fraction(b, d))
+                              for key, (a, b) in rows.items()})
+
+
 def truncated(poly: Poly, space) -> Poly:
     """poly without the monomials past the space's hbar order."""
     h = space.hbar_index
@@ -74,7 +85,7 @@ def test_products_match_sympy(pair):
 def test_derivatives_match_sympy(data):
     p, counts = data
     want = as_poly(p).diff(*zip(symbols(p.space), counts))
-    assert as_poly(_deriv(p, counts)) == want
+    assert as_poly(from_rows(p.space, *derived(p, counts))) == want
 
 
 @given(data=spaces_with(lambda s: st.tuples(
@@ -87,7 +98,12 @@ def test_point_values_match_sympy(data):
     at = dict(zip(gens, map(number, values)))
     got = p.evaluate(dict(zip(p.space.names, values)))
     assert sympy.expand(number(got) - as_poly(p).as_expr().xreplace(at)) == 0
-    # the evaluator behind star at a point: derivatives at the point
-    derived = as_poly(p).diff(*zip(gens, counts)).as_expr().xreplace(at)
-    got = _evaluator(values)(p, counts)
-    assert sympy.expand(number(got) - derived) == 0
+    # the point values behind star at a point: derivatives at the point,
+    # one Gaussian integer over D q^deg
+    want = as_poly(p).diff(*zip(gens, counts)).as_expr().xreplace(at)
+    point, deg = _Point(values), p.total_degree()
+    d, rows = derived(p, counts)
+    re, im = point.value(rows, deg)
+    den = d * point.q ** deg
+    got = Scalar(Fraction(re, den), Fraction(im, den))
+    assert sympy.expand(number(got) - want) == 0

@@ -33,8 +33,8 @@ the pruning, so one operator, pruned to the union of each side's supports,
 serves every pair (k, l); an associator is four products.  The operator is
 applied symbolically (star_poly, star_series, associator_poly, calibrate),
 or at a basepoint (star, moyal, the outer products of associator), where
-d_I u_k, d_J v_l and C^(n)_IJ are evaluated before anything is multiplied,
-in Gaussian-integer numerators either way: a Scalar is built once a term.
+d_I u_k, d_J v_l and C^(n)_IJ are evaluated before anything is multiplied.
+Both contract Gaussian-integer numerators and reduce each result once.
 
 Consequences worth knowing:
 
@@ -376,9 +376,9 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
 
 
 class _Values(dict):
-    """(name, counts) -> d^counts of factors[name] or polys[name]: rows over
-    its lcm D, or its value (re, im) over D q^deg at a point; (name, None)
-    -> (rows, deg, D or D q^deg).  superalg's _rows, _deriv and _Point."""
+    """(name, counts) -> d^counts of factors[name] or polys[name], built once
+    by superalg's _rows, _deriv and _Point: rows over its lcm D, or its value
+    (re, im) over D q^deg at a point; (name, None) -> (rows, deg, that D)."""
 
     __slots__ = ("point", "factors", "polys")
 
@@ -430,8 +430,8 @@ def _apply(op: Operator, point: Optional[_Point] = None,
     at = _Values(point, {("u", k): p for k, p in us}
                  | {("v", l): p for l, p in vs}, polys)
     zero = (0,) * len(ring)
-    out: list = [Scalar()] * (order + 1)  # by hbar power, and symbolically
-    parts: list[list] = [[] for _ in range(order + 1)]  # the sums to add
+    out: list = [Scalar()] * (order + 1)  # the values by hbar power
+    parts: list[list] = [[] for _ in range(order + 1)]  # symbolic: sums to add
     for n, terms in enumerate(orders):
         pairs = [(("u", k), ("v", l), k + l, [0, 0] if point else [])
                  for k, _ in us for l, _ in vs if k + l <= order - n]

@@ -204,9 +204,9 @@ def test_applications_match_the_scalar_loop(case):
 
 
 def test_a_capped_product_is_refused_as_the_scalar_loop_refuses_it():
-    """At order 0, d_I u * d_J v is f * g itself: 80 x 80 terms of degree
-    up to 4 in 8 generators, so at most C(16, 8) = 12870 monomials, and
-    both the library and the Scalar loop refuse it with the same message."""
+    """At order 0, d_I u * d_J v is f * g itself: 80 x 80 terms, of degrees
+    4 and 5 in 8 generators, so the bound is min(6400, C(17, 8)) = 6400 terms,
+    and the library and the Scalar loop refuse it with the same message."""
     ring = coeff_space(8)
     rng = random.Random(8)
     monomials = sorted({tuple(rng.randint(0, 1) for _ in range(8))

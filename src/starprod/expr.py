@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InputError
-from .scalars import Scalar, parse_rational, scalar_to_expr
+from .scalars import Scalar, _parts, _render, parse_rational
 from .superalg import GradedPoly, GradedSpace
 
 # parenthesis and unary-minus levels; each costs the parser four stack
@@ -269,23 +269,24 @@ def poly_to_expr(p: GradedPoly) -> str:
     """Canonical text: ascending total degree, then generator order.
 
     parse_poly(poly_to_expr(p), p.space) == p, and printing is idempotent.
+    Each coefficient is printed from its numerators over p.den.
     """
-    if not p.terms:
+    if not p.rows:
         return "0"
-    keys = sorted(p.terms, key=lambda k: (sum(k), tuple(-e for e in k)))
+    keys = sorted(p.rows, key=lambda k: (sum(k), tuple(-e for e in k)))
     rendered = []
     for key in keys:
-        c = p.terms[key]
-        re, _, im, _ = c.parts()
+        re, p_re, im, p_im = _parts(*p.rows[key], p.den)
         negative = (im == 0 and re < 0) or (re == 0 and im < 0)
-        mag = -c if negative else c
+        if negative:
+            re, im = -re, -im
         body = _monomial_body(p.space, key)
         if not body:
-            text = scalar_to_expr(mag)
-        elif mag == Scalar(1):
+            text = _render((re, p_re, im, p_im), "*I", True)
+        elif re == p_re == 1 and im == 0:
             text = body
         else:
-            text = f"{scalar_to_expr(mag)}*{body}"
+            text = f"{_render((re, p_re, im, p_im), '*I', True)}*{body}"
         rendered.append(("-" if negative else "+", text))
     sign, text = rendered[0]
     out = [text if sign == "+" else f"-{text}"]

@@ -23,10 +23,10 @@ from itertools import combinations
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InputError, InternalError, ResourceLimitError, require_int
-from .scalars import Scalar, ScalarLike
+from .scalars import ScalarLike
 from .superalg import (DEFAULT_HBAR_ORDER, MAX_COORDINATES, GradedPoly,
-                       GradedSpace, _mac, coeff_space, pairing_bracket,
-                       super_space, taylor_shift)
+                       GradedSpace, _canonical, _mac, coeff_space,
+                       pairing_bracket, super_space, taylor_shift)
 
 Index = tuple[int, ...]
 
@@ -235,21 +235,22 @@ def unsymbol(F: GradedPoly, dim: int) -> Multivector:
     if F.space != space:
         raise InputError("unsymbol expects a polynomial in the standard superspace")
     ring = coeff_space(dim)
-    comps: dict[Index, dict[tuple[int, ...], Scalar]] = {}
+    comps: dict[Index, dict[tuple[int, ...], tuple[int, int]]] = {}
     degrees = set()
-    for key, c in F.terms.items():
+    for key, row in F.rows.items():
         if key[2 * dim] != 0:
             raise InternalError("unsymbol input unexpectedly involves hbar")
         xi_part = key[:dim]
         eta_part = key[dim:2 * dim]
         index = tuple(i + 1 for i, e in enumerate(eta_part) if e)
         degrees.add(len(index))
-        comps.setdefault(index, {})[xi_part] = c
+        comps.setdefault(index, {})[xi_part] = row
     if len(degrees) > 1:
         raise InternalError("unsymbol input mixes eta degrees")
     degree = degrees.pop() if degrees else 0
     return Multivector(dim, degree,
-                       {k: GradedPoly(ring, t) for k, t in comps.items()})
+                       {k: _canonical(ring, F.den, rows)
+                        for k, rows in comps.items()})
 
 
 # brackets ---------------------------------------------------------------------
@@ -309,7 +310,7 @@ def poisson_bracket(alpha: Multivector, f: GradedPoly, g: GradedPoly) -> GradedP
     # the gradients keep the coordinates each polynomial uses, so that
     # _pairing skips every product with a zero derivative
     u, v = ({i: p.deriv_left(f"x{i}") for i in coords
-             if any(key[i - 1] for key in p.terms)} for p in (f, g))
+             if any(key[i - 1] for key in p.rows)} for p in (f, g))
     return _pairing(alpha, u, v)
 
 

@@ -55,11 +55,7 @@ class Scalar:
 
     def parts(self) -> tuple[int, int, int, int]:
         """re and im in lowest terms: (re num, re den, im num, im den)."""
-        a, b, d = self._a, self._b, self._d
-        if d == 1:
-            return a, 1, b, 1
-        g, h = gcd(a, d), gcd(b, d)
-        return a // g, d // g, b // h, d // h
+        return _parts(self._a, self._b, self._d)
 
     @staticmethod
     def of(value: ScalarLike) -> "Scalar":
@@ -195,6 +191,14 @@ def _reduced(a: int, b: int, d: int) -> Scalar:
     return _exact(a, b, d)
 
 
+def _parts(a: int, b: int, d: int) -> tuple[int, int, int, int]:
+    """a/d and b/d in lowest terms, d > 0: (re num, re den, im num, im den)."""
+    if d == 1:
+        return a, 1, b, 1
+    g, h = gcd(a, d), gcd(b, d)
+    return a // g, d // g, b // h, d // h
+
+
 def _ints(value) -> Optional[tuple[int, int, int]]:
     """(a, b, d) of a Scalar, int or Fraction operand, else None."""
     if isinstance(value, Scalar):
@@ -208,12 +212,12 @@ ONE = Scalar(Fraction(1))
 HALF_I = Scalar(Fraction(0), Fraction(1, 2))
 
 
-def _render(z: Scalar, unit: str, parens: bool) -> str:
-    """The one scalar printer: the real part, then the imaginary part as a
-    multiple of unit ("i" or "*I", the sign kept, a coefficient of 1
-    dropped), in parentheses when both show and parens is set.  A part
-    over MAX_DIGITS digits is refused before it is converted."""
-    parts = z.parts()
+def _render(parts: tuple[int, int, int, int], unit: str, parens: bool) -> str:
+    """The one scalar printer, from the lowest-terms parts of a scalar: the
+    real part, then the imaginary part as a multiple of unit ("i" or "*I",
+    the sign kept, a coefficient of 1 dropped), in parentheses when both
+    show and parens is set.  A part over MAX_DIGITS digits is refused
+    before it is converted."""
     for n in parts:
         # the bit length clears every part that is not near the limit
         if n.bit_length() >= _TOO_LONG_BITS and abs(n) >= _TOO_LONG:
@@ -235,7 +239,7 @@ def _render(z: Scalar, unit: str, parens: bool) -> str:
 
 def format_scalar(z: Scalar) -> str:
     """Render a scalar in report style: "0", "3/2", "1/2i", "3/2-1/4i", "i"."""
-    return _render(z, "i", False)
+    return _render(z.parts(), "i", False)
 
 
 def parse_rational(text: str, where: str) -> Fraction:
@@ -261,4 +265,4 @@ def parse_rational(text: str, where: str) -> Fraction:
 
 def scalar_to_expr(z: Scalar) -> str:
     """Render a scalar as a parseable expression: "3/2", "1/2*I", "(3/2-1/4*I)"."""
-    return _render(z, "*I", True)
+    return _render(z.parts(), "*I", True)

@@ -71,8 +71,8 @@ from .errors import (CalibrationError, InputError, ResourceLimitError,
 from .poisson import Multivector, _require_bivector, poisson_bracket
 from .scalars import HALF_I, ONE, Scalar, ScalarLike, _reduced
 from .superalg import (GradedPoly, GradedSpace, HbarSeries, _accumulate,
-                       _bump, _check_product, _deriv, _Point, _point_values,
-                       _rows, coeff_space)
+                       _bump, _canonical, _check_product, _deriv, _Point,
+                       _point_values, _rows, coeff_space)
 
 DEFAULT_ORDER = 3
 MAX_ORDER = 6
@@ -167,8 +167,8 @@ def _check_factors(alpha: Multivector, u: Series, v: Series, order: int,
     require_int(max_work, "max_work")
     if order > MAX_ORDER:
         raise ResourceLimitError(f"order {order} exceeds the cap {MAX_ORDER}")
-    us = [(k, p) for k, p in sorted(u.items()) if k <= order and p.terms]
-    vs = [(l, p) for l, p in sorted(v.items()) if l <= order and p.terms]
+    us = [(k, p) for k, p in sorted(u.items()) if k <= order and p.rows]
+    vs = [(l, p) for l, p in sorted(v.items()) if l <= order and p.rows]
     return ring, us, vs, (order - us[0][0] - vs[0][0] if us and vs else -1)
 
 
@@ -183,7 +183,7 @@ class _Rooms(dict):
     __slots__ = ("support",)
 
     def __init__(self, polys: Sequence[GradedPoly]):
-        self.support = {b: sum(b) for p in polys for b in p.terms}.items()
+        self.support = {b: sum(b) for p in polys for b in p.rows}.items()
 
     def __missing__(self, counts: tuple[int, ...]) -> int:
         degs = [deg for beta, deg in self.support
@@ -304,7 +304,7 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
     """
     _, us, vs, reach = _check_factors(alpha, u, v, order, max_work)
     key = (alpha.dim, tuple(sorted(
-        (k, tuple(sorted((m, c.parts()) for m, c in p.terms.items())))
+        (k, p.den, tuple(sorted(p.rows.items())))
         for k, p in alpha.components.items())))
     room_u = _Rooms([p for _, p in us])
     room_v = _Rooms([p for _, p in vs])
@@ -365,7 +365,7 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
                         spend(splits)
                 orders.append({ij: cell for ij, cell in tally.items() if cell})
         finally:
-            pieces.size = sum(len(p.terms) for p in pieces.polys.values()) + sum(
+            pieces.size = sum(len(p.rows) for p in pieces.polys.values()) + sum(
                 len(r) + len(c) for r, c in pieces.multisets.values())
             if pieces.size > _TABLE_ENTRIES:  # too big alone: drop it first
                 del _TABLE[key]
@@ -377,7 +377,7 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
 
 class _Values(dict):
     """(name, counts) -> d^counts of factors[name] or polys[name], built once
-    by superalg's _rows, _deriv and _Point: rows over its lcm D, or its value
+    by superalg's _deriv and _Point: rows over its den D, or its value
     (re, im) over D q^deg at a point; (name, None) -> (rows, deg, that D)."""
 
     __slots__ = ("point", "factors", "polys")
@@ -389,8 +389,8 @@ class _Values(dict):
         name, counts = key
         if counts is None:
             p = self.factors.get(name) or self.polys[name]
-            (d, rows), deg = _rows(p.terms), p.total_degree()
-            got = rows, deg, d * self.point.q ** deg if self.point else d
+            d, deg = p.den, p.total_degree()
+            got = p.rows, deg, d * self.point.q ** deg if self.point else d
         else:
             rows, deg, _ = self[name, None]
             got = _deriv(rows, counts) if self.point is None \
@@ -417,10 +417,11 @@ def _apply(op: Operator, point: Optional[_Point] = None,
     for: polynomials, or numbers at a point.
 
     The pair (u_k, v_l) adds w^n/n! B_n(u_k, v_l) at hbar^(k+l+n), w the
-    calibrated weight unless given.  u_k, v_l and P_M are read once into
-    Gaussian-integer rows (_Values), C^(n)_IJ is formed for all pairs over
-    the lcm of the denominators of order n, and a sum per (n, k, l) is
-    reduced once at a point, or else put over the lcm per hbar power.  As
+    calibrated weight unless given.  The derivatives of u_k, v_l and P_M
+    are formed once from their stored rows (_Values), C^(n)_IJ is formed for
+    all pairs over the lcm of the denominators of order n, and a sum per
+    (n, k, l) is reduced once at a point, or else each hbar power's sum is
+    put over one lcm and reduced once.  As
     with `*`, d_I u_k * d_J v_l and, unless C^(n)_IJ is 1, its product with
     C^(n)_IJ meet the product cap (not at a point, where each is a number).
     """
@@ -471,10 +472,9 @@ def _apply(op: Operator, point: Optional[_Point] = None,
                 parts[kl + n].append((_products(acc), (a, b), d))
     for t, got in enumerate(parts if point is None else ()):
         lcm = math.lcm(*[d for _, _, d in got])
-        out[t] = GradedPoly._raw(ring, {
-            key: _reduced(x, y, lcm) for key, (x, y) in _products(
-                (rows, {zero: (a * (lcm // d), b * (lcm // d))})
-                for rows, (a, b), d in got).items()})
+        out[t] = _canonical(ring, lcm, _products(
+            (rows, {zero: (a * (lcm // d), b * (lcm // d))})
+            for rows, (a, b), d in got))
     return out
 
 
@@ -577,7 +577,7 @@ def _moyal_operator(alpha: Multivector, u: Series, v: Series, order: int,
                 continue
             _accumulate(coeffs, (I, J),
                         math.prod((value for _, _, value in row), start=ONE))
-        polys |= {c: GradedPoly._raw(ring, {zero: c}) for c in coeffs.values()}
+        polys |= {c: GradedPoly.constant(ring, c) for c in coeffs.values()}
         orders.append({ij: {(c, zero): 1} for ij, c in coeffs.items()})
     return polys, orders, us, vs, order
 

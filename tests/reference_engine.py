@@ -88,7 +88,7 @@ def deriv(p: GradedPoly, counts: tuple[int, ...]) -> GradedPoly:
         else:
             out[tuple(map(operator.sub, beta, counts))] = \
                 c * factor if factor != 1 else c
-    return GradedPoly._raw(p.space, out)
+    return GradedPoly(p.space, out)
 
 
 def evaluator(values: Sequence[Optional[Scalar]]

@@ -12,6 +12,11 @@ bracket contractions from before the multiply-accumulate kernel: one
 `Scalar` product per term pair, each partial sum added one `Scalar` at a
 time.  The brackets multiply with `times`, never with `*`, so they share
 no arithmetic with the kernel they check.
+
+`plus`, `scaled`, `hbar_coefficient`, `map_into` and `unsymbol_terms` are
+the coefficient-wise operations as they were when a polynomial stored one
+`Scalar` per term, before it stored integer numerators over one
+denominator: they read `terms` and build their results from `Scalar`s.
 """
 
 from typing import Iterable, Mapping
@@ -29,8 +34,9 @@ def times(a: GradedPoly, b: GradedPoly) -> GradedPoly:
     hidx = space.hbar_index
     horder = space.hbar_order
     out: dict[tuple[int, ...], Scalar] = {}
+    right = list(b.terms.items())  # the view builds its Scalars on each read
     for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
+        for kb, cb in right:
             # odd exponents collide -> zero; count inversions for the sign
             swaps = 0
             dead = False
@@ -50,7 +56,7 @@ def times(a: GradedPoly, b: GradedPoly) -> GradedPoly:
                 continue
             c = ca * cb
             _accumulate(out, key, -c if swaps & 1 else c)
-    return GradedPoly._raw(space, out)
+    return GradedPoly(space, out)
 
 
 def power(p: GradedPoly, n: int) -> GradedPoly:
@@ -59,6 +65,51 @@ def power(p: GradedPoly, n: int) -> GradedPoly:
     for _ in range(n):
         out = times(out, p)
     return out
+
+
+def plus(a: GradedPoly, b: GradedPoly, sign: int = 1) -> GradedPoly:
+    """a + sign * b, sign = 1 or -1, one Scalar sum per shared key."""
+    out = dict(a.terms)
+    for key, c in b.terms.items():
+        _accumulate(out, key, c if sign > 0 else -c)
+    return GradedPoly(a.space, out)
+
+
+def scaled(p: GradedPoly, c: ScalarLike) -> GradedPoly:
+    """c * p, one Scalar product per term."""
+    c = Scalar.of(c)
+    return GradedPoly(p.space, {key: v * c for key, v in p.terms.items()})
+
+
+def hbar_coefficient(p: GradedPoly, k: int) -> GradedPoly:
+    """The coefficient of hbar^k with the hbar exponent cleared."""
+    h = p.space.hbar_index
+    return GradedPoly(p.space, {key[:h] + (0,) + key[h + 1:]: c
+                                for key, c in p.terms.items() if key[h] == k})
+
+
+def map_into(p: GradedPoly, target, images: Mapping[str, GradedPoly]
+             ) -> GradedPoly:
+    """The ring map sending each generator to its image, term by term:
+    the coefficient times the images in the monomial's order, by `times`."""
+    total = GradedPoly.zero(target)
+    for key, c in p.terms.items():
+        term = GradedPoly(target, {(0,) * len(target): c})
+        for name, e in zip(p.space.names, key):
+            for _ in range(e):
+                term = times(term, images[name])
+        total = plus(total, term)
+    return total
+
+
+def unsymbol_terms(F: GradedPoly, dim: int) -> dict:
+    """The components of an hbar-free superspace polynomial of one eta
+    degree: eta index set -> {xi exponents: Scalar}."""
+    comps: dict = {}
+    for key, c in F.terms.items():
+        index = tuple(i + 1 for i, e in enumerate(key[dim:2 * dim]) if e)
+        comps.setdefault(index, {})[key[:dim]] = c
+    return comps
 
 
 def pairing_bracket(f: GradedPoly, g: GradedPoly,
@@ -125,7 +176,7 @@ def deriv_left(p: GradedPoly, name: str) -> GradedPoly:
             crossings = sum(key[i] for i in space.odd_indices if i < k)
             _accumulate(out, key[:k] + (0,) + key[k + 1:],
                         -c if crossings & 1 else c)
-    return GradedPoly._raw(space, out)
+    return GradedPoly(space, out)
 
 
 def deriv_right(p: GradedPoly, name: str) -> GradedPoly:
@@ -141,4 +192,4 @@ def deriv_right(p: GradedPoly, name: str) -> GradedPoly:
         crossings = sum(key[i] for i in space.odd_indices if i > k)
         _accumulate(out, key[:k] + (0,) + key[k + 1:],
                     -c if crossings & 1 else c)
-    return GradedPoly._raw(space, out)
+    return GradedPoly(space, out)

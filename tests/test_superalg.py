@@ -7,6 +7,7 @@ slower but independent of the exponent-vector bookkeeping in the
 library, so agreement is meaningful.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -376,6 +377,26 @@ def test_largest_admitted_power_matches_the_reference_loop():
     assert base ** 98 == reference_polys.power(base, 98)
     with pytest.raises(ResourceLimitError, match=f"cap of {MAX_POWER_TERMS}"):
         base ** 99
+
+
+def test_bits_cap_reads_lowest_terms_parts_not_shared_numerators():
+    # 3^6310 and 5^4306 are coprime, so over their product the numerators
+    # of the base have about 20,000 bits, twice its largest part in lowest
+    # terms (10,002 bits); the cap reads the parts, so exponent 9 passes
+    # (90,018 bits) and 10 does not (100,020), as with one Scalar per term
+    p, q = 3 ** 6310, 5 ** 4306
+    base = GradedPoly(coeff_space(2), {(1, 0): Fraction(1, p),
+                                       (0, 1): Fraction(2, q)})
+    assert max(p.bit_length(), q.bit_length()) == 10_002
+    assert 9 * base.den.bit_length() > MAX_POWER_BITS
+    got = base ** 9
+    # the binomial theorem over the shared denominator (pq)^9
+    assert got.den == (p * q) ** 9
+    assert got.rows == {(k, 9 - k): (math.comb(9, k) * 2 ** (9 - k)
+                                     * p ** (9 - k) * q ** k, 0)
+                        for k in range(10)}
+    with pytest.raises(ResourceLimitError, match="about 100020 bits"):
+        base ** 10
 
 
 def test_product_cap_refuses_before_multiplying(monkeypatch):

@@ -39,7 +39,7 @@ from itertools import chain, product
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import InputError, InternalError, ResourceLimitError, require_int
-from .scalars import ONE, Scalar, ScalarLike, _ints, _parts, _reduced
+from .scalars import Scalar, ScalarLike, _ints, _parts, _reduced
 
 HBAR = "hbar"
 DEFAULT_HBAR_ORDER = 3
@@ -180,6 +180,8 @@ def _rows(terms: Mapping) -> tuple[int, dict]:
     # Scalar's slots are read directly: this is the one place that turns
     # scalars into integer numerators
     d = math.lcm(*[c._d for c in terms.values()])
+    if d == 1:
+        return d, {key: (c._a, c._b) for key, c in terms.items()}
     return d, {key: (c._a * (d // c._d), c._b * (d // c._d))
                for key, c in terms.items()}
 
@@ -295,17 +297,23 @@ def _sum(p: "GradedPoly", q: "GradedPoly", sign: int) -> "GradedPoly":
     out = dict(p.rows) if fp == 1 else \
         {key: (a * fp, b * fp) for key, (a, b) in p.rows.items()}
     get = out.get
+    merged = False
     for key, (a, b) in q.rows.items():
         acc = get(key)
         if acc is None:
             out[key] = (a * fq, b * fq)
         else:
+            merged = True
             x, y = acc[0] + a * fq, acc[1] + b * fq
             if x or y:
                 out[key] = (x, y)
             else:
                 del out[key]
-    return _canonical(p.space, den, out)
+    # with no key merged, each side keeps a row that no prime of den
+    # divides together with den, so the union is already in lowest terms
+    if merged:
+        return _canonical(p.space, den, out)
+    return GradedPoly._raw(p.space, den, out)
 
 
 class _Terms(Mapping):
@@ -362,9 +370,9 @@ class GradedPoly:
                 if c:
                     _accumulate(normalized, key, c)
         den, rows = _rows(normalized)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "rows", rows)
+        _set_space(self, space)
+        _set_den(self, den)
+        _set_rows(self, rows)
 
     def __setattr__(self, *_):
         raise AttributeError("GradedPoly is immutable")
@@ -378,11 +386,14 @@ class GradedPoly:
 
     @classmethod
     def zero(cls, space: GradedSpace) -> "GradedPoly":
-        return cls(space)
+        return cls._raw(space, 1, {})
 
     @classmethod
     def constant(cls, space: GradedSpace, value: ScalarLike) -> "GradedPoly":
-        return cls(space, {(0,) * len(space): Scalar.of(value)})
+        # a Scalar's own parts are already in lowest terms
+        a, b, d = _ints(Scalar.of(value))
+        return cls._raw(space, d, {(0,) * len(space): (a, b)} if a or b
+                        else {})
 
     @classmethod
     def one(cls, space: GradedSpace) -> "GradedPoly":
@@ -391,8 +402,10 @@ class GradedPoly:
     @classmethod
     def generator(cls, space: GradedSpace, name: str) -> "GradedPoly":
         k = space.index(name)
+        if k == space.hbar_index and space.hbar_order < 1:
+            return cls.zero(space)  # truncated away
         key = tuple(1 if i == k else 0 for i in range(len(space)))
-        return cls(space, {key: ONE})
+        return cls._raw(space, 1, {key: (1, 0)})
 
     # predicates
 
@@ -511,10 +524,10 @@ class GradedPoly:
     @staticmethod
     def _raw(space: GradedSpace, den: int, rows: dict) -> "GradedPoly":
         """The polynomial of rows over den, already in canonical form."""
-        p = GradedPoly.__new__(GradedPoly)
-        object.__setattr__(p, "space", space)
-        object.__setattr__(p, "den", den)
-        object.__setattr__(p, "rows", rows)
+        p = _blank(GradedPoly)
+        _set_space(p, space)
+        _set_den(p, den)
+        _set_rows(p, rows)
         return p
 
     def _coerce(self, other) -> "GradedPoly":
@@ -632,6 +645,13 @@ class GradedPoly:
         return _canonical(self.space, self.den, {
             key[:hidx] + (0,) + key[hidx + 1:]: row
             for key, row in self.rows.items() if key[hidx] == k})
+
+
+# GradedPoly's own __setattr__ refuses every assignment, so its results are
+# built through the slots' setters
+_set_space, _set_den, _set_rows = (GradedPoly.__dict__[name].__set__
+                                   for name in GradedPoly.__slots__)
+_blank = object.__new__
 
 
 # spec-level operation surface ------------------------------------------------

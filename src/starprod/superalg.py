@@ -309,8 +309,9 @@ def _sum(p: "GradedPoly", q: "GradedPoly", sign: int) -> "GradedPoly":
                 out[key] = (x, y)
             else:
                 del out[key]
-    # with no key merged, each side keeps a row that no prime of den
-    # divides together with den, so the union is already in lowest terms
+    # with no key merged, the union is already in lowest terms: a prime
+    # power of den is the full power in dp or in dq, that side's scale
+    # misses the prime, and the side has a part the prime does not divide
     if merged:
         return _canonical(p.space, den, out)
     return GradedPoly._raw(p.space, den, out)

@@ -210,16 +210,24 @@ def _cmd_moduli(args) -> dict:
 
 # plumbing -----------------------------------------------------------------------
 
-def _build_parser() -> tuple[argparse.ArgumentParser, tuple[str, ...]]:
+def _build_parser() -> tuple[argparse.ArgumentParser, tuple[str, ...],
+                             dict[str, bool]]:
+    # every option string -> whether it takes a value
+    options = {"-h": False, "--help": False}
+
+    def add(p: argparse.ArgumentParser, *flags: str, **kwargs) -> None:
+        takes_value = p.add_argument(*flags, **kwargs).nargs != 0
+        options.update(dict.fromkeys(flags, takes_value))
+
     parser = argparse.ArgumentParser(
         prog="starprod",
         description="Exact deformation products, graded brackets, and "
                     "field/antifield checks on polynomial bivector structures.")
-    parser.add_argument("--json", metavar="FILE",
-                        help="read the whole job from a JSON file")
+    add(parser, "--json", metavar="FILE",
+                help="read the whole job from a JSON file")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json",
-                        help="report format (default json)")
+    add(common, "--format", choices=("json", "text"), default="json",
+                help="report format (default json)")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     for name, help_text in (
@@ -227,74 +235,88 @@ def _build_parser() -> tuple[argparse.ArgumentParser, tuple[str, ...]]:
             ("moyal", "constant-bivector exponential product"),
             ("associator", "associativity defect of the product")):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--alpha", required=True,
-                       help="bivector: fixture name, inline JSON, or @file")
-        p.add_argument("--f", required=True, help="first factor expression")
-        p.add_argument("--g", required=True, help="second factor expression")
+        add(p, "--alpha", required=True,
+               help="bivector: fixture name, inline JSON, or @file")
+        add(p, "--f", required=True, help="first factor expression")
+        add(p, "--g", required=True, help="second factor expression")
         if name == "associator":
-            p.add_argument("--h", required=True, help="third factor expression")
-        p.add_argument("--at", required=True,
-                       help="comma-separated rational basepoint, e.g. 0,1/2")
-        p.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                       help=f"truncation order (default {DEFAULT_ORDER})")
-        p.add_argument("--max-work", type=int, default=wick.DEFAULT_MAX_WORK,
-                       help="work budget for each product (associator "
-                            "makes four): operator terms visited, or index "
-                            f"rows for moyal (default {wick.DEFAULT_MAX_WORK})")
+            add(p, "--h", required=True, help="third factor expression")
+        add(p, "--at", required=True,
+               help="comma-separated rational basepoint, e.g. 0,1/2")
+        add(p, "--order", type=int, default=DEFAULT_ORDER,
+               help=f"truncation order (default {DEFAULT_ORDER})")
+        add(p, "--max-work", type=int, default=wick.DEFAULT_MAX_WORK,
+               help="work budget for each product (associator "
+                    "makes four): operator terms visited, or index "
+                    f"rows for moyal (default {wick.DEFAULT_MAX_WORK})")
         p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("check-poisson", parents=[common],
                        help="Jacobi identity check with witness")
-    p.add_argument("--alpha", required=True,
-                   help="bivector: fixture name, inline JSON, or @file")
+    add(p, "--alpha", required=True,
+           help="bivector: fixture name, inline JSON, or @file")
     p.set_defaults(handler=_cmd_check_poisson)
 
     p = sub.add_parser("schouten", parents=[common],
                        help="bracket of two multivector fields")
-    p.add_argument("--a", required=True, help="multivector JSON or @file")
-    p.add_argument("--b", required=True, help="multivector JSON or @file")
+    add(p, "--a", required=True, help="multivector JSON or @file")
+    add(p, "--b", required=True, help="multivector JSON or @file")
     p.set_defaults(handler=_cmd_schouten)
 
     p = sub.add_parser("koszul", parents=[common],
                        help="bracket of one-forms, by route")
-    p.add_argument("--alpha", required=True,
-                   help="bivector: fixture name, inline JSON, or @file")
-    p.add_argument("--w1", required=True, help="one-form JSON or @file")
-    p.add_argument("--w2", required=True, help="one-form JSON or @file")
-    p.add_argument("--route", choices=("geometric", "diagram", "both"),
-                   default="both")
+    add(p, "--alpha", required=True,
+           help="bivector: fixture name, inline JSON, or @file")
+    add(p, "--w1", required=True, help="one-form JSON or @file")
+    add(p, "--w2", required=True, help="one-form JSON or @file")
+    add(p, "--route", choices=("geometric", "diagram", "both"),
+           default="both")
     p.set_defaults(handler=_cmd_koszul)
 
     p = sub.add_parser("bv-check", parents=[common],
                        help="bracket/laplacian axiom residuals")
-    p.add_argument("--space", required=True, help="BV space JSON or @file")
-    p.add_argument("--f", required=True, help="first expression")
-    p.add_argument("--g", required=True, help="second expression")
-    p.add_argument("--h", required=True, help="third expression")
+    add(p, "--space", required=True, help="BV space JSON or @file")
+    add(p, "--f", required=True, help="first expression")
+    add(p, "--g", required=True, help="second expression")
+    add(p, "--h", required=True, help="third expression")
     p.set_defaults(handler=_cmd_bv_check)
 
     p = sub.add_parser("qme", parents=[common],
                        help="master equation residual of an action")
-    p.add_argument("--space", required=True, help="BV space JSON or @file")
-    p.add_argument("--s", required=True, help="action expression (even)")
-    p.add_argument("--order", type=int, default=None,
-                   help="override the space truncation order")
+    add(p, "--space", required=True, help="BV space JSON or @file")
+    add(p, "--s", required=True, help="action expression (even)")
+    add(p, "--order", type=int, default=None,
+           help="override the space truncation order")
     p.set_defaults(handler=_cmd_qme)
 
     p = sub.add_parser("moduli", parents=[common],
                        help="strata counts and facet compositions")
-    p.add_argument("--n", type=int, required=True, help="number of inputs")
-    p.add_argument("--codim", type=int, default=None,
-                   help="list strata of this codimension")
-    p.add_argument("--facets", action="store_true",
-                   help="list codimension-1 compositions")
+    add(p, "--n", type=int, required=True, help="number of inputs")
+    add(p, "--codim", type=int, default=None,
+           help="list strata of this codimension")
+    add(p, "--facets", action="store_true",
+           help="list codimension-1 compositions")
     p.set_defaults(handler=_cmd_moduli)
 
-    return parser, tuple(sub.choices)
+    return parser, tuple(sub.choices), options
 
 
 # built once: nothing in it depends on the call
-_PARSER, _COMMANDS = _build_parser()
+_PARSER, _COMMANDS, _OPTIONS = _build_parser()
+
+
+def _joined(argv: Sequence[str]) -> list[str]:
+    """argv with each value-taking option joined to a next token that starts
+    with "-" but is no option string: argparse reads "--at -1/2,1" as a
+    missing value, and "--at=-1/2,1" as meant."""
+    out: list[str] = []
+    for token in argv:
+        if out and _OPTIONS.get(out[-1]) and token.startswith("-") \
+                and token not in _OPTIONS:
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _job_to_argv(job: dict) -> list[str]:
@@ -340,7 +362,8 @@ def _emit_text(report: dict, out: TextIO, prefix: str = "") -> None:
 def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> int:
     out = out if out is not None else sys.stdout
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(
+            _joined(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -231,7 +231,8 @@ def unsymbol(F: GradedPoly, dim: int) -> Multivector:
     coefficient polynomial, read back as a polynomial in x).  The input must
     be hbar-free and have a single eta degree.
     """
-    space = super_space(dim, F.space.hbar_order or DEFAULT_HBAR_ORDER)
+    order = F.space.hbar_order
+    space = super_space(dim, DEFAULT_HBAR_ORDER if order is None else order)
     if F.space != space:
         raise InputError("unsymbol expects a polynomial in the standard superspace")
     ring = coeff_space(dim)

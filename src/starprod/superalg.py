@@ -20,11 +20,12 @@ denominator per polynomial: p.rows maps each exponent tuple to (a, b), and
 the coefficient there is (a + b*i)/p.den.  The form is canonical: no row is
 (0, 0) and gcd(den, every a, every b) = 1, so equal polynomials have equal
 den and rows.  Every operation reads and writes the rows and reduces its
-result once, with one gcd pass (_canonical).  Products, powers and the
-bracket contractions built on them go through one multiply-accumulate
-kernel, _mac, which sums the numerators of every term pair over one
-denominator.  Scalar appears only at the edges: values passed in, the
-values of evaluate and constant_value, and the read-only view p.terms.
+result once, with one gcd pass (_canonical).  Products, powers, the
+bracket contractions built on them and wick's contraction go through one
+multiply-accumulate kernel, _products, which sums scale * a * b over pairs
+of numerator rows; _mac caps polynomial pairs and puts them over one
+denominator for it.  Scalar appears only at the edges: values passed in,
+the values of evaluate and constant_value, and the read-only view p.terms.
 """
 
 from __future__ import annotations
@@ -190,7 +191,16 @@ def _canonical(space: GradedSpace, den: int, rows: dict) -> "GradedPoly":
     """The polynomial with coefficient rows[key]/den, den > 0 and no row
     (0, 0), after one gcd pass divides gcd(den, every part) out."""
     if den != 1:
-        g = math.gcd(den, *chain.from_iterable(rows.values()))
+        g = den  # no rows: the zero polynomial, over 1
+        if rows:
+            # the first and last rows first: in a power they hold the pure
+            # powers of the base's end terms, so g is usually 1 by then and
+            # the whole pass, whose running gcd can shrink one row at a
+            # time, is skipped
+            g = math.gcd(den, *rows[next(iter(rows))],
+                         *rows[next(reversed(rows))])
+            if g != 1:
+                g = math.gcd(g, *chain.from_iterable(rows.values()))
         if g != 1:
             den //= g
             rows = {key: (a // g, b // g) for key, (a, b) in rows.items()}
@@ -210,61 +220,52 @@ def _groups(rows: dict, odd: tuple[int, ...], hidx: Optional[int]
     return real, groups
 
 
-def _mac(space: GradedSpace, pairs: Iterable[tuple[int, "GradedPoly",
-                                                   "GradedPoly"]],
-         capped: bool = True) -> "GradedPoly":
-    """sum of sign * a * b over (sign, a, b), sign = 1 or -1, in one space.
+def _products(space: GradedSpace,
+              pairs: Sequence[tuple[int, dict, dict]]) -> dict:
+    """The rows of the sum of scale * a * b over (scale, a, b): a and b
+    numerator rows in one space, scale a nonzero int.  Nothing is capped
+    and nothing is reduced; cancelled rows are dropped.
 
     The one multiply-accumulate kernel.  A term pair costs one integer
-    product (four with imaginary parts), the sums are numerators over the
-    lcm of the pairs' denominators, and the result is reduced once.  Terms
-    are grouped by their odd generators and hbar exponent: a group pair
-    whose odd generators collide, or past the space's hbar order, is
-    skipped whole, and the reordering sign is one per group pair.  With
-    capped, each product first meets the term cap, as `*` does; the steps
-    of `**` pass capped=False, because the power's estimate bounds them.
+    product (four with imaginary parts).  Terms are grouped by their odd
+    generators and hbar exponent: a group pair whose odd generators collide,
+    or past the space's hbar order, is skipped whole, and the reordering
+    sign is one per group pair.  A lone pair with a one-row operand merges
+    no keys, so its rows are multiplied without grouping.
     """
-    pairs = [(s, a, b) for s, a, b in pairs if a.rows and b.rows]
-    if capped:
-        for _, a, b in pairs:
-            _check_product(a.rows, b.rows)
     odd = space.odd_indices
     hidx = space.hbar_index
     horder = space.hbar_order
     add = operator.add
     out: dict = {}
-    if len(pairs) == 1 and min(len(pairs[0][1].rows),
-                               len(pairs[0][2].rows)) == 1:
-        # a one-term factor merges no keys: multiply the rows
+    if len(pairs) == 1 and min(len(pairs[0][1]), len(pairs[0][2])) == 1:
         s, a, b = pairs[0]
-        for (ka, (x, y)), (kb, (u, v)) in product(a.rows.items(),
-                                                  b.rows.items()):
+        for (ka, (x, y)), (kb, (u, v)) in product(a.items(), b.items()):
             key = tuple(map(add, ka, kb))
             if hidx is not None and key[hidx] > horder:
                 continue
-            sign = s
+            f = s
             if odd:
                 ma, mb = _odd_mask(ka, odd), _odd_mask(kb, odd)
                 if ma & mb:
                     continue
                 if _crossings(ma, mb):
-                    sign = -sign
-            out[key] = (x * u - y * v, x * v + y * u) if sign > 0 \
-                else (y * v - x * u, -x * v - y * u)
-        return _canonical(space, a.den * b.den, out)
-    over = [(s, a.den * b.den, _groups(a.rows, odd, hidx),
-             _groups(b.rows, odd, hidx)) for s, a, b in pairs]
-    lcm = math.lcm(*[d for _, d, _, _ in over])
+                    f = -f
+            if f != 1:
+                x, y = x * f, y * f
+            out[key] = (x * u - y * v, x * v + y * u)
+        return out
     re: dict = {}
     im: dict = {}
     re_get, im_get = re.get, im.get
-    for s, d, (real_a, groups_a), (real_b, groups_b) in over:
-        scale = s * (lcm // d)
+    for s, a, b in pairs:
+        real_a, groups_a = _groups(a, odd, hidx)
+        real_b, groups_b = _groups(b, odd, hidx)
         for (ma, ha), terms_a in groups_a.items():
             for (mb, hb), terms_b in groups_b.items():
                 if ma & mb or (hidx is not None and ha + hb > horder):
                     continue
-                f = -scale if odd and _crossings(ma, mb) else scale
+                f = -s if odd and _crossings(ma, mb) else s
                 scaled = terms_a if f == 1 else \
                     [(k, x * f, y * f) for k, x, y in terms_a]
                 if real_a and real_b:
@@ -282,7 +283,22 @@ def _mac(space: GradedSpace, pairs: Iterable[tuple[int, "GradedPoly",
         y = im_get(key, 0)
         if x or y:
             out[key] = (x, y)
-    return _canonical(space, lcm, out)
+    return out
+
+
+def _mac(space: GradedSpace, pairs: Iterable[tuple[int, "GradedPoly",
+                                                   "GradedPoly"]]
+         ) -> "GradedPoly":
+    """sum of sign * a * b over (sign, a, b), sign = 1 or -1, in one space:
+    each product meets the term cap, as `*` does, and _products sums them
+    over the lcm of their denominators, reduced once."""
+    pairs = [(s, a.rows, b.rows, a.den * b.den) for s, a, b in pairs
+             if a.rows and b.rows]
+    for _, a, b, _ in pairs:
+        _check_product(a, b)
+    lcm = math.lcm(*[d for *_, d in pairs])
+    return _canonical(space, lcm, _products(
+        space, [(s * (lcm // d), a, b) for s, a, b, d in pairs]))
 
 
 def _sum(p: "GradedPoly", q: "GradedPoly", sign: int) -> "GradedPoly":
@@ -469,7 +485,9 @@ class GradedPoly:
                 for k, (a, b) in self.rows.items()})
         other = self._coerce(other)
         _require_same_space(self, other)
-        return _mac(self.space, ((1, self, other),))
+        _check_product(self.rows, other.rows)
+        return _canonical(self.space, self.den * other.den,
+                          _products(self.space, [(1, self.rows, other.rows)]))
 
     # scalars are even, so they commute with every polynomial
     __rmul__ = __mul__
@@ -504,7 +522,8 @@ class GradedPoly:
         # estimate assumes, each step's coefficients are reduced
         out = GradedPoly.one(self.space)
         for _ in range(n):
-            out = _mac(self.space, ((1, out, self),), capped=False)
+            out = _canonical(self.space, out.den * self.den,
+                             _products(self.space, [(1, out.rows, self.rows)]))
         return out
 
     def __eq__(self, other) -> bool:

@@ -34,7 +34,8 @@ serves every pair (k, l); an associator is four products.  The operator is
 applied symbolically (star_poly, star_series, associator_poly, calibrate),
 or at a basepoint (star, moyal, the outer products of associator), where
 d_I u_k, d_J v_l and C^(n)_IJ are evaluated before anything is multiplied.
-Both contract Gaussian-integer numerators and reduce each result once.
+Both contract Gaussian-integer numerators, the symbolic one with superalg's
+multiply-accumulate kernel, and reduce the sum of each (n, k, l) once.
 
 Consequences worth knowing:
 
@@ -72,7 +73,7 @@ from .poisson import Multivector, _require_bivector, poisson_bracket
 from .scalars import HALF_I, ONE, Scalar, ScalarLike, _reduced
 from .superalg import (GradedPoly, GradedSpace, HbarSeries, _accumulate,
                        _bump, _canonical, _check_product, _deriv, _Point,
-                       _point_values, _rows, coeff_space)
+                       _point_values, _products, _rows, _sum, coeff_space)
 
 DEFAULT_ORDER = 3
 MAX_ORDER = 6
@@ -399,18 +400,6 @@ class _Values(dict):
         return got
 
 
-def _products(pairs) -> dict:
-    """The sum of a * b over the rows (a, b) in pairs, less cancelled rows."""
-    re, im = {}, {}
-    for a, b in pairs:
-        for ka, (x, y) in a.items():
-            for kb, (u, v) in b.items():
-                key = tuple(map(operator.add, ka, kb))
-                re[key] = re.get(key, 0) + (x * u - y * v)
-                im[key] = im.get(key, 0) + (x * v + y * u)
-    return {key: (x, im[key]) for key, x in re.items() if x or im[key]}
-
-
 def _apply(op: Operator, point: Optional[_Point] = None,
            w: Optional[Scalar] = None) -> list:
     """hbar coefficients 0..order of the product of the series op was built
@@ -418,12 +407,11 @@ def _apply(op: Operator, point: Optional[_Point] = None,
 
     The pair (u_k, v_l) adds w^n/n! B_n(u_k, v_l) at hbar^(k+l+n), w the
     calibrated weight unless given.  The derivatives of u_k, v_l and P_M
-    are formed once from their stored rows (_Values), C^(n)_IJ is formed for
-    all pairs over the lcm of the denominators of order n, and a sum per
-    (n, k, l) is reduced once at a point, or else each hbar power's sum is
-    put over one lcm and reduced once.  As
-    with `*`, d_I u_k * d_J v_l and, unless C^(n)_IJ is 1, its product with
-    C^(n)_IJ meet the product cap (not at a point, where each is a number).
+    are formed once from their stored rows (_Values), and C^(n)_IJ is formed
+    for all pairs over the lcm of the denominators of order n.  The sum of
+    each (n, k, l) is reduced once and added into its hbar power.  As with
+    `*`, d_I u_k * d_J v_l and its product with C^(n)_IJ meet the product
+    cap (not at a point, where each is a number).
     """
     polys, orders, us, vs, order = op
     ring = next(iter(polys.values())).space  # every P_M lives in it
@@ -431,8 +419,8 @@ def _apply(op: Operator, point: Optional[_Point] = None,
     at = _Values(point, {("u", k): p for k, p in us}
                  | {("v", l): p for l, p in vs}, polys)
     zero = (0,) * len(ring)
-    out: list = [Scalar()] * (order + 1)  # the values by hbar power
-    parts: list[list] = [[] for _ in range(order + 1)]  # symbolic: sums to add
+    unit = {zero: (1, 0)}
+    out: list = [Scalar() if point else GradedPoly.zero(ring)] * (order + 1)
     for n, terms in enumerate(orders):
         pairs = [(("u", k), ("v", l), k + l, [0, 0] if point else [])
                  for k, _ in us for l, _ in vs if k + l <= order - n]
@@ -449,32 +437,27 @@ def _apply(op: Operator, point: Optional[_Point] = None,
                     acc[0] += a * x - b * y
                     acc[1] += a * y + b * x
                 continue
-            coeff = _products(
-                (at[mult, K], {zero: (count * den // at[mult, None][2], 0)})
-                for (mult, K), count in cell.items())
+            coeff = _products(ring, [
+                (count * den // at[mult, None][2], at[mult, K], unit)
+                for (mult, K), count in cell.items()])
             for u, v, _, acc in pairs:
                 du, dv = at[u, I], at[v, J]
                 if du and dv:
                     _check_product(du, dv)
                     if coeff:
-                        piece = _products([(du, dv)])
-                        if piece and coeff != {zero: (den, 0)}:
-                            _check_product(piece, coeff)
-                        acc.append((piece, coeff))
-        wd, weight = _rows({(): _order_weight(n, w) if n else ONE})
-        a, b = weight[()]
-        for u, v, kl, acc in pairs:
+                        piece = _products(ring, [(1, du, dv)])
+                        _check_product(piece, coeff)
+                        acc.append((1, piece, coeff))
+        wd, weight = _rows({zero: _order_weight(n, w) if n else ONE})
+        a, b = weight[zero]
+        for u, v, kl, acc in pairs:  # one reduction per (n, k, l)
             d = wd * den * at[u, None][2] * at[v, None][2]
-            if point:  # one reduction per (n, k, l)
+            if point:
                 out[kl + n] += _reduced(acc[0] * a - acc[1] * b,
                                         acc[0] * b + acc[1] * a, d)
-            else:
-                parts[kl + n].append((_products(acc), (a, b), d))
-    for t, got in enumerate(parts if point is None else ()):
-        lcm = math.lcm(*[d for _, _, d in got])
-        out[t] = _canonical(ring, lcm, _products(
-            (rows, {zero: (a * (lcm // d), b * (lcm // d))})
-            for rows, (a, b), d in got))
+            elif acc:  # the weight is one row: a lone pair, not grouped
+                out[kl + n] = _sum(out[kl + n], _canonical(ring, d, _products(
+                    ring, [(1, _products(ring, acc), weight)])), 1)
     return out
 
 

@@ -159,6 +159,35 @@ def test_json_job_with_negative_values(tmp_path, job, key, expected):
     assert run_json(["--json", str(path)])[key] == expected
 
 
+@pytest.mark.parametrize("argv", [
+    ["star", "--alpha", "so3", "--f", "-x1", "--g", "x2", "--at", "-1/2,1,1"],
+    ["associator", "--alpha", "so3", "--f", "-x1", "--g", "x2",
+     "--h", "-x3*x1", "--at", "1,-1/3,-2", "--order", "2", "--format", "text"],
+    ["bv-check", "--space", '{"fields": [["v", 0], ["c", 1]]}',
+     "--f", "-v*c", "--g", "-vp", "--h", "-1/2"],
+    ["qme", "--space", '{"fields": [["v", 0], ["c", 1]]}', "--s", "-vp*c"],
+])
+def test_two_token_negative_values_read_as_the_equals_form(argv, monkeypatch):
+    equals = [argv[0]] + [f"{flag}={value}"
+                          for flag, value in zip(argv[1::2], argv[2::2])]
+    code, report = run(equals)
+    assert code == 0
+    assert run(argv) == (0, report)
+    monkeypatch.setattr(sys, "argv", ["starprod", *argv])
+    assert run(None) == (0, report)
+
+
+@pytest.mark.parametrize("argv", [
+    ["star", "--alpha", "so3", "--f", "x1", "--g", "x2", "--at", "--order",
+     "1"],
+    ["star", "--alpha", "so3", "--f", "-h", "--g", "x2", "--at", "1,1,1"],
+    ["star", "--alpha", "so3", "--f", "--help", "--g", "x2", "--at", "1,1,1"],
+], ids=["option-as-value", "short-help-as-value", "help-as-value"])
+def test_an_option_string_is_never_read_as_a_value(argv, capsys):
+    assert run(argv) == (2, "")
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_json_job_rejects_extra_command(tmp_path):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"command": "moduli", "n": 3}))

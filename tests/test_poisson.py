@@ -102,13 +102,14 @@ def test_data_round_trip():
                                "components": {"2,1": "1"}})
 
 
-def test_symbol_unsymbol_round_trip_at_origin():
+@pytest.mark.parametrize("hbar_order", [0, 1, 2, 3])
+def test_symbol_unsymbol_round_trip_at_origin(hbar_order):
     rng = random.Random(7)
     for dim in (1, 2, 3):
         ring = coeff_space(dim)
         for degree in range(0, dim + 1):
             m = random_multivector(rng, dim, degree, ring)
-            sym = symbol(m, [0] * dim)
+            sym = symbol(m, [0] * dim, hbar_order=hbar_order)
             back = unsymbol(sym, dim)
             if m.components:
                 assert back == m

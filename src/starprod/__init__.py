@@ -5,6 +5,7 @@ formal variable; there is no floating point anywhere.  The layers:
 
   superalg    graded-commutative polynomials (xi, eta, hbar), multiplied,
               differentiated and evaluated with one kernel each
+  monomials   the packed key of a monomial: one int, a field per exponent
   poisson     multivector fields, symbol map, odd bracket, bracket route
   wick        contraction-pattern deformation product, the order weight
               calibrated once from a probe, constant-coefficient reference

@@ -18,9 +18,10 @@ moduli.MAX_N inputs, and listings whose trees exceed
 moduli.MAX_LISTED_LEAVES leaves, are refused with exit 3, and so are
 powers past superalg.MAX_POWER_DEGREE, superalg.MAX_POWER_BITS or
 superalg.MAX_POWER_TERMS (5,000 terms), polynomial products past that term
-cap, fields and BV spaces declaring over superalg.MAX_COORDINATES (16)
-coordinates or fields, reports with a number part over scalars.MAX_DIGITS
-digits, and products over their --max-work budget.
+cap or past total degree monomials.MAX_DEGREE (2^31 - 1), fields and BV
+spaces declaring over superalg.MAX_COORDINATES (16) coordinates or fields,
+reports with a number part over scalars.MAX_DIGITS digits, and products
+over their --max-work budget.
 """
 
 from __future__ import annotations

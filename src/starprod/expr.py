@@ -255,12 +255,11 @@ def parse_poly(text: str, space: GradedSpace) -> GradedPoly:
 
 # printing ---------------------------------------------------------------------
 
-def _monomial_body(space: GradedSpace, key: tuple[int, ...]) -> str:
+def _monomial_body(space: GradedSpace, key: int) -> str:
     parts = []
-    for idx, e in enumerate(key):
+    for name, e in zip(space.names, space._layout.unpack(key)):
         if e == 0:
             continue
-        name = space.names[idx]
         parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts)
 
@@ -273,7 +272,9 @@ def poly_to_expr(p: GradedPoly) -> str:
     """
     if not p.rows:
         return "0"
-    keys = sorted(p.rows, key=lambda k: (sum(k), tuple(-e for e in k)))
+    # degree ascending, then exponents descending: the packed keys with
+    # every field below the degree flipped
+    keys = sorted(p.rows, key=p.space._layout.rest.__xor__)
     rendered = []
     for key in keys:
         re, p_re, im, p_im = _parts(*p.rows[key], p.den)

@@ -236,16 +236,23 @@ def unsymbol(F: GradedPoly, dim: int) -> Multivector:
     if F.space != space:
         raise InputError("unsymbol expects a polynomial in the standard superspace")
     ring = coeff_space(dim)
-    comps: dict[Index, dict[tuple[int, ...], tuple[int, int]]] = {}
-    degrees = set()
+    layout = space._layout
+    # below the xi fields lie the eta fields and hbar's; shifted down past
+    # them, the xi fields and the degree make a key of the ring once the
+    # eta degree is taken off
+    down, top = layout.shifts[dim - 1], ring._layout.top
+    indices: dict[int, Index] = {}  # eta fields -> index set
+    comps: dict[Index, dict[int, tuple[int, int]]] = {}
     for key, row in F.rows.items():
-        if key[2 * dim] != 0:
+        if key & layout.hbar:
             raise InternalError("unsymbol input unexpectedly involves hbar")
-        xi_part = key[:dim]
-        eta_part = key[dim:2 * dim]
-        index = tuple(i + 1 for i, e in enumerate(eta_part) if e)
-        degrees.add(len(index))
-        comps.setdefault(index, {})[xi_part] = row
+        eta = key & (1 << down) - 1
+        index = indices.get(eta)
+        if index is None:
+            index = indices[eta] = tuple(
+                i + 1 for i, e in enumerate(layout.unpack(eta)[dim:]) if e)
+        comps.setdefault(index, {})[(key >> down) - (len(index) << top)] = row
+    degrees = {len(index) for index in comps}
     if len(degrees) > 1:
         raise InternalError("unsymbol input mixes eta degrees")
     degree = degrees.pop() if degrees else 0
@@ -311,7 +318,7 @@ def poisson_bracket(alpha: Multivector, f: GradedPoly, g: GradedPoly) -> GradedP
     # the gradients keep the coordinates each polynomial uses, so that
     # _pairing skips every product with a zero derivative
     u, v = ({i: p.deriv_left(f"x{i}") for i in coords
-             if any(key[i - 1] for key in p.rows)} for p in (f, g))
+             if i - 1 in ring._layout.present(p.rows)} for p in (f, g))
     return _pairing(alpha, u, v)
 
 

@@ -15,23 +15,29 @@ The standard working space is super_space(d): commuting xi1..xid, odd
 eta1..etad, plus hbar.  Everything else (Batalin-Vilkovisky spaces, plain
 coefficient rings) is the same machinery with different declarations.
 
+Each monomial is one int key (monomials._Layout), so a product of
+monomials is a sum of keys.  Degrees past MAX_DEGREE are refused, in the
+constructor and before any product, so no exponent field carries over.
+
 Coefficients are stored as Gaussian-integer numerators over one positive
-denominator per polynomial: p.rows maps each exponent tuple to (a, b), and
-the coefficient there is (a + b*i)/p.den.  The form is canonical: no row is
-(0, 0) and gcd(den, every a, every b) = 1, so equal polynomials have equal
-den and rows.  Every operation reads and writes the rows and reduces its
-result once, with one gcd pass (_canonical).  Products, powers, the
+denominator per polynomial: p.rows maps each packed monomial key to (a, b),
+and the coefficient there is (a + b*i)/p.den.  The form is canonical: no
+row is (0, 0) and gcd(den, every a, every b) = 1, so equal polynomials have
+equal den and rows.  Every operation reads and writes the rows and reduces
+its result once, with one gcd pass (_canonical).  Products, powers, the
 bracket contractions built on them and wick's contraction go through one
 multiply-accumulate kernel, _products, which sums scale * a * b over pairs
 of numerator rows; _mac caps polynomial pairs and puts them over one
-denominator for it.  Scalar appears only at the edges: values passed in,
-the values of evaluate and constant_value, and the read-only view p.terms.
+denominator for it.  Scalar and exponent tuples appear only at the edges:
+values and terms passed in, the values of evaluate and constant_value, and
+the read-only view p.terms, keyed by exponent tuples.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +46,7 @@ from itertools import chain, product
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import InputError, InternalError, ResourceLimitError, require_int
+from .monomials import FIELD_BITS, MAX_DEGREE, _FIELD, _Layout, _layout_for
 from .scalars import Scalar, ScalarLike, _ints, _parts, _reduced
 
 HBAR = "hbar"
@@ -87,6 +94,11 @@ class GradedSpace:
     def hbar_index(self) -> Optional[int]:
         return self._index.get(HBAR)
 
+    @cached_property
+    def _layout(self) -> _Layout:
+        return _layout_for(len(self.names), self.odd_indices,
+                           self.hbar_index, self.hbar_order)
+
     def __len__(self) -> int:
         return len(self.names)
 
@@ -128,10 +140,6 @@ def _accumulate(out: dict, key, c) -> None:
             del out[key]
 
 
-def _bump(counts: tuple[int, ...], k: int, by: int) -> tuple[int, ...]:
-    return counts[:k] + (counts[k] + by,) + counts[k + 1:] if by else counts
-
-
 def _require_same_space(a: "GradedPoly", b: "GradedPoly") -> None:
     if a.space != b.space:
         raise InputError("operands live in different graded spaces "
@@ -140,31 +148,31 @@ def _require_same_space(a: "GradedPoly", b: "GradedPoly") -> None:
 
 # products ----------------------------------------------------------------------
 
-def _check_product(a: dict, b: dict) -> None:
-    """ResourceLimitError if a * b may have more than MAX_POWER_TERMS terms."""
+def _check_product(space: GradedSpace, a: dict, b: dict) -> None:
+    """ResourceLimitError if a * b may have a degree past MAX_DEGREE or more
+    than MAX_POWER_TERMS terms."""
+    top = space._layout.top
+    # the top field of a key holds its degree, so the largest key has the
+    # largest degree
+    degree = (max(a) >> top) + (max(b) >> top) if a and b else 0
+    if degree > MAX_DEGREE:
+        raise ResourceLimitError(f"a product of degree {degree} exceeds the "
+                                 f"cap of {MAX_DEGREE}")
     # at most |a| |b| terms, and at most the C(deg a + deg b + v, v)
     # monomials of the product's degree or less in the v generators used
     size = len(a) * len(b)
     if size > MAX_POWER_TERMS:
-        v = sum(map(any, zip(*a, *b)))
-        size = min(size, math.comb(max(map(sum, a)) + max(map(sum, b)) + v, v))
+        v = len(space._layout.present(chain(a, b)))
+        size = min(size, math.comb(degree + v, v))
         if size > MAX_POWER_TERMS:
             raise ResourceLimitError(f"a product with up to {size} terms "
                                      f"exceeds the cap of "
                                      f"{MAX_POWER_TERMS} terms")
 
 
-def _odd_mask(key: tuple[int, ...], odd: tuple[int, ...]) -> int:
-    """Bit t set when the t-th odd generator occurs in the monomial."""
-    mask = 0  # a plain loop: about twice as fast as a generator's sum
-    for t, i in enumerate(odd):
-        if key[i]:
-            mask |= 1 << t
-    return mask
-
-
 def _crossings(ma: int, mb: int) -> int:
-    """Parity of the pairs (i of ma, j of mb) with i after j: the swaps of
+    """Parity of the pairs (bit i of ma, bit j of mb) with i above j.  With
+    ma, mb the odd bits of the keys of b and a, in that order: the swaps of
     odd generators that bring the monomial a b into canonical order."""
     n = 0
     while mb:
@@ -207,16 +215,14 @@ def _canonical(space: GradedSpace, den: int, rows: dict) -> "GradedPoly":
     return GradedPoly._raw(space, den, rows)
 
 
-def _groups(rows: dict, odd: tuple[int, ...], hidx: Optional[int]
-            ) -> tuple[bool, dict]:
+def _groups(rows: dict, mask: int) -> tuple[bool, dict]:
     """(real, groups): real says every imaginary part is zero, and groups
-    maps (odd mask, hbar exponent) to the (key, a, b) of those rows."""
+    maps key & mask (odd generators and hbar exponent) to the (key, a, b)
+    of those rows."""
     real, groups = True, {}
     for key, (a, b) in rows.items():
-        group = (_odd_mask(key, odd) if odd else 0,
-                 key[hidx] if hidx is not None else 0)
         real = real and not b
-        groups.setdefault(group, []).append((key, a, b))
+        groups.setdefault(key & mask, []).append((key, a, b))
     return real, groups
 
 
@@ -226,31 +232,24 @@ def _products(space: GradedSpace,
     numerator rows in one space, scale a nonzero int.  Nothing is capped
     and nothing is reduced; cancelled rows are dropped.
 
-    The one multiply-accumulate kernel.  A term pair costs one integer
-    product (four with imaginary parts).  Terms are grouped by their odd
-    generators and hbar exponent: a group pair whose odd generators collide,
-    or past the space's hbar order, is skipped whole, and the reordering
-    sign is one per group pair.  A lone pair with a one-row operand merges
-    no keys, so its rows are multiplied without grouping.
+    The one multiply-accumulate kernel.  A term pair costs one key sum and
+    one integer product (four with imaginary parts).  Terms are grouped by
+    their odd generators and hbar exponent: a group pair whose odd
+    generators collide, or past the space's hbar order, is skipped whole,
+    and the reordering sign is one per group pair.  A lone pair with a
+    one-row operand merges no keys, so its rows are multiplied without
+    grouping.
     """
-    odd = space.odd_indices
-    hidx = space.hbar_index
-    horder = space.hbar_order
-    add = operator.add
+    layout = space._layout
+    odd, hbar, limit = layout.odd, layout.hbar, layout.limit
     out: dict = {}
     if len(pairs) == 1 and min(len(pairs[0][1]), len(pairs[0][2])) == 1:
         s, a, b = pairs[0]
         for (ka, (x, y)), (kb, (u, v)) in product(a.items(), b.items()):
-            key = tuple(map(add, ka, kb))
-            if hidx is not None and key[hidx] > horder:
+            key = ka + kb
+            if ka & kb & odd or key & hbar > limit:
                 continue
-            f = s
-            if odd:
-                ma, mb = _odd_mask(ka, odd), _odd_mask(kb, odd)
-                if ma & mb:
-                    continue
-                if _crossings(ma, mb):
-                    f = -f
+            f = -s if odd and _crossings(kb & odd, ka & odd) else s
             if f != 1:
                 x, y = x * f, y * f
             out[key] = (x * u - y * v, x * v + y * u)
@@ -259,24 +258,24 @@ def _products(space: GradedSpace,
     im: dict = {}
     re_get, im_get = re.get, im.get
     for s, a, b in pairs:
-        real_a, groups_a = _groups(a, odd, hidx)
-        real_b, groups_b = _groups(b, odd, hidx)
-        for (ma, ha), terms_a in groups_a.items():
-            for (mb, hb), terms_b in groups_b.items():
-                if ma & mb or (hidx is not None and ha + hb > horder):
+        real_a, groups_a = _groups(a, odd | hbar)
+        real_b, groups_b = _groups(b, odd | hbar)
+        for ga, terms_a in groups_a.items():
+            for gb, terms_b in groups_b.items():
+                if ga & gb & odd or (ga + gb) & hbar > limit:
                     continue
-                f = -s if odd and _crossings(ma, mb) else s
+                f = -s if odd and _crossings(gb & odd, ga & odd) else s
                 scaled = terms_a if f == 1 else \
                     [(k, x * f, y * f) for k, x, y in terms_a]
                 if real_a and real_b:
                     for ka, x, _ in scaled:
                         for kb, u, _ in terms_b:
-                            key = tuple(map(add, ka, kb))
+                            key = ka + kb
                             re[key] = re_get(key, 0) + x * u
                 else:
                     for ka, x, y in scaled:
                         for kb, u, v in terms_b:
-                            key = tuple(map(add, ka, kb))
+                            key = ka + kb
                             re[key] = re_get(key, 0) + (x * u - y * v)
                             im[key] = im_get(key, 0) + (x * v + y * u)
     for key, x in re.items():
@@ -295,7 +294,7 @@ def _mac(space: GradedSpace, pairs: Iterable[tuple[int, "GradedPoly",
     pairs = [(s, a.rows, b.rows, a.den * b.den) for s, a, b in pairs
              if a.rows and b.rows]
     for _, a, b, _ in pairs:
-        _check_product(a, b)
+        _check_product(space, a, b)
     lcm = math.lcm(*[d for *_, d in pairs])
     return _canonical(space, lcm, _products(
         space, [(s * (lcm // d), a, b) for s, a, b, d in pairs]))
@@ -334,23 +333,33 @@ def _sum(p: "GradedPoly", q: "GradedPoly", sign: int) -> "GradedPoly":
 
 
 class _Terms(Mapping):
-    """The coefficients of rows over den as Scalars, read-only: each is
-    built when it is read."""
+    """The coefficients of rows over den as Scalars by exponent tuple,
+    read-only: each key is unpacked, and each Scalar built, when read."""
 
-    __slots__ = ("_den", "_rows")
+    __slots__ = ("_den", "_rows", "_layout")
 
-    def __init__(self, den: int, rows: dict):
-        self._den, self._rows = den, rows
+    def __init__(self, den: int, rows: dict, layout: _Layout):
+        self._den, self._rows, self._layout = den, rows, layout
+
+    def _packed(self, key) -> Optional[int]:
+        """The packed key of an exponent tuple, None if no key can be one
+        (too long or short, or an exponent that is no field's)."""
+        try:
+            return self._layout.pack(key)
+        except (struct.error, TypeError):
+            return None
 
     def __getitem__(self, key) -> Scalar:
-        a, b = self._rows[key]
-        return _reduced(a, b, self._den)
+        row = self._rows.get(self._packed(key))
+        if row is None:
+            raise KeyError(key)
+        return _reduced(*row, self._den)
 
     def __contains__(self, key) -> bool:
-        return key in self._rows
+        return self._packed(key) in self._rows
 
     def __iter__(self):
-        return iter(self._rows)
+        return map(self._layout.unpack, self._rows)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -359,33 +368,38 @@ class _Terms(Mapping):
 class GradedPoly:
     """Immutable-by-convention polynomial over a GradedSpace.
 
-    The coefficient at an exponent tuple key is (a + b*i)/den with (a, b) =
-    rows[key]: one positive denominator, Gaussian-integer numerator rows,
-    no (0, 0) row and gcd(den, every a, every b) = 1.  terms views the same
-    coefficients as Scalars.
+    The coefficient at a monomial is (a + b*i)/den with (a, b) = rows[key],
+    key the monomial packed by space._layout: one positive denominator,
+    Gaussian-integer numerator rows, no (0, 0) row and gcd(den, every a,
+    every b) = 1.  terms views the same coefficients as Scalars, keyed by
+    exponent tuples; the constructor takes such a mapping.
     """
 
     __slots__ = ("space", "den", "rows")
 
     def __init__(self, space: GradedSpace, terms: Optional[Mapping[tuple, ScalarLike]] = None):
-        normalized: dict[tuple[int, ...], Scalar] = {}
+        normalized: dict[int, Scalar] = {}
         if terms:
             n = len(space)
-            odd = set(space.odd_indices)
+            odd = space.odd_indices
             hidx = space.hbar_index
             for key, coeff in terms.items():
                 key = tuple(key)
                 if len(key) != n:
                     raise InputError("exponent tuple has the wrong length")
-                if any(e < 0 for e in key):
-                    raise InputError("negative exponents are not allowed")
+                for e in key:
+                    require_int(e, "each exponent")
+                if sum(key) > MAX_DEGREE:
+                    raise ResourceLimitError(f"a monomial of degree "
+                                             f"{sum(key)} exceeds the cap of "
+                                             f"{MAX_DEGREE}")
                 if any(key[i] > 1 for i in odd):
                     raise InputError("odd generators square to zero")
                 if hidx is not None and key[hidx] > space.hbar_order:
                     continue
                 c = Scalar.of(coeff)
                 if c:
-                    _accumulate(normalized, key, c)
+                    _accumulate(normalized, space._layout.pack(key), c)
         den, rows = _rows(normalized)
         _set_space(self, space)
         _set_den(self, den)
@@ -397,7 +411,7 @@ class GradedPoly:
     @property
     def terms(self) -> Mapping[tuple[int, ...], Scalar]:
         """The coefficients as a read-only mapping from keys to Scalars."""
-        return _Terms(self.den, self.rows)
+        return _Terms(self.den, self.rows, self.space._layout)
 
     # construction helpers
 
@@ -409,8 +423,7 @@ class GradedPoly:
     def constant(cls, space: GradedSpace, value: ScalarLike) -> "GradedPoly":
         # a Scalar's own parts are already in lowest terms
         a, b, d = _ints(Scalar.of(value))
-        return cls._raw(space, d, {(0,) * len(space): (a, b)} if a or b
-                        else {})
+        return cls._raw(space, d, {0: (a, b)} if a or b else {})
 
     @classmethod
     def one(cls, space: GradedSpace) -> "GradedPoly":
@@ -421,8 +434,7 @@ class GradedPoly:
         k = space.index(name)
         if k == space.hbar_index and space.hbar_order < 1:
             return cls.zero(space)  # truncated away
-        key = tuple(1 if i == k else 0 for i in range(len(space)))
-        return cls._raw(space, 1, {key: (1, 0)})
+        return cls._raw(space, 1, {space._layout.units[k]: (1, 0)})
 
     # predicates
 
@@ -430,13 +442,12 @@ class GradedPoly:
         return not self.rows
 
     def is_constant(self) -> bool:
-        zero_key = (0,) * len(self.space)
-        return all(k == zero_key for k in self.rows)
+        return not any(self.rows)  # the constant monomial's key is 0
 
     def constant_value(self) -> Scalar:
         if not self.is_constant():
             raise InputError("polynomial is not constant")
-        row = self.rows.get((0,) * len(self.space))
+        row = self.rows.get(0)
         return _reduced(*row, self.den) if row else Scalar()
 
     def term_parity(self, key: tuple[int, ...]) -> int:
@@ -444,7 +455,8 @@ class GradedPoly:
 
     def parity(self) -> Optional[int]:
         """0 or 1 when parity-homogeneous (zero counts as both; returns 0), else None."""
-        seen = {self.term_parity(k) for k in self.rows}
+        odd = self.space._layout.odd
+        seen = {(k & odd).bit_count() & 1 for k in self.rows}
         if not seen:
             return 0
         if len(seen) == 1:
@@ -452,7 +464,7 @@ class GradedPoly:
         return None
 
     def total_degree(self) -> int:
-        return max(map(sum, self.rows), default=0)
+        return max(self.rows, default=0) >> self.space._layout.top
 
     # arithmetic
 
@@ -485,7 +497,7 @@ class GradedPoly:
                 for k, (a, b) in self.rows.items()})
         other = self._coerce(other)
         _require_same_space(self, other)
-        _check_product(self.rows, other.rows)
+        _check_product(self.space, self.rows, other.rows)
         return _canonical(self.space, self.den * other.den,
                           _products(self.space, [(1, self.rows, other.rows)]))
 
@@ -510,7 +522,7 @@ class GradedPoly:
         # and a base in v generators at most the C(degree+v, v) monomials
         # of the power's degree or less
         t = max(len(self.rows), 1)
-        v = sum(map(any, zip(*self.rows)))
+        v = len(self.space._layout.present(self.rows))
         size = min(math.comb(n + t - 1, t - 1),
                    math.comb(n * self.total_degree() + v, v))
         if size > MAX_POWER_TERMS:
@@ -572,17 +584,20 @@ class GradedPoly:
         """The derivative in one generator.  An odd generator k is first
         moved past the odd generators i with crosses(i, k), a sign each."""
         space = self.space
+        layout = space._layout
         k = space.index(name)
-        crossed = [i for i in space.odd_indices if crosses(i, k)] \
-            if space.parities[k] else []
-        out: dict[tuple[int, ...], tuple[int, int]] = {}
+        shift, unit = layout.shifts[k], layout.units[k]
+        # the bits of the crossed generators' fields
+        crossed = sum(1 << layout.shifts[i] for i in space.odd_indices
+                      if crosses(i, k)) if space.parities[k] else 0
+        out: dict[int, tuple[int, int]] = {}
         for key, (a, b) in self.rows.items():
-            if e := key[k]:  # an odd exponent is 1
+            if e := key >> shift & _FIELD:  # an odd exponent is 1
                 if e > 1:
                     a, b = a * e, b * e
-                if crossed and sum(key[i] for i in crossed) & 1:
+                if (key & crossed).bit_count() & 1:
                     a, b = -a, -b
-                out[key[:k] + (e - 1,) + key[k + 1:]] = a, b
+                out[key - unit] = a, b
         return _canonical(space, self.den, out)
 
     # substitution and evaluation
@@ -616,13 +631,13 @@ class GradedPoly:
             if par is None or (par != space.parities[idx] and not p.is_zero()):
                 raise InputError(f"image of {name!r} does not respect parity")
             img[idx] = p
-        zero = (0,) * len(target)
+        unpack = space._layout.unpack
         one = GradedPoly.one(target)
         pieces = []  # (1, coefficient, product of images) per source term
         powers: dict[tuple[int, int], GradedPoly] = {}
         for key, row in self.rows.items():
             piece = None
-            for idx, e in enumerate(key):
+            for idx, e in enumerate(unpack(key)):
                 if not e:
                     continue
                 if idx not in img:
@@ -633,7 +648,7 @@ class GradedPoly:
                     got = img[idx] ** e
                     powers[(idx, e)] = got
                 piece = got if piece is None else piece * got
-            pieces.append((1, _canonical(target, self.den, {zero: row}),
+            pieces.append((1, _canonical(target, self.den, {0: row}),
                            one if piece is None else piece))
         return _mac(target, pieces)
 
@@ -646,8 +661,8 @@ class GradedPoly:
             if space.parities[idx]:
                 raise InputError(f"cannot assign a number to odd generator {name!r}")
             values[idx] = Scalar.of(v)
-        for idx, column in enumerate(zip(*self.rows)):
-            if any(column) and values[idx] is None:
+        for idx in space._layout.present(self.rows):
+            if values[idx] is None:
                 raise InputError(f"no value given for generator "
                                  f"{space.names[idx]!r}")
         at, deg = _Point(values), self.total_degree()
@@ -662,9 +677,11 @@ class GradedPoly:
             if k == 0:
                 return self
             return GradedPoly.zero(self.space)
+        layout = self.space._layout
+        field, unit = k << layout.shifts[hidx], k * layout.units[hidx]
         return _canonical(self.space, self.den, {
-            key[:hidx] + (0,) + key[hidx + 1:]: row
-            for key, row in self.rows.items() if key[hidx] == k})
+            key - unit: row for key, row in self.rows.items()
+            if key & layout.hbar == field})
 
 
 # GradedPoly's own __setattr__ refuses every assignment, so its results are
@@ -707,51 +724,59 @@ def _indexed_name(space: GradedSpace, prefix: str, i: int) -> str:
 
 # even derivatives and point values ----------------------------------------------
 
-def _deriv(rows: dict, counts: tuple[int, ...]) -> dict:
-    """d^counts (counts[k] in even generator k) of numerator rows, over
-    their denominator."""
-    wanted = [(k, m) for k, m in enumerate(counts) if m]
+def _deriv(layout: _Layout, rows: dict, counts: tuple[int, ...]) -> dict:
+    """d^counts (counts[k] in even generator k) of numerator rows keyed in
+    the layout, over their denominator; counts is packed once."""
+    wanted = [(layout.shifts[k], m) for k, m in enumerate(counts) if m]
     if not wanted:
         return rows
+    step = layout.pack(counts)
     out = {}
     for beta, (a, b) in rows.items():
         factor = 1  # beta!/(beta - counts)!
-        for k, m in wanted:
-            if beta[k] < m:
+        for s, m in wanted:
+            e = beta >> s & _FIELD
+            if e < m:
                 break
-            factor *= math.perm(beta[k], m)
+            factor *= math.perm(e, m)
         else:
             # distinct surviving monomials stay distinct; no factor is zero
-            out[tuple(map(operator.sub, beta, counts))] = a * factor, b * factor
+            out[beta - step] = a * factor, b * factor
     return out
 
 
 class _Point:
     """A point as Gaussian integers X_k over q, the lcm of the coordinates'
     denominators: a polynomial of degree deg or less, as rows over D, takes
-    one over D q^deg there.  Each X^gamma is built once, from one below."""
+    one over D q^deg there.  Each X^gamma is built once, from one below,
+    in a table keyed by packed monomials."""
 
-    __slots__ = ("q", "coords", "monomials")
+    __slots__ = ("q", "coords", "monomials", "layout")
 
     def __init__(self, values: Sequence[Optional[Scalar]]):
         self.q, self.coords = _rows({k: v for k, v in enumerate(values)
                                      if v is not None})
-        self.monomials = {(0,) * len(values): (1, 0)}
+        self.monomials = {0: (1, 0)}
+        self.layout = _layout_for(len(values))
 
     def value(self, rows: dict, deg: int) -> tuple[int, int]:
         re = im = 0  # the numerator over D q^deg
+        top = self.layout.top
         for gamma, (a, b) in rows.items():
             x, y = self.monomials.get(gamma) or self._monomial(gamma)
-            s = self.q ** (deg - sum(gamma))
+            s = self.q ** (deg - (gamma >> top))
             re, im = re + (a * x - b * y) * s, im + (a * y + b * x) * s
         return re, im
 
-    def _monomial(self, gamma: tuple[int, ...]) -> tuple[int, int]:
+    def _monomial(self, gamma: int) -> tuple[int, int]:
+        layout = self.layout
+        last = len(layout.shifts) - 1
         chain = []  # a loop, not recursion: degrees may run to thousands
         while gamma not in self.monomials:
-            k = next(k for k, e in enumerate(gamma) if e)
+            # the first generator present: its field holds the highest bit
+            k = last - ((gamma & layout.rest).bit_length() - 1) // FIELD_BITS
             chain.append((gamma, self.coords[k]))
-            gamma = _bump(gamma, k, -1)
+            gamma -= layout.units[k]
         x, y = self.monomials[gamma]
         for gamma, (a, b) in reversed(chain):
             x, y = self.monomials[gamma] = x * a - y * b, x * b + y * a

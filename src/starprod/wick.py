@@ -72,8 +72,9 @@ from .errors import (CalibrationError, InputError, ResourceLimitError,
 from .poisson import Multivector, _require_bivector, poisson_bracket
 from .scalars import HALF_I, ONE, Scalar, ScalarLike, _reduced
 from .superalg import (GradedPoly, GradedSpace, HbarSeries, _accumulate,
-                       _bump, _canonical, _check_product, _deriv, _Point,
-                       _point_values, _products, _rows, _sum, coeff_space)
+                       _canonical, _check_product, _deriv, _Point,
+                       _point_values, _products, _rows, coeff_space)
+from .monomials import _Layout
 
 DEFAULT_ORDER = 3
 MAX_ORDER = 6
@@ -84,6 +85,10 @@ Series = dict[int, GradedPoly]
 # B_n(u_k, v_l) sums count * d_K polys[M] * d_I u_k * d_J v_l, each count an
 # int; us and vs are the nonzero (k, u_k), (l, v_l), k, l <= order, by key
 Operator = tuple[dict, list[dict], list, list, int]
+
+
+def _bump(counts: tuple[int, ...], k: int, by: int) -> tuple[int, ...]:
+    return counts[:k] + (counts[k] + by,) + counts[k + 1:] if by else counts
 
 
 # calibration --------------------------------------------------------------------
@@ -178,13 +183,15 @@ class _Rooms(dict):
 
     d^K x^beta is nonzero exactly when beta dominates K, and distinct beta
     stay distinct, so d^K p vanishes exactly when no monomial of its
-    support dominates the count vector K.  Nothing is differentiated.
+    support dominates the count vector K.  Nothing is differentiated: the
+    support is unpacked once, and tested field by field.
     """
 
     __slots__ = ("support",)
 
     def __init__(self, polys: Sequence[GradedPoly]):
-        self.support = {b: sum(b) for p in polys for b in p.rows}.items()
+        self.support = {p.space._layout.unpack(b): b >> p.space._layout.top
+                        for p in polys for b in p.rows}.items()
 
     def __missing__(self, counts: tuple[int, ...]) -> int:
         degs = [deg for beta, deg in self.support
@@ -381,10 +388,12 @@ class _Values(dict):
     by superalg's _deriv and _Point: rows over its den D, or its value
     (re, im) over D q^deg at a point; (name, None) -> (rows, deg, that D)."""
 
-    __slots__ = ("point", "factors", "polys")
+    __slots__ = ("point", "factors", "polys", "layout")
 
-    def __init__(self, point: Optional[_Point], factors: dict, polys: dict):
+    def __init__(self, point: Optional[_Point], factors: dict, polys: dict,
+                 layout: _Layout):
         self.point, self.factors, self.polys = point, factors, polys
+        self.layout = layout  # the ring's, which counts are packed into
 
     def __missing__(self, key: tuple):
         name, counts = key
@@ -394,8 +403,8 @@ class _Values(dict):
             got = p.rows, deg, d * self.point.q ** deg if self.point else d
         else:
             rows, deg, _ = self[name, None]
-            got = _deriv(rows, counts) if self.point is None \
-                else self.point.value(_deriv(rows, counts), deg)
+            got = _deriv(self.layout, rows, counts)
+            got = got if self.point is None else self.point.value(got, deg)
         self[key] = got
         return got
 
@@ -408,8 +417,9 @@ def _apply(op: Operator, point: Optional[_Point] = None,
     The pair (u_k, v_l) adds w^n/n! B_n(u_k, v_l) at hbar^(k+l+n), w the
     calibrated weight unless given.  The derivatives of u_k, v_l and P_M
     are formed once from their stored rows (_Values), and C^(n)_IJ is formed
-    for all pairs over the lcm of the denominators of order n.  The sum of
-    each (n, k, l) is reduced once and added into its hbar power.  As with
+    for all pairs over the lcm of the denominators of order n.  Symbolically,
+    the (n, k, l) sums of one hbar power are put over their lcm and reduced
+    once; at a point, each is reduced and added into its power.  As with
     `*`, d_I u_k * d_J v_l and its product with C^(n)_IJ meet the product
     cap (not at a point, where each is a number).
     """
@@ -417,10 +427,11 @@ def _apply(op: Operator, point: Optional[_Point] = None,
     ring = next(iter(polys.values())).space  # every P_M lives in it
     # ("u", k) and ("v", l) name the factors apart from every multiset M
     at = _Values(point, {("u", k): p for k, p in us}
-                 | {("v", l): p for l, p in vs}, polys)
-    zero = (0,) * len(ring)
-    unit = {zero: (1, 0)}
-    out: list = [Scalar() if point else GradedPoly.zero(ring)] * (order + 1)
+                 | {("v", l): p for l, p in vs}, polys, ring._layout)
+    unit = {0: (1, 0)}  # the packed key 0 is the constant monomial
+    # numbers at a point; else the (den, rows, weight) pieces of each power
+    out: list = [Scalar()] * (order + 1) if point \
+        else [[] for _ in range(order + 1)]
     for n, terms in enumerate(orders):
         pairs = [(("u", k), ("v", l), k + l, [0, 0] if point else [])
                  for k, _ in us for l, _ in vs if k + l <= order - n]
@@ -443,22 +454,28 @@ def _apply(op: Operator, point: Optional[_Point] = None,
             for u, v, _, acc in pairs:
                 du, dv = at[u, I], at[v, J]
                 if du and dv:
-                    _check_product(du, dv)
+                    _check_product(ring, du, dv)
                     if coeff:
                         piece = _products(ring, [(1, du, dv)])
-                        _check_product(piece, coeff)
+                        _check_product(ring, piece, coeff)
                         acc.append((1, piece, coeff))
-        wd, weight = _rows({zero: _order_weight(n, w) if n else ONE})
-        a, b = weight[zero]
-        for u, v, kl, acc in pairs:  # one reduction per (n, k, l)
+        wd, weight = _rows({0: _order_weight(n, w) if n else ONE})
+        a, b = weight[0]
+        for u, v, kl, acc in pairs:
             d = wd * den * at[u, None][2] * at[v, None][2]
             if point:
                 out[kl + n] += _reduced(acc[0] * a - acc[1] * b,
                                         acc[0] * b + acc[1] * a, d)
-            elif acc:  # the weight is one row: a lone pair, not grouped
-                out[kl + n] = _sum(out[kl + n], _canonical(ring, d, _products(
-                    ring, [(1, _products(ring, acc), weight)])), 1)
-    return out
+            elif acc:
+                out[kl + n].append((d, _products(ring, acc), weight))
+    if point:
+        return out
+    reduced = []
+    for pieces in out:  # one reduction per hbar power
+        lcm = math.lcm(*[d for d, _, _ in pieces])
+        reduced.append(_canonical(ring, lcm, _products(
+            ring, [(lcm // d, rows, weight) for d, rows, weight in pieces])))
+    return reduced
 
 
 # products -----------------------------------------------------------------------

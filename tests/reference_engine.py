@@ -34,8 +34,8 @@ from typing import Callable, Optional, Sequence
 from starprod.errors import ResourceLimitError
 from starprod.poisson import Multivector
 from starprod.scalars import ONE, Scalar
-from starprod.superalg import GradedPoly, _bump, _Point
-from starprod.wick import (DEFAULT_MAX_WORK, Operator, _apply,
+from starprod.superalg import GradedPoly, _Point
+from starprod.wick import (DEFAULT_MAX_WORK, Operator, _apply, _bump,
                            _check_factors, _operator, _order_weight, _Rooms,
                            star_poly)
 

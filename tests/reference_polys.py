@@ -17,9 +17,16 @@ no arithmetic with the kernel they check.
 the coefficient-wise operations as they were when a polynomial stored one
 `Scalar` per term, before it stored integer numerators over one
 denominator: they read `terms` and build their results from `Scalar`s.
+
+`tuple_products` is the multiply-accumulate kernel as it was before each
+monomial was packed into one int: numerator rows keyed by exponent tuples,
+a product's key built field by field, odd generators and the hbar
+exponent read by index.
 """
 
-from typing import Iterable, Mapping
+import operator
+from itertools import product
+from typing import Iterable, Mapping, Sequence
 
 from starprod.errors import InputError
 from starprod.poisson import Multivector
@@ -57,6 +64,88 @@ def times(a: GradedPoly, b: GradedPoly) -> GradedPoly:
             c = ca * cb
             _accumulate(out, key, -c if swaps & 1 else c)
     return GradedPoly(space, out)
+
+
+def _odd_mask(key: tuple[int, ...], odd: tuple[int, ...]) -> int:
+    """Bit t set when the t-th odd generator occurs in the monomial."""
+    mask = 0
+    for t, i in enumerate(odd):
+        if key[i]:
+            mask |= 1 << t
+    return mask
+
+
+def _crossings(ma: int, mb: int) -> int:
+    """Parity of the pairs (i of ma, j of mb) with i after j: the swaps of
+    odd generators that bring the monomial a b into canonical order."""
+    n = 0
+    while mb:
+        low = mb & -mb
+        n += (ma & -(low << 1)).bit_count()
+        mb ^= low
+    return n & 1
+
+
+def _groups(rows: dict, odd: tuple[int, ...], hidx) -> tuple[bool, dict]:
+    """(real, groups): real says every imaginary part is zero, and groups
+    maps (odd mask, hbar exponent) to the (key, a, b) of those rows."""
+    real, groups = True, {}
+    for key, (a, b) in rows.items():
+        group = (_odd_mask(key, odd) if odd else 0,
+                 key[hidx] if hidx is not None else 0)
+        real = real and not b
+        groups.setdefault(group, []).append((key, a, b))
+    return real, groups
+
+
+def tuple_products(space, pairs: Sequence[tuple[int, dict, dict]]) -> dict:
+    """The rows of the sum of scale * a * b over (scale, a, b), a and b
+    numerator rows keyed by exponent tuples; cancelled rows are dropped."""
+    odd = space.odd_indices
+    hidx = space.hbar_index
+    horder = space.hbar_order
+    add = operator.add
+    out: dict = {}
+    if len(pairs) == 1 and min(len(pairs[0][1]), len(pairs[0][2])) == 1:
+        s, a, b = pairs[0]
+        for (ka, (x, y)), (kb, (u, v)) in product(a.items(), b.items()):
+            key = tuple(map(add, ka, kb))
+            if hidx is not None and key[hidx] > horder:
+                continue
+            f = s
+            if odd:
+                ma, mb = _odd_mask(ka, odd), _odd_mask(kb, odd)
+                if ma & mb:
+                    continue
+                if _crossings(ma, mb):
+                    f = -f
+            if f != 1:
+                x, y = x * f, y * f
+            out[key] = (x * u - y * v, x * v + y * u)
+        return out
+    re: dict = {}
+    im: dict = {}
+    for s, a, b in pairs:
+        real_a, groups_a = _groups(a, odd, hidx)
+        real_b, groups_b = _groups(b, odd, hidx)
+        for (ma, ha), terms_a in groups_a.items():
+            for (mb, hb), terms_b in groups_b.items():
+                if ma & mb or (hidx is not None and ha + hb > horder):
+                    continue
+                f = -s if odd and _crossings(ma, mb) else s
+                scaled = terms_a if f == 1 else \
+                    [(k, x * f, y * f) for k, x, y in terms_a]
+                for ka, x, y in scaled:
+                    for kb, u, v in terms_b:
+                        key = tuple(map(add, ka, kb))
+                        re[key] = re.get(key, 0) + (x * u - y * v)
+                        if not (real_a and real_b):
+                            im[key] = im.get(key, 0) + (x * v + y * u)
+    for key, x in re.items():
+        y = im.get(key, 0)
+        if x or y:
+            out[key] = (x, y)
+    return out
 
 
 def power(p: GradedPoly, n: int) -> GradedPoly:

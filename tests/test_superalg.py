@@ -34,8 +34,9 @@ from starprod import (
     taylor_shift,
 )
 from starprod import superalg
+from starprod.monomials import MAX_DEGREE
 from starprod.superalg import (MAX_POWER_BITS, MAX_POWER_DEGREE,
-                               MAX_POWER_TERMS, _deriv, _rows)
+                               MAX_POWER_TERMS, _deriv)
 import reference_polys
 from support import random_poly, random_scalar
 
@@ -175,10 +176,11 @@ def test_kernels_match_the_per_generator_loops(data, seed):
     for name, m in zip(space.names, counts):
         for _ in range(m):
             iterated = reference_polys.deriv_left(iterated, name)
-    d, rows = _rows(p.terms)
-    assert GradedPoly(space, {key: Scalar(Fraction(a, d), Fraction(b, d))
-                              for key, (a, b) in _deriv(rows, counts).items()}
-                      ) == iterated
+    layout = space._layout
+    derived = _deriv(layout, p.rows, counts)
+    assert GradedPoly(space, {layout.unpack(key): Scalar(Fraction(a, p.den),
+                                                         Fraction(b, p.den))
+                              for key, (a, b) in derived.items()}) == iterated
 
 
 def test_space_validation():
@@ -392,9 +394,10 @@ def test_bits_cap_reads_lowest_terms_parts_not_shared_numerators():
     got = base ** 9
     # the binomial theorem over the shared denominator (pq)^9
     assert got.den == (p * q) ** 9
-    assert got.rows == {(k, 9 - k): (math.comb(9, k) * 2 ** (9 - k)
-                                     * p ** (9 - k) * q ** k, 0)
-                        for k in range(10)}
+    unpack = got.space._layout.unpack
+    assert {unpack(key): row for key, row in got.rows.items()} == {
+        (k, 9 - k): (math.comb(9, k) * 2 ** (9 - k) * p ** (9 - k) * q ** k, 0)
+        for k in range(10)}
     with pytest.raises(ResourceLimitError, match="about 100020 bits"):
         base ** 10
 
@@ -415,3 +418,39 @@ def test_product_cap_refuses_before_multiplying(monkeypatch):
     assert len((base ** 4).terms) == 15
     with pytest.raises(ResourceLimitError, match="cap of 20 terms"):
         base ** 3 * base
+
+
+@pytest.mark.parametrize("exponent, error", [
+    (1.5, InputError), (True, InputError), ("1", InputError), (-1, InputError),
+    (2 ** 70, ResourceLimitError)])
+def test_exponents_are_validated_one_way(exponent, error):
+    """Each exponent is an int (not a bool) >= 0, and no monomial's degree
+    passes MAX_DEGREE, the bound of a packed exponent field."""
+    with pytest.raises(error):
+        GradedPoly(coeff_space(2), {(exponent, 0): 1})
+
+
+def test_the_degree_cap_refuses_at_its_boundary():
+    ring = coeff_space(2)
+    top = GradedPoly(ring, {(MAX_DEGREE, 0): 3})
+    assert top.total_degree() == MAX_DEGREE
+    assert dict(top.terms) == {(MAX_DEGREE, 0): Scalar(3)}
+    with pytest.raises(ResourceLimitError, match=f"cap of {MAX_DEGREE}"):
+        GradedPoly(ring, {(MAX_DEGREE, 1): 1})
+    # a product may reach the cap exactly, in either generator, and no
+    # exponent carries into the field of its neighbour or of the degree
+    x1, x2 = (GradedPoly.generator(ring, name) for name in ("x1", "x2"))
+    near = GradedPoly(ring, {(MAX_DEGREE - 1, 0): 1, (0, MAX_DEGREE - 1): 2})
+    got = near * (x1 + x2)
+    assert dict(got.terms) == {
+        (MAX_DEGREE, 0): Scalar(1), (MAX_DEGREE - 1, 1): Scalar(1),
+        (1, MAX_DEGREE - 1): Scalar(2), (0, MAX_DEGREE): Scalar(2)}
+    assert got.total_degree() == MAX_DEGREE
+    assert got.deriv_left("x2").terms[(0, MAX_DEGREE - 1)] == \
+        Scalar(2 * MAX_DEGREE)
+    # one degree more is refused before multiplying, by `*` and by the
+    # bracket contractions
+    with pytest.raises(ResourceLimitError, match=f"cap of {MAX_DEGREE}"):
+        near * x1 * x2
+    with pytest.raises(ResourceLimitError, match=f"cap of {MAX_DEGREE}"):
+        pairing_bracket(near * x1, x2 * x2 * x2, [("x1", "x2")])

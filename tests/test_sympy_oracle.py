@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from sympy import QQ_I, Poly
 
 from starprod import GradedPoly, GradedSpace, Scalar, coeff_space
-from starprod.superalg import _deriv, _Point, _rows
+from starprod.superalg import _deriv, _Point
 
 SPACES = [coeff_space(2), coeff_space(3),
           GradedSpace(("x1", "x2", "hbar"), (0, 0, 0), hbar_order=2)]
@@ -53,13 +53,15 @@ def as_poly(p: GradedPoly) -> Poly:
 
 
 def derived(p: GradedPoly, counts) -> tuple[int, dict]:
-    """d^counts p by superalg's kernel, as rows (a, b) over a denominator."""
-    d, rows = _rows(p.terms)
-    return d, _deriv(rows, counts)
+    """d^counts p by superalg's kernel, as rows (a, b) by packed monomial
+    over a denominator."""
+    return p.den, _deriv(p.space._layout, p.rows, counts)
 
 
 def from_rows(space, d: int, rows: dict) -> GradedPoly:
-    return GradedPoly(space, {key: Scalar(Fraction(a, d), Fraction(b, d))
+    """The polynomial of packed rows over d, through its unpacked keys."""
+    return GradedPoly(space, {space._layout.unpack(key):
+                              Scalar(Fraction(a, d), Fraction(b, d))
                               for key, (a, b) in rows.items()})
 
 

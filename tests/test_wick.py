@@ -31,7 +31,7 @@ from starprod import (
     star_poly,
     star_series,
 )
-from starprod import wick
+from starprod import superalg, wick
 from starprod.wick import DEFAULT_MAX_WORK, _order_weight
 from support import (
     random_basepoint,
@@ -304,6 +304,35 @@ def test_associator_work_counts(order, work):
     with pytest.raises(ResourceLimitError):
         associator_poly(fixture("so3"), f, g, h, order=order,
                         max_work=work - 1)
+
+
+def test_series_products_reduce_once_per_hbar_power(monkeypatch):
+    """The (n, k, l) pieces of one hbar power go over their lcm and are
+    reduced once.  With the bivector's pieces already built, these are all
+    the gcd passes (superalg._canonical) of the Baseline associator at
+    order 4 and of a product of two-coefficient series: one per power of
+    each product, and one per power for the associator's differences."""
+    ring = coeff_space(3)
+    f = parse_poly("x1^2*x2 + x3", ring)
+    g = parse_poly("x2*x3^2 + x1", ring)
+    h = parse_poly("x1*x3 + x2", ring)
+    so3 = fixture("so3")
+    want = associator_poly(so3, f, g, h, order=4)  # builds the pieces
+    series = star_series(so3, {0: f, 1: g}, {0: g, 1: h}, order=4)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return canonical(*args)
+
+    canonical = superalg._canonical
+    monkeypatch.setattr(superalg, "_canonical", counting)
+    monkeypatch.setattr(wick, "_canonical", counting)
+    assert associator_poly(so3, f, g, h, order=4) == want
+    assert len(calls) == 4 * 5 + 5
+    calls.clear()
+    assert star_series(so3, {0: f, 1: g}, {0: g, 1: h}, order=4) == series
+    assert len(calls) == 5
 
 
 @st.composite

@@ -35,7 +35,8 @@ applied symbolically (star_poly, star_series, associator_poly, calibrate),
 or at a basepoint (star, moyal, the outer products of associator), where
 d_I u_k, d_J v_l and C^(n)_IJ are evaluated before anything is multiplied.
 Both contract Gaussian-integer numerators, the symbolic one with superalg's
-multiply-accumulate kernel, and reduce the sum of each (n, k, l) once.
+multiply-accumulate kernel; the symbolic one reduces each hbar power once,
+the one at a point the sum of each (n, k, l).
 
 Consequences worth knowing:
 

@@ -293,10 +293,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, tuple[str, ...],
     p = sub.add_parser("moduli", parents=[common],
                        help="strata counts and facet compositions")
     add(p, "--n", type=int, required=True, help="number of inputs")
-    add(p, "--codim", type=int, default=None,
-           help="list strata of this codimension")
-    add(p, "--facets", action="store_true",
-           help="list codimension-1 compositions")
+    listing = p.add_mutually_exclusive_group()
+    add(listing, "--codim", type=int, default=None,
+                 help="list strata of this codimension")
+    add(listing, "--facets", action="store_true",
+                 help="list codimension-1 compositions")
     p.set_defaults(handler=_cmd_moduli)
 
     return parser, tuple(sub.choices), options

@@ -31,33 +31,18 @@ MAX_N = 1000
 MAX_LISTED_LEAVES = 200_000
 
 
-def _internal_count(tree: Tree) -> int:
-    if isinstance(tree, int):
-        return 0
-    return 1 + sum(_internal_count(child) for child in tree)
-
-
 def _leaf_labels(tree: Tree) -> Iterator[int]:
+    """The leaves in planar order; InputError at a node that is neither an
+    int leaf nor a tuple of two or more children."""
+    if isinstance(tree, bool):
+        raise InputError("leaf labels must be integers, not bools")
     if isinstance(tree, int):
         yield tree
-        return
-    for child in tree:
-        yield from _leaf_labels(child)
-
-
-def _validate(tree: Tree) -> None:
-    if isinstance(tree, int):
         return
     if not isinstance(tree, tuple) or len(tree) < 2:
         raise InputError("internal vertices need at least two children")
     for child in tree:
-        _validate(child)
-
-
-def serialize_tree(tree: Tree) -> str:
-    if isinstance(tree, int):
-        return str(tree)
-    return "(" + " ".join(serialize_tree(child) for child in tree) + ")"
+        yield from _leaf_labels(child)
 
 
 @dataclass(frozen=True)
@@ -67,7 +52,6 @@ class Stratum:
     tree: Tree
 
     def __post_init__(self):
-        _validate(self.tree)
         labels = list(_leaf_labels(self.tree))
         if labels != list(range(1, len(labels) + 1)):
             raise InputError("leaves must be labeled 1..n in planar order")
@@ -80,14 +64,15 @@ class Stratum:
 
     @property
     def codim(self) -> int:
-        return _internal_count(self.tree) - 1
+        return repr(self.tree).count("(") - 1  # one per internal vertex
 
     @property
     def dimension(self) -> int:
         return self.leaves - 2 - self.codim
 
     def serialize(self) -> str:
-        return serialize_tree(self.tree)
+        # a tuple of ints prints as "((1, 2), 3)": drop the commas
+        return repr(self.tree).replace(",", "")
 
     def contractions(self) -> tuple["Stratum", ...]:
         """All strata reached by contracting exactly one internal edge."""
@@ -95,6 +80,13 @@ class Stratum:
 
     def __repr__(self) -> str:
         return f"<Stratum {self.serialize()}>"
+
+
+def _built(tree: Tree) -> Stratum:
+    """A stratum over a tree built here, valid by construction: no checks."""
+    stratum = object.__new__(Stratum)
+    object.__setattr__(stratum, "tree", tree)
+    return stratum
 
 
 def _contract_one(tree: Tree) -> list[tuple]:
@@ -109,18 +101,27 @@ def _contract_one(tree: Tree) -> list[tuple]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _trees_over(leaves: tuple[int, ...]) -> tuple[Tree, ...]:
-    """Every planar tree over the given consecutive leaf labels."""
-    if len(leaves) == 1:
-        return (leaves[0],)
+# (leaf range, internal vertices) layers kept, least recently used out; the
+# listing cap admits at most 9 inputs, whose ranges make 129 layers
+_LAYERS = 256
+
+
+@lru_cache(maxsize=_LAYERS)
+def _trees(first: int, last: int, vertices: int) -> tuple[Tree, ...]:
+    """Planar trees on leaves first..last with that many internal vertices."""
+    if first == last:
+        return (first,)
     out: list[Tree] = []
-    # the root's children cover the leaves in 2 or more blocks, cut at `cuts`
-    for k in range(1, len(leaves)):
-        for cuts in combinations(range(1, len(leaves)), k):
-            bounds = (0, *cuts, len(leaves))
-            out.extend(product(*(_trees_over(leaves[a:b])
-                                 for a, b in zip(bounds, bounds[1:]))))
+    # the root's children cover the leaves in k + 1 blocks, which share out
+    # the other vertices - 1 internal vertices (at most last - first - k)
+    for k in range(1, last - first + 2 - vertices):
+        for cuts in combinations(range(first + 1, last + 1), k):
+            blocks = tuple(zip((first, *cuts), [c - 1 for c in cuts] + [last]))
+            for shares in product(*(range(min(1, b - a), b - a + 1)
+                                    for a, b in blocks)):
+                if sum(shares) == vertices - 1:
+                    out.extend(product(*(_trees(a, b, v) for (a, b), v
+                                         in zip(blocks, shares))))
     return tuple(out)
 
 
@@ -157,11 +158,10 @@ def _require_listable(n: int, codims: Iterable[int]) -> None:
 def enumerate_strata(n: int, codim: int) -> tuple[Stratum, ...]:
     """All strata of the given codimension, in serialization order."""
     stratum_count(n, codim)  # checks n and codim
-    # every planar tree on n leaves is built, then filtered by codimension
+    # every codimension is charged, so --codim stays refused on 10 inputs
     _require_listable(n, range(dim(n) + 1))
-    found = [Stratum(t) for t in _trees_over(tuple(range(1, n + 1)))
-             if _internal_count(t) == codim + 1]
-    return tuple(sorted(found, key=Stratum.serialize))
+    return tuple(sorted(map(_built, _trees(1, n, codim + 1)),
+                        key=Stratum.serialize))
 
 
 @dataclass(frozen=True)
@@ -190,10 +190,8 @@ def facet_compositions(n: int) -> tuple[FacetComposition, ...]:
     for inner in range(2, n):
         outer = n - inner + 1
         for position in range(1, outer + 1):
-            children: list[Tree] = list(range(1, position))
-            children.append(tuple(range(position, position + inner)))
-            children.extend(range(position + inner, n + 1))
-            stratum = Stratum(tuple(children))
-            out.append(FacetComposition(stratum, outer, inner, position))
+            tree = (*range(1, position), tuple(range(position, position + inner)),
+                    *range(position + inner, n + 1))
+            out.append(FacetComposition(_built(tree), outer, inner, position))
     out.sort(key=lambda fc: fc.stratum.serialize())
     return tuple(out)

@@ -188,6 +188,16 @@ def test_an_option_string_is_never_read_as_a_value(argv, capsys):
     assert "expected one argument" in capsys.readouterr().err
 
 
+def test_moduli_refuses_codim_with_facets(tmp_path, capsys):
+    # --facets lists codimension 1 only, so a --codim beside it was dropped
+    assert run(["moduli", "--n=9", "--codim=2", "--facets"]) == (2, "")
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "moduli", "n": 9, "codim": 2,
+                                "facets": True}))
+    assert run(["--json", str(path)]) == (2, "")
+    assert capsys.readouterr().err.count("not allowed with") == 2
+
+
 def test_json_job_rejects_extra_command(tmp_path):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"command": "moduli", "n": 3}))

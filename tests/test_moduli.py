@@ -14,7 +14,10 @@ from starprod import (
     facet_compositions,
     stratum_count,
 )
+from starprod import moduli
 from starprod.moduli import MAX_N
+
+from reference_moduli import reference_strata
 
 # interior strata count 1; each extra nesting level adds a codimension
 SUPERCATALAN = {2: 1, 3: 3, 4: 11, 5: 45, 6: 197, 7: 903}
@@ -109,7 +112,8 @@ def test_contractions_cover_the_coarser_layer():
 
 
 def test_invalid_trees_rejected():
-    for tree in ((1,), (1, 3), ((1, 2),), (2, 1)):
+    # a bool leaf equals its int, so it would pass the label check
+    for tree in ((1,), (1, 3), ((1, 2),), (2, 1), (True, 2), ((True, 2), 3)):
         with pytest.raises(InputError):
             Stratum(tree)
 
@@ -153,3 +157,31 @@ def test_facets_match_codim_one_strata(n):
     facet_trees = [fc.stratum.serialize() for fc in facet_compositions(n)]
     layer = [s.serialize() for s in enumerate_strata(n, 1)]
     assert sorted(facet_trees) == sorted(layer)
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_listing_matches_the_build_and_filter_oracle(data):
+    n = data.draw(st.integers(min_value=2, max_value=8), label="n")
+    codim = data.draw(st.integers(min_value=0, max_value=n - 2), label="codim")
+    moduli._trees.cache_clear()
+    listed = enumerate_strata(n, codim)
+    assert listed == reference_strata(n, codim)
+    assert all(s.codim == codim and s.leaves == n for s in listed)
+
+
+def test_the_strata_memo_stays_within_its_bound():
+    moduli._trees.cache_clear()
+    assert moduli._trees.cache_info().maxsize == moduli._LAYERS
+    for n in range(2, 10):
+        for c in range(dim(n) + 1):
+            enumerate_strata(n, c)
+            assert moduli._trees.cache_info().currsize <= moduli._LAYERS
+    # one layer per leaf range and vertex count on up to 9 leaves
+    assert moduli._trees.cache_info().currsize == 9 + sum(
+        (10 - leaves) * (leaves - 1) for leaves in range(2, 10))
+    # a refused listing is refused before anything is built
+    kept = moduli._trees.cache_info()
+    with pytest.raises(ResourceLimitError):
+        enumerate_strata(10, 0)
+    assert moduli._trees.cache_info() == kept

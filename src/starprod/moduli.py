@@ -32,14 +32,15 @@ MAX_LISTED_LEAVES = 200_000
 
 
 def _leaf_labels(tree: Tree) -> Iterator[int]:
-    """The leaves in planar order; InputError at a node that is neither an
-    int leaf nor a tuple of two or more children."""
-    if isinstance(tree, bool):
-        raise InputError("leaf labels must be integers, not bools")
-    if isinstance(tree, int):
+    """The leaves in planar order; InputError at a malformed node."""
+    # exact types, since strata print by repr (True == 1, yet prints True)
+    if type(tree) is int:
         yield tree
         return
-    if not isinstance(tree, tuple) or len(tree) < 2:
+    if type(tree) is not tuple:
+        raise InputError("a tree node is an int leaf label or a tuple of "
+                         f"children, not {type(tree).__name__}")
+    if len(tree) < 2:
         raise InputError("internal vertices need at least two children")
     for child in tree:
         yield from _leaf_labels(child)

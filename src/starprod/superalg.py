@@ -2,10 +2,10 @@
 
 A GradedSpace declares named generators, each even (commuting) or odd
 (anticommuting).  A GradedPoly is a polynomial over such a space with
-Gaussian-rational coefficients, indexed by exponent tuples.  Odd generators
-square to zero, so their exponents are 0 or 1; reordering signs are
-normalized into the coefficients (canonical form: generators in
-declaration order).
+Gaussian-rational coefficients, keyed by monomials packed into one int
+each.  Odd generators square to zero, so their exponents are 0 or 1;
+reordering signs are normalized into the coefficients (canonical form:
+generators in declaration order).
 
 The formal deformation parameter is modeled as a distinguished even
 generator named "hbar".  Spaces that contain it carry a truncation order:

@@ -1,5 +1,7 @@
 """Stratum bookkeeping for the compactified configuration polytopes."""
 
+from collections import namedtuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,8 +114,11 @@ def test_contractions_cover_the_coarser_layer():
 
 
 def test_invalid_trees_rejected():
-    # a bool leaf equals its int, so it would pass the label check
-    for tree in ((1,), (1, 3), ((1, 2),), (2, 1), (True, 2), ((True, 2), 3)):
+    # a bool leaf or a named tuple equals its plain value, so it would pass
+    # the label check and then print otherwise
+    pair = namedtuple("pair", "left right")
+    for tree in ((1,), (1, 3), ((1, 2),), (2, 1), (True, 2), ((True, 2), 3),
+                 pair(1, 2), (1, 2.0)):
         with pytest.raises(InputError):
             Stratum(tree)
 

@@ -189,7 +189,7 @@ def test_an_option_string_is_never_read_as_a_value(argv, capsys):
 
 
 def test_moduli_refuses_codim_with_facets(tmp_path, capsys):
-    # --facets lists codimension 1 only, so a --codim beside it was dropped
+    # --facets lists codimension 1 only: a --codim beside it is refused
     assert run(["moduli", "--n=9", "--codim=2", "--facets"]) == (2, "")
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"command": "moduli", "n": 9, "codim": 2,

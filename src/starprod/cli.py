@@ -143,7 +143,9 @@ def _cmd_koszul(args) -> dict:
         report["geometric"] = geometric.to_data()
     if args.route in ("diagram", "both"):
         diagram = koszul.koszul_bracket(alpha, w1, w2, "diagram")
-        report["diagram"] = diagram.to_data()
+        # printing is canonical: equal brackets print the same text
+        report["diagram"] = report["geometric"] if args.route == "both" \
+            and diagram == geometric else diagram.to_data()
     if args.route == "both":
         report["agree"] = report["geometric"] == report["diagram"]
     return report

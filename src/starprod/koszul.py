@@ -175,6 +175,12 @@ def bullet_diagrams(alpha: Multivector, w1: DifferentialForm,
     def comp(w: DifferentialForm, i: int) -> GradedPoly:
         return w.components.get((i,), zero)
 
+    # d_i w_k for every index i the bivector names, formed once per call:
+    # the transport patterns ask for it once per oriented component
+    named = {i for key in alpha.components for i in key}
+    dw1, dw2 = ({(k, i): comp(w, k).deriv_left(f"x{i}")
+                 for k in range(1, d + 1) for i in named} for w in (w1, w2))
+
     # each stored component A^{ij} in both orientations, A^{ji} = -A^{ij},
     # the sign carried apart from the polynomial
     oriented = []
@@ -185,10 +191,10 @@ def bullet_diagrams(alpha: Multivector, w1: DifferentialForm,
             for target, w in (("first", w1), ("second", w2))}
     a_w1 = [(s, j, a * comp(w1, i)) for s, i, j, a in oriented]
     transport_second = {(k,): _mac(ring, [
-        (s, aw, comp(w2, k).deriv_left(f"x{j}")) for s, j, aw in a_w1])
+        (s, aw, dw2[k, j]) for s, j, aw in a_w1])
         for k in range(1, d + 1)}
     transport_first = {(k,): _mac(ring, [
-        (s, a * comp(w1, k).deriv_left(f"x{i}"), comp(w2, j))
+        (s, a * dw1[k, i], comp(w2, j))
         for s, i, j, a in oriented]) for k in range(1, d + 1)}
     vertex_derivative = {(k,): _mac(ring, [
         (s, a.deriv_left(f"x{k}") * comp(w1, i), comp(w2, j))

@@ -77,7 +77,8 @@ class Stratum:
 
     def contractions(self) -> tuple["Stratum", ...]:
         """All strata reached by contracting exactly one internal edge."""
-        return tuple(Stratum(t) for t in _contract_one(self.tree))
+        # a contraction of a valid tree is valid: no checks again
+        return tuple(map(_built, _contract_one(self.tree)))
 
     def __repr__(self) -> str:
         return f"<Stratum {self.serialize()}>"

@@ -140,6 +140,12 @@ def _accumulate(out: dict, key, c) -> None:
             del out[key]
 
 
+def _require_power_degree(degree: int) -> None:
+    if degree > MAX_POWER_DEGREE:
+        raise ResourceLimitError(f"a power of degree {degree} exceeds the "
+                                 f"cap of {MAX_POWER_DEGREE}")
+
+
 def _require_same_space(a: "GradedPoly", b: "GradedPoly") -> None:
     if a.space != b.space:
         raise InputError("operands live in different graded spaces "
@@ -506,10 +512,7 @@ class GradedPoly:
 
     def __pow__(self, n: int) -> "GradedPoly":
         require_int(n, "a polynomial power's exponent")
-        degree = n * max(self.total_degree(), 1)
-        if degree > MAX_POWER_DEGREE:
-            raise ResourceLimitError(f"a power of degree {degree} exceeds the "
-                                     f"cap of {MAX_POWER_DEGREE}")
+        _require_power_degree(n * max(self.total_degree(), 1))
         # the bits of the base's largest part in lowest terms, not of its
         # numerators over the shared denominator, which may be larger
         bits = n * max((part.bit_length() for row in self.rows.values()
@@ -797,12 +800,22 @@ def taylor_shift(p: GradedPoly, basepoint: Sequence[ScalarLike],
 
     The input lives in coeff_space(d); the result is an even polynomial in
     super_space(d, hbar_order).  Polynomials terminate, so the shift is exact.
+    At x0 = 0 it relabels x_i as xi_i, each packed key moved up past the eta
+    and hbar fields, den and rows kept; map_into's power xi_i ** e would
+    refuse the first exponent past MAX_POWER_DEGREE, and so does this.
     """
     d = len(p.space)
     if p.space != coeff_space(d):
         raise InputError("taylor_shift expects a plain polynomial in x1..xd")
     pt = _point_values(basepoint, d)
     target = super_space(d, hbar_order)
+    if not any(pt):
+        if p.total_degree() > MAX_POWER_DEGREE:
+            for e in chain.from_iterable(map(p.space._layout.unpack, p.rows)):
+                _require_power_degree(e)
+        up = target._layout.shifts[d - 1]
+        return GradedPoly._raw(target, p.den,
+                               {key << up: row for key, row in p.rows.items()})
     images = {}
     for i in range(1, d + 1):
         xi = GradedPoly.generator(target, f"xi{i}")

@@ -98,6 +98,52 @@ def test_koszul_routes_agree_flag():
     assert "agree" not in geo and "diagram" not in geo
 
 
+def test_koszul_routes_that_disagree_are_rendered_apart(monkeypatch):
+    # a diagram route off by a form of its own prints that form, and the
+    # report says the routes disagree
+    w = json.dumps({"dim": 3, "degree": 1, "components": {"1": "x2"}})
+    v = json.dumps({"dim": 3, "degree": 1, "components": {"2": "1"}})
+    honest = starprod.koszul.koszul_bracket
+    extra = starprod.DifferentialForm.from_data(
+        {"dim": 3, "degree": 1, "components": {"3": "x1^2"}})
+    wrong = []
+
+    def skewed(alpha, w1, w2, route="geometric"):
+        bracket = honest(alpha, w1, w2, route)
+        if route == "diagram":
+            wrong.append(bracket + extra)
+            return wrong[-1]
+        return bracket
+
+    monkeypatch.setattr(starprod.koszul, "koszul_bracket", skewed)
+    report = run_json(["koszul", "--alpha", "so3", "--w1", w, "--w2", v,
+                       "--route", "both"])
+    assert report["agree"] is False
+    assert report["diagram"] == wrong[0].to_data() != report["geometric"]
+    assert report["geometric"]["components"]["3"] == "x2"
+    assert report["diagram"]["components"]["3"] == "x2 + x1^2"
+    assert report["geometric"] == run_json(
+        ["koszul", "--alpha", "so3", "--w1", w, "--w2", v])["geometric"]
+
+
+@pytest.mark.parametrize("component, code, want", [
+    ("x1^999*x1", 0, {"1": "999*x1^1000"}),
+    ("x1^1000*x1", 3, "a power of degree 1001 exceeds the cap of 1000"),
+], ids=["degree-1000", "degree-1001"])
+def test_schouten_degree_refusal_is_the_taylor_shift_power_cap(
+        capsys, component, code, want):
+    # the symbol's Taylor shift builds xi1 ** e for the component's
+    # exponent e, so e = 1000 is admitted and 1001 is refused
+    a = json.dumps({"dim": 1, "degree": 1, "components": {"1": component}})
+    b = json.dumps({"dim": 1, "degree": 1, "components": {"1": "x1"}})
+    got, text = run(["schouten", "--a", a, "--b", b])
+    assert got == code
+    if code:
+        assert text == "" and want in capsys.readouterr().err
+    else:
+        assert json.loads(text)["bracket"]["components"] == want
+
+
 def test_bv_check_report():
     space = json.dumps({"fields": [["v", 0], ["c", 1]]})
     report = run_json(["bv-check", "--space", space, "--f", "vp*c",

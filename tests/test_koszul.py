@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from starprod import (
     DifferentialForm,
+    GradedPoly,
     InputError,
     Multivector,
     anchor,
@@ -194,6 +195,31 @@ def test_diagram_catalog_is_complete():
     # self-contraction pieces are symmetric, so they cancel in the bracket
     swapped = dict(bullet_diagrams(so3, w2, w1))
     assert dict(pieces)["tadpole-on-second"] == swapped["tadpole-on-first"]
+
+
+def test_diagrams_differentiate_each_form_component_once(monkeypatch):
+    """d_i w_k is formed once per call for each component k and each index
+    i the bivector names, not once per oriented bivector component."""
+    so3 = fixture("so3")  # names every index in two components
+    ring = coeff_space(3)
+    forms = [DifferentialForm(3, 1, {(k,): parse_poly(f"x{k}^2 + {c}*x{j}", ring)
+                                     for k, j in ((1, 2), (2, 3), (3, 1))})
+             for c in (2, 5)]
+    want = bullet_diagrams(so3, *forms)
+    owner = {id(p): (n, k) for n, w in enumerate(forms)
+             for (k,), p in w.components.items()}
+    calls = []
+
+    def counting(self, name):
+        if id(self) in owner:
+            calls.append((*owner[id(self)], name))
+        return deriv_left(self, name)
+
+    deriv_left = GradedPoly.deriv_left
+    monkeypatch.setattr(GradedPoly, "deriv_left", counting)
+    assert bullet_diagrams(so3, *forms) == want
+    assert sorted(calls) == [(n, k, f"x{i}") for n in (0, 1)
+                             for k in (1, 2, 3) for i in (1, 2, 3)]
 
 
 def test_unknown_route_rejected():

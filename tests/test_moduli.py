@@ -103,6 +103,20 @@ def test_contractions_merge_one_level():
     assert Stratum((1, 2, 3)).contractions() == ()
 
 
+def test_contractions_are_the_validated_strata():
+    # contractions skip the check; each equals its validated stratum and
+    # prints as it does
+    for n in range(2, 8):
+        for c in range(n - 1):
+            for s in enumerate_strata(n, c):
+                got = s.contractions()
+                want = tuple(Stratum(t) for t in moduli._contract_one(s.tree))
+                assert got == want
+                assert [t.serialize() for t in got] == \
+                    [t.serialize() for t in want]
+                assert all(type(t) is Stratum for t in got)
+
+
 def test_contractions_cover_the_coarser_layer():
     for n in range(3, 6):
         for c in range(1, n - 1):

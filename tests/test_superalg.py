@@ -296,6 +296,62 @@ def test_taylor_shift_recenters_polynomials():
     assert shifted == expected
 
 
+def _identity_image(p, hbar_order):
+    """p(xi) through map_into: the route taylor_shift skips at zero."""
+    d = len(p.space)
+    target = super_space(d, hbar_order)
+    return p.map_into(target, {f"x{i}": GradedPoly.generator(target, f"xi{i}")
+                               for i in range(1, d + 1)})
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       d=st.integers(min_value=1, max_value=4),
+       hbar_order=st.integers(min_value=0, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_taylor_shift_at_zero_is_the_identity_image(seed, d, hbar_order):
+    rng = random.Random(seed)
+    p = random_poly(rng, coeff_space(d), max_degree=5, max_terms=6, span=13)
+    got = taylor_shift(p, [0] * d, hbar_order)
+    want = _identity_image(p, hbar_order)
+    assert got.space == want.space == super_space(d, hbar_order)
+    assert (got.den, got.rows) == (want.den, want.rows)
+
+
+def _degree_refusal(call):
+    with pytest.raises(ResourceLimitError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("at", [[0, 0], [0, Fraction(1, 2)]],
+                         ids=["zero", "nonzero"])
+def test_taylor_shift_exponent_cap_is_the_power_cap(at):
+    # x_i ** e is built for each exponent, so 1000 passes and 1001 is
+    # refused as a power, at zero as at any other basepoint
+    ring = coeff_space(2)
+    assert MAX_POWER_DEGREE == 1000
+    big = parse_poly("x1^1000*x2", ring)
+    assert taylor_shift(big, at).total_degree() == 1001
+    assert taylor_shift(big, at) == parse_poly(
+        "xi1^1000*(xi2 + {})".format(at[1]), super_space(2))
+    over = parse_poly("x1^1000*x1", ring)
+    message = "a power of degree 1001 exceeds the cap of 1000"
+    assert _degree_refusal(lambda: taylor_shift(over, at)) == message
+
+
+@pytest.mark.parametrize("exponents", [
+    [(1001, 1003), (1005, 0)],
+    [(1005, 0), (1001, 1003)],
+    [(3, 1002), (1004, 1), (0, 2000)],
+])
+def test_taylor_shift_refuses_the_first_exponent_map_into_meets(exponents):
+    # rows in order, then generators in order: the power map_into builds
+    # first is the one refused
+    p = GradedPoly(coeff_space(2), {key: 1 for key in exponents})
+    want = _degree_refusal(lambda: _identity_image(p, DEFAULT_HBAR_ORDER))
+    assert _degree_refusal(lambda: taylor_shift(p, [0, 0])) == want
+
+
 def test_evaluate_rejects_odd_assignments_and_gaps():
     s = super_space(1)
     p = parse_poly("xi1*eta1", s)

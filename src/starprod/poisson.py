@@ -281,8 +281,6 @@ def antibracket(F: GradedPoly, G: GradedPoly) -> GradedPoly:
 
     Normalization: antibracket(xi1, eta1) = 1 and antibracket(eta1, xi1) = -1.
     """
-    if F.space != G.space:
-        raise InputError("antibracket operands live in different spaces")
     return pairing_bracket(F, G, _superspace_pairs(F.space))
 
 

@@ -66,34 +66,19 @@ class Scalar:
         raise TypeError(f"cannot interpret {type(value).__name__} as a Scalar")
 
     def __add__(self, other: ScalarLike) -> "Scalar":
-        a, b, d = self._a, self._b, self._d
-        if type(other) is Scalar:
-            c, e, f = other._a, other._b, other._d
-        elif type(other) is int:
-            # gcd(a + n d, b, d) = gcd(a, b, d) = 1
-            return _exact(a + other * d, b, d)
-        elif (parts := _ints(other)) is None:
+        if (parts := _ints(other)) is None:
             return NotImplemented
-        else:
-            c, e, f = parts
-        if d == f:
-            return _reduced(a + c, b + e, d)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = parts
         return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
-        a, b, d = self._a, self._b, self._d
-        if type(other) is Scalar:
-            c, e, f = other._a, other._b, other._d
-        elif type(other) is int:
-            return _exact(a - other * d, b, d)
-        elif (parts := _ints(other)) is None:
+        if (parts := _ints(other)) is None:
             return NotImplemented
-        else:
-            c, e, f = parts
-        if d == f:
-            return _reduced(a - c, b - e, d)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = parts
         return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
@@ -103,15 +88,10 @@ class Scalar:
         return _exact(-self._a, -self._b, self._d)
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        a, b, d = self._a, self._b, self._d
-        if type(other) is Scalar:
-            c, e, f = other._a, other._b, other._d
-        elif type(other) is int:
-            return _reduced(a * other, b * other, d)
-        elif (parts := _ints(other)) is None:
+        if (parts := _ints(other)) is None:
             return NotImplemented
-        else:
-            c, e, f = parts
+        a, b, d = self._a, self._b, self._d
+        c, e, f = parts
         return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__

@@ -30,19 +30,19 @@ multiply-accumulate kernel, _products, which sums scale * a * b over pairs
 of numerator rows; _mac caps polynomial pairs and puts them over one
 denominator for it.  Scalar and exponent tuples appear only at the edges:
 values and terms passed in, the values of evaluate and constant_value, and
-the read-only view p.terms, keyed by exponent tuples.
+p.terms, a read-only mapping keyed by exponent tuples, built on each read.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product
+from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import InputError, InternalError, ResourceLimitError, require_int
@@ -338,47 +338,15 @@ def _sum(p: "GradedPoly", q: "GradedPoly", sign: int) -> "GradedPoly":
     return GradedPoly._raw(p.space, den, out)
 
 
-class _Terms(Mapping):
-    """The coefficients of rows over den as Scalars by exponent tuple,
-    read-only: each key is unpacked, and each Scalar built, when read."""
-
-    __slots__ = ("_den", "_rows", "_layout")
-
-    def __init__(self, den: int, rows: dict, layout: _Layout):
-        self._den, self._rows, self._layout = den, rows, layout
-
-    def _packed(self, key) -> Optional[int]:
-        """The packed key of an exponent tuple, None if no key can be one
-        (too long or short, or an exponent that is no field's)."""
-        try:
-            return self._layout.pack(key)
-        except (struct.error, TypeError):
-            return None
-
-    def __getitem__(self, key) -> Scalar:
-        row = self._rows.get(self._packed(key))
-        if row is None:
-            raise KeyError(key)
-        return _reduced(*row, self._den)
-
-    def __contains__(self, key) -> bool:
-        return self._packed(key) in self._rows
-
-    def __iter__(self):
-        return map(self._layout.unpack, self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-
 class GradedPoly:
     """Immutable-by-convention polynomial over a GradedSpace.
 
     The coefficient at a monomial is (a + b*i)/den with (a, b) = rows[key],
     key the monomial packed by space._layout: one positive denominator,
     Gaussian-integer numerator rows, no (0, 0) row and gcd(den, every a,
-    every b) = 1.  terms views the same coefficients as Scalars, keyed by
-    exponent tuples; the constructor takes such a mapping.
+    every b) = 1.  terms is built on each read: the same coefficients as
+    Scalars in a read-only mapping keyed by exponent tuples; the
+    constructor takes such a mapping.
     """
 
     __slots__ = ("space", "den", "rows")
@@ -416,8 +384,11 @@ class GradedPoly:
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], Scalar]:
-        """The coefficients as a read-only mapping from keys to Scalars."""
-        return _Terms(self.den, self.rows, self.space._layout)
+        """The coefficients as a read-only mapping from exponent tuples to
+        Scalars, built on each read."""
+        unpack, den = self.space._layout.unpack, self.den
+        return MappingProxyType({unpack(key): _reduced(a, b, den)
+                                 for key, (a, b) in self.rows.items()})
 
     # construction helpers
 
@@ -455,9 +426,6 @@ class GradedPoly:
             raise InputError("polynomial is not constant")
         row = self.rows.get(0)
         return _reduced(*row, self.den) if row else Scalar()
-
-    def term_parity(self, key: tuple[int, ...]) -> int:
-        return sum(key[i] for i in self.space.odd_indices) & 1
 
     def parity(self) -> Optional[int]:
         """0 or 1 when parity-homogeneous (zero counts as both; returns 0), else None."""

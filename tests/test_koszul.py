@@ -222,6 +222,29 @@ def test_diagrams_differentiate_each_form_component_once(monkeypatch):
                              for k in (1, 2, 3) for i in (1, 2, 3)]
 
 
+def test_diagrams_differentiate_each_bivector_component_once(monkeypatch):
+    """d_k A^{ij} is formed once per call for each stored component and
+    each index k, not once per orientation and pattern."""
+    so3 = fixture("so3")
+    ring = coeff_space(3)
+    w1 = DifferentialForm(3, 1, {(1,): parse_poly("x2", ring), (3,): 1})
+    w2 = DifferentialForm(3, 1, {(2,): parse_poly("x1^2", ring)})
+    want = bullet_diagrams(so3, w1, w2)
+    owner = {id(p): key for key, p in so3.components.items()}
+    calls = []
+
+    def counting(self, name):
+        if id(self) in owner:
+            calls.append((owner[id(self)], name))
+        return deriv_left(self, name)
+
+    deriv_left = GradedPoly.deriv_left
+    monkeypatch.setattr(GradedPoly, "deriv_left", counting)
+    assert bullet_diagrams(so3, w1, w2) == want
+    assert sorted(calls) == [(key, f"x{k}") for key in sorted(so3.components)
+                             for k in (1, 2, 3)]
+
+
 def test_unknown_route_rejected():
     c2 = fixture("canonical2d")
     w = DifferentialForm(2, 1, {(1,): 1})

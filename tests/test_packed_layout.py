@@ -12,6 +12,7 @@ printed order: degree ascending, then exponents descending.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,3 +113,21 @@ def test_terms_show_exponent_tuples(terms):
                 (0.5,) * len(space), "x"):
         assert key not in p.terms
         assert p.terms.get(key) is None
+
+
+def test_terms_is_read_only_and_looked_up_like_a_dict():
+    """terms is a fresh read-only mapping on each read: it refuses item
+    assignment and deletion, an unhashable list key raises TypeError, and a
+    tuple that compares equal to an exponent tuple, floats too, finds it."""
+    space = coeff_space(2)
+    p = GradedPoly(space, {(1, 0): Scalar(Fraction(1, 2)), (0, 2): 3})
+    terms = p.terms
+    with pytest.raises(TypeError):
+        terms[(1, 0)] = Scalar(1)
+    with pytest.raises(TypeError):
+        del terms[(1, 0)]
+    assert dict(p.terms) == {(1, 0): Scalar(Fraction(1, 2)), (0, 2): Scalar(3)}
+    with pytest.raises(TypeError):
+        p.terms[[1, 0]]
+    assert p.terms[(1.0, 0.0)] == Scalar(Fraction(1, 2))
+    assert (0, 2.0) in p.terms and (1, 1) not in p.terms

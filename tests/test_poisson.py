@@ -137,6 +137,9 @@ def test_antibracket_canonical_pairs():
     assert antibracket(eta1, xi1) == -one
     assert antibracket(xi1, eta2).is_zero()
     assert antibracket(xi1, parse_poly("xi2", s)).is_zero()
+    # operands from different spaces are refused by the shared core
+    with pytest.raises(InputError):
+        antibracket(xi1, parse_poly("xi1", super_space(2, 1)))
 
 
 @st.composite

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from starprod import (
@@ -49,6 +49,36 @@ def test_calibration_from_canonical_fixture():
     # the products scale order n by weight^n / n!
     assert _order_weight(1) == weight
     assert _order_weight(2) == Scalar(Fraction(-1, 8))
+
+
+@pytest.mark.parametrize("name", ["canonical2d", "so3", "nonpoisson4d"])
+def test_calibration_does_not_depend_on_the_probe_order(name):
+    """Swapping the probes negates both the raw antisymmetric term and the
+    bracket, so the weight is i/2 either way."""
+    alpha = fixture(name)
+    ring = coeff_space(alpha.dim)
+    rng = random.Random(17)
+    probes = 0
+    while probes < 4:
+        f, g = random_poly(rng, ring), random_poly(rng, ring)
+        if poisson_bracket(alpha, f, g).is_zero():
+            continue
+        assert calibrate(alpha, f, g) == calibrate(alpha, g, f) \
+            == Scalar(0, Fraction(1, 2))
+        probes += 1
+
+
+@given(seed=st.integers(0, 2 ** 32), dim=st.integers(2, 4))
+@settings(max_examples=25, deadline=None)
+def test_calibration_on_random_bivectors_does_not_depend_on_the_probe_order(
+        seed, dim):
+    rng = random.Random(seed)
+    ring = coeff_space(dim)
+    alpha = random_multivector(rng, dim, 2, ring)
+    f, g = random_poly(rng, ring), random_poly(rng, ring)
+    assume(not poisson_bracket(alpha, f, g).is_zero())
+    assert calibrate(alpha, f, g) == calibrate(alpha, g, f) \
+        == Scalar(0, Fraction(1, 2))
 
 
 def test_calibration_rejects_degenerate_probes():

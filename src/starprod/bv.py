@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from typing import Mapping, Optional, Sequence
 
 from .errors import InputError, ResourceLimitError, require_int
+from .expr import _is_name
 from .scalars import Scalar
 from .superalg import (DEFAULT_HBAR_ORDER, MAX_COORDINATES, GradedPoly,
                        GradedSpace, pairing_bracket)
@@ -79,6 +80,15 @@ class BVSpace:
         generator_names = tuple(names) + tuple(partner) + ("hbar",)
         generator_parities = tuple(parities) + tuple(1 - p for p in parities) + (0,)
         space = GradedSpace(generator_names, generator_parities, hbar_order)
+        # a name the expression grammar reads otherwise, or not at all,
+        # would leave its generator out of every polynomial
+        for kind, group in (("field", names), ("antifield", partner)):
+            for name in group:
+                if not _is_name(name):
+                    raise InputError(
+                        f"{kind} name {name!r} cannot be written in an "
+                        f"expression: use a letter or '_', then letters, "
+                        f"digits or '_', and not 'I'")
         return BVSpace(tuple(names), tuple(parities), tuple(partner), space)
 
     @property

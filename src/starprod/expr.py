@@ -14,69 +14,83 @@ space.  Exponents are nonnegative integer literals.  Parentheses and unary
 minus nest at most MAX_NESTING (100) levels deep; deeper input raises
 InputError naming the cap.
 
-parse_expr produces a small AST; to_poly interprets it over a GradedSpace;
+One regular-expression scan cuts the text into tokens, refusing the
+first character that starts none; parse_expr builds a small term tree from
+the tokens; to_poly interprets the tree over a GradedSpace straight into
+numerator rows over one denominator, keyed by packed monomials as
+GradedPoly stores them, and reduces the result once.  A number, I or a
+generator multiplied in is folded into every row, sums merge over the lcm
+of their denominators, and products and powers meet GradedPoly's caps.  A
+lexing error anywhere comes first, then syntax errors from the left, then
+the first term that fails to evaluate, the left operand before the right.
+
 poly_to_expr prints a polynomial back in a canonical form that round-trips,
 however many terms it has.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .errors import InputError
-from .scalars import Scalar, _parts, _render, parse_rational
-from .superalg import GradedPoly, GradedSpace
+from .monomials import MAX_DEGREE
+from .scalars import _parts, _render, parse_rational
+from .superalg import (MAX_POWER_TERMS, GradedPoly, GradedSpace,
+                       _canonical, _check_power, _check_product, _products)
 
-# parenthesis and unary-minus levels; each costs the parser four stack
-# frames, so the cap keeps parsing well inside the recursion limit
+# parenthesis and unary-minus levels; each costs the parser at most three
+# stack frames, so the cap keeps parsing well inside the recursion limit
 MAX_NESTING = 100
 
 # AST ------------------------------------------------------------------------
+# slotted nodes, built with plain assignments and not changed after; equal
+# and hashed by class and fields
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Num:
     value: Fraction
     pos: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Name:
     ident: str
     pos: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Neg:
     arg: "Node"
     pos: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Add:
     left: "Node"
     right: "Node"
     pos: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Sub:
     left: "Node"
     right: "Node"
     pos: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Mul:
     left: "Node"
     right: "Node"
     pos: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Pow:
     base: "Node"
     exponent: int
@@ -87,42 +101,48 @@ Node = Union[Num, Name, Neg, Add, Sub, Mul, Pow]
 
 # lexer ----------------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()])")
+# a name as the grammar spells it; BVSpace refuses any other field or
+# antifield name, and I
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_FULL_NAME = re.compile(_NAME).fullmatch
+# whitespace, then a number, a name, an operator or the character that
+# starts no token; a text is scanned once
+_SCAN = re.compile(rf"(\s*)(?:(\d+(?:/\d+)?)|({_NAME})|([-+*^()])|(\S))")
+
+
+def _is_name(text) -> bool:
+    """True if text is a str that reads as one generator name."""
+    return isinstance(text, str) and text != "I" and \
+        _FULL_NAME(text) is not None
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, column) per token and a last ("end", "", len + 1); an
+    operator's kind is its own character."""
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise InputError(f"unexpected character {text[pos]!r} "
-                             f"at column {pos + 1}")
-        kind = m.lastgroup
-        tokens.append((kind, m.group(), pos + 1))
-        pos = m.end()
-    tokens.append(("end", "", n + 1))
+    col = 1
+    for space, num, name, op, bad in _SCAN.findall(text):
+        col += len(space)
+        if op:
+            tokens.append((op, op, col))
+        elif name:
+            tokens.append(("name", name, col))
+        elif num:
+            tokens.append(("num", num, col))
+        else:
+            raise InputError(f"unexpected character {bad!r} at column {col}")
+        col += len(op or name or num)
+    tokens.append(("end", "", len(text) + 1))
     return tokens
 
 
 class _Parser:
+    __slots__ = ("tokens", "k", "depth")
+
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.k = 0
         self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.k]
-
-    def advance(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
 
     def nest(self, pos: int) -> None:
         self.depth += 1
@@ -132,66 +152,62 @@ class _Parser:
 
     def expr(self) -> Node:
         node = self.term()
+        tokens = self.tokens
         while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs, pos) if text == "+" else Sub(node, rhs, pos)
+            kind, _, pos = tokens[self.k]
+            if kind == "+":
+                self.k += 1
+                node = Add(node, self.term(), pos)
+            elif kind == "-":
+                self.k += 1
+                node = Sub(node, self.term(), pos)
             else:
                 return node
 
     def term(self) -> Node:
         node = self.factor()
+        tokens = self.tokens
         while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text == "*":
-                self.advance()
-                node = Mul(node, self.factor(), pos)
-            else:
+            kind, _, pos = tokens[self.k]
+            if kind != "*":
                 return node
+            self.k += 1
+            node = Mul(node, self.factor(), pos)
 
     def factor(self) -> Node:
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
+        tokens = self.tokens
+        kind, text, pos = tokens[self.k]
+        self.k += 1
+        if kind == "name":
+            node = Name(text, pos)
+        elif kind == "num":
+            node = Num(parse_rational(text, f"at column {pos}"), pos)
+        elif kind == "-":
             self.nest(pos)
             node = Neg(self.factor(), pos)
             self.depth -= 1
             return node
-        node = self.atom()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text == "^":
-                self.advance()
-                node = Pow(node, self._exponent(), pos)
-            else:
-                return node
-
-    def _exponent(self) -> int:
-        kind, text, pos = self.advance()
-        if kind != "num" or "/" in text:
-            raise InputError("exponent must be a nonnegative integer "
-                             f"at column {pos}")
-        return int(parse_rational(text, f"at column {pos}"))
-
-    def atom(self) -> Node:
-        kind, text, pos = self.advance()
-        if kind == "num":
-            return Num(parse_rational(text, f"at column {pos}"), pos)
-        if kind == "name":
-            return Name(text, pos)
-        if kind == "op" and text == "(":
+        elif kind == "(":
             self.nest(pos)
             node = self.expr()
             self.depth -= 1
-            kind, text, pos = self.advance()
-            if not (kind == "op" and text == ")"):
+            kind, text, pos = tokens[self.k]
+            self.k += 1
+            if kind != ")":
                 raise InputError(f"expected ')' at column {pos}")
-            return node
-        if kind == "end":
+        elif kind == "end":
             raise InputError(f"unexpected end of expression at column {pos}")
-        raise InputError(f"unexpected {text!r} at column {pos}")
+        else:
+            raise InputError(f"unexpected {text!r} at column {pos}")
+        while tokens[self.k][0] == "^":
+            pos = tokens[self.k][2]
+            kind, text, at = tokens[self.k + 1]
+            self.k += 2
+            if kind != "num" or "/" in text:
+                raise InputError("exponent must be a nonnegative integer "
+                                 f"at column {at}")
+            node = Pow(node, int(parse_rational(text, f"at column {at}")), pos)
+        return node
 
 
 def parse_expr(text: str) -> Node:
@@ -200,7 +216,7 @@ def parse_expr(text: str) -> Node:
         raise InputError("empty expression")
     parser = _Parser(_tokenize(text))
     node = parser.expr()
-    kind, tok, pos = parser.peek()
+    kind, tok, pos = parser.tokens[parser.k]
     if kind != "end":
         raise InputError(f"unexpected {tok!r} at column {pos}")
     return node
@@ -208,45 +224,158 @@ def parse_expr(text: str) -> Node:
 
 # interpretation ---------------------------------------------------------------
 
+# A value is (den, rows): the coefficient at each packed monomial key of rows
+# is (a + b*i)/den, rows[key] = (a, b), with den > 0 and no row (0, 0), as
+# GradedPoly stores it, but den and the rows may share a factor until
+# to_poly reduces the result once.  Every rows dict a step returns is its
+# own, so the next step may change it.
+Value = tuple[int, dict]
+
+
 def to_poly(node: Node, space: GradedSpace) -> GradedPoly:
-    """Interpret an AST over a graded space.
+    """Interpret an AST over a graded space."""
+    return _canonical(space, *_value(node, space))
 
-    The left spine of Add/Sub/Mul/Pow nodes is walked with a loop, so long
-    sums and products cost no stack depth.
-    """
+
+def _value(node: Node, space: GradedSpace) -> Value:
+    """The left spine of Add/Sub/Mul/Pow nodes is walked with a loop, so
+    long sums and products cost no stack depth."""
     spine = []
-    while isinstance(node, (Add, Sub, Mul, Pow)):
+    kind = type(node)
+    while kind is Mul or kind is Add or kind is Sub or kind is Pow:
         spine.append(node)
-        node = node.base if isinstance(node, Pow) else node.left
-    acc = _leaf_poly(node, space)
+        node = node.base if kind is Pow else node.left
+        kind = type(node)
+    if kind is Num:
+        a, den = node.value.numerator, node.value.denominator
+        rows = {0: (a, 0)} if a else {}
+    elif kind is Name:
+        den, rows = _times_name(space, 1, {0: (1, 0)}, node)
+    elif kind is Neg:
+        den, rows = _value(node.arg, space)
+        rows = {key: (-a, -b) for key, (a, b) in rows.items()}
+    else:
+        raise InputError(f"unrecognized expression node {node!r}")
     for op in reversed(spine):
-        if isinstance(op, Pow):
-            if acc.parity() == 1 and op.exponent > 1:
-                acc = GradedPoly.zero(space)
+        kind = type(op)
+        if kind is Mul:
+            right = op.right
+            if type(right) is Num:
+                den, rows = _times_number(space, den, rows, right.value)
+            elif type(right) is Name:
+                den, rows = _times_name(space, den, rows, right)
             else:
-                acc = acc ** op.exponent
-        elif isinstance(op, Add):
-            acc = acc + to_poly(op.right, space)
-        elif isinstance(op, Sub):
-            acc = acc - to_poly(op.right, space)
+                den, rows = _times(space, den, rows, *_value(right, space))
+        elif kind is Pow:
+            den, rows = _power(space, den, rows, op.exponent)
         else:
-            acc = acc * to_poly(op.right, space)
-    return acc
+            den, rows = _plus(den, rows, *_value(op.right, space),
+                              1 if kind is Add else -1)
+    return den, rows
 
 
-def _leaf_poly(node: Node, space: GradedSpace) -> GradedPoly:
-    if isinstance(node, Num):
-        return GradedPoly.constant(space, node.value)
-    if isinstance(node, Name):
-        if node.ident == "I":
-            return GradedPoly.constant(space, Scalar(0, 1))
-        if node.ident in space._index:
-            return GradedPoly.generator(space, node.ident)
+# A number, I or a generator multiplied in is folded into every row.  Every
+# value's degree is within MAX_DEGREE, as every product's is checked, so
+# _check_product can refuse such a product only by its term estimate, or,
+# for a generator, by a degree of MAX_DEGREE already reached: only then is
+# it run.
+
+def _times_number(space: GradedSpace, den: int, rows: dict,
+                  value: Fraction) -> Value:
+    a, d = value.numerator, value.denominator
+    if not (a and rows):
+        return 1, {}
+    if len(rows) > MAX_POWER_TERMS:
+        _check_product(space, rows, {0: (a, 0)})
+    return den * d, {key: (x * a, y * a) for key, (x, y) in rows.items()}
+
+
+def _times_name(space: GradedSpace, den: int, rows: dict, node: Name) -> Value:
+    """Times I or a generator: an odd generator already present cancels the
+    row, a row past the hbar order is dropped, and an odd generator moved
+    past odd ones from the right takes their sign, as in _products."""
+    if node.ident == "I":
+        if len(rows) > MAX_POWER_TERMS:
+            _check_product(space, rows, {0: (0, 1)})
+        return den, {key: (-y, x) for key, (x, y) in rows.items()}
+    k = space._index.get(node.ident)
+    if k is None:
         raise InputError(f"unknown generator {node.ident!r} "
                          f"at column {node.pos}")
-    if isinstance(node, Neg):
-        return -to_poly(node.arg, space)
-    raise InputError(f"unrecognized expression node {node!r}")
+    layout = space._layout
+    unit = layout.units[k]
+    if not rows or k == space.hbar_index and space.hbar_order < 1:
+        return 1, {}
+    if len(rows) > MAX_POWER_TERMS or max(rows) >> layout.top >= MAX_DEGREE:
+        _check_product(space, rows, {unit: (1, 0)})
+    bit = unit & layout.odd
+    after = bit - 1 & layout.odd if bit else 0  # the odd generators it passes
+    out = {}
+    for key, (x, y) in rows.items():
+        if not key & bit and key + unit & layout.hbar <= layout.limit:
+            out[key + unit] = (-x, -y) if (key & after).bit_count() & 1 \
+                else (x, y)
+    return den, out
+
+
+def _times(space: GradedSpace, den: int, rows: dict, d: int,
+           other: dict) -> Value:
+    """A product of compound operands, capped as `*` caps it."""
+    if not (rows and other):
+        return 1, {}
+    _check_product(space, rows, other)
+    return den * d, _products(space, [(1, rows, other)])
+
+
+def _plus(den: int, rows: dict, d: int, other: dict, sign: int) -> Value:
+    """rows/den + sign * other/d over the lcm of den and d, merged into
+    rows; a cancelled row is dropped."""
+    lcm = math.lcm(den, d)
+    if lcm != den:
+        f = lcm // den
+        rows = {key: (a * f, b * f) for key, (a, b) in rows.items()}
+    f = sign * (lcm // d)
+    for key, (a, b) in other.items():
+        a, b = a * f, b * f
+        if (acc := rows.get(key)) is not None:
+            a, b = acc[0] + a, acc[1] + b
+            if not (a or b):
+                del rows[key]
+                continue
+        rows[key] = (a, b)
+    return lcm, rows
+
+
+def _power(space: GradedSpace, den: int, rows: dict, n: int) -> Value:
+    """Zero for an odd base and n > 1, as odd elements square to zero;
+    otherwise GradedPoly's power caps, then a one-row base is raised here
+    and a longer one by GradedPoly's `**`."""
+    layout = space._layout
+    if n > 1 and rows and all((key & layout.odd).bit_count() & 1
+                              for key in rows):
+        return 1, {}
+    if len(rows) > 1:
+        p = _canonical(space, den, rows) ** n
+        return p.den, p.rows
+    _check_power(space, den, rows, n)
+    if n < 2 or not rows:
+        return (den, rows) if n else (1, {0: (1, 0)})
+    ((key, (a, b)),) = rows.items()
+    # an odd generator in an even monomial meets itself in the square
+    if key & layout.odd or key * n & layout.hbar > layout.limit:
+        return 1, {}
+    g = math.gcd(den, a, b)
+    a, b = a // g, b // g
+    x, y, m = a ** n, 0, n
+    if b:  # (a + b*i)^n by squaring, from the lowest bit of n
+        x = 1
+        while True:
+            if m & 1:
+                x, y = x * a - y * b, x * b + y * a
+            if not (m := m >> 1):
+                break
+            a, b = a * a - b * b, 2 * a * b
+    return (den // g) ** n, {key * n: (x, y)}
 
 
 def parse_poly(text: str, space: GradedSpace) -> GradedPoly:

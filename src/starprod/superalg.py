@@ -176,6 +176,33 @@ def _check_product(space: GradedSpace, a: dict, b: dict) -> None:
                                      f"{MAX_POWER_TERMS} terms")
 
 
+def _check_power(space: GradedSpace, den: int, rows: dict, n: int) -> None:
+    """ResourceLimitError if the n-th power of rows over den may pass the
+    degree, coefficient size or term cap, checked in that order; rows may
+    share a factor with den."""
+    degree = max(rows, default=0) >> space._layout.top
+    _require_power_degree(n * max(degree, 1))
+    # the bits of the base's largest part in lowest terms, not of its
+    # numerators over the shared denominator, which may be larger
+    bits = n * max((part.bit_length() for row in rows.values()
+                    for part in _parts(*row, den)), default=0)
+    if bits > MAX_POWER_BITS:
+        raise ResourceLimitError(f"a power with coefficients of about "
+                                 f"{bits} bits exceeds the cap of "
+                                 f"{MAX_POWER_BITS}")
+    # a t-term base has at most C(n+t-1, t-1) terms in its n-th power, which
+    # is 1 for t = 1, and a base in v generators at most the C(degree+v, v)
+    # monomials of the power's degree or less
+    if len(rows) > 1:
+        t, v = len(rows), len(space._layout.present(rows))
+        size = min(math.comb(n + t - 1, t - 1),
+                   math.comb(n * degree + v, v))
+        if size > MAX_POWER_TERMS:
+            raise ResourceLimitError(f"a power with up to {size} terms "
+                                     f"exceeds the cap of {MAX_POWER_TERMS} "
+                                     f"terms")
+
+
 def _crossings(ma: int, mb: int) -> int:
     """Parity of the pairs (bit i of ma, bit j of mb) with i above j.  With
     ma, mb the odd bits of the keys of b and a, in that order: the swaps of
@@ -480,26 +507,7 @@ class GradedPoly:
 
     def __pow__(self, n: int) -> "GradedPoly":
         require_int(n, "a polynomial power's exponent")
-        _require_power_degree(n * max(self.total_degree(), 1))
-        # the bits of the base's largest part in lowest terms, not of its
-        # numerators over the shared denominator, which may be larger
-        bits = n * max((part.bit_length() for row in self.rows.values()
-                        for part in _parts(*row, self.den)), default=0)
-        if bits > MAX_POWER_BITS:
-            raise ResourceLimitError(f"a power with coefficients of about "
-                                     f"{bits} bits exceeds the cap of "
-                                     f"{MAX_POWER_BITS}")
-        # a t-term base has at most C(n+t-1, t-1) terms in its n-th power,
-        # and a base in v generators at most the C(degree+v, v) monomials
-        # of the power's degree or less
-        t = max(len(self.rows), 1)
-        v = len(self.space._layout.present(self.rows))
-        size = min(math.comb(n + t - 1, t - 1),
-                   math.comb(n * self.total_degree() + v, v))
-        if size > MAX_POWER_TERMS:
-            raise ResourceLimitError(f"a power with up to {size} terms "
-                                     f"exceeds the cap of {MAX_POWER_TERMS} "
-                                     f"terms")
+        _check_power(self.space, self.den, self.rows, n)
         # unchecked steps: one may pass the product estimate, but the power's
         # own estimate already bounds every step's result; as the bits
         # estimate assumes, each step's coefficients are reduced

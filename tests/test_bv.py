@@ -56,6 +56,31 @@ def test_build_checks_each_declaration(fields, hbar_order):
         BVSpace.build(fields, hbar_order=hbar_order)
 
 
+@pytest.mark.parametrize("fields, antifields", [
+    ([("x y", 0)], None),
+    ([("I", 0)], None),
+    ([("2v", 1)], None),
+    ([("v\u00e9", 0)], None),
+    ([("v", 0)], {"v": "I"}),
+    ([("v", 0)], {"v": "v p"}),
+    ([("v", 0)], {"v": "v+w"}),
+    ([("v", 0)], {"v": 5}),
+    ([("v", 0)], {"v": ""}),
+])
+def test_build_refuses_names_the_grammar_cannot_spell(fields, antifields):
+    # "I" would read as the imaginary unit and "x y" as no name at all
+    with pytest.raises(InputError, match="cannot be written in an expression"):
+        BVSpace.build(fields, antifields)
+
+
+def test_build_accepts_every_name_the_grammar_spells():
+    bvs = BVSpace.build([("v", 0), ("w", 0), ("c", 1), ("_q2", 1), ("Iv", 0)],
+                        antifields={"v": "I_", "Iv": "J"})
+    assert bvs.space.names == ("v", "w", "c", "_q2", "Iv",
+                               "I_", "wp", "cp", "_q2p", "J", "hbar")
+    assert bvs.poly("I_*v") == bvs.poly("v*I_")
+
+
 def test_data_round_trip():
     bvs = BVSpace.build([("v", 0), ("c", 1)], hbar_order=2)
     again = BVSpace.from_data(bvs.to_data())

@@ -164,6 +164,17 @@ def test_qme_report_flags_anomaly():
     assert good["solves_qme"] is True
 
 
+def test_bv_names_the_grammar_cannot_spell_exit_2(capsys):
+    # named I, the antifield would read as the imaginary unit: v*I = i*v
+    space = json.dumps({"fields": [["v", 0]], "antifields": {"v": "I"}})
+    assert run(["qme", "--space", space, "--s", "v*I"]) == (2, "")
+    assert "antifield name 'I' cannot be written in an expression" in \
+        capsys.readouterr().err
+    space = json.dumps({"fields": [["x y", 0]]})
+    assert run(["qme", "--space", space, "--s", "x"]) == (2, "")
+    assert "field name 'x y' cannot be written" in capsys.readouterr().err
+
+
 def test_moduli_reports():
     counts = run_json(["moduli", "--n", "4"])
     assert counts["counts"] == {"0": 1, "1": 5, "2": 5}

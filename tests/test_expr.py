@@ -1,6 +1,7 @@
 """Parser and printer for the rational-coefficient expression language."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 from starprod import (
     GradedSpace,
     InputError,
+    ResourceLimitError,
     parse_expr,
     parse_poly,
     poly_to_expr,
     coeff_space,
     super_space,
 )
-from starprod.expr import MAX_NESTING
+from starprod.expr import MAX_NESTING, Add, Name, Num, Sub
 from support import random_poly
 
 
@@ -50,6 +52,72 @@ def test_odd_generators_square_to_zero_in_source():
     s = super_space(1)
     assert parse_poly("eta1^2", s).is_zero()
     assert parse_poly("eta1^1", s) == parse_poly("eta1", s)
+
+
+def test_folded_leaves_follow_the_product_rules():
+    s = super_space(2)
+    # odd generators square to zero, whether raised or multiplied in
+    assert parse_poly("eta1^2", s).is_zero()
+    assert parse_poly("eta1*eta1", s).is_zero()
+    assert parse_poly("xi1*eta1*xi2*eta1", s).is_zero()
+    # moving eta1 past eta2 from the right costs a sign; xi1 costs none
+    assert parse_poly("eta2*eta1", s) == -parse_poly("eta1*eta2", s)
+    assert parse_poly("eta2*xi1*eta1", s) == -parse_poly("xi1*eta1*eta2", s)
+    assert parse_poly("(eta1*eta2)^2", s).is_zero()
+    # an odd base to a power past 1 is 0 before any power cap is checked;
+    # an even one meets them
+    assert parse_poly("eta1^5000", s).is_zero()
+    assert parse_poly("(xi1^501*eta1)^2", s).is_zero()
+    assert parse_poly("(xi1^501*eta1 + eta2)^2", s).is_zero()
+    with pytest.raises(ResourceLimitError, match="degree 1006 exceeds"):
+        parse_poly("(xi1^501*eta1*eta2)^2", s)
+    # hbar past the space's order is dropped, as in a product
+    assert parse_poly("hbar", super_space(1, 0)).is_zero()
+    assert parse_poly("2*hbar*xi1 + 1", super_space(1, 0)) == \
+        parse_poly("1", super_space(1, 0))
+    assert parse_poly("hbar^2*hbar", s) == parse_poly("hbar^3", s)
+    assert parse_poly("hbar^2*hbar*hbar", s).is_zero()
+    assert parse_poly("hbar^4", s).is_zero()
+    ring = coeff_space(1)
+    assert parse_poly("I^4", ring) == parse_poly("1", ring)
+    assert poly_to_expr(parse_poly("(1/2 - 1/2*I)^3", ring)) == \
+        "(-1/4-1/4*I)"
+    assert poly_to_expr(parse_poly("2/4*x1*2*I", ring)) == "I*x1"
+    assert parse_poly("x1*0*x1", ring).is_zero()
+
+
+def test_folded_leaves_meet_the_caps_with_the_same_messages():
+    ring = coeff_space(3)
+    with pytest.raises(ResourceLimitError) as err:
+        parse_poly("x1^1001", ring)
+    assert str(err.value) == "a power of degree 1001 exceeds the cap of 1000"
+    with pytest.raises(ResourceLimitError) as err:
+        parse_poly("1" + "0" * 45 + "^700", ring)  # 150 bits each
+    assert str(err.value) == ("a power with coefficients of about 105000 "
+                              "bits exceeds the cap of 100000")
+    # the 5,456 monomials of degree 30 or less times a number, I or a
+    # generator meet the term cap of a product; times 0 they are 0
+    total = "((x1+x2+x3+1)^25" + "".join(
+        f" + (x1+x2+x3)^{k}" for k in range(26, 31)) + ")"
+    for leaf in ("2", "I", "x1"):
+        with pytest.raises(ResourceLimitError) as err:
+            parse_poly(f"{total}*{leaf}", ring)
+        assert str(err.value) == ("a product with up to 5456 terms exceeds "
+                                  "the cap of 5000 terms")
+    assert parse_poly(f"{total}*0", ring).is_zero()
+
+
+def test_a_lexing_error_anywhere_comes_first():
+    ring = coeff_space(1)
+    with pytest.raises(InputError) as err:
+        parse_poly("x1 + ) $", ring)
+    assert str(err.value) == "unexpected character '$' at column 8"
+    with pytest.raises(InputError) as err:
+        parse_poly("y + ) x1^1001", ring)
+    assert str(err.value) == "unexpected ')' at column 5"
+    with pytest.raises(InputError) as err:
+        parse_poly("y + x1^1001", ring)
+    assert str(err.value) == "unknown generator 'y' at column 1"
 
 
 def test_error_positions_are_one_based_columns():
@@ -134,6 +202,12 @@ def test_parse_expr_exposes_positions():
     # the AST keeps 1-based source columns for diagnostics
     assert type(node).__name__ == "Add"
     assert node.pos == 4
+    assert node == Add(Name("x1", 1), Num(Fraction(2), 6), 4)
+    assert node != Sub(Name("x1", 1), Num(Fraction(2), 6), 4)
+    assert node != parse_expr("x1 + 3") and node != parse_expr("x2 + 2")
+    assert hash(node) == hash(parse_expr("x1 + 2"))
+    assert repr(parse_expr("-x1^2")) == \
+        "Neg(arg=Pow(base=Name(ident='x1', pos=2), exponent=2, pos=4), pos=1)"
 
 
 def test_long_sums_round_trip():

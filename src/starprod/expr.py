@@ -351,8 +351,8 @@ def _power(space: GradedSpace, den: int, rows: dict, n: int) -> Value:
     otherwise GradedPoly's power caps, then a one-row base is raised here
     and a longer one by GradedPoly's `**`."""
     layout = space._layout
-    if n > 1 and rows and all((key & layout.odd).bit_count() & 1
-                              for key in rows):
+    if rows and all((key & layout.odd).bit_count() & 1 for key in rows) \
+            and n > 1:
         return 1, {}
     if len(rows) > 1:
         p = _canonical(space, den, rows) ** n

@@ -177,9 +177,10 @@ def _check_product(space: GradedSpace, a: dict, b: dict) -> None:
 
 
 def _check_power(space: GradedSpace, den: int, rows: dict, n: int) -> None:
-    """ResourceLimitError if the n-th power of rows over den may pass the
-    degree, coefficient size or term cap, checked in that order; rows may
-    share a factor with den."""
+    """InputError unless n is an int >= 0, then ResourceLimitError if the
+    n-th power of rows over den may pass the degree, coefficient size or
+    term cap, checked in that order; rows may share a factor with den."""
+    require_int(n, "a polynomial power's exponent")
     degree = max(rows, default=0) >> space._layout.top
     _require_power_degree(n * max(degree, 1))
     # the bits of the base's largest part in lowest terms, not of its
@@ -506,7 +507,6 @@ class GradedPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "GradedPoly":
-        require_int(n, "a polynomial power's exponent")
         _check_power(self.space, self.den, self.rows, n)
         # unchecked steps: one may pass the product estimate, but the power's
         # own estimate already bounds every step's result; as the bits

@@ -109,3 +109,22 @@ def test_parse_poly_matches_the_reference(case):
         assert tree == reference_tree, text
     else:
         assert shape(tree) == shape(reference_tree), text
+
+
+def test_hand_built_powers_match_the_reference():
+    # to_poly takes trees built by hand too: an exponent that is not an int
+    # >= 0 is refused as `**` refuses it, after the odd-base rule
+    from fractions import Fraction
+
+    import reference_expr
+    from starprod import expr
+
+    space = super_space(2)
+    bases = ("xi1", "2*xi1 + eta1*eta2", "eta1", "xi1*eta1 + eta2", "0")
+    for text in bases:
+        for n in (0, 1, 2, -1, 2.0, 1.0, True, Fraction(2), "2"):
+            got = outcome(expr.to_poly, expr.Pow(parse_expr(text), n, 1),
+                          space)
+            want = outcome(reference_expr.to_poly, reference_expr.Pow(
+                reference_parse_expr(text), n, 1), space)
+            assert got == want, (text, n)

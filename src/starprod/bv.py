@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from typing import Mapping, Optional, Sequence
 
 from .errors import InputError, ResourceLimitError, require_int
-from .expr import _is_name
+from .expr import _is_name, parse_poly
 from .scalars import Scalar
 from .superalg import (DEFAULT_HBAR_ORDER, MAX_COORDINATES, GradedPoly,
                        GradedSpace, pairing_bracket)
@@ -96,7 +96,6 @@ class BVSpace:
         return tuple(zip(self.fields, self.antifields))
 
     def poly(self, text: str) -> GradedPoly:
-        from .expr import parse_poly
         return parse_poly(text, self.space)
 
     def to_data(self) -> dict:

@@ -19,10 +19,11 @@ first character that starts none; parse_expr builds a small term tree from
 the tokens; to_poly interprets the tree over a GradedSpace straight into
 numerator rows over one denominator, keyed by packed monomials as
 GradedPoly stores them, and reduces the result once.  A number, I or a
-generator multiplied in is folded into every row, sums merge over the lcm
-of their denominators, and products and powers meet GradedPoly's caps.  A
-lexing error anywhere comes first, then syntax errors from the left, then
-the first term that fails to evaluate, the left operand before the right.
+generator is a value of one row; products go through GradedPoly's
+multiply kernel after its caps, sums merge over the lcm of their
+denominators and powers are GradedPoly's `**`.  A lexing error anywhere
+comes first, then syntax errors from the left, then the first term that
+fails to evaluate, the left operand before the right.
 
 poly_to_expr prints a polynomial back in a canonical form that round-trips,
 however many terms it has.
@@ -30,17 +31,15 @@ however many terms it has.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .errors import InputError
-from .monomials import MAX_DEGREE
 from .scalars import _parts, _render, parse_rational
-from .superalg import (MAX_POWER_TERMS, GradedPoly, GradedSpace,
-                       _canonical, _check_power, _check_product, _products)
+from .superalg import (GradedPoly, GradedSpace, _canonical, _check_product,
+                       _merge, _products)
 
 # parenthesis and unary-minus levels; each costs the parser at most three
 # stack frames, so the cap keeps parsing well inside the recursion limit
@@ -227,8 +226,7 @@ def parse_expr(text: str) -> Node:
 # A value is (den, rows): the coefficient at each packed monomial key of rows
 # is (a + b*i)/den, rows[key] = (a, b), with den > 0 and no row (0, 0), as
 # GradedPoly stores it, but den and the rows may share a factor until
-# to_poly reduces the result once.  Every rows dict a step returns is its
-# own, so the next step may change it.
+# to_poly reduces the result once.
 Value = tuple[int, dict]
 
 
@@ -246,136 +244,65 @@ def _value(node: Node, space: GradedSpace) -> Value:
         spine.append(node)
         node = node.base if kind is Pow else node.left
         kind = type(node)
-    if kind is Num:
-        a, den = node.value.numerator, node.value.denominator
-        rows = {0: (a, 0)} if a else {}
-    elif kind is Name:
-        den, rows = _times_name(space, 1, {0: (1, 0)}, node)
-    elif kind is Neg:
-        den, rows = _value(node.arg, space)
-        rows = {key: (-a, -b) for key, (a, b) in rows.items()}
-    else:
-        raise InputError(f"unrecognized expression node {node!r}")
+    den, rows = _leaf(node, space)
     for op in reversed(spine):
         kind = type(op)
-        if kind is Mul:
-            right = op.right
-            if type(right) is Num:
-                den, rows = _times_number(space, den, rows, right.value)
-            elif type(right) is Name:
-                den, rows = _times_name(space, den, rows, right)
-            else:
-                den, rows = _times(space, den, rows, *_value(right, space))
-        elif kind is Pow:
+        if kind is Pow:
             den, rows = _power(space, den, rows, op.exponent)
+            continue
+        d, other = _value(op.right, space)
+        if kind is Mul:
+            den, rows = _times(space, den, rows, d, other)
         else:
-            den, rows = _plus(den, rows, *_value(op.right, space),
-                              1 if kind is Add else -1)
+            den, rows, _ = _merge(den, rows, d, other,
+                                  1 if kind is Add else -1)
     return den, rows
 
 
-# A number, I or a generator multiplied in is folded into every row.  Every
-# value's degree is within MAX_DEGREE, as every product's is checked, so
-# _check_product can refuse such a product only by its term estimate, or,
-# for a generator, by a degree of MAX_DEGREE already reached: only then is
-# it run.
-
-def _times_number(space: GradedSpace, den: int, rows: dict,
-                  value: Fraction) -> Value:
-    a, d = value.numerator, value.denominator
-    if not (a and rows):
-        return 1, {}
-    if len(rows) > MAX_POWER_TERMS:
-        _check_product(space, rows, {0: (a, 0)})
-    return den * d, {key: (x * a, y * a) for key, (x, y) in rows.items()}
-
-
-def _times_name(space: GradedSpace, den: int, rows: dict, node: Name) -> Value:
-    """Times I or a generator: an odd generator already present cancels the
-    row, a row past the hbar order is dropped, and an odd generator moved
-    past odd ones from the right takes their sign, as in _products."""
-    if node.ident == "I":
-        if len(rows) > MAX_POWER_TERMS:
-            _check_product(space, rows, {0: (0, 1)})
-        return den, {key: (-y, x) for key, (x, y) in rows.items()}
-    k = space._index.get(node.ident)
-    if k is None:
-        raise InputError(f"unknown generator {node.ident!r} "
-                         f"at column {node.pos}")
-    layout = space._layout
-    unit = layout.units[k]
-    if not rows or k == space.hbar_index and space.hbar_order < 1:
-        return 1, {}
-    if len(rows) > MAX_POWER_TERMS or max(rows) >> layout.top >= MAX_DEGREE:
-        _check_product(space, rows, {unit: (1, 0)})
-    bit = unit & layout.odd
-    after = bit - 1 & layout.odd if bit else 0  # the odd generators it passes
-    out = {}
-    for key, (x, y) in rows.items():
-        if not key & bit and key + unit & layout.hbar <= layout.limit:
-            out[key + unit] = (-x, -y) if (key & after).bit_count() & 1 \
-                else (x, y)
-    return den, out
+def _leaf(node: Node, space: GradedSpace) -> Value:
+    """The value of a number, I, a generator or a negation; hbar truncated
+    away is zero."""
+    kind = type(node)
+    if kind is Name:
+        if node.ident == "I":
+            return 1, {0: (0, 1)}
+        k = space._index.get(node.ident)
+        if k is None:
+            raise InputError(f"unknown generator {node.ident!r} "
+                             f"at column {node.pos}")
+        if k == space.hbar_index and space.hbar_order < 1:
+            return 1, {}
+        return 1, {space._layout.units[k]: (1, 0)}
+    if kind is Num:
+        value = node.value
+        if not isinstance(value, (int, Fraction)):
+            raise InputError(f"a number node's value must be an int or a "
+                             f"Fraction, not {type(value).__name__}")
+        a = value.numerator
+        return value.denominator, {0: (a, 0)} if a else {}
+    if kind is Neg:
+        den, rows = _value(node.arg, space)
+        return den, {key: (-a, -b) for key, (a, b) in rows.items()}
+    raise InputError(f"unrecognized expression node {node!r}")
 
 
 def _times(space: GradedSpace, den: int, rows: dict, d: int,
            other: dict) -> Value:
-    """A product of compound operands, capped as `*` caps it."""
+    """A product, capped as `*` caps it."""
     if not (rows and other):
         return 1, {}
     _check_product(space, rows, other)
     return den * d, _products(space, [(1, rows, other)])
 
 
-def _plus(den: int, rows: dict, d: int, other: dict, sign: int) -> Value:
-    """rows/den + sign * other/d over the lcm of den and d, merged into
-    rows; a cancelled row is dropped."""
-    lcm = math.lcm(den, d)
-    if lcm != den:
-        f = lcm // den
-        rows = {key: (a * f, b * f) for key, (a, b) in rows.items()}
-    f = sign * (lcm // d)
-    for key, (a, b) in other.items():
-        a, b = a * f, b * f
-        if (acc := rows.get(key)) is not None:
-            a, b = acc[0] + a, acc[1] + b
-            if not (a or b):
-                del rows[key]
-                continue
-        rows[key] = (a, b)
-    return lcm, rows
-
-
 def _power(space: GradedSpace, den: int, rows: dict, n: int) -> Value:
-    """Zero for an odd base and n > 1, as odd elements square to zero;
-    otherwise GradedPoly's power caps, then a one-row base is raised here
-    and a longer one by GradedPoly's `**`."""
-    layout = space._layout
-    if rows and all((key & layout.odd).bit_count() & 1 for key in rows) \
-            and n > 1:
+    """Zero for an odd base and n > 1, as odd elements square to zero,
+    else GradedPoly's `**`."""
+    odd = space._layout.odd
+    if rows and all((key & odd).bit_count() & 1 for key in rows) and n > 1:
         return 1, {}
-    if len(rows) > 1:
-        p = _canonical(space, den, rows) ** n
-        return p.den, p.rows
-    _check_power(space, den, rows, n)
-    if n < 2 or not rows:
-        return (den, rows) if n else (1, {0: (1, 0)})
-    ((key, (a, b)),) = rows.items()
-    # an odd generator in an even monomial meets itself in the square
-    if key & layout.odd or key * n & layout.hbar > layout.limit:
-        return 1, {}
-    g = math.gcd(den, a, b)
-    a, b = a // g, b // g
-    x, y, m = a ** n, 0, n
-    if b:  # (a + b*i)^n by squaring, from the lowest bit of n
-        x = 1
-        while True:
-            if m & 1:
-                x, y = x * a - y * b, x * b + y * a
-            if not (m := m >> 1):
-                break
-            a, b = a * a - b * b, 2 * a * b
-    return (den // g) ** n, {key * n: (x, y)}
+    p = _canonical(space, den, rows) ** n
+    return p.den, p.rows
 
 
 def parse_poly(text: str, space: GradedSpace) -> GradedPoly:

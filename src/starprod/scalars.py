@@ -237,9 +237,12 @@ def parse_rational(text: str, where: str) -> Fraction:
                          "use literals like 2 or -1/3")
     if max(len(num), len(den)) > MAX_DIGITS:
         raise InputError(f"literal {where} exceeds the cap of {MAX_DIGITS} digits")
-    if slash and int(den) == 0:
+    if not slash:
+        value = Fraction(int(num))
+    elif not (d := int(den)):
         raise InputError(f"zero denominator {where}")
-    value = Fraction(int(num), int(den) if slash else 1)
+    else:
+        value = Fraction(int(num), d)
     return -value if negative else value
 
 

@@ -24,13 +24,15 @@ denominator per polynomial: p.rows maps each packed monomial key to (a, b),
 and the coefficient there is (a + b*i)/p.den.  The form is canonical: no
 row is (0, 0) and gcd(den, every a, every b) = 1, so equal polynomials have
 equal den and rows.  Every operation reads and writes the rows and reduces
-its result once, with one gcd pass (_canonical).  Products, powers, the
-bracket contractions built on them and wick's contraction go through one
-multiply-accumulate kernel, _products, which sums scale * a * b over pairs
-of numerator rows; _mac caps polynomial pairs and puts them over one
-denominator for it.  Scalar and exponent tuples appear only at the edges:
-values and terms passed in, the values of evaluate and constant_value, and
-p.terms, a read-only mapping keyed by exponent tuples, built on each read.
+its result once, with one gcd pass (_canonical).  Products, powers of more
+than one term, the bracket contractions built on them and wick's
+contraction go through one multiply-accumulate kernel, _products, which
+sums scale * a * b over pairs of numerator rows; _mac caps polynomial pairs
+and puts them over one denominator for it.  Sums merge rows over the lcm
+of their denominators (_merge).  Scalar and exponent tuples appear only at
+the edges: values and terms passed in, the values of evaluate and
+constant_value, and p.terms, a read-only mapping keyed by exponent tuples,
+built on each read.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, product
+from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -176,32 +178,17 @@ def _check_product(space: GradedSpace, a: dict, b: dict) -> None:
                                      f"{MAX_POWER_TERMS} terms")
 
 
-def _check_power(space: GradedSpace, den: int, rows: dict, n: int) -> None:
-    """InputError unless n is an int >= 0, then ResourceLimitError if the
-    n-th power of rows over den may pass the degree, coefficient size or
-    term cap, checked in that order; rows may share a factor with den."""
-    require_int(n, "a polynomial power's exponent")
-    degree = max(rows, default=0) >> space._layout.top
-    _require_power_degree(n * max(degree, 1))
-    # the bits of the base's largest part in lowest terms, not of its
-    # numerators over the shared denominator, which may be larger
-    bits = n * max((part.bit_length() for row in rows.values()
-                    for part in _parts(*row, den)), default=0)
-    if bits > MAX_POWER_BITS:
-        raise ResourceLimitError(f"a power with coefficients of about "
-                                 f"{bits} bits exceeds the cap of "
-                                 f"{MAX_POWER_BITS}")
-    # a t-term base has at most C(n+t-1, t-1) terms in its n-th power, which
-    # is 1 for t = 1, and a base in v generators at most the C(degree+v, v)
-    # monomials of the power's degree or less
-    if len(rows) > 1:
-        t, v = len(rows), len(space._layout.present(rows))
-        size = min(math.comb(n + t - 1, t - 1),
-                   math.comb(n * degree + v, v))
-        if size > MAX_POWER_TERMS:
-            raise ResourceLimitError(f"a power with up to {size} terms "
-                                     f"exceeds the cap of {MAX_POWER_TERMS} "
-                                     f"terms")
+def _gaussian_power(a: int, b: int, n: int) -> tuple[int, int]:
+    """(x, y) with x + y*i = (a + b*i)^n, n >= 0, by squaring."""
+    if not b:
+        return a ** n, 0
+    x, y = 1, 0
+    while True:
+        if n & 1:
+            x, y = x * a - y * b, x * b + y * a
+        if not (n := n >> 1):
+            return x, y
+        a, b = a * a - b * b, 2 * a * b
 
 
 def _crossings(ma: int, mb: int) -> int:
@@ -272,21 +259,34 @@ def _products(space: GradedSpace,
     generators collide, or past the space's hbar order, is skipped whole,
     and the reordering sign is one per group pair.  A lone pair with a
     one-row operand merges no keys, so its rows are multiplied without
-    grouping.
+    grouping, and its reordering sign is read from one precomputed mask.
     """
     layout = space._layout
     odd, hbar, limit = layout.odd, layout.hbar, layout.limit
     out: dict = {}
     if len(pairs) == 1 and min(len(pairs[0][1]), len(pairs[0][2])) == 1:
         s, a, b = pairs[0]
-        for (ka, (x, y)), (kb, (u, v)) in product(a.items(), b.items()):
-            key = ka + kb
-            if ka & kb & odd or key & hbar > limit:
+        right = len(b) == 1
+        ((k, (u, v)),) = (b if right else a).items()
+        if s != 1:
+            u, v = u * s, v * s
+        # a row's sign is the parity of its odd bits in crossed: for each
+        # odd generator of k, the odd generators that it passes, those
+        # below it with k on the right and those above it with k on the left
+        mask = kodd = k & odd
+        crossed = 0
+        while mask:
+            low = mask & -mask
+            crossed ^= low - 1 if right else -(low << 1)
+            mask ^= low
+        crossed &= odd
+        for key, (x, y) in (a if right else b).items():
+            if key & kodd or key + k & hbar > limit:
                 continue
-            f = -s if odd and _crossings(kb & odd, ka & odd) else s
-            if f != 1:
-                x, y = x * f, y * f
-            out[key] = (x * u - y * v, x * v + y * u)
+            if crossed and (key & crossed).bit_count() & 1:
+                x, y = -x, -y
+            out[key + k] = (x * u - y * v, x * v + y * u) if v else \
+                (x * u, y * u)
         return out
     re: dict = {}
     im: dict = {}
@@ -334,30 +334,39 @@ def _mac(space: GradedSpace, pairs: Iterable[tuple[int, "GradedPoly",
         space, [(s * (lcm // d), a, b) for s, a, b, d in pairs]))
 
 
+def _merge(den: int, rows: dict, d: int, other: dict, sign: int
+           ) -> tuple[int, dict, bool]:
+    """(lcm, out, merged): out holds the rows of rows/den + sign * other/d
+    over lcm = lcm(den, d), sign = 1 or -1, without cancelled rows, and
+    merged says whether a key is in both.  Neither rows nor other is
+    changed, and nothing is reduced."""
+    lcm = den if den == d else math.lcm(den, d)
+    f, g = lcm // den, sign * (lcm // d)
+    out = dict(rows) if f == 1 else \
+        {key: (a * f, b * f) for key, (a, b) in rows.items()}
+    get = out.get
+    merged = False
+    for key, (a, b) in other.items():
+        acc = get(key)
+        if acc is None:
+            out[key] = (a * g, b * g)
+        else:
+            merged = True
+            x, y = acc[0] + a * g, acc[1] + b * g
+            if x or y:
+                out[key] = (x, y)
+            else:
+                del out[key]
+    return lcm, out, merged
+
+
 def _sum(p: "GradedPoly", q: "GradedPoly", sign: int) -> "GradedPoly":
     """p + sign * q, sign = 1 or -1, over the lcm of their denominators."""
     if not q.rows:
         return p
     if not p.rows:
         return q if sign > 0 else -q
-    dp, dq = p.den, q.den
-    den = dp if dp == dq else math.lcm(dp, dq)
-    fp, fq = den // dp, sign * (den // dq)
-    out = dict(p.rows) if fp == 1 else \
-        {key: (a * fp, b * fp) for key, (a, b) in p.rows.items()}
-    get = out.get
-    merged = False
-    for key, (a, b) in q.rows.items():
-        acc = get(key)
-        if acc is None:
-            out[key] = (a * fq, b * fq)
-        else:
-            merged = True
-            x, y = acc[0] + a * fq, acc[1] + b * fq
-            if x or y:
-                out[key] = (x, y)
-            else:
-                del out[key]
+    den, out, merged = _merge(p.den, p.rows, q.den, q.rows, sign)
     # with no key merged, the union is already in lowest terms: a prime
     # power of den is the full power in dp or in dq, that side's scale
     # misses the prime, and the side has a part the prime does not divide
@@ -507,7 +516,39 @@ class GradedPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "GradedPoly":
-        _check_power(self.space, self.den, self.rows, n)
+        require_int(n, "a polynomial power's exponent")
+        degree = self.total_degree()
+        _require_power_degree(n * max(degree, 1))
+        # the bits of the base's largest part in lowest terms, not of its
+        # numerators over the shared denominator, which may be larger
+        bits = n * max((part.bit_length() for row in self.rows.values()
+                        for part in _parts(*row, self.den)), default=0)
+        if bits > MAX_POWER_BITS:
+            raise ResourceLimitError(f"a power with coefficients of about "
+                                     f"{bits} bits exceeds the cap of "
+                                     f"{MAX_POWER_BITS}")
+        # a t-term base has at most C(n+t-1, t-1) terms in its n-th power,
+        # which is 1 for t = 1, and a base in v generators at most the
+        # C(degree+v, v) monomials of the power's degree or less
+        if len(self.rows) > 1:
+            t, v = len(self.rows), len(self.space._layout.present(self.rows))
+            size = min(math.comb(n + t - 1, t - 1),
+                       math.comb(n * degree + v, v))
+            if size > MAX_POWER_TERMS:
+                raise ResourceLimitError(f"a power with up to {size} terms "
+                                         f"exceeds the cap of "
+                                         f"{MAX_POWER_TERMS} terms")
+        if len(self.rows) == 1:
+            # one term: zero past the first power if an odd generator meets
+            # itself or hbar passes the order, else the monomial's key
+            # times n and the coefficient's parts to the n
+            ((key, (a, b)),) = self.rows.items()
+            layout = self.space._layout
+            if n > 1 and (key & layout.odd
+                          or key * n & layout.hbar > layout.limit):
+                return GradedPoly.zero(self.space)
+            return _canonical(self.space, self.den ** n,
+                              {key * n: _gaussian_power(a, b, n)})
         # unchecked steps: one may pass the product estimate, but the power's
         # own estimate already bounds every step's result; as the bits
         # estimate assumes, each step's coefficients are reduced

@@ -76,6 +76,22 @@ def test_arithmetic_results_are_canonical(data):
     assert a ** 2 == a * a
 
 
+def test_one_term_powers_are_canonical():
+    # a one-term base is raised without the product kernel: (1 + i)^2 = 2i
+    # shares a factor 2 with the squared denominator, which is divided out;
+    # an odd generator or hbar past the order makes a power past 1 zero
+    space = super_space(2)
+    coefficients = (Scalar(Fraction(1, 2), Fraction(1, 2)),
+                    Scalar(Fraction(3, 2), Fraction(-3, 2)),
+                    Scalar(Fraction(-5, 4)), Scalar(0, Fraction(1, 6)))
+    for c in coefficients:
+        for key in ((0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0, 2, 0, 0, 1),
+                    (1, 0, 1, 0, 0)):
+            a = GradedPoly(space, {key: c})
+            for n in range(5):
+                check(a ** n, reference_polys.power(a, n))
+
+
 @given(data=st.sampled_from(SPACES).flatmap(lambda s: st.tuples(
     polys(s, max_terms=6), st.integers(0, 3))))
 @settings(max_examples=40, deadline=None)

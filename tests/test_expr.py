@@ -54,7 +54,7 @@ def test_odd_generators_square_to_zero_in_source():
     assert parse_poly("eta1^1", s) == parse_poly("eta1", s)
 
 
-def test_folded_leaves_follow_the_product_rules():
+def test_leaves_follow_the_product_rules():
     s = super_space(2)
     # odd generators square to zero, whether raised or multiplied in
     assert parse_poly("eta1^2", s).is_zero()
@@ -86,7 +86,7 @@ def test_folded_leaves_follow_the_product_rules():
     assert parse_poly("x1*0*x1", ring).is_zero()
 
 
-def test_folded_leaves_meet_the_caps_with_the_same_messages():
+def test_leaves_meet_the_caps_with_the_same_messages():
     ring = coeff_space(3)
     with pytest.raises(ResourceLimitError) as err:
         parse_poly("x1^1001", ring)

@@ -128,3 +128,45 @@ def test_hand_built_powers_match_the_reference():
             want = outcome(reference_expr.to_poly, reference_expr.Pow(
                 reference_parse_expr(text), n, 1), space)
             assert got == want, (text, n)
+
+
+def test_hand_built_numbers_match_the_reference_or_are_refused():
+    # a number node's value is read as an int or a Fraction, as the
+    # reference reads it; any other value is refused with InputError
+    from fractions import Fraction
+
+    import reference_expr
+    from starprod import InputError, Scalar
+    from starprod import expr
+
+    space = super_space(2)
+    for value in (0, 3, -2, True, Fraction(3, 4), Fraction(0), Fraction(-6, 4)):
+        for text in ("{}", "xi1*{}", "{}*eta1 + xi2", "({} + xi1)^2"):
+            tree = parse_expr(text.format("n"))
+            reference_tree = reference_parse_expr(text.format("n"))
+            got = outcome(expr.to_poly, _with_number(tree, expr, value), space)
+            want = outcome(reference_expr.to_poly, _with_number(
+                reference_tree, reference_expr, value), space)
+            assert got == want, (text, value)
+    for value in (0.5, 2.0, Scalar(0, 1), "2", None):
+        for text in ("{}", "xi1*{}", "xi1 - {}"):
+            tree = _with_number(parse_expr(text.format("n")), expr, value)
+            got = outcome(expr.to_poly, tree, space)
+            assert got == (InputError, f"a number node's value must be an "
+                           f"int or a Fraction, not {type(value).__name__}"), \
+                (text, value)
+
+
+def _with_number(node, module, value):
+    """node with each name n replaced by a number node of value."""
+    if isinstance(node, module.Name):
+        return module.Num(value, node.pos) if node.ident == "n" else node
+    if isinstance(node, module.Num):
+        return node
+    if isinstance(node, module.Neg):
+        return module.Neg(_with_number(node.arg, module, value), node.pos)
+    if isinstance(node, module.Pow):
+        return module.Pow(_with_number(node.base, module, value),
+                          node.exponent, node.pos)
+    return type(node)(_with_number(node.left, module, value),
+                      _with_number(node.right, module, value), node.pos)

@@ -43,7 +43,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, product
 from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -259,34 +259,21 @@ def _products(space: GradedSpace,
     generators collide, or past the space's hbar order, is skipped whole,
     and the reordering sign is one per group pair.  A lone pair with a
     one-row operand merges no keys, so its rows are multiplied without
-    grouping, and its reordering sign is read from one precomputed mask.
+    grouping.
     """
     layout = space._layout
     odd, hbar, limit = layout.odd, layout.hbar, layout.limit
     out: dict = {}
     if len(pairs) == 1 and min(len(pairs[0][1]), len(pairs[0][2])) == 1:
         s, a, b = pairs[0]
-        right = len(b) == 1
-        ((k, (u, v)),) = (b if right else a).items()
-        if s != 1:
-            u, v = u * s, v * s
-        # a row's sign is the parity of its odd bits in crossed: for each
-        # odd generator of k, the odd generators that it passes, those
-        # below it with k on the right and those above it with k on the left
-        mask = kodd = k & odd
-        crossed = 0
-        while mask:
-            low = mask & -mask
-            crossed ^= low - 1 if right else -(low << 1)
-            mask ^= low
-        crossed &= odd
-        for key, (x, y) in (a if right else b).items():
-            if key & kodd or key + k & hbar > limit:
+        for (ka, (x, y)), (kb, (u, v)) in product(a.items(), b.items()):
+            key = ka + kb
+            if ka & kb & odd or key & hbar > limit:
                 continue
-            if crossed and (key & crossed).bit_count() & 1:
-                x, y = -x, -y
-            out[key + k] = (x * u - y * v, x * v + y * u) if v else \
-                (x * u, y * u)
+            f = -s if odd and _crossings(kb & odd, ka & odd) else s
+            if f != 1:
+                x, y = x * f, y * f
+            out[key] = (x * u - y * v, x * v + y * u)
         return out
     re: dict = {}
     im: dict = {}

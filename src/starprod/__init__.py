@@ -18,7 +18,7 @@ formal variable; there is no floating point anywhere.  The layers:
 
 from .errors import (CalibrationError, InputError, InternalError,
                      ResourceLimitError, StarprodError)
-from .scalars import Scalar, format_scalar, scalar_to_expr
+from .scalars import Scalar, format_scalar
 from .superalg import (DEFAULT_HBAR_ORDER, GradedPoly, GradedSpace,
                        HbarSeries, coeff_space, deriv_even, deriv_odd_left,
                        deriv_odd_right, mul, pairing_bracket, super_space,
@@ -55,7 +55,7 @@ __all__ = [
     "jacobi_defect", "jacobi_witness", "koszul_bracket", "lie_derivative",
     "moyal", "moyal_poly", "mul", "omega", "one_form_insertion",
     "pairing_bracket", "parse_expr", "parse_poly", "poisson_bracket",
-    "poisson_differential", "poly_to_expr", "qme_residual", "scalar_to_expr",
+    "poisson_differential", "poly_to_expr", "qme_residual",
     "schouten", "star", "star_poly", "star_series", "stratum_count",
     "super_space", "symbol", "taylor_shift", "to_poly", "unsymbol",
     "vector_insertion", "wedge",

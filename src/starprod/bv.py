@@ -32,7 +32,7 @@ from .errors import InputError, ResourceLimitError, require_int
 from .expr import _is_name, parse_poly
 from .scalars import Scalar
 from .superalg import (DEFAULT_HBAR_ORDER, MAX_COORDINATES, GradedPoly,
-                       GradedSpace, pairing_bracket)
+                       GradedSpace, _sum, pairing_bracket)
 
 FieldSpec = Sequence[tuple[str, int]]
 
@@ -128,11 +128,11 @@ def bv_bracket(space: BVSpace, f: GradedPoly, g: GradedPoly) -> GradedPoly:
 def bv_laplacian(space: BVSpace, f: GradedPoly) -> GradedPoly:
     """Second-order odd operator; see the module docstring for the sign."""
     _check_member(space, f, "laplacian argument")
-    out = GradedPoly.zero(space.space)
+    terms = []
     for (field, antifield), parity in zip(space.pairs, space.parities):
         term = f.deriv_left(field).deriv_left(antifield)
-        out = out - term if parity else out + term
-    return out
+        terms.append(((-1) ** parity, term.den, term.rows))
+    return _sum(space.space, terms)
 
 
 def _parity_or_error(p: GradedPoly, what: str) -> int:
@@ -140,10 +140,6 @@ def _parity_or_error(p: GradedPoly, what: str) -> int:
     if parity is None:
         raise InputError(f"{what} must be parity-homogeneous")
     return parity
-
-
-def _sign(exponent: int) -> Scalar:
-    return Scalar.of(-1 if exponent & 1 else 1)
 
 
 @dataclass(frozen=True)
@@ -187,13 +183,18 @@ def check_bv_axioms(space: BVSpace, f: GradedPoly, g: GradedPoly,
     def lap(a):
         return bv_laplacian(space, a)
 
+    def signed_sum(*terms):
+        return _sum(space.space, [(s, p.den, p.rows) for s, p in terms])
+
     fg, fh, lf = br(f, g), br(f, h), lap(f)
-    antisymmetry = fg + br(g, f) * _sign((pf + 1) * (pg + 1))
-    jacobi = br(f, br(g, h)) - br(fg, h) \
-        - br(g, fh) * _sign((pf + 1) * (pg + 1))
-    leibniz = br(f, g * h) - fg * h - g * fh * _sign((pf + 1) * pg)
-    compatibility = fg - lap(f * g) * _sign(pf) \
-        + lf * g * _sign(pf) + f * lap(g)
+    swap = (-1) ** ((pf + 1) * (pg + 1))
+    antisymmetry = signed_sum((1, fg), (swap, br(g, f)))
+    jacobi = signed_sum((1, br(f, br(g, h))), (-1, br(fg, h)),
+                        (-swap, br(g, fh)))
+    leibniz = signed_sum((1, br(f, g * h)), (-1, fg * h),
+                         ((-1) ** ((pf + 1) * pg + 1), g * fh))
+    compatibility = signed_sum((1, fg), ((-1) ** (pf + 1), lap(f * g)),
+                               ((-1) ** pf, lf * g), (1, f * lap(g)))
     return AxiomReport(antisymmetry, jacobi, leibniz, compatibility, lap(lf))
 
 

@@ -19,9 +19,10 @@ first character that starts none; parse_expr builds a small term tree from
 the tokens; to_poly interprets the tree over a GradedSpace straight into
 numerator rows over one denominator, keyed by packed monomials as
 GradedPoly stores them, and reduces the result once.  A number, I or a
-generator is a value of one row; products go through GradedPoly's
-multiply kernel after its caps, sums merge over the lcm of their
-denominators and powers are GradedPoly's `**`.  A lexing error anywhere
+generator is a value of one row.  Each run of + and - is summed once, by
+GradedPoly's signed sum over the lcm of its denominators; products and
+powers are GradedPoly's, with its caps, and an odd base to a power past
+the first is zero before any cap.  A lexing error anywhere
 comes first, then syntax errors from the left, then the first term that
 fails to evaluate, the left operand before the right.
 
@@ -38,8 +39,7 @@ from typing import Union
 
 from .errors import InputError
 from .scalars import _parts, _render, parse_rational
-from .superalg import (GradedPoly, GradedSpace, _canonical, _check_product,
-                       _merge, _products)
+from .superalg import GradedPoly, GradedSpace, _canonical, _sum, _times
 
 # parenthesis and unary-minus levels; each costs the parser at most three
 # stack frames, so the cap keeps parsing well inside the recursion limit
@@ -237,7 +237,8 @@ def to_poly(node: Node, space: GradedSpace) -> GradedPoly:
 
 def _value(node: Node, space: GradedSpace) -> Value:
     """The left spine of Add/Sub/Mul/Pow nodes is walked with a loop, so
-    long sums and products cost no stack depth."""
+    long sums and products cost no stack depth.  Each run of + and - on it
+    is summed once, when it ends."""
     spine = []
     kind = type(node)
     while kind is Mul or kind is Add or kind is Sub or kind is Pow:
@@ -245,17 +246,23 @@ def _value(node: Node, space: GradedSpace) -> Value:
         node = node.base if kind is Pow else node.left
         kind = type(node)
     den, rows = _leaf(node, space)
+    run = []  # the signed right operands of the run of sums under way
     for op in reversed(spine):
         kind = type(op)
-        if kind is Pow:
-            den, rows = _power(space, den, rows, op.exponent)
+        if kind is Add or kind is Sub:
+            run.append((1 if kind is Add else -1, *_value(op.right, space)))
             continue
-        d, other = _value(op.right, space)
-        if kind is Mul:
-            den, rows = _times(space, den, rows, d, other)
+        if run:
+            p = _sum(space, [(1, den, rows), *run])
+            den, rows, run = p.den, p.rows, []
+        if kind is Pow:
+            p = _canonical(space, den, rows) ** op.exponent
+            den, rows = p.den, p.rows
         else:
-            den, rows, _ = _merge(den, rows, d, other,
-                                  1 if kind is Add else -1)
+            den, rows = _times(space, den, rows, *_value(op.right, space))
+    if run:
+        p = _sum(space, [(1, den, rows), *run])
+        den, rows = p.den, p.rows
     return den, rows
 
 
@@ -284,25 +291,6 @@ def _leaf(node: Node, space: GradedSpace) -> Value:
         den, rows = _value(node.arg, space)
         return den, {key: (-a, -b) for key, (a, b) in rows.items()}
     raise InputError(f"unrecognized expression node {node!r}")
-
-
-def _times(space: GradedSpace, den: int, rows: dict, d: int,
-           other: dict) -> Value:
-    """A product, capped as `*` caps it."""
-    if not (rows and other):
-        return 1, {}
-    _check_product(space, rows, other)
-    return den * d, _products(space, [(1, rows, other)])
-
-
-def _power(space: GradedSpace, den: int, rows: dict, n: int) -> Value:
-    """Zero for an odd base and n > 1, as odd elements square to zero,
-    else GradedPoly's `**`."""
-    odd = space._layout.odd
-    if rows and all((key & odd).bit_count() & 1 for key in rows) and n > 1:
-        return 1, {}
-    p = _canonical(space, den, rows) ** n
-    return p.den, p.rows
 
 
 def parse_poly(text: str, space: GradedSpace) -> GradedPoly:

@@ -29,8 +29,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError
-from .poisson import ComponentField, Multivector, _pairing, _require_bivector
-from .superalg import GradedPoly, _mac
+from .poisson import (ComponentField, Multivector, _field_sum, _pairing,
+                      _require_bivector)
+from .superalg import GradedPoly, _mac, _sum
 
 
 class DifferentialForm(ComponentField):
@@ -51,15 +52,13 @@ def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
     d, p = omega.dim, omega.degree
     out = {}
     for key in combinations(range(1, d + 1), p + 1):
-        total = GradedPoly.zero(omega.ring())
+        terms = []
         for pos, idx in enumerate(key):
-            rest = key[:pos] + key[pos + 1:]
-            comp = omega.components.get(rest)
-            if comp is None:
-                continue
-            term = comp.deriv_left(f"x{idx}")
-            total = total - term if pos & 1 else total + term
-        out[key] = total
+            comp = omega.components.get(key[:pos] + key[pos + 1:])
+            if comp is not None:
+                term = comp.deriv_left(f"x{idx}")
+                terms.append((-1 if pos & 1 else 1, term.den, term.rows))
+        out[key] = _sum(omega.ring(), terms)
     return DifferentialForm(d, p + 1, out)
 
 
@@ -142,9 +141,9 @@ def koszul_bracket(alpha: Multivector, w1: DifferentialForm,
     if route == "geometric":
         u, v = ({i: p for (i,), p in w.components.items()} for w in (w1, w2))
         pairing = DifferentialForm(alpha.dim, 0, {(): _pairing(alpha, u, v)})
-        return lie_derivative(anchor(alpha, w1), w2) \
-            - lie_derivative(anchor(alpha, w2), w1) \
-            - exterior_derivative(pairing)
+        return _field_sum([(1, lie_derivative(anchor(alpha, w1), w2)),
+                           (-1, lie_derivative(anchor(alpha, w2), w1)),
+                           (-1, exterior_derivative(pairing))])
     if route == "diagram":
         skew = bullet(alpha, w1, w2) - bullet(alpha, w2, w1)
         return skew * Fraction(1, 2)
@@ -223,7 +222,5 @@ def bullet(alpha: Multivector, w1: DifferentialForm,
     patterns form a symmetric excess, removed by the antisymmetrization in
     koszul_bracket(..., route="diagram").
     """
-    total = DifferentialForm.zero(alpha.dim, 1)
-    for _, contribution in bullet_diagrams(alpha, w1, w2):
-        total = total + contribution
-    return total
+    return _field_sum([(1, contribution)
+                       for _, contribution in bullet_diagrams(alpha, w1, w2)])

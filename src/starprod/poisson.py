@@ -18,14 +18,13 @@ The route through the antibracket forces this choice; see README.
 
 from __future__ import annotations
 
-import operator
 from itertools import combinations
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InputError, InternalError, ResourceLimitError, require_int
 from .scalars import ScalarLike
 from .superalg import (DEFAULT_HBAR_ORDER, MAX_COORDINATES, GradedPoly,
-                       GradedSpace, _canonical, _mac, coeff_space,
+                       GradedSpace, _canonical, _mac, _sum, coeff_space,
                        pairing_bracket, super_space, taylor_shift)
 
 Index = tuple[int, ...]
@@ -108,22 +107,14 @@ class ComponentField:
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other):
-        return self._merge(other, operator.add)
-
-    def __sub__(self, other):
-        return self._merge(other, operator.sub)
-
-    def _merge(self, other, op):
-        """The components of self op other, op adding or subtracting."""
         if type(other) is not type(self):
             return NotImplemented
-        if self.dim != other.dim or self.degree != other.degree:
-            raise InputError("dimension or degree mismatch")
-        merged = dict(self.components)
-        zero = GradedPoly.zero(self.ring())
-        for key, poly in other.components.items():
-            merged[key] = op(merged.get(key, zero), poly)
-        return type(self)(self.dim, self.degree, merged)
+        return _field_sum([(1, self), (1, other)])
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _field_sum([(1, self), (-1, other)])
 
     def __neg__(self):
         return type(self)(self.dim, self.degree,
@@ -180,6 +171,21 @@ class ComponentField:
                     raise InputError(f"bad component key {key_text!r}") from None
             components[key] = parse_poly(expr_text, ring)
         return cls(empty.dim, empty.degree, components)
+
+
+def _field_sum(terms: Sequence[tuple[int, ComponentField]]) -> ComponentField:
+    """The sum of sign * field over (sign, field), sign = 1 or -1, of fields
+    of one kind, dimension and degree: each component is summed once."""
+    first = terms[0][1]
+    if any(f.dim != first.dim or f.degree != first.degree for _, f in terms):
+        raise InputError("dimension or degree mismatch")
+    parts: dict[Index, list] = {}
+    for s, field in terms:
+        for key, p in field.components.items():
+            parts.setdefault(key, []).append((s, p.den, p.rows))
+    ring = first.ring()
+    return type(first)(first.dim, first.degree,
+                       {key: _sum(ring, t) for key, t in parts.items()})
 
 
 class Multivector(ComponentField):
@@ -345,11 +351,12 @@ def jacobi_defect(alpha: Multivector, i: int, j: int, k: int) -> GradedPoly:
     """{{x_i,x_j},x_k} + {{x_j,x_k},x_i} + {{x_k,x_i},x_j}; {x_a,x_b}=A^ab."""
     _require_bivector(alpha)
     ring = alpha.ring()
-    x = {t: GradedPoly.generator(ring, f"x{t}") for t in (i, j, k)}
-    out = GradedPoly.zero(ring)
+    terms = []
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        out = out + poisson_bracket(alpha, alpha.component(a, b), x[c])
-    return out
+        term = poisson_bracket(alpha, alpha.component(a, b),
+                               GradedPoly.generator(ring, f"x{c}"))
+        terms.append((1, term.den, term.rows))
+    return _sum(ring, terms)
 
 
 def jacobi_witness(alpha: Multivector) -> Optional[tuple[tuple[int, int, int], GradedPoly]]:

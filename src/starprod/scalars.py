@@ -244,8 +244,3 @@ def parse_rational(text: str, where: str) -> Fraction:
     else:
         value = Fraction(int(num), d)
     return -value if negative else value
-
-
-def scalar_to_expr(z: Scalar) -> str:
-    """Render a scalar as a parseable expression: "3/2", "1/2*I", "(3/2-1/4*I)"."""
-    return _render(z.parts(), "*I", True)

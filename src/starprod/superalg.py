@@ -27,12 +27,13 @@ equal den and rows.  Every operation reads and writes the rows and reduces
 its result once, with one gcd pass (_canonical).  Products, powers of more
 than one term, the bracket contractions built on them and wick's
 contraction go through one multiply-accumulate kernel, _products, which
-sums scale * a * b over pairs of numerator rows; _mac caps polynomial pairs
-and puts them over one denominator for it.  Sums merge rows over the lcm
-of their denominators (_merge).  Scalar and exponent tuples appear only at
-the edges: values and terms passed in, the values of evaluate and
-constant_value, and p.terms, a read-only mapping keyed by exponent tuples,
-built on each read.
+sums scale * a * b over pairs of numerator rows; _times caps one product of
+rows for `*` and for expressions, and _mac caps polynomial pairs and puts
+them over one denominator.  Every sum, of two terms or of many, is one
+signed sum over the lcm of the denominators, reduced once (_sum).  Scalar
+and exponent tuples appear only at the edges: values and terms passed in,
+the values of evaluate and constant_value, and p.terms, a read-only mapping
+keyed by exponent tuples, built on each read.
 """
 
 from __future__ import annotations
@@ -321,45 +322,49 @@ def _mac(space: GradedSpace, pairs: Iterable[tuple[int, "GradedPoly",
         space, [(s * (lcm // d), a, b) for s, a, b, d in pairs]))
 
 
-def _merge(den: int, rows: dict, d: int, other: dict, sign: int
-           ) -> tuple[int, dict, bool]:
-    """(lcm, out, merged): out holds the rows of rows/den + sign * other/d
-    over lcm = lcm(den, d), sign = 1 or -1, without cancelled rows, and
-    merged says whether a key is in both.  Neither rows nor other is
-    changed, and nothing is reduced."""
-    lcm = den if den == d else math.lcm(den, d)
-    f, g = lcm // den, sign * (lcm // d)
-    out = dict(rows) if f == 1 else \
-        {key: (a * f, b * f) for key, (a, b) in rows.items()}
+def _times(space: GradedSpace, den: int, rows: dict, d: int, other: dict
+           ) -> tuple[int, dict]:
+    """(den * d, the rows of rows * other): the product of two numerator
+    rows over den and d, capped and not reduced; zero if either is."""
+    if not (rows and other):
+        return 1, {}
+    _check_product(space, rows, other)
+    return den * d, _products(space, [(1, rows, other)])
+
+
+def _sum(space: GradedSpace, terms: Iterable[tuple[int, int, dict]]
+         ) -> "GradedPoly":
+    """The sum of sign * rows/den over the terms (sign, den, rows), sign = 1
+    or -1: one dict over the lcm of the denominators, without cancelled
+    rows, reduced once.  No term's rows are changed.  If no key is in two
+    terms, terms in lowest terms give a sum in lowest terms, not reduced:
+    a prime power of the lcm is the full power in some term's den, that
+    term's scale misses the prime, and the term has a part the prime does
+    not divide.  expr's values need not be in lowest terms; to_poly
+    reduces its result."""
+    # no rows at all: the zero polynomial, over 1
+    terms = [term for term in terms if term[2]] or [(1, 1, {})]
+    lcm = math.lcm(*[d for _, d, _ in terms])
+    (s, d, rows), *rest = terms
+    g = s * (lcm // d)
+    out = dict(rows) if g == 1 else \
+        {key: (a * g, b * g) for key, (a, b) in rows.items()}
     get = out.get
     merged = False
-    for key, (a, b) in other.items():
-        acc = get(key)
-        if acc is None:
-            out[key] = (a * g, b * g)
-        else:
-            merged = True
-            x, y = acc[0] + a * g, acc[1] + b * g
-            if x or y:
-                out[key] = (x, y)
+    for s, d, rows in rest:
+        g = s * (lcm // d)
+        for key, (a, b) in rows.items():
+            acc = get(key)
+            if acc is None:
+                out[key] = (a * g, b * g)
             else:
-                del out[key]
-    return lcm, out, merged
-
-
-def _sum(p: "GradedPoly", q: "GradedPoly", sign: int) -> "GradedPoly":
-    """p + sign * q, sign = 1 or -1, over the lcm of their denominators."""
-    if not q.rows:
-        return p
-    if not p.rows:
-        return q if sign > 0 else -q
-    den, out, merged = _merge(p.den, p.rows, q.den, q.rows, sign)
-    # with no key merged, the union is already in lowest terms: a prime
-    # power of den is the full power in dp or in dq, that side's scale
-    # misses the prime, and the side has a part the prime does not divide
-    if merged:
-        return _canonical(p.space, den, out)
-    return GradedPoly._raw(p.space, den, out)
+                merged = True
+                x, y = acc[0] + a * g, acc[1] + b * g
+                if x or y:
+                    out[key] = (x, y)
+                else:
+                    del out[key]
+    return (_canonical if merged else GradedPoly._raw)(space, lcm, out)
 
 
 class GradedPoly:
@@ -469,14 +474,16 @@ class GradedPoly:
     def __add__(self, other) -> "GradedPoly":
         other = self._coerce(other)
         _require_same_space(self, other)
-        return _sum(self, other, 1)
+        return _sum(self.space, [(1, self.den, self.rows),
+                                 (1, other.den, other.rows)])
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "GradedPoly":
         other = self._coerce(other)
         _require_same_space(self, other)
-        return _sum(self, other, -1)
+        return _sum(self.space, [(1, self.den, self.rows),
+                                 (-1, other.den, other.rows)])
 
     def __rsub__(self, other) -> "GradedPoly":
         return self._coerce(other) - self
@@ -495,14 +502,18 @@ class GradedPoly:
                 for k, (a, b) in self.rows.items()})
         other = self._coerce(other)
         _require_same_space(self, other)
-        _check_product(self.space, self.rows, other.rows)
-        return _canonical(self.space, self.den * other.den,
-                          _products(self.space, [(1, self.rows, other.rows)]))
+        return _canonical(self.space, *_times(self.space, self.den, self.rows,
+                                              other.den, other.rows))
 
     # scalars are even, so they commute with every polynomial
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "GradedPoly":
+        # odd elements square to zero, before the exponent or a cap is read
+        odd = self.space._layout.odd
+        if self.rows and all((key & odd).bit_count() & 1
+                             for key in self.rows) and n > 1:
+            return GradedPoly.zero(self.space)
         require_int(n, "a polynomial power's exponent")
         degree = self.total_degree()
         _require_power_degree(n * max(degree, 1))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starprod import (
+    GradedPoly,
     GradedSpace,
     InputError,
     ResourceLimitError,
@@ -84,6 +85,25 @@ def test_leaves_follow_the_product_rules():
         "(-1/4-1/4*I)"
     assert poly_to_expr(parse_poly("2/4*x1*2*I", ring)) == "I*x1"
     assert parse_poly("x1*0*x1", ring).is_zero()
+
+
+def test_odd_bases_are_zero_past_the_first_power_before_any_cap():
+    # `**` and an expression's ^ share one rule: a base with every term odd
+    # is zero past the first power, however many terms it has, before the
+    # degree, bits and term caps are read
+    s = super_space(2)
+    for text in ("(eta1 + eta2)", "(eta1 + xi1*eta2)",
+                 "(eta1 + xi1^600*eta2)", "(1/3*eta1 - I*xi2*eta2)"):
+        base = parse_poly(text, s)
+        for n in (2, 1001):
+            assert (base ** n).is_zero(), (text, n)
+            assert base ** n == parse_poly(f"{text}^{n}", s)
+        assert base ** 1 == base and base ** 0 == GradedPoly.one(s)
+    # an even base keeps its refusal and message
+    x1 = GradedPoly.generator(coeff_space(1), "x1")
+    with pytest.raises(ResourceLimitError) as err:
+        x1 ** 1001
+    assert str(err.value) == "a power of degree 1001 exceeds the cap of 1000"
 
 
 def test_leaves_meet_the_caps_with_the_same_messages():

@@ -509,12 +509,12 @@ class GradedPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "GradedPoly":
-        # odd elements square to zero, before the exponent or a cap is read
-        odd = self.space._layout.odd
-        if self.rows and all((key & odd).bit_count() & 1
-                             for key in self.rows) and n > 1:
-            return GradedPoly.zero(self.space)
         require_int(n, "a polynomial power's exponent")
+        # odd elements square to zero, before a cap is read
+        odd = self.space._layout.odd
+        if n > 1 and self.rows and all((key & odd).bit_count() & 1
+                                       for key in self.rows):
+            return GradedPoly.zero(self.space)
         degree = self.total_degree()
         _require_power_degree(n * max(degree, 1))
         # the bits of the base's largest part in lowest terms, not of its

@@ -24,13 +24,20 @@ its count vector, which is tested without differentiating; a multiset whose
 is a split that leaves P_M more legs than its degree.  P_M, the orientation
 classes and the rooms are built once per bivector, kept in a bounded table.
 The binomial weights of the splits depend only on the leg counts, so each
-leg vector's box of splits is built once, kept in a bounded cache, and each
-call only filters it against its factors.
+leg vector's box of splits is built once, kept in a bounded cache, and a
+walk only filters it against its factors.
+
+For an (I, J) whose derivatives the factors leave nonzero, the cell
+C^(n)_IJ, and the number of splits that build it, depend on the bivector
+alone, so the table keeps them too.  A product walks an order only when
+the kept cells do not yet cover every (I, J) its factors admit, and
+otherwise reads them; either way it charges the walk's work.
 
 Every product is a series product sum_{k,l} hbar^(k+l) u_k * v_l (star has
-one coefficient a side).  The C^(n)_IJ depend on the factors only through
-the pruning, so one operator, pruned to the union of each side's supports,
-serves every pair (k, l); an associator is four products.  The operator is
+one coefficient a side).  Order n pairs u_k with v_l only when k + l + n
+<= order, so one operator, each order pruned to the union of the supports
+that such pairs take, serves every pair (k, l); an associator is four
+products.  The operator is
 applied symbolically (star_poly, star_series, associator_poly, calibrate),
 or at a basepoint (star, moyal, the outer products of associator), where
 d_I u_k, d_J v_l and C^(n)_IJ are evaluated before anything is multiplied.
@@ -244,28 +251,52 @@ def _box(legs: tuple[int, ...], sign: int) -> tuple:
     instead.  It depends on the leg counts alone, not on pi or the factors.
     """
     total = sum(legs)
-    # legs - D is itself a D' <= legs: one tuple serves both
-    subs = {sub: sub for sub in product(*(range(k + 1) for k in legs))}
+    # the subs in lexicographic order; legs - D reverses it, so the rest of
+    # the i-th sub is the i-th from the end
+    subs = list(product(*[range(k + 1) for k in legs]))
+    combs = product(*[[math.comb(k, s) for s in range(k + 1)] for k in legs])
     out = []
-    for sub in subs:
-        w = sign ** (total - sum(sub))
-        for k, s in zip(legs, sub):
-            w *= math.comb(k, s)
-        rest = subs[tuple(map(operator.sub, legs, sub))]
-        out.append((sub, w, sum(sub), rest))
+    for sub, rest, ws in zip(subs, reversed(subs), combs):
+        size = sum(sub)
+        w = math.prod(ws)
+        out.append((sub, -w if sign < 0 and total - size & 1 else w, size,
+                    rest))
     out.sort(key=lambda entry: -entry[2])
     return tuple(out)
 
 
-def _landings(legs: tuple[int, ...], room: _Rooms, sign: int) -> list:
+def _admitted(polys: Sequence[GradedPoly], n: int) -> set:
+    """The count vectors D with |D| <= n whose d_D leaves some poly nonzero:
+    those that a monomial of some support dominates (see _Rooms).  A factor
+    takes at most n legs at order n, so these are all its D there."""
+    caps = {tuple(min(e, n) for e in p.space._layout.unpack(b))
+            for p in polys for b in p.rows}
+    out: set = set()
+    for cap in caps:
+        out.update(D for D in product(*[range(e + 1) for e in cap])
+                   if sum(D) <= n)
+    return out
+
+
+def _landings(legs: tuple[int, ...], admitted: set, sign: int) -> list:
     """The entries of the legs' box whose D leaves d_D of the factor
-    nonzero, in the box's order: largest |D| first."""
-    return [entry for entry in _box(legs, sign) if room[entry[0]] >= 0]
+    nonzero (D in admitted), in the box's order: largest |D| first."""
+    return [entry for entry in _box(legs, sign) if entry[0] in admitted]
 
 
 class _Pieces:
     """One bivector's factor-independent pieces, built on first use: P_M by
-    multiset M, and the rooms of P_M and classes of M for each M reached."""
+    multiset M, the rooms of P_M and classes of M for each M reached, and
+    the operator's cells.
+
+    cells[n][I] is (covered, kept): covered holds each J whose cell
+    C^(n)_IJ is known, and kept maps those J with a split to [splits,
+    cell], cell being {(M, K): count}; every other covered J has no split
+    and an empty cell.  For an I and J that the factors admit, the cell
+    and its splits do not depend on the factors: the room test of P_M and
+    the test |I| + |J| >= need read the bivector alone, and a multiset
+    skipped by the degree test has need > |I| + |J|.
+    """
 
     def __init__(self, alpha: Multivector):
         self.keys = sorted(alpha.components)
@@ -273,6 +304,8 @@ class _Pieces:
         self.degs = [p.total_degree() for p in self.comps]
         self.polys = {(0,) * len(self.keys): GradedPoly.one(alpha.ring())}
         self.multisets, self.size = {}, 0  # size: entries at the last trim
+        self.cells: dict[int, dict] = {}
+        self.cell_size = 0  # covered pairs and (M, K) counts of the cells
 
     def product(self, mult: tuple[int, ...]) -> GradedPoly:
         """P_M, from the product with one factor fewer."""
@@ -283,12 +316,43 @@ class _Pieces:
                                       * self.comps[c])
         return got
 
+    def covers(self, n: int, adm_u: set, adm_v: set) -> bool:
+        rows = self.cells.setdefault(n, {})
+        return all(I in rows and rows[I][0] >= adm_v for I in adm_u)
+
+    def cover(self, n: int, adm_u: set, adm_v: set, tally: dict) -> None:
+        """Keep a walk of order n over adm_u x adm_v: tally maps I to {J:
+        [splits, cell]} for each pair with a split."""
+        rows = self.cells[n]
+        for I in adm_u:
+            covered, kept = rows.get(I) or rows.setdefault(I, (set(), {}))
+            self.cell_size -= len(covered)
+            covered |= adm_v
+            self.cell_size += len(covered)
+            for J, entry in tally.get(I, {}).items():
+                if J not in kept:
+                    kept[J] = entry
+                    self.cell_size += len(entry[1])
+
+    def read(self, n: int, adm_u: set, adm_v: set) -> tuple[dict, int]:
+        """Order n's nonempty cells over adm_u x adm_v, all covered, and the
+        splits a walk over them examines."""
+        rows, cells, splits = self.cells[n], {}, 0
+        for I in adm_u:
+            kept = rows[I][1]
+            for J in kept.keys() & adm_v:
+                count, cell = kept[J]
+                splits += count
+                if cell:
+                    cells[I, J] = cell
+        return cells, splits
+
 
 # pieces by bivector content, least recently used first; each operator holds
 # the lock from lookup to trim, so threads take turns at the table
 _TABLE: dict[tuple, _Pieces] = {}
 _TABLE_BIVECTORS = 8
-_TABLE_ENTRIES = 50_000  # P_M terms, room values and classes
+_TABLE_ENTRIES = 50_000  # P_M terms, room values, classes and cells
 _TABLE_LOCK = threading.Lock()
 
 
@@ -298,21 +362,23 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
 
     orders[n] maps (I, J) to {(M, K): count}, and C^(n)_IJ is the sum of
     count * d_K polys[M], where M counts the insertions of each component
-    and polys[M] is their product P_M.  The pruning tests the union of the
-    supports of each side's coefficients, so one operator serves every pair
-    (u_k, v_l), and it stops at the highest order such a pair needs.  Each
-    multiset of components, each orientation class of it and each split of
-    its legs between u, v and P_M is one unit of work against max_work,
-    whether or not the bivector's pieces and the boxes were already kept.
-    A class's splits are charged together after the class; the totals, and
-    so the smallest budget that succeeds, are those of one charge a split.
+    and polys[M] is their product P_M.  Order n pairs u_k with v_l only
+    when k + l <= order - n, so its pruning tests the union of the supports
+    of the coefficients on each side that such a pair takes: one operator
+    serves every pair (u_k, v_l), and it stops at the highest order a pair
+    needs.  Order n is walked only when the bivector's cells do not yet
+    cover every (I, J) its factors admit; otherwise it reads them.
+    Each multiset of components, each orientation class of it and each split
+    of its legs between u, v and P_M is one unit of work against max_work,
+    whether or not it is walked: a read charges the splits its cells were
+    walked with.  A class's splits are charged together after the class;
+    the totals, and so the smallest budget that succeeds, are those of one
+    charge a split.
     """
     _, us, vs, reach = _check_factors(alpha, u, v, order, max_work)
     key = (alpha.dim, tuple(sorted(
         (k, p.den, tuple(sorted(p.rows.items())))
         for k, p in alpha.components.items())))
-    room_u = _Rooms([p for _, p in us])
-    room_v = _Rooms([p for _, p in vs])
     lefts: dict[tuple[int, ...], list] = {}
     rights: dict[tuple[int, ...], list] = {}
     zero, none = (0,) * alpha.dim, (0,) * len(alpha.components)
@@ -326,21 +392,28 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
                 f"operator enumeration exceeded max_work={max_work}; raise "
                 "the limit or lower the order")
 
+    def side(coeffs: list, other: int, n: int) -> tuple[set, int]:
+        """The D a coefficient of order n's pairs admits, and their largest
+        degree; other is the least key of the other side."""
+        polys = [p for k, p in coeffs if k + other <= order - n]
+        return (_admitted(polys, n), max(p.total_degree() for p in polys))
+
     # B_0(u_k, v_l) = u_k v_l: no insertions
     orders = [{(zero, zero): {(none, zero): 1}}] if reach >= 0 else []
-    # with no derivatives taken, the room is the largest degree
-    deg_uv = room_u[zero] + room_v[zero]
     with _TABLE_LOCK:
         pieces = _TABLE[key] = _TABLE.pop(key, None) or _Pieces(alpha)
         try:
             for n in range(1, reach + 1):
+                (adm_u, deg_u), (adm_v, deg_v) = (side(us, vs[0][0], n),
+                                                  side(vs, us[0][0], n))
+                walk = not pieces.covers(n, adm_u, adm_v)
                 tally: dict = {}
                 for mult in _multisets(n, len(pieces.keys)):
                     spend(1)
                     # the 2n legs land on u, v and P_M, so at least need of
                     # them land on u and v
                     need = 2 * n - sum(map(operator.mul, mult, pieces.degs))
-                    if need > deg_uv:
+                    if need > deg_u + deg_v:
                         continue
                     if mult not in pieces.multisets:
                         pieces.multisets[mult] = (
@@ -348,30 +421,46 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
                             _orientations(pieces.keys, mult, alpha.dim))
                     room_p, classes = pieces.multisets[mult]
                     spend(len(classes))
-                    for (left, right), weight in classes.items():
+                    for (left, right), weight in (classes.items() if walk
+                                                  else ()):
                         if right not in rights:
-                            rights[right] = _landings(right, room_v, -1)
+                            rights[right] = _landings(right, adm_v, -1)
                         if left not in lefts:
-                            lefts[left] = _landings(left, room_u, 1)
+                            lefts[left] = _landings(left, adm_u, 1)
                         to_g, splits = rights[right], 0
                         for I, wl, nl, rest_i in lefts[left]:
                             if not to_g or nl + to_g[0][2] < need:
                                 break
                             wl *= weight
+                            row = tally.get(I)
+                            if row is None:
+                                row = tally[I] = {}
                             for J, wr, nr, rest_j in to_g:
                                 if nl + nr < need:
                                     break
                                 splits += 1
+                                entry = row.get(J)
+                                if entry is None:
+                                    entry = row[J] = [0, {}]
+                                entry[0] += 1
                                 # K = legs - I - J, the legs left to P_M
                                 K = tuple(map(operator.add, rest_i, rest_j))
                                 if room_p[K] >= 0:
-                                    _accumulate(tally.setdefault((I, J), {}),
-                                                (mult, K), wl * wr)
+                                    _accumulate(entry[1], (mult, K), wl * wr)
                         spend(splits)
-                orders.append({ij: cell for ij, cell in tally.items() if cell})
+                if walk:
+                    pieces.cover(n, adm_u, adm_v, tally)
+                    orders.append({(I, J): cell
+                                   for I, row in tally.items()
+                                   for J, (_, cell) in row.items() if cell})
+                else:
+                    cells, splits = pieces.read(n, adm_u, adm_v)
+                    spend(splits)
+                    orders.append(cells)
         finally:
             pieces.size = sum(len(p.rows) for p in pieces.polys.values()) + sum(
-                len(r) + len(c) for r, c in pieces.multisets.values())
+                len(r) + len(c) for r, c in pieces.multisets.values()
+            ) + pieces.cell_size
             if pieces.size > _TABLE_ENTRIES:  # too big alone: drop it first
                 del _TABLE[key]
             total = sum(entry.size for entry in _TABLE.values())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from starprod.errors import InputError
+from starprod.errors import InputError, require_int
 from starprod.expr import MAX_NESTING
 from starprod.scalars import Scalar, parse_rational
 from starprod.superalg import GradedPoly, GradedSpace
@@ -208,6 +208,7 @@ def to_poly(node: Node, space: GradedSpace) -> GradedPoly:
     acc = _leaf_poly(node, space)
     for op in reversed(spine):
         if isinstance(op, Pow):
+            require_int(op.exponent, "a polynomial power's exponent")
             if acc.parity() == 1 and op.exponent > 1:
                 acc = GradedPoly.zero(space)
             else:

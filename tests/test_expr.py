@@ -106,6 +106,22 @@ def test_odd_bases_are_zero_past_the_first_power_before_any_cap():
     assert str(err.value) == "a power of degree 1001 exceeds the cap of 1000"
 
 
+def test_odd_and_even_bases_refuse_a_bad_exponent_alike():
+    # the exponent is read before the odd-base rule, so an odd base refuses
+    # what an even one refuses, with the same message
+    s = super_space(2)
+    bases = [parse_poly(text, s) for text in ("eta1", "eta1 + eta2", "xi1",
+                                              "xi1 + eta1*eta2")]
+    for n in ("2", None, 2.5, -1, True):
+        messages = set()
+        for base in bases:
+            with pytest.raises(InputError) as err:
+                base ** n
+            messages.add(str(err.value))
+        assert messages == \
+            {"a polynomial power's exponent must be an integer >= 0"}, n
+
+
 def test_leaves_meet_the_caps_with_the_same_messages():
     ring = coeff_space(3)
     with pytest.raises(ResourceLimitError) as err:

@@ -113,7 +113,7 @@ def test_parse_poly_matches_the_reference(case):
 
 def test_hand_built_powers_match_the_reference():
     # to_poly takes trees built by hand too: an exponent that is not an int
-    # >= 0 is refused as `**` refuses it, after the odd-base rule
+    # >= 0 is refused as `**` refuses it, before the odd-base rule
     from fractions import Fraction
 
     import reference_expr

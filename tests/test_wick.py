@@ -321,7 +321,7 @@ def test_baseline_work_counts(order, work):
 # the same for associator_poly(so3, x1^2*x2 + x3, x2*x3^2 + x1,
 # x1*x3 + x2): max_work is one budget per product, and the associator makes
 # four, so the count is that of its largest product
-ASSOCIATOR_WORK = {2: 187, 3: 742, 4: 2078}
+ASSOCIATOR_WORK = {2: 187, 3: 742, 4: 2018}
 
 
 @pytest.mark.parametrize("order, work", sorted(ASSOCIATOR_WORK.items()))
@@ -471,10 +471,119 @@ def test_work_counts_do_not_depend_on_the_table(warm):
                 run(budget)
 
 
+def _smallest_budget(build):
+    """The smallest max_work with which build(max_work) succeeds."""
+    low, high = 0, 64
+    while True:
+        try:
+            build(high)
+            break
+        except ResourceLimitError:
+            low, high = high + 1, 2 * high
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            build(mid)
+            high = mid
+        except ResourceLimitError:
+            low = mid + 1
+    return low
+
+
+def _cell_cases():
+    """Bivectors, four two-coefficient factor series and an order: two
+    random dim-3 bivectors with degree-2 coefficients at each of orders
+    1-4, and so3 and nonpoisson4d at order 4.  Each coefficient has 2-3
+    terms of degree 1-3."""
+    rng = random.Random(22)
+    alphas = [(random_multivector(rng, 3, 2, coeff_space(3),
+                                  max_coeff_degree=2), n)
+              for n in range(1, 5) for _ in range(2)]
+
+    def factor(dim):
+        terms = {}
+        for _ in range(rng.randint(2, 3)):
+            beta = [0] * dim
+            for _ in range(rng.randint(1, 3)):
+                beta[rng.randrange(dim)] += 1
+            terms[tuple(beta)] = Fraction(rng.choice([-3, -1, 1, 2]),
+                                          rng.randint(1, 3))
+        return GradedPoly(coeff_space(dim), terms)
+
+    for alpha, order in alphas + [(fixture("so3"), 4),
+                                  (fixture("nonpoisson4d"), 4)]:
+        yield alpha, *[{k: factor(alpha.dim) for k in (0, 1)}
+                       for _ in range(4)], order
+
+
+@pytest.mark.parametrize("case", list(_cell_cases()))
+def test_read_cells_give_the_walk_and_its_budget(case):
+    """An operator from an empty table and box cache, one from a table
+    warmed by other factors and one whose cells are all kept give equal
+    orders and are refused below the same budget."""
+    alpha, u, v, x, y, order = case
+
+    def build(max_work):
+        return wick._operator(alpha, u, v, order, max_work)[1]
+
+    def cold():
+        wick._TABLE.clear()
+        wick._box.cache_clear()
+
+    def warmed():
+        cold()
+        wick._operator(alpha, x, y, order, DEFAULT_MAX_WORK)
+        wick._operator(alpha, y, u, order, DEFAULT_MAX_WORK)
+
+    def kept():
+        cold()
+        build(DEFAULT_MAX_WORK)
+
+    budget = _smallest_budget(build)
+    cold()
+    want = build(budget)
+    for state in (cold, warmed, kept):
+        state()
+        assert build(budget) == want
+        state()
+        with pytest.raises(ResourceLimitError):
+            build(budget - 1)
+
+
+def test_equal_supports_read_the_kept_cells(monkeypatch):
+    """A product whose factors have the supports of an earlier one walks
+    nothing: it looks up no landings and keeps no new cell."""
+    ring = coeff_space(3)
+    so3 = fixture("so3")
+    f, g = parse_poly("x1^2*x2 + x3", ring), parse_poly("x2*x3^2 + x1", ring)
+    F, G = (parse_poly("-3*x1^2*x2 + 2/5*x3", ring),
+            parse_poly("7*x2*x3^2 - I*x1", ring))
+    wick._TABLE.clear()
+    want = star_poly(so3, F, G, order=4)
+    wick._TABLE.clear()
+    star_poly(so3, f, g, order=4)
+    (pieces,) = wick._TABLE.values()
+    size, looked = pieces.cell_size, []
+    landings = wick._landings
+    monkeypatch.setattr(wick, "_landings",
+                        lambda *args: looked.append(args) or landings(*args))
+    assert star_poly(so3, F, G, order=4) == want
+    assert star(so3, F, G, [1, 2, 3], order=4).coefficients == tuple(
+        want[k].evaluate({"x1": 1, "x2": 2, "x3": 3}) for k in range(5))
+    assert not looked and pieces.cell_size == size
+    star_poly(so3, f * g, g, order=4)  # a new support walks again
+    assert looked and pieces.cell_size > size
+
+
 def _entries(pieces):
+    """P_M terms, room values, classes, and for the cells each covered (I,
+    J) and each (M, K) count of a kept cell."""
     return (sum(len(p.terms) for p in pieces.polys.values())
             + sum(len(room) + len(classes)
-                  for room, classes in pieces.multisets.values()))
+                  for room, classes in pieces.multisets.values())
+            + sum(len(covered) + sum(len(cell) for _, cell in kept.values())
+                  for rows in pieces.cells.values()
+                  for covered, kept in rows.values()))
 
 
 def test_the_pieces_table_stays_within_its_bounds(monkeypatch):

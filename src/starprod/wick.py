@@ -265,17 +265,21 @@ def _box(legs: tuple[int, ...], sign: int) -> tuple:
     return tuple(out)
 
 
-def _admitted(polys: Sequence[GradedPoly], n: int) -> set:
-    """The count vectors D with |D| <= n whose d_D leaves some poly nonzero:
-    those that a monomial of some support dominates (see _Rooms).  A factor
-    takes at most n legs at order n, so these are all its D there."""
-    caps = {tuple(min(e, n) for e in p.space._layout.unpack(b))
-            for p in polys for b in p.rows}
-    out: set = set()
-    for cap in caps:
-        out.update(D for D in product(*[range(e + 1) for e in cap])
-                   if sum(D) <= n)
-    return out
+def _levels(p: GradedPoly, top: int) -> list[set]:
+    """levels[s] holds the count vectors D with |D| = s <= top whose d_D p
+    is nonzero: those that a monomial of its support dominates (see
+    _Rooms).  A factor takes at most n legs at order n, so levels 0..n hold
+    all its D there."""
+    down: set = set()
+    for b in p.rows:
+        down.update(product(*[range(min(e, top) + 1)
+                              for e in p.space._layout.unpack(b)]))
+    levels: list[set] = [set() for _ in range(top + 1)]
+    for D in down:
+        size = sum(D)
+        if size <= top:
+            levels[size].add(D)
+    return levels
 
 
 def _landings(legs: tuple[int, ...], admitted: set, sign: int) -> list:
@@ -317,13 +321,13 @@ class _Pieces:
         return got
 
     def covers(self, n: int, adm_u: set, adm_v: set) -> bool:
-        rows = self.cells.setdefault(n, {})
+        rows = self.cells.get(n, {})
         return all(I in rows and rows[I][0] >= adm_v for I in adm_u)
 
     def cover(self, n: int, adm_u: set, adm_v: set, tally: dict) -> None:
         """Keep a walk of order n over adm_u x adm_v: tally maps I to {J:
         [splits, cell]} for each pair with a split."""
-        rows = self.cells[n]
+        rows = self.cells.setdefault(n, {})
         for I in adm_u:
             covered, kept = rows.get(I) or rows.setdefault(I, (set(), {}))
             self.cell_size -= len(covered)
@@ -381,6 +385,8 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
         for k, p in alpha.components.items())))
     lefts: dict[tuple[int, ...], list] = {}
     rights: dict[tuple[int, ...], list] = {}
+    levels_u: dict[int, list] = {}
+    levels_v: dict[int, list] = {}
     zero, none = (0,) * alpha.dim, (0,) * len(alpha.components)
     work = 0
 
@@ -392,11 +398,16 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
                 f"operator enumeration exceeded max_work={max_work}; raise "
                 "the limit or lower the order")
 
-    def side(coeffs: list, other: int, n: int) -> tuple[set, int]:
-        """The D a coefficient of order n's pairs admits, and their largest
-        degree; other is the least key of the other side."""
-        polys = [p for k, p in coeffs if k + other <= order - n]
-        return (_admitted(polys, n), max(p.total_degree() for p in polys))
+    def side(coeffs: list, other: int, n: int, levels: dict) -> tuple:
+        """The D that a coefficient of order n's pairs admits, and the
+        largest degree of those coefficients; other is the least key of the
+        other side, and levels keeps each coefficient's _levels by key."""
+        taken = [(k, p) for k, p in coeffs if k + other <= order - n]
+        for k, p in taken:
+            if k not in levels:
+                levels[k] = _levels(p, reach)
+        return (set().union(*[s for k, _ in taken for s in levels[k][:n + 1]]),
+                max(p.total_degree() for _, p in taken))
 
     # B_0(u_k, v_l) = u_k v_l: no insertions
     orders = [{(zero, zero): {(none, zero): 1}}] if reach >= 0 else []
@@ -404,8 +415,8 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
         pieces = _TABLE[key] = _TABLE.pop(key, None) or _Pieces(alpha)
         try:
             for n in range(1, reach + 1):
-                (adm_u, deg_u), (adm_v, deg_v) = (side(us, vs[0][0], n),
-                                                  side(vs, us[0][0], n))
+                adm_u, deg_u = side(us, vs[0][0], n, levels_u)
+                adm_v, deg_v = side(vs, us[0][0], n, levels_v)
                 walk = not pieces.covers(n, adm_u, adm_v)
                 tally: dict = {}
                 for mult in _multisets(n, len(pieces.keys)):
@@ -421,8 +432,9 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
                             _orientations(pieces.keys, mult, alpha.dim))
                     room_p, classes = pieces.multisets[mult]
                     spend(len(classes))
-                    for (left, right), weight in (classes.items() if walk
-                                                  else ()):
+                    if not walk:
+                        continue
+                    for (left, right), weight in classes.items():
                         if right not in rights:
                             rights[right] = _landings(right, adm_v, -1)
                         if left not in lefts:

@@ -270,15 +270,16 @@ def _levels(p: GradedPoly, top: int) -> list[set]:
     is nonzero: those that a monomial of its support dominates (see
     _Rooms).  A factor takes at most n legs at order n, so levels 0..n hold
     all its D there."""
-    down: set = set()
-    for b in p.rows:
-        down.update(product(*[range(min(e, top) + 1)
-                              for e in p.space._layout.unpack(b)]))
     levels: list[set] = [set() for _ in range(top + 1)]
-    for D in down:
-        size = sum(D)
-        if size <= top:
-            levels[size].add(D)
+    for b in p.rows:
+        # (D, |D|) for each D <= the exponents with |D| <= top, one field
+        # at a time
+        vecs = [((), 0)]
+        for e in p.space._layout.unpack(b):
+            vecs = [(D + (d,), s + d) for D, s in vecs
+                    for d in range(min(e, top - s) + 1)]
+        for D, s in vecs:
+            levels[s].add(D)
     return levels
 
 
@@ -337,6 +338,12 @@ class _Pieces:
                 if J not in kept:
                     kept[J] = entry
                     self.cell_size += len(entry[1])
+
+    def drop_cells(self) -> int:
+        """Forget the cells; returns the entries freed."""
+        freed, self.cells, self.cell_size = self.cell_size, {}, 0
+        self.size -= freed
+        return freed
 
     def read(self, n: int, adm_u: set, adm_v: set) -> tuple[dict, int]:
         """Order n's nonempty cells over adm_u x adm_v, all covered, and the
@@ -461,7 +468,9 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
                                     _accumulate(entry[1], (mult, K), wl * wr)
                         spend(splits)
                 if walk:
-                    pieces.cover(n, adm_u, adm_v, tally)
+                    # a walk with more pairs than the table holds keeps none
+                    if len(adm_u) * len(adm_v) <= _TABLE_ENTRIES:
+                        pieces.cover(n, adm_u, adm_v, tally)
                     orders.append({(I, J): cell
                                    for I, row in tally.items()
                                    for J, (_, cell) in row.items() if cell})
@@ -473,9 +482,15 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
             pieces.size = sum(len(p.rows) for p in pieces.polys.values()) + sum(
                 len(r) + len(c) for r, c in pieces.multisets.values()
             ) + pieces.cell_size
-            if pieces.size > _TABLE_ENTRIES:  # too big alone: drop it first
-                del _TABLE[key]
+            if pieces.size > _TABLE_ENTRIES:  # too big alone: cells, then it
+                pieces.drop_cells()
+                if pieces.size > _TABLE_ENTRIES:
+                    del _TABLE[key]
             total = sum(entry.size for entry in _TABLE.values())
+            for entry in _TABLE.values():  # cells before records, both LRU
+                if total <= _TABLE_ENTRIES:
+                    break
+                total -= entry.drop_cells()
             while len(_TABLE) > _TABLE_BIVECTORS or total > _TABLE_ENTRIES:
                 total -= _TABLE.pop(next(iter(_TABLE))).size
     return pieces.polys, orders, us, vs, order

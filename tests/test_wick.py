@@ -602,14 +602,26 @@ def test_the_pieces_table_stays_within_its_bounds(monkeypatch):
     assert len(wick._TABLE) == wick._TABLE_BIVECTORS
     sizes = [_entries(pieces) for pieces in wick._TABLE.values()]
     assert sizes == [pieces.size for pieces in wick._TABLE.values()]
-    # a smaller entry bound evicts the least recently used first
+    # a smaller entry bound drops cells before records, each least recently
+    # used first
+    records = list(wick._TABLE.values())
+    monkeypatch.setattr(wick, "_TABLE_ENTRIES",
+                        sum(sizes) - records[0].cell_size)
+    star_poly(alphas[-1], f, g, order=3)
+    assert list(wick._TABLE.values()) == records
+    assert not records[0].cells and all(p.cells for p in records[1:])
     bound = sum(sizes[-2:])
     monkeypatch.setattr(wick, "_TABLE_ENTRIES", bound)
     star_poly(alphas[-1], f, g, order=3)
     assert sum(map(_entries, wick._TABLE.values())) <= bound
+    assert not any(p.cells for p in wick._TABLE.values())
+    bare = [_entries(p) for p in records]
+    fit = max(m for m in range(len(bare) + 1) if sum(bare[len(bare) - m:])
+              <= bound)
+    assert 2 < fit < len(records)
+    assert list(wick._TABLE.values()) == records[len(records) - fit:]
     kept = {key: list(pieces.polys.values())
             for key, pieces in wick._TABLE.items()}
-    assert len(kept) == 2
     # a bivector over the bound on its own is not kept, and the records
     # already kept survive it, as do the refused product's
     star_poly(fixture("so3"), f, g, order=5)

@@ -22,16 +22,20 @@ a derivative is zero exactly when no monomial of the polynomial dominates
 its count vector, which is tested without differentiating; a multiset whose
 2n legs cannot all land (2n > deg f + deg g + deg P_M) is skipped, and so
 is a split that leaves P_M more legs than its degree.  P_M, the orientation
-classes and the rooms are built once per bivector, kept in a bounded table.
+classes and the tests of P_M are built once per bivector, kept in a bounded
+table.
 The binomial weights of the splits depend only on the leg counts, so each
 leg vector's box of splits is built once, kept in a bounded cache, and a
 walk only filters it against its factors.
 
 For an (I, J) whose derivatives the factors leave nonzero, the cell
 C^(n)_IJ, and the number of splits that build it, depend on the bivector
-alone, so the table keeps them too.  A product walks an order only when
-the kept cells do not yet cover every (I, J) its factors admit, and
-otherwise reads them; either way it charges the walk's work.
+alone, so the table keeps them too, up to the bivector's share of the
+table's bound.  The (I, J) that a product's factors admit at order n are
+read off the landings of that order's leg vectors, as a walk filters them.
+A product walks an order only when the kept cells do not yet cover every
+such (I, J), and otherwise reads them; either way it charges the walk's
+work.
 
 Every product is a series product sum_{k,l} hbar^(k+l) u_k * v_l (star has
 one coefficient a side).  Order n pairs u_k with v_l only when k + l + n
@@ -182,8 +186,8 @@ def _check_factors(alpha: Multivector, u: Series, v: Series, order: int,
     return ring, us, vs, (order - us[0][0] - vs[0][0] if us and vs else -1)
 
 
-class _Rooms(dict):
-    """counts -> how many more derivatives d^counts leaves some poly, or -1.
+class _Admits(dict):
+    """counts -> whether d^counts leaves some poly nonzero.
 
     d^K x^beta is nonzero exactly when beta dominates K, and distinct beta
     stay distinct, so d^K p vanishes exactly when no monomial of its
@@ -194,13 +198,12 @@ class _Rooms(dict):
     __slots__ = ("support",)
 
     def __init__(self, polys: Sequence[GradedPoly]):
-        self.support = {p.space._layout.unpack(b): b >> p.space._layout.top
-                        for p in polys for b in p.rows}.items()
+        self.support = {p.space._layout.unpack(b)
+                        for p in polys for b in p.rows}
 
-    def __missing__(self, counts: tuple[int, ...]) -> int:
-        degs = [deg for beta, deg in self.support
-                if all(map(operator.ge, beta, counts))]
-        got = self[counts] = max(degs) - sum(counts) if degs else -1
+    def __missing__(self, counts: tuple[int, ...]) -> bool:
+        got = self[counts] = any(all(map(operator.ge, beta, counts))
+                                 for beta in self.support)
         return got
 
 
@@ -265,42 +268,24 @@ def _box(legs: tuple[int, ...], sign: int) -> tuple:
     return tuple(out)
 
 
-def _levels(p: GradedPoly, top: int) -> list[set]:
-    """levels[s] holds the count vectors D with |D| = s <= top whose d_D p
-    is nonzero: those that a monomial of its support dominates (see
-    _Rooms).  A factor takes at most n legs at order n, so levels 0..n hold
-    all its D there."""
-    levels: list[set] = [set() for _ in range(top + 1)]
-    for b in p.rows:
-        # (D, |D|) for each D <= the exponents with |D| <= top, one field
-        # at a time
-        vecs = [((), 0)]
-        for e in p.space._layout.unpack(b):
-            vecs = [(D + (d,), s + d) for D, s in vecs
-                    for d in range(min(e, top - s) + 1)]
-        for D, s in vecs:
-            levels[s].add(D)
-    return levels
-
-
-def _landings(legs: tuple[int, ...], admitted: set, sign: int) -> list:
+def _landings(legs: tuple[int, ...], admits: _Admits, sign: int) -> list:
     """The entries of the legs' box whose D leaves d_D of the factor
-    nonzero (D in admitted), in the box's order: largest |D| first."""
-    return [entry for entry in _box(legs, sign) if entry[0] in admitted]
+    nonzero, in the box's order: largest |D| first."""
+    return [entry for entry in _box(legs, sign) if admits[entry[0]]]
 
 
 class _Pieces:
     """One bivector's factor-independent pieces, built on first use: P_M by
-    multiset M, the rooms of P_M and classes of M for each M reached, and
-    the operator's cells.
+    multiset M, the dominance test of P_M and classes of M for each M
+    reached, and the operator's cells.
 
     cells[n][I] is (covered, kept): covered holds each J whose cell
     C^(n)_IJ is known, and kept maps those J with a split to [splits,
     cell], cell being {(M, K): count}; every other covered J has no split
     and an empty cell.  For an I and J that the factors admit, the cell
-    and its splits do not depend on the factors: the room test of P_M and
-    the test |I| + |J| >= need read the bivector alone, and a multiset
-    skipped by the degree test has need > |I| + |J|.
+    and its splits do not depend on the factors: the test of P_M and the
+    test |I| + |J| >= need read the bivector alone, and a multiset skipped
+    by the degree test has need > |I| + |J|.
     """
 
     def __init__(self, alpha: Multivector):
@@ -327,28 +312,34 @@ class _Pieces:
 
     def cover(self, n: int, adm_u: set, adm_v: set, tally: dict) -> None:
         """Keep a walk of order n over adm_u x adm_v: tally maps I to {J:
-        [splits, cell]} for each pair with a split."""
+        [splits, cell]} for each pair with a split.  The covered sets are
+        not changed in place, so new rows share adm_v.  A record whose
+        cells would pass its share of the table's entries keeps none; the
+        pairs are counted first, so a walk over more pairs than that builds
+        no covered sets."""
+        share = _TABLE_ENTRIES // _TABLE_BIVECTORS
+        if len(adm_u) * len(adm_v) > share:
+            self.cells, self.cell_size = {}, 0
+            return
         rows = self.cells.setdefault(n, {})
         for I in adm_u:
-            covered, kept = rows.get(I) or rows.setdefault(I, (set(), {}))
-            self.cell_size -= len(covered)
-            covered |= adm_v
-            self.cell_size += len(covered)
+            covered, kept = rows.get(I) or (frozenset(), {})
+            if not covered >= adm_v:
+                self.cell_size -= len(covered)
+                covered = covered | adm_v if covered else adm_v
+                self.cell_size += len(covered)
+            rows[I] = covered, kept
             for J, entry in tally.get(I, {}).items():
                 if J not in kept:
                     kept[J] = entry
                     self.cell_size += len(entry[1])
-
-    def drop_cells(self) -> int:
-        """Forget the cells; returns the entries freed."""
-        freed, self.cells, self.cell_size = self.cell_size, {}, 0
-        self.size -= freed
-        return freed
+        if self.cell_size > share:
+            self.cells, self.cell_size = {}, 0
 
     def read(self, n: int, adm_u: set, adm_v: set) -> tuple[dict, int]:
         """Order n's nonempty cells over adm_u x adm_v, all covered, and the
         splits a walk over them examines."""
-        rows, cells, splits = self.cells[n], {}, 0
+        rows, cells, splits = self.cells.get(n, {}), {}, 0
         for I in adm_u:
             kept = rows[I][1]
             for J in kept.keys() & adm_v:
@@ -363,7 +354,7 @@ class _Pieces:
 # the lock from lookup to trim, so threads take turns at the table
 _TABLE: dict[tuple, _Pieces] = {}
 _TABLE_BIVECTORS = 8
-_TABLE_ENTRIES = 50_000  # P_M terms, room values, classes and cells
+_TABLE_ENTRIES = 50_000  # P_M terms, P_M tests, classes and cells
 _TABLE_LOCK = threading.Lock()
 
 
@@ -377,8 +368,10 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
     when k + l <= order - n, so its pruning tests the union of the supports
     of the coefficients on each side that such a pair takes: one operator
     serves every pair (u_k, v_l), and it stops at the highest order a pair
-    needs.  Order n is walked only when the bivector's cells do not yet
-    cover every (I, J) its factors admit; otherwise it reads them.
+    needs.  The count vectors a side admits at order n are the D of its
+    landings in the boxes of that order's classes.  Order n is walked only
+    when the bivector's cells do not yet cover every admitted (I, J);
+    otherwise it reads them.
     Each multiset of components, each orientation class of it and each split
     of its legs between u, v and P_M is one unit of work against max_work,
     whether or not it is walked: a read charges the splits its cells were
@@ -390,10 +383,11 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
     key = (alpha.dim, tuple(sorted(
         (k, p.den, tuple(sorted(p.rows.items())))
         for k, p in alpha.components.items())))
+    # leg vectors of order n have n legs, so each is met at one order only
     lefts: dict[tuple[int, ...], list] = {}
     rights: dict[tuple[int, ...], list] = {}
-    levels_u: dict[int, list] = {}
-    levels_v: dict[int, list] = {}
+    tests_u: dict[int, _Admits] = {}
+    tests_v: dict[int, _Admits] = {}
     zero, none = (0,) * alpha.dim, (0,) * len(alpha.components)
     work = 0
 
@@ -405,16 +399,23 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
                 f"operator enumeration exceeded max_work={max_work}; raise "
                 "the limit or lower the order")
 
-    def side(coeffs: list, other: int, n: int, levels: dict) -> tuple:
-        """The D that a coefficient of order n's pairs admits, and the
-        largest degree of those coefficients; other is the least key of the
-        other side, and levels keeps each coefficient's _levels by key."""
-        taken = [(k, p) for k, p in coeffs if k + other <= order - n]
-        for k, p in taken:
-            if k not in levels:
-                levels[k] = _levels(p, reach)
-        return (set().union(*[s for k, _ in taken for s in levels[k][:n + 1]]),
-                max(p.total_degree() for _, p in taken))
+    def side(coeffs: list, other: int, n: int, tests: dict) -> tuple:
+        """The dominance test of the coefficients that order n's pairs take,
+        and their largest degree; other is the least key of the other side.
+        They are a prefix of coeffs, so tests keeps one by its length."""
+        taken = [p for k, p in coeffs if k + other <= order - n]
+        if len(taken) not in tests:
+            tests[len(taken)] = _Admits(taken)
+        return tests[len(taken)], max(p.total_degree() for p in taken)
+
+    def land(vecs: set, admits: _Admits, sign: int, cache: dict) -> set:
+        """Keeps each leg vector's landings in cache; returns the D they
+        keep."""
+        adm: set = set()
+        for legs in vecs:
+            cache[legs] = got = _landings(legs, admits, sign)
+            adm.update(entry[0] for entry in got)
+        return adm
 
     # B_0(u_k, v_l) = u_k v_l: no insertions
     orders = [{(zero, zero): {(none, zero): 1}}] if reach >= 0 else []
@@ -422,10 +423,9 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
         pieces = _TABLE[key] = _TABLE.pop(key, None) or _Pieces(alpha)
         try:
             for n in range(1, reach + 1):
-                adm_u, deg_u = side(us, vs[0][0], n, levels_u)
-                adm_v, deg_v = side(vs, us[0][0], n, levels_v)
-                walk = not pieces.covers(n, adm_u, adm_v)
-                tally: dict = {}
+                admits_u, deg_u = side(us, vs[0][0], n, tests_u)
+                admits_v, deg_v = side(vs, us[0][0], n, tests_v)
+                reached = []
                 for mult in _multisets(n, len(pieces.keys)):
                     spend(1)
                     # the 2n legs land on u, v and P_M, so at least need of
@@ -435,17 +435,23 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
                         continue
                     if mult not in pieces.multisets:
                         pieces.multisets[mult] = (
-                            _Rooms([pieces.product(mult)]),
+                            _Admits([pieces.product(mult)]),
                             _orientations(pieces.keys, mult, alpha.dim))
-                    room_p, classes = pieces.multisets[mult]
+                    admits_p, classes = pieces.multisets[mult]
                     spend(len(classes))
-                    if not walk:
-                        continue
+                    reached.append((mult, need, admits_p, classes))
+                # the D each side admits at order n: those its landings keep
+                met = {key for *_, classes in reached for key in classes}
+                adm_u = land({left for left, _ in met}, admits_u, 1, lefts)
+                adm_v = land({right for _, right in met}, admits_v, -1, rights)
+                if pieces.covers(n, adm_u, adm_v):
+                    cells, splits = pieces.read(n, adm_u, adm_v)
+                    spend(splits)
+                    orders.append(cells)
+                    continue
+                tally: dict = {}
+                for mult, need, admits_p, classes in reached:
                     for (left, right), weight in classes.items():
-                        if right not in rights:
-                            rights[right] = _landings(right, adm_v, -1)
-                        if left not in lefts:
-                            lefts[left] = _landings(left, adm_u, 1)
                         to_g, splits = rights[right], 0
                         for I, wl, nl, rest_i in lefts[left]:
                             if not to_g or nl + to_g[0][2] < need:
@@ -464,33 +470,20 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
                                 entry[0] += 1
                                 # K = legs - I - J, the legs left to P_M
                                 K = tuple(map(operator.add, rest_i, rest_j))
-                                if room_p[K] >= 0:
+                                if admits_p[K]:
                                     _accumulate(entry[1], (mult, K), wl * wr)
                         spend(splits)
-                if walk:
-                    # a walk with more pairs than the table holds keeps none
-                    if len(adm_u) * len(adm_v) <= _TABLE_ENTRIES:
-                        pieces.cover(n, adm_u, adm_v, tally)
-                    orders.append({(I, J): cell
-                                   for I, row in tally.items()
-                                   for J, (_, cell) in row.items() if cell})
-                else:
-                    cells, splits = pieces.read(n, adm_u, adm_v)
-                    spend(splits)
-                    orders.append(cells)
+                pieces.cover(n, adm_u, adm_v, tally)
+                orders.append({(I, J): cell
+                               for I, row in tally.items()
+                               for J, (_, cell) in row.items() if cell})
         finally:
             pieces.size = sum(len(p.rows) for p in pieces.polys.values()) + sum(
-                len(r) + len(c) for r, c in pieces.multisets.values()
+                len(t) + len(c) for t, c in pieces.multisets.values()
             ) + pieces.cell_size
-            if pieces.size > _TABLE_ENTRIES:  # too big alone: cells, then it
-                pieces.drop_cells()
-                if pieces.size > _TABLE_ENTRIES:
-                    del _TABLE[key]
+            if pieces.size > _TABLE_ENTRIES:  # too big alone: drop it first
+                del _TABLE[key]
             total = sum(entry.size for entry in _TABLE.values())
-            for entry in _TABLE.values():  # cells before records, both LRU
-                if total <= _TABLE_ENTRIES:
-                    break
-                total -= entry.drop_cells()
             while len(_TABLE) > _TABLE_BIVECTORS or total > _TABLE_ENTRIES:
                 total -= _TABLE.pop(next(iter(_TABLE))).size
     return pieces.polys, orders, us, vs, order
@@ -675,8 +668,8 @@ def _moyal_operator(alpha: Multivector, u: Series, v: Series, order: int,
         raise ResourceLimitError(
             f"about {len(entries) ** order} index rows at order {order} "
             f"exceed max_work={max_work}")
-    room_u = _Rooms([p for _, p in us])
-    room_v = _Rooms([p for _, p in vs])
+    admits_u = _Admits([p for _, p in us])
+    admits_v = _Admits([p for _, p in vs])
     zero = (0,) * alpha.dim
     polys = {(): GradedPoly.one(ring)}  # and each coefficient c under c
     orders = []
@@ -686,7 +679,7 @@ def _moyal_operator(alpha: Multivector, u: Series, v: Series, order: int,
             I = J = zero
             for i, j, _ in row:
                 I, J = _bump(I, i, 1), _bump(J, j, 1)
-            if room_u[I] < 0 or room_v[J] < 0:
+            if not (admits_u[I] and admits_v[J]):
                 continue
             _accumulate(coeffs, (I, J),
                         math.prod((value for _, _, value in row), start=ONE))

@@ -16,7 +16,8 @@ pair (k, l).
 
 _landings is the landing table the library built on every operator call
 before it kept one box per leg vector: it weighs each split D <= legs whose
-derivative d_D of the factor is nonzero, then sorts by |D|.
+derivative d_D of the factor is nonzero, then sorts by |D|.  _Rooms is the
+test it reads: how many more derivatives d_D leaves the factor, or -1.
 
 apply is the operator application the library used before it contracted
 in Gaussian-integer numerators: every multiply and add is a reduced Scalar
@@ -36,7 +37,7 @@ from starprod.poisson import Multivector
 from starprod.scalars import ONE, Scalar
 from starprod.superalg import GradedPoly, _Point
 from starprod.wick import (DEFAULT_MAX_WORK, Operator, _apply, _bump,
-                           _check_factors, _operator, _order_weight, _Rooms,
+                           _check_factors, _operator, _order_weight,
                            star_poly)
 
 Series = dict[int, GradedPoly]
@@ -159,6 +160,24 @@ def apply(op: Operator, point: Optional[Sequence[Scalar]] = None,
                 total = total * _order_weight(n, w) if n else total
                 out[t] = total if out[t] is zero else out[t] + total
     return out
+
+
+class _Rooms(dict):
+    """counts -> how many more derivatives d^counts leaves some poly, or -1:
+    the room test the library used before it only asked whether a monomial
+    of the support dominates the count vector."""
+
+    __slots__ = ("support",)
+
+    def __init__(self, polys: Sequence[GradedPoly]):
+        self.support = {p.space._layout.unpack(b): b >> p.space._layout.top
+                        for p in polys for b in p.rows}.items()
+
+    def __missing__(self, counts: tuple[int, ...]) -> int:
+        degs = [deg for beta, deg in self.support
+                if all(map(operator.ge, beta, counts))]
+        got = self[counts] = max(degs) - sum(counts) if degs else -1
+        return got
 
 
 def _landings(legs: tuple[int, ...], room: _Rooms, sign: int) -> list:

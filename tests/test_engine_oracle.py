@@ -28,9 +28,10 @@ from starprod import (Multivector, ResourceLimitError, associator,
                       star_poly, star_series, wick)
 from starprod.scalars import ONE, Scalar
 from starprod.superalg import MAX_POWER_TERMS, GradedPoly, _Point
-from starprod.wick import (_apply, _landings, _levels, _moyal_operator,
-                           _operator, _Rooms)
-from reference_engine import (_associator, _engine_terms, _series_product,
+from starprod.wick import (_Admits, _apply, _landings, _moyal_operator,
+                           _operator)
+from reference_engine import (_associator, _engine_terms, _Rooms,
+                              _series_product,
                               _landings as reference_landings, apply)
 from support import random_basepoint, random_multivector, random_poly
 
@@ -143,12 +144,11 @@ def landing_cases(draw):
 def test_landings_match_the_per_call_loop(case):
     legs, support, sign = case
     factor = GradedPoly(coeff_space(len(legs)), dict.fromkeys(support, 1))
-    room = _Rooms([factor])
-    # the library filters by the admitted count vectors, the reference by
-    # the room of each D
-    got = _landings(legs, set().union(*_levels(factor, sum(legs))), sign)
-    assert [entry[:3] for entry in got] == reference_landings(legs, room,
-                                                              sign)
+    # the library asks whether a monomial dominates each D, the reference
+    # for the room each D leaves
+    got = _landings(legs, _Admits([factor]), sign)
+    assert [entry[:3] for entry in got] == reference_landings(
+        legs, _Rooms([factor]), sign)
     assert all(a[2] >= b[2] for a, b in zip(got, got[1:]))
     assert all(rest == tuple(k - s for k, s in zip(legs, sub))
                for sub, _, _, rest in got)

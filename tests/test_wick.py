@@ -1,5 +1,6 @@
 """Deformed product engine: calibration, goldens, budgets."""
 
+import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -552,7 +553,7 @@ def test_read_cells_give_the_walk_and_its_budget(case):
 
 def test_equal_supports_read_the_kept_cells(monkeypatch):
     """A product whose factors have the supports of an earlier one walks
-    nothing: it looks up no landings and keeps no new cell."""
+    nothing: it keeps no new cell, and it gives the walk's results."""
     ring = coeff_space(3)
     so3 = fixture("so3")
     f, g = parse_poly("x1^2*x2 + x3", ring), parse_poly("x2*x3^2 + x1", ring)
@@ -563,21 +564,44 @@ def test_equal_supports_read_the_kept_cells(monkeypatch):
     wick._TABLE.clear()
     star_poly(so3, f, g, order=4)
     (pieces,) = wick._TABLE.values()
-    size, looked = pieces.cell_size, []
-    landings = wick._landings
-    monkeypatch.setattr(wick, "_landings",
-                        lambda *args: looked.append(args) or landings(*args))
+    size, walked = pieces.cell_size, []
+    cover = wick._Pieces.cover
+    monkeypatch.setattr(wick._Pieces, "cover", lambda self, *args: (
+        walked.append(args[0]), cover(self, *args)))
     assert star_poly(so3, F, G, order=4) == want
     assert star(so3, F, G, [1, 2, 3], order=4).coefficients == tuple(
         want[k].evaluate({"x1": 1, "x2": 2, "x3": 3}) for k in range(5))
-    assert not looked and pieces.cell_size == size
+    assert not walked and pieces.cell_size == size
     star_poly(so3, f * g, g, order=4)  # a new support walks again
-    assert looked and pieces.cell_size > size
+    assert walked and pieces.cell_size > size
+
+
+def test_a_wide_factor_is_tested_only_where_legs_land(monkeypatch):
+    """A factor's count vectors are tested only over the boxes of classes
+    already charged: a budget of 1 refuses before any is tested, and with
+    16 coordinates and the one component (1, 2), every count vector tested
+    is zero off directions 1 and 2, though the factor has 816 terms of
+    degree 99 in all 16."""
+    ring = coeff_space(16)
+    xs = [GradedPoly.generator(ring, f"x{i}") for i in range(1, 17)]
+    f = math.prod(xs[1:], start=xs[0]) ** 6 * sum(xs[1:], start=xs[0]) ** 3
+    assert len(f.rows) == 816
+    alpha = Multivector(16, 2, {(1, 2): GradedPoly.one(ring)})
+    tested = []
+    missing = wick._Admits.__missing__
+    monkeypatch.setattr(wick._Admits, "__missing__", lambda self, counts: (
+        tested.append(counts), missing(self, counts))[1])
+    wick._TABLE.clear()
+    with pytest.raises(ResourceLimitError):
+        wick._operator(alpha, {0: f}, {0: f}, 6, 1)
+    assert not tested
+    wick._operator(alpha, {0: f}, {0: f}, 6, DEFAULT_MAX_WORK)
+    assert tested and not any(any(counts[2:]) for counts in tested)
 
 
 def _entries(pieces):
-    """P_M terms, room values, classes, and for the cells each covered (I,
-    J) and each (M, K) count of a kept cell."""
+    """P_M terms, P_M tests, classes, and for the cells each covered (I, J)
+    and each (M, K) count of a kept cell."""
     return (sum(len(p.terms) for p in pieces.polys.values())
             + sum(len(room) + len(classes)
                   for room, classes in pieces.multisets.values())
@@ -602,26 +626,14 @@ def test_the_pieces_table_stays_within_its_bounds(monkeypatch):
     assert len(wick._TABLE) == wick._TABLE_BIVECTORS
     sizes = [_entries(pieces) for pieces in wick._TABLE.values()]
     assert sizes == [pieces.size for pieces in wick._TABLE.values()]
-    # a smaller entry bound drops cells before records, each least recently
-    # used first
-    records = list(wick._TABLE.values())
-    monkeypatch.setattr(wick, "_TABLE_ENTRIES",
-                        sum(sizes) - records[0].cell_size)
-    star_poly(alphas[-1], f, g, order=3)
-    assert list(wick._TABLE.values()) == records
-    assert not records[0].cells and all(p.cells for p in records[1:])
+    # a smaller entry bound evicts the least recently used first
     bound = sum(sizes[-2:])
     monkeypatch.setattr(wick, "_TABLE_ENTRIES", bound)
     star_poly(alphas[-1], f, g, order=3)
     assert sum(map(_entries, wick._TABLE.values())) <= bound
-    assert not any(p.cells for p in wick._TABLE.values())
-    bare = [_entries(p) for p in records]
-    fit = max(m for m in range(len(bare) + 1) if sum(bare[len(bare) - m:])
-              <= bound)
-    assert 2 < fit < len(records)
-    assert list(wick._TABLE.values()) == records[len(records) - fit:]
     kept = {key: list(pieces.polys.values())
             for key, pieces in wick._TABLE.items()}
+    assert len(kept) == 2
     # a bivector over the bound on its own is not kept, and the records
     # already kept survive it, as do the refused product's
     star_poly(fixture("so3"), f, g, order=5)
@@ -631,6 +643,14 @@ def test_the_pieces_table_stays_within_its_bounds(monkeypatch):
     for key, polys in kept.items():
         assert all(a is b for a, b in zip(wick._TABLE[key].polys.values(),
                                           polys))
+    # a record whose cells would pass its share of the bound keeps none
+    record = wick._TABLE[list(kept)[-1]]
+    assert record.cells
+    monkeypatch.setattr(wick, "_TABLE_ENTRIES",
+                        wick._TABLE_BIVECTORS * record.cell_size)
+    star_poly(alphas[-1], f * g, g, order=2)  # a walk adds covered pairs
+    assert not record.cells and record.cell_size == 0
+    assert record.size == _entries(record)
 
 
 def test_products_from_several_threads_agree(monkeypatch):

@@ -268,16 +268,21 @@ def _box(legs: tuple[int, ...], sign: int) -> tuple:
     return tuple(out)
 
 
-def _landings(legs: tuple[int, ...], admits: _Admits, sign: int) -> list:
+def _landings(legs: tuple[int, ...], admitted: set, sign: int) -> list:
     """The entries of the legs' box whose D leaves d_D of the factor
-    nonzero, in the box's order: largest |D| first."""
-    return [entry for entry in _box(legs, sign) if admits[entry[0]]]
+    nonzero (D in admitted), in the box's order: largest |D| first."""
+    return [entry for entry in _box(legs, sign) if entry[0] in admitted]
 
 
 class _Pieces:
     """One bivector's factor-independent pieces, built on first use: P_M by
     multiset M, the dominance test of P_M and classes of M for each M
-    reached, and the operator's cells.
+    reached, the count vectors the legs of each order can land on a factor,
+    and the operator's cells.
+
+    landable[n, t] is (lefts, rights): the D <= some left, or right, leg
+    vector of a class of order n, over the multisets whose need is at most
+    t.  A factor admits at order n the D of those that it leaves nonzero.
 
     cells[n][I] is (covered, kept): covered holds each J whose cell
     C^(n)_IJ is known, and kept maps those J with a split to [splits,
@@ -294,6 +299,7 @@ class _Pieces:
         self.degs = [p.total_degree() for p in self.comps]
         self.polys = {(0,) * len(self.keys): GradedPoly.one(alpha.ring())}
         self.multisets, self.size = {}, 0  # size: entries at the last trim
+        self.landable: dict[tuple[int, int], tuple[set, set]] = {}
         self.cells: dict[int, dict] = {}
         self.cell_size = 0  # covered pairs and (M, K) counts of the cells
 
@@ -304,6 +310,17 @@ class _Pieces:
             c = max(k for k, m in enumerate(mult) if m)
             got = self.polys[mult] = (self.product(_bump(mult, c, -1))
                                       * self.comps[c])
+        return got
+
+    def lands(self, n: int, t: int, reached: list) -> tuple[set, set]:
+        """landable[n, t], from the boxes of the classes reached."""
+        got = self.landable.get((n, t))
+        if got is None:
+            met = {key for *_, classes in reached for key in classes}
+            got = self.landable[n, t] = tuple(
+                {entry[0] for legs in {key[side] for key in met}
+                 for entry in _box(legs, sign)}
+                for side, sign in ((0, 1), (1, -1)))
         return got
 
     def covers(self, n: int, adm_u: set, adm_v: set) -> bool:
@@ -354,7 +371,7 @@ class _Pieces:
 # the lock from lookup to trim, so threads take turns at the table
 _TABLE: dict[tuple, _Pieces] = {}
 _TABLE_BIVECTORS = 8
-_TABLE_ENTRIES = 50_000  # P_M terms, P_M tests, classes and cells
+_TABLE_ENTRIES = 50_000  # P_M terms and tests, classes, landable D, cells
 _TABLE_LOCK = threading.Lock()
 
 
@@ -368,10 +385,10 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
     when k + l <= order - n, so its pruning tests the union of the supports
     of the coefficients on each side that such a pair takes: one operator
     serves every pair (u_k, v_l), and it stops at the highest order a pair
-    needs.  The count vectors a side admits at order n are the D of its
-    landings in the boxes of that order's classes.  Order n is walked only
-    when the bivector's cells do not yet cover every admitted (I, J);
-    otherwise it reads them.
+    needs.  The count vectors a side admits at order n are those in the
+    boxes of that order's classes that it leaves nonzero.  Order n is
+    walked only when the bivector's cells do not yet cover every admitted
+    (I, J); otherwise it reads them.
     Each multiset of components, each orientation class of it and each split
     of its legs between u, v and P_M is one unit of work against max_work,
     whether or not it is walked: a read charges the splits its cells were
@@ -408,15 +425,6 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
             tests[len(taken)] = _Admits(taken)
         return tests[len(taken)], max(p.total_degree() for p in taken)
 
-    def land(vecs: set, admits: _Admits, sign: int, cache: dict) -> set:
-        """Keeps each leg vector's landings in cache; returns the D they
-        keep."""
-        adm: set = set()
-        for legs in vecs:
-            cache[legs] = got = _landings(legs, admits, sign)
-            adm.update(entry[0] for entry in got)
-        return adm
-
     # B_0(u_k, v_l) = u_k v_l: no insertions
     orders = [{(zero, zero): {(none, zero): 1}}] if reach >= 0 else []
     with _TABLE_LOCK:
@@ -440,10 +448,12 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
                     admits_p, classes = pieces.multisets[mult]
                     spend(len(classes))
                     reached.append((mult, need, admits_p, classes))
-                # the D each side admits at order n: those its landings keep
-                met = {key for *_, classes in reached for key in classes}
-                adm_u = land({left for left, _ in met}, admits_u, 1, lefts)
-                adm_v = land({right for _, right in met}, admits_v, -1, rights)
+                # need <= 2n, so min(deg_u + deg_v, 2n) decides what is
+                # reached
+                land_u, land_v = pieces.lands(n, min(deg_u + deg_v, 2 * n),
+                                              reached)
+                adm_u = {D for D in land_u if admits_u[D]}
+                adm_v = {D for D in land_v if admits_v[D]}
                 if pieces.covers(n, adm_u, adm_v):
                     cells, splits = pieces.read(n, adm_u, adm_v)
                     spend(splits)
@@ -452,6 +462,10 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
                 tally: dict = {}
                 for mult, need, admits_p, classes in reached:
                     for (left, right), weight in classes.items():
+                        if right not in rights:
+                            rights[right] = _landings(right, adm_v, -1)
+                        if left not in lefts:
+                            lefts[left] = _landings(left, adm_u, 1)
                         to_g, splits = rights[right], 0
                         for I, wl, nl, rest_i in lefts[left]:
                             if not to_g or nl + to_g[0][2] < need:
@@ -479,8 +493,9 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
                                for J, (_, cell) in row.items() if cell})
         finally:
             pieces.size = sum(len(p.rows) for p in pieces.polys.values()) + sum(
-                len(t) + len(c) for t, c in pieces.multisets.values()
-            ) + pieces.cell_size
+                len(a) + len(b) for a, b in pieces.multisets.values()
+            ) + sum(len(a) + len(b) for a, b in pieces.landable.values()
+                    ) + pieces.cell_size
             if pieces.size > _TABLE_ENTRIES:  # too big alone: drop it first
                 del _TABLE[key]
             total = sum(entry.size for entry in _TABLE.values())

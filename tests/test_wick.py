@@ -600,11 +600,13 @@ def test_a_wide_factor_is_tested_only_where_legs_land(monkeypatch):
 
 
 def _entries(pieces):
-    """P_M terms, P_M tests, classes, and for the cells each covered (I, J)
-    and each (M, K) count of a kept cell."""
+    """P_M terms, P_M tests, classes, landable count vectors, and for the
+    cells each covered (I, J) and each (M, K) count of a kept cell."""
     return (sum(len(p.terms) for p in pieces.polys.values())
-            + sum(len(room) + len(classes)
-                  for room, classes in pieces.multisets.values())
+            + sum(len(test) + len(classes)
+                  for test, classes in pieces.multisets.values())
+            + sum(len(lefts) + len(rights)
+                  for lefts, rights in pieces.landable.values())
             + sum(len(covered) + sum(len(cell) for _, cell in kept.values())
                   for rows in pieces.cells.values()
                   for covered, kept in rows.values()))

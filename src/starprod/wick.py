@@ -31,11 +31,11 @@ walk only filters it against its factors.
 For an (I, J) whose derivatives the factors leave nonzero, the cell
 C^(n)_IJ, and the number of splits that build it, depend on the bivector
 alone, so the table keeps them too, up to the bivector's share of the
-table's bound.  The (I, J) that a product's factors admit at order n are
-read off the landings of that order's leg vectors, as a walk filters them.
-A product walks an order only when the kept cells do not yet cover every
-such (I, J), and otherwise reads them; either way it charges the walk's
-work.
+table's bound.  So does the set of count vectors that the legs of order n
+can land on a factor, and the (I, J) that a product's factors admit there
+are those of the set they leave nonzero.  A product walks an order only
+when the kept cells do not yet cover every such (I, J), and otherwise
+reads them; either way it charges the walk's work.
 
 Every product is a series product sum_{k,l} hbar^(k+l) u_k * v_l (star has
 one coefficient a side).  Order n pairs u_k with v_l only when k + l + n

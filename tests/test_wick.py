@@ -553,7 +553,8 @@ def test_read_cells_give_the_walk_and_its_budget(case):
 
 def test_equal_supports_read_the_kept_cells(monkeypatch):
     """A product whose factors have the supports of an earlier one walks
-    nothing: it keeps no new cell, and it gives the walk's results."""
+    nothing: it looks up no landings, keeps no new cell and gives the
+    walk's results."""
     ring = coeff_space(3)
     so3 = fixture("so3")
     f, g = parse_poly("x1^2*x2 + x3", ring), parse_poly("x2*x3^2 + x1", ring)
@@ -565,9 +566,11 @@ def test_equal_supports_read_the_kept_cells(monkeypatch):
     star_poly(so3, f, g, order=4)
     (pieces,) = wick._TABLE.values()
     size, walked = pieces.cell_size, []
-    cover = wick._Pieces.cover
+    cover, landings = wick._Pieces.cover, wick._landings
     monkeypatch.setattr(wick._Pieces, "cover", lambda self, *args: (
         walked.append(args[0]), cover(self, *args)))
+    monkeypatch.setattr(wick, "_landings", lambda *args: (
+        walked.append(args[0]), landings(*args))[1])
     assert star_poly(so3, F, G, order=4) == want
     assert star(so3, F, G, [1, 2, 3], order=4).coefficients == tuple(
         want[k].evaluate({"x1": 1, "x2": 2, "x3": 3}) for k in range(5))

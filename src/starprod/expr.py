@@ -52,7 +52,7 @@ MAX_NESTING = 100
 
 @dataclass(slots=True, unsafe_hash=True)
 class Num:
-    value: Fraction
+    value: Union[int, Fraction]
     pos: int = 0
 
 
@@ -205,7 +205,7 @@ class _Parser:
             if kind != "num" or "/" in text:
                 raise InputError("exponent must be a nonnegative integer "
                                  f"at column {at}")
-            node = Pow(node, int(parse_rational(text, f"at column {at}")), pos)
+            node = Pow(node, parse_rational(text, f"at column {at}"), pos)
         return node
 
 

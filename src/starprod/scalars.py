@@ -222,11 +222,12 @@ def format_scalar(z: Scalar) -> str:
     return _render(z.parts(), "i", False)
 
 
-def parse_rational(text: str, where: str) -> Fraction:
+def parse_rational(text: str, where: str) -> Union[int, Fraction]:
     """A rational literal: an optional leading '-', digits, an optional '/digits'.
 
     This is the one reader for rationals in user text: the number tokens
-    of expressions and the basepoint entries.  Decimals, exponents and
+    of expressions and the basepoint entries.  A literal without '/' is
+    read as an int, one with it as a Fraction.  Decimals, exponents and
     '+' are refused, and so is a part longer than MAX_DIGITS digits; `where`
     places the literal in the InputError message.
     """
@@ -238,7 +239,7 @@ def parse_rational(text: str, where: str) -> Fraction:
     if max(len(num), len(den)) > MAX_DIGITS:
         raise InputError(f"literal {where} exceeds the cap of {MAX_DIGITS} digits")
     if not slash:
-        value = Fraction(int(num))
+        value = int(num)
     elif not (d := int(den)):
         raise InputError(f"zero denominator {where}")
     else:

@@ -33,9 +33,10 @@ C^(n)_IJ, and the number of splits that build it, depend on the bivector
 alone, so the table keeps them too, up to the bivector's share of the
 table's bound.  So does the set of count vectors that the legs of order n
 can land on a factor, and the (I, J) that a product's factors admit there
-are those of the set they leave nonzero.  A product walks an order only
-when the kept cells do not yet cover every such (I, J), and otherwise
-reads them; either way it charges the walk's work.
+are those of the set they leave nonzero.  A product reads every order
+from the kept cells; before that, it walks only the admitted I whose kept
+cells miss an admitted J, and keeps what the walk finds.  Either way it
+charges the splits of every admitted (I, J).
 
 Every product is a series product sum_{k,l} hbar^(k+l) u_k * v_l (star has
 one coefficient a side).  Order n pairs u_k with v_l only when k + l + n
@@ -290,7 +291,10 @@ class _Pieces:
     and an empty cell.  For an I and J that the factors admit, the cell
     and its splits do not depend on the factors: the test of P_M and the
     test |I| + |J| >= need read the bivector alone, and a multiset skipped
-    by the degree test has need > |I| + |J|.
+    by the degree test has need > |I| + |J|.  Every order of a product is
+    read from the cells; a walk only fills the rows I whose covered Js
+    miss an admitted J.  The trim drops every cell of a record whose cells
+    pass its share of the table's entries.
     """
 
     def __init__(self, alpha: Multivector):
@@ -323,35 +327,20 @@ class _Pieces:
                 for side, sign in ((0, 1), (1, -1)))
         return got
 
-    def covers(self, n: int, adm_u: set, adm_v: set) -> bool:
-        rows = self.cells.get(n, {})
-        return all(I in rows and rows[I][0] >= adm_v for I in adm_u)
-
-    def cover(self, n: int, adm_u: set, adm_v: set, tally: dict) -> None:
-        """Keep a walk of order n over adm_u x adm_v: tally maps I to {J:
+    def cover(self, n: int, todo: set, adm_v: set, tally: dict) -> None:
+        """Keep a walk of order n over todo x adm_v: tally maps I to {J:
         [splits, cell]} for each pair with a split.  The covered sets are
-        not changed in place, so new rows share adm_v.  A record whose
-        cells would pass its share of the table's entries keeps none; the
-        pairs are counted first, so a walk over more pairs than that builds
-        no covered sets."""
-        share = _TABLE_ENTRIES // _TABLE_BIVECTORS
-        if len(adm_u) * len(adm_v) > share:
-            self.cells, self.cell_size = {}, 0
-            return
+        not changed in place, so new rows share adm_v."""
         rows = self.cells.setdefault(n, {})
-        for I in adm_u:
+        for I in todo:
             covered, kept = rows.get(I) or (frozenset(), {})
-            if not covered >= adm_v:
-                self.cell_size -= len(covered)
-                covered = covered | adm_v if covered else adm_v
-                self.cell_size += len(covered)
-            rows[I] = covered, kept
+            grown = covered | adm_v if covered else adm_v
+            self.cell_size += len(grown) - len(covered)
+            rows[I] = grown, kept
             for J, entry in tally.get(I, {}).items():
                 if J not in kept:
                     kept[J] = entry
                     self.cell_size += len(entry[1])
-        if self.cell_size > share:
-            self.cells, self.cell_size = {}, 0
 
     def read(self, n: int, adm_u: set, adm_v: set) -> tuple[dict, int]:
         """Order n's nonempty cells over adm_u x adm_v, all covered, and the
@@ -386,15 +375,18 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
     of the coefficients on each side that such a pair takes: one operator
     serves every pair (u_k, v_l), and it stops at the highest order a pair
     needs.  The count vectors a side admits at order n are those in the
-    boxes of that order's classes that it leaves nonzero.  Order n is
-    walked only when the bivector's cells do not yet cover every admitted
-    (I, J); otherwise it reads them.
+    boxes of that order's classes that it leaves nonzero.  Order n is read
+    from the bivector's cells, after a walk of the admitted I whose cells
+    do not yet cover every admitted J, if there are any.
     Each multiset of components, each orientation class of it and each split
     of its legs between u, v and P_M is one unit of work against max_work,
     whether or not it is walked: a read charges the splits its cells were
-    walked with.  A class's splits are charged together after the class;
-    the totals, and so the smallest budget that succeeds, are those of one
-    charge a split.
+    walked with, less those the walk charged.  A class's splits are charged
+    together after the class; the totals, and so the smallest budget that
+    succeeds, are those of one charge a split.  The trim applies every
+    bound of the table: a record's share of its entries, the entries of
+    one record alone, and then the table's bivectors and entries, least
+    recently used out first.
     """
     _, us, vs, reach = _check_factors(alpha, u, v, order, max_work)
     key = (alpha.dim, tuple(sorted(
@@ -454,18 +446,17 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
                                               reached)
                 adm_u = {D for D in land_u if admits_u[D]}
                 adm_v = {D for D in land_v if admits_v[D]}
-                if pieces.covers(n, adm_u, adm_v):
-                    cells, splits = pieces.read(n, adm_u, adm_v)
-                    spend(splits)
-                    orders.append(cells)
-                    continue
-                tally: dict = {}
-                for mult, need, admits_p, classes in reached:
+                # the admitted I whose covered Js miss an admitted J
+                rows = pieces.cells.get(n, {})
+                todo = {I for I in adm_u
+                        if I not in rows or not rows[I][0] >= adm_v}
+                tally, walked = {}, 0
+                for mult, need, admits_p, classes in reached if todo else ():
                     for (left, right), weight in classes.items():
                         if right not in rights:
                             rights[right] = _landings(right, adm_v, -1)
                         if left not in lefts:
-                            lefts[left] = _landings(left, adm_u, 1)
+                            lefts[left] = _landings(left, todo, 1)
                         to_g, splits = rights[right], 0
                         for I, wl, nl, rest_i in lefts[left]:
                             if not to_g or nl + to_g[0][2] < need:
@@ -487,11 +478,15 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
                                 if admits_p[K]:
                                     _accumulate(entry[1], (mult, K), wl * wr)
                         spend(splits)
-                pieces.cover(n, adm_u, adm_v, tally)
-                orders.append({(I, J): cell
-                               for I, row in tally.items()
-                               for J, (_, cell) in row.items() if cell})
+                        walked += splits
+                if todo:
+                    pieces.cover(n, todo, adm_v, tally)
+                cells, splits = pieces.read(n, adm_u, adm_v)
+                spend(splits - walked)
+                orders.append(cells)
         finally:
+            if pieces.cell_size > _TABLE_ENTRIES // _TABLE_BIVECTORS:
+                pieces.cells, pieces.cell_size = {}, 0  # over its share
             pieces.size = sum(len(p.rows) for p in pieces.polys.values()) + sum(
                 len(a) + len(b) for a, b in pieces.multisets.values()
             ) + sum(len(a) + len(b) for a, b in pieces.landable.values()

@@ -19,6 +19,7 @@ from starprod import (
     super_space,
 )
 from starprod.expr import MAX_NESTING, Add, Name, Num, Sub
+from starprod.scalars import parse_rational
 from support import random_poly
 
 
@@ -265,3 +266,18 @@ def test_nesting_cap_and_literal_length():
     for text in ("1" * 4301, "1/" + "1" * 4301, "x1^" + "1" * 4301):
         with pytest.raises(InputError, match="4300 digits"):
             parse_poly(text, ring)
+    # integer literals read as ints, the others as Fractions
+    assert type(parse_rational("7", "at column 1")) is int
+    assert parse_rational("-7", "at column 1") == -7
+    assert type(parse_rational("-7/3", "at column 1")) is Fraction
+    for text, message in [
+            ("1.5", "bad rational '1.5' at column 1; use literals like 2 or "
+                    "-1/3"),
+            ("5/0", "zero denominator at column 1"),
+            ("1" * 4301, "literal at column 1 exceeds the cap of 4300 digits")]:
+        with pytest.raises(InputError) as err:
+            parse_rational(text, "at column 1")
+        assert str(err.value) == message
+    with pytest.raises(InputError) as err:
+        parse_poly("x1^" + "1" * 4301, ring)
+    assert str(err.value) == "literal at column 4 exceeds the cap of 4300 digits"

@@ -518,10 +518,12 @@ def _cell_cases():
 
 
 @pytest.mark.parametrize("case", list(_cell_cases()))
-def test_read_cells_give_the_walk_and_its_budget(case):
+def test_read_cells_give_the_walk_and_its_budget(case, monkeypatch):
     """An operator from an empty table and box cache, one from a table
-    warmed by other factors and one whose cells are all kept give equal
-    orders and are refused below the same budget."""
+    warmed by other factors, one whose cells are all kept and one from a
+    table that covers some of its rows give equal orders and are refused
+    below the same budget; the last walks only the rows that miss an
+    admitted J."""
     alpha, u, v, x, y, order = case
 
     def build(max_work):
@@ -540,15 +542,33 @@ def test_read_cells_give_the_walk_and_its_budget(case):
         cold()
         build(DEFAULT_MAX_WORK)
 
+    def partly():  # keeps the rows of x, which need not be all of u's
+        cold()
+        wick._operator(alpha, x, v, order, DEFAULT_MAX_WORK)
+
     budget = _smallest_budget(build)
     cold()
     want = build(budget)
-    for state in (cold, warmed, kept):
+    for state in (cold, warmed, kept, partly):
         state()
         assert build(budget) == want
         state()
         with pytest.raises(ResourceLimitError):
             build(budget - 1)
+    partly()
+    (pieces,) = wick._TABLE.values()
+    rows = {n: {I: covered for I, (covered, _) in got.items()}
+            for n, got in pieces.cells.items()}
+    filters, landings = [], wick._landings
+    monkeypatch.setattr(wick, "_landings", lambda legs, admitted, sign: (
+        filters.append((sum(legs), sign, admitted)),
+        landings(legs, admitted, sign))[1])
+    assert build(DEFAULT_MAX_WORK) == want
+    # legs of order n number n on each side, and the right filter is adm_v
+    adm_v = {n: admitted for n, sign, admitted in filters if sign < 0}
+    assert all(not rows.get(n, {}).get(I, set()) >= adm_v[n]
+               for n, sign, admitted in filters if sign > 0
+               for I in admitted)
 
 
 def test_equal_supports_read_the_kept_cells(monkeypatch):
@@ -631,6 +651,19 @@ def test_the_pieces_table_stays_within_its_bounds(monkeypatch):
     assert len(wick._TABLE) == wick._TABLE_BIVECTORS
     sizes = [_entries(pieces) for pieces in wick._TABLE.values()]
     assert sizes == [pieces.size for pieces in wick._TABLE.values()]
+    # a record whose cells pass its share of the bound keeps none: the walk
+    # keeps its cells, and the trim after it drops them all
+    record = wick._TABLE[list(wick._TABLE)[-1]]
+    assert record.cells
+    share = record.cell_size
+    monkeypatch.setattr(wick, "_TABLE_ENTRIES", wick._TABLE_BIVECTORS * share)
+    cover, covered = wick._Pieces.cover, []
+    monkeypatch.setattr(wick._Pieces, "cover", lambda self, *args: (
+        cover(self, *args), covered.append(self.cell_size)))
+    star_poly(alphas[-1], f * g, g, order=2)  # a walk adds covered pairs
+    assert max(covered) > share
+    assert not record.cells and record.cell_size == 0
+    assert record.size == _entries(record)
     # a smaller entry bound evicts the least recently used first
     bound = sum(sizes[-2:])
     monkeypatch.setattr(wick, "_TABLE_ENTRIES", bound)
@@ -648,14 +681,6 @@ def test_the_pieces_table_stays_within_its_bounds(monkeypatch):
     for key, polys in kept.items():
         assert all(a is b for a, b in zip(wick._TABLE[key].polys.values(),
                                           polys))
-    # a record whose cells would pass its share of the bound keeps none
-    record = wick._TABLE[list(kept)[-1]]
-    assert record.cells
-    monkeypatch.setattr(wick, "_TABLE_ENTRIES",
-                        wick._TABLE_BIVECTORS * record.cell_size)
-    star_poly(alphas[-1], f * g, g, order=2)  # a walk adds covered pairs
-    assert not record.cells and record.cell_size == 0
-    assert record.size == _entries(record)
 
 
 def test_products_from_several_threads_agree(monkeypatch):

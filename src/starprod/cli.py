@@ -54,11 +54,23 @@ def _read_payload(text: str) -> str:
     return text
 
 
+def _members(pairs: list) -> dict:
+    """A JSON object; json keeps the last value of a repeated name, so a
+    repeated name is refused."""
+    data, seen = dict(pairs), set()
+    for name, _ in pairs if len(data) < len(pairs) else ():
+        if name in seen:
+            raise ValueError(f"repeated name {name!r}")
+        seen.add(name)
+    return data
+
+
 def _load_json(text: str, what: str) -> dict:
     """A JSON object given inline or as @file."""
     try:
-        data = json.loads(_read_payload(text))
-    # ValueError: malformed JSON, or an integer past Python's digit limit
+        data = json.loads(_read_payload(text), object_pairs_hook=_members)
+    # ValueError: malformed JSON, a repeated name, or an integer past
+    # Python's digit limit
     except ValueError as exc:
         raise InputError(f"bad JSON for {what}: {exc}") from None
     except RecursionError:

@@ -169,6 +169,8 @@ class ComponentField:
                     key = tuple(int(part) for part in key_text.split(","))
                 except ValueError:
                     raise InputError(f"bad component key {key_text!r}") from None
+            if key in components:  # "1,2" and "01,2" name one component
+                raise InputError(f"duplicate component key {key}")
             components[key] = parse_poly(expr_text, ring)
         return cls(empty.dim, empty.degree, components)
 

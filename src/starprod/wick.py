@@ -33,10 +33,11 @@ C^(n)_IJ, and the number of splits that build it, depend on the bivector
 alone, so the table keeps them too, up to the bivector's share of the
 table's bound.  So does the set of count vectors that the legs of order n
 can land on a factor, and the (I, J) that a product's factors admit there
-are those of the set they leave nonzero.  A product reads every order
-from the kept cells; before that, it walks only the admitted I whose kept
-cells miss an admitted J, and keeps what the walk finds.  Either way it
-charges the splits of every admitted (I, J).
+are those of the set they leave nonzero.  The bivector's record owns each
+order: given the factors' two tests, it enumerates the multisets, walks
+only the admitted I whose kept cells miss an admitted J, against the Js
+they miss, keeps what the walk finds, and reads the order from the kept
+cells.  It charges the splits of every admitted (I, J), walked or not.
 
 Every product is a series product sum_{k,l} hbar^(k+l) u_k * v_l (star has
 one coefficient a side).  Order n pairs u_k with v_l only when k + l + n
@@ -78,7 +79,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (CalibrationError, InputError, ResourceLimitError,
                      require_int)
@@ -291,14 +292,14 @@ class _Pieces:
     and an empty cell.  For an I and J that the factors admit, the cell
     and its splits do not depend on the factors: the test of P_M and the
     test |I| + |J| >= need read the bivector alone, and a multiset skipped
-    by the degree test has need > |I| + |J|.  Every order of a product is
-    read from the cells; a walk only fills the rows I whose covered Js
-    miss an admitted J.  The trim drops every cell of a record whose cells
-    pass its share of the table's entries.
+    by the degree test has need > |I| + |J|.  order builds, walks, keeps
+    and reads an order, so it alone knows these formats; a product passes
+    it only the factors' tests.  The trim drops every cell of a record
+    whose cells pass its share of the table's entries.
     """
 
     def __init__(self, alpha: Multivector):
-        self.keys = sorted(alpha.components)
+        self.keys, self.dim = sorted(alpha.components), alpha.dim
         self.comps = [alpha.components[key] for key in self.keys]
         self.degs = [p.total_degree() for p in self.comps]
         self.polys = {(0,) * len(self.keys): GradedPoly.one(alpha.ring())}
@@ -316,36 +317,83 @@ class _Pieces:
                                       * self.comps[c])
         return got
 
-    def lands(self, n: int, t: int, reached: list) -> tuple[set, set]:
-        """landable[n, t], from the boxes of the classes reached."""
-        got = self.landable.get((n, t))
-        if got is None:
+    def order(self, n: int, t: int, admits_u: _Admits, admits_v: _Admits,
+              spend: Callable[[int], None]) -> dict:
+        """Order n's nonempty cells over the (I, J) that admits_u and
+        admits_v leave nonzero, t being min(deg u + deg v, 2n) of the
+        factors.  Charges each multiset, the classes of each reached, and
+        the splits of each admitted (I, J): first those the walk of the rows
+        that miss a J examines, then the rest as the cells are read."""
+        reached = []
+        for mult in _multisets(n, len(self.keys)):
+            spend(1)
+            # the 2n legs land on u, v and P_M, so at least need of them
+            # land on u and v; need <= 2n, so t decides what is reached
+            need = 2 * n - sum(map(operator.mul, mult, self.degs))
+            if need > t:
+                continue
+            if mult not in self.multisets:
+                self.multisets[mult] = (
+                    _Admits([self.product(mult)]),
+                    _orientations(self.keys, mult, self.dim))
+            admits_p, classes = self.multisets[mult]
+            spend(len(classes))
+            reached.append((mult, need, admits_p, classes))
+        if (n, t) not in self.landable:
             met = {key for *_, classes in reached for key in classes}
-            got = self.landable[n, t] = tuple(
+            self.landable[n, t] = tuple(
                 {entry[0] for legs in {key[side] for key in met}
                  for entry in _box(legs, sign)}
                 for side, sign in ((0, 1), (1, -1)))
-        return got
-
-    def cover(self, n: int, todo: set, adm_v: set, tally: dict) -> None:
-        """Keep a walk of order n over todo x adm_v: tally maps I to {J:
-        [splits, cell]} for each pair with a split.  The covered sets are
-        not changed in place, so new rows share adm_v."""
+        land_u, land_v = self.landable[n, t]
+        adm_u = {D for D in land_u if admits_u[D]}
+        adm_v = {D for D in land_v if admits_v[D]}
+        # the admitted I whose covered Js miss an admitted J, and those Js
         rows = self.cells.setdefault(n, {})
+        todo = {I for I in adm_u if I not in rows or not rows[I][0] >= adm_v}
+        miss = set().union(*[adm_v - rows[I][0] if I in rows else adm_v
+                             for I in todo])
+        tally, walked = {}, 0  # I -> {J: [splits, cell]} with a split
+        lefts, rights = {}, {}  # leg vector -> its landings
+        for mult, need, admits_p, classes in reached if todo else ():
+            for (left, right), weight in classes.items():
+                if right not in rights:
+                    rights[right] = _landings(right, miss, -1)
+                if left not in lefts:
+                    lefts[left] = _landings(left, todo, 1)
+                to_g, splits = rights[right], 0
+                for I, wl, nl, rest_i in lefts[left]:
+                    if not to_g or nl + to_g[0][2] < need:
+                        break
+                    wl *= weight
+                    row = tally.get(I)
+                    if row is None:
+                        row = tally[I] = {}
+                    for J, wr, nr, rest_j in to_g:
+                        if nl + nr < need:
+                            break
+                        splits += 1
+                        entry = row.get(J)
+                        if entry is None:
+                            entry = row[J] = [0, {}]
+                        entry[0] += 1
+                        # K = legs - I - J, the legs left to P_M
+                        K = tuple(map(operator.add, rest_i, rest_j))
+                        if admits_p[K]:
+                            _accumulate(entry[1], (mult, K), wl * wr)
+                spend(splits)
+                walked += splits
+        # covered sets are replaced, not changed in place, so rows share miss
         for I in todo:
             covered, kept = rows.get(I) or (frozenset(), {})
-            grown = covered | adm_v if covered else adm_v
+            grown = covered | miss if covered else miss
             self.cell_size += len(grown) - len(covered)
             rows[I] = grown, kept
             for J, entry in tally.get(I, {}).items():
                 if J not in kept:
                     kept[J] = entry
                     self.cell_size += len(entry[1])
-
-    def read(self, n: int, adm_u: set, adm_v: set) -> tuple[dict, int]:
-        """Order n's nonempty cells over adm_u x adm_v, all covered, and the
-        splits a walk over them examines."""
-        rows, cells, splits = self.cells.get(n, {}), {}, 0
+        cells, splits = {}, 0
         for I in adm_u:
             kept = rows[I][1]
             for J in kept.keys() & adm_v:
@@ -353,7 +401,8 @@ class _Pieces:
                 splits += count
                 if cell:
                     cells[I, J] = cell
-        return cells, splits
+        spend(splits - walked)
+        return cells
 
 
 # pieces by bivector content, least recently used first; each operator holds
@@ -374,10 +423,9 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
     when k + l <= order - n, so its pruning tests the union of the supports
     of the coefficients on each side that such a pair takes: one operator
     serves every pair (u_k, v_l), and it stops at the highest order a pair
-    needs.  The count vectors a side admits at order n are those in the
-    boxes of that order's classes that it leaves nonzero.  Order n is read
-    from the bivector's cells, after a walk of the admitted I whose cells
-    do not yet cover every admitted J, if there are any.
+    needs.  Here only the factor side is built: each order's two dominance
+    tests and the degree bound t, which the bivector's record (_Pieces.order)
+    turns into the order's cells.
     Each multiset of components, each orientation class of it and each split
     of its legs between u, v and P_M is one unit of work against max_work,
     whether or not it is walked: a read charges the splits its cells were
@@ -392,9 +440,6 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
     key = (alpha.dim, tuple(sorted(
         (k, p.den, tuple(sorted(p.rows.items())))
         for k, p in alpha.components.items())))
-    # leg vectors of order n have n legs, so each is met at one order only
-    lefts: dict[tuple[int, ...], list] = {}
-    rights: dict[tuple[int, ...], list] = {}
     tests_u: dict[int, _Admits] = {}
     tests_v: dict[int, _Admits] = {}
     zero, none = (0,) * alpha.dim, (0,) * len(alpha.components)
@@ -425,65 +470,8 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
             for n in range(1, reach + 1):
                 admits_u, deg_u = side(us, vs[0][0], n, tests_u)
                 admits_v, deg_v = side(vs, us[0][0], n, tests_v)
-                reached = []
-                for mult in _multisets(n, len(pieces.keys)):
-                    spend(1)
-                    # the 2n legs land on u, v and P_M, so at least need of
-                    # them land on u and v
-                    need = 2 * n - sum(map(operator.mul, mult, pieces.degs))
-                    if need > deg_u + deg_v:
-                        continue
-                    if mult not in pieces.multisets:
-                        pieces.multisets[mult] = (
-                            _Admits([pieces.product(mult)]),
-                            _orientations(pieces.keys, mult, alpha.dim))
-                    admits_p, classes = pieces.multisets[mult]
-                    spend(len(classes))
-                    reached.append((mult, need, admits_p, classes))
-                # need <= 2n, so min(deg_u + deg_v, 2n) decides what is
-                # reached
-                land_u, land_v = pieces.lands(n, min(deg_u + deg_v, 2 * n),
-                                              reached)
-                adm_u = {D for D in land_u if admits_u[D]}
-                adm_v = {D for D in land_v if admits_v[D]}
-                # the admitted I whose covered Js miss an admitted J
-                rows = pieces.cells.get(n, {})
-                todo = {I for I in adm_u
-                        if I not in rows or not rows[I][0] >= adm_v}
-                tally, walked = {}, 0
-                for mult, need, admits_p, classes in reached if todo else ():
-                    for (left, right), weight in classes.items():
-                        if right not in rights:
-                            rights[right] = _landings(right, adm_v, -1)
-                        if left not in lefts:
-                            lefts[left] = _landings(left, todo, 1)
-                        to_g, splits = rights[right], 0
-                        for I, wl, nl, rest_i in lefts[left]:
-                            if not to_g or nl + to_g[0][2] < need:
-                                break
-                            wl *= weight
-                            row = tally.get(I)
-                            if row is None:
-                                row = tally[I] = {}
-                            for J, wr, nr, rest_j in to_g:
-                                if nl + nr < need:
-                                    break
-                                splits += 1
-                                entry = row.get(J)
-                                if entry is None:
-                                    entry = row[J] = [0, {}]
-                                entry[0] += 1
-                                # K = legs - I - J, the legs left to P_M
-                                K = tuple(map(operator.add, rest_i, rest_j))
-                                if admits_p[K]:
-                                    _accumulate(entry[1], (mult, K), wl * wr)
-                        spend(splits)
-                        walked += splits
-                if todo:
-                    pieces.cover(n, todo, adm_v, tally)
-                cells, splits = pieces.read(n, adm_u, adm_v)
-                spend(splits - walked)
-                orders.append(cells)
+                orders.append(pieces.order(n, min(deg_u + deg_v, 2 * n),
+                                           admits_u, admits_v, spend))
         finally:
             if pieces.cell_size > _TABLE_ENTRIES // _TABLE_BIVECTORS:
                 pieces.cells, pieces.cell_size = {}, 0  # over its share

@@ -193,6 +193,14 @@ def test_text_format_is_flat_and_sorted():
     lines = text.strip().splitlines()
     assert "poisson: True" in lines
     assert lines == sorted(lines)
+    # a list of objects: one line a field, under the item's index
+    code, text = run(["moduli", "--n=4", "--facets", "--format=text"])
+    assert code == 0
+    assert text.splitlines()[:5] == [
+        "facets.0.inner: 3", "facets.0.notation: m2 o1 m3",
+        "facets.0.outer: 2", "facets.0.position: 1",
+        "facets.0.stratum: ((1 2 3) 4)"]
+    assert len(text.splitlines()) == 26 and text.endswith("\nn: 4\n")
 
 
 def test_json_job_file(tmp_path):
@@ -373,6 +381,25 @@ def test_closed_stdout_ends_without_a_traceback():
     assert done.stderr == b""
 
 
+def test_the_module_runs_the_cli_and_survives_a_reader_that_leaves():
+    """python -m starprod prints what main does; when the reader closes
+    stdout in the middle of a long report, it exits 1 without a
+    traceback."""
+    argv = ["moduli", "--n=60", "--facets"]  # about 0.5 MB, past a pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(starprod.__file__).parents[1]))
+    cmd = [sys.executable, "-m", "starprod", *argv]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (*run(argv), "")
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""  # no traceback
+    proc.stderr.close()
+
+
 def test_repeated_runs_are_byte_identical():
     argv = ["star", "--alpha", "so3", "--f", "x1^2 - x2", "--g", "x3*x1",
             "--at", "1/2,2,-1", "--order", "3"]
@@ -395,26 +422,67 @@ def test_basepoint_entries_are_rational_literals(capsys, at):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("argv", [
-    ["check-poisson", "--alpha",
-     json.dumps({"dim": True, "degree": 2, "components": {}})],
+def _schouten_a(components):
+    return ["schouten", "--b", "{}", "--a", json.dumps(
+        {"dim": 3, "degree": 1, "components": components})]
+
+
+def _qme(space):
+    return ["qme", "--space", json.dumps(space), "--s", "v"]
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["check-poisson", "--alpha",
+      json.dumps({"dim": True, "degree": 2, "components": {}})],
+     "dimension must be an integer >= 1"),
     # the degree is checked by koszul_bracket, not by the loader
-    ["koszul", "--alpha", "so3", "--w2", ONE_FORM, "--w1",
-     json.dumps({"dim": 3, "degree": 2, "components": {"1,2": "x2"}})],
-    ["qme", "--space", json.dumps({"fields": [["v", 0]], "hbar_order": True}),
-     "--s", "v"],
-    ["star", "--alpha", "so3", "--f", "(" * 300 + "x1" + ")" * 300,
-     "--g", "x2", "--at", "0,0,0"],
-    ["star", "--alpha", "so3", "--f", "1" * 5000, "--g", "x2",
-     "--at", "0,0,0"],
-    # json reads a number past Python's int digit limit as ValueError
-    ["schouten", "--b", "{}", "--a", '{"dim": ' + "9" * 5000 + "}"],
-    ["check-poisson", "--alpha", "@alpha\x00.json"],
+    (["koszul", "--alpha", "so3", "--w2", ONE_FORM, "--w1",
+      json.dumps({"dim": 3, "degree": 2, "components": {"1,2": "x2"}})],
+     "bracket arguments must be one-forms"),
+    (["qme", "--space", json.dumps({"fields": [["v", 0]], "hbar_order": True}),
+      "--s", "v"], "the hbar order of a space must be an integer >= 0"),
+    (["star", "--alpha", "so3", "--f", "(" * 300 + "x1" + ")" * 300,
+      "--g", "x2", "--at", "0,0,0"],
+     "expression nests deeper than the cap of 100 levels at column 101"),
+    (["star", "--alpha", "so3", "--f", "1" * 5000, "--g", "x2",
+      "--at", "0,0,0"], "literal at column 1 exceeds the cap of 4300 digits"),
+    # json reads a number past Python's int digit limit as ValueError, in
+    # words that differ between Python versions
+    (["schouten", "--b", "{}", "--a", '{"dim": ' + "9" * 5000 + "}"],
+     None),
+    (["check-poisson", "--alpha", "@alpha\x00.json"],
+     "cannot read 'alpha\\x00.json': embedded null byte"),
+    (["star", "--alpha", "so3", "--f", "x1", "--g", "x2", "--at="],
+     "basepoint has 0 entries, expected 3"),
+    # refused before the job file is read
+    (["--json", "job.json", "moduli", "--n=3"],
+     "--json replaces the command line; drop the explicit command"),
+    (_qme({"fields": [["", 0]]}), "field names must be nonempty strings"),
+    (_qme({"fields": []}), "a BV space needs at least one field"),
+    (_qme({"fields": [["v", 0]], "antifields": ["w"]}),
+     "antifields must map field names to names"),
+    (_schouten_a(["x1"]), "components must be an object"),
+    (_schouten_a({"1": 3}), "component '1' must be an expression string"),
+    (_schouten_a({"x": "x1"}), "bad component key 'x'"),
+    (["star", "--alpha", json.dumps({"dim": 2, "degree": 2, "components": {
+        "1,2": "x1", "01,2": "x2"}}), "--f=x1", "--g=x2", "--at=1,2"],
+     "duplicate component key (1, 2)"),
+    # json keeps the last value of a repeated name
+    (["star", "--alpha", '{"dim": 2, "degree": 2, "components": {"1,2": '
+      '"x1"}, "components": {}}', "--f=x1", "--g=x2", "--at=1,2"],
+     "bad JSON for bivector: repeated name 'components'"),
 ], ids=["bool-dim", "degree2-w1", "bool-hbar-order", "deep-parens",
-        "long-literal", "long-json-number", "nul-in-file-name"])
-def test_malformed_input_exits_2(capsys, argv):
+        "long-literal", "long-json-number", "nul-in-file-name", "empty-at",
+        "json-and-command", "unnamed-field", "no-fields", "antifield-list",
+        "component-list", "component-number", "component-key-name",
+        "component-key-twice", "json-name-twice"])
+def test_malformed_input_exits_2(capsys, argv, err):
     assert run(argv) == (2, "")
-    assert capsys.readouterr().err.startswith("error: ")
+    got = capsys.readouterr().err
+    if err is None:
+        assert got.startswith("error: bad JSON for multivector: ")
+    else:
+        assert got == f"error: {err}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -507,3 +575,13 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, where):
         argv = ["--json", str(path)]
     assert run(argv) == (2, "")
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_a_job_file_that_repeats_a_name_exits_2(tmp_path, capsys):
+    # json keeps the last value of a repeated name
+    path = tmp_path / "job.json"
+    path.write_text('{"command": "star", "alpha": "so3", "f": "x1", '
+                    '"f": "x2", "g": "x3", "at": "0,0,0"}')
+    assert run(["--json", str(path)]) == (2, "")
+    assert capsys.readouterr().err == ("error: bad JSON for job file: "
+                                       "repeated name 'f'\n")

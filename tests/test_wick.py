@@ -520,10 +520,11 @@ def _cell_cases():
 @pytest.mark.parametrize("case", list(_cell_cases()))
 def test_read_cells_give_the_walk_and_its_budget(case, monkeypatch):
     """An operator from an empty table and box cache, one from a table
-    warmed by other factors, one whose cells are all kept and one from a
-    table that covers some of its rows give equal orders and are refused
-    below the same budget; the last walks only the rows that miss an
-    admitted J."""
+    warmed by other factors, one whose cells are all kept, one from a
+    table that covers some of its rows and one from a table that covers
+    its rows against other Js give equal orders and are refused below the
+    same budget; the last two walk only the rows that miss an admitted J,
+    against only the Js that those rows miss."""
     alpha, u, v, x, y, order = case
 
     def build(max_work):
@@ -546,29 +547,38 @@ def test_read_cells_give_the_walk_and_its_budget(case, monkeypatch):
         cold()
         wick._operator(alpha, x, v, order, DEFAULT_MAX_WORK)
 
+    def crossed():  # keeps u's rows against the Js of x, not all of v's
+        cold()
+        wick._operator(alpha, u, x, order, DEFAULT_MAX_WORK)
+
     budget = _smallest_budget(build)
     cold()
     want = build(budget)
-    for state in (cold, warmed, kept, partly):
+    for state in (cold, warmed, kept, partly, crossed):
         state()
         assert build(budget) == want
         state()
         with pytest.raises(ResourceLimitError):
             build(budget - 1)
-    partly()
-    (pieces,) = wick._TABLE.values()
-    rows = {n: {I: covered for I, (covered, _) in got.items()}
-            for n, got in pieces.cells.items()}
     filters, landings = [], wick._landings
     monkeypatch.setattr(wick, "_landings", lambda legs, admitted, sign: (
         filters.append((sum(legs), sign, admitted)),
         landings(legs, admitted, sign))[1])
-    assert build(DEFAULT_MAX_WORK) == want
-    # legs of order n number n on each side, and the right filter is adm_v
-    adm_v = {n: admitted for n, sign, admitted in filters if sign < 0}
-    assert all(not rows.get(n, {}).get(I, set()) >= adm_v[n]
-               for n, sign, admitted in filters if sign > 0
-               for I in admitted)
+    for state in (partly, crossed):
+        state()
+        (pieces,) = wick._TABLE.values()
+        rows = {n: {I: covered for I, (covered, _) in got.items()}
+                for n, got in pieces.cells.items()}
+        filters.clear()
+        assert build(DEFAULT_MAX_WORK) == want
+        # legs of order n number n on each side; the left filter holds the
+        # rows that miss an admitted J, the right filter the Js they miss
+        lefts = {n: admitted for n, sign, admitted in filters if sign > 0}
+        miss = {n: admitted for n, sign, admitted in filters if sign < 0}
+        assert all(not rows.get(n, {}).get(I, set()) >= miss[n]
+                   for n, todo in lefts.items() for I in todo)
+        assert all(any(J not in rows.get(n, {}).get(I, ()) for I in lefts[n])
+                   for n, js in miss.items() for J in js)
 
 
 def test_equal_supports_read_the_kept_cells(monkeypatch):
@@ -585,10 +595,7 @@ def test_equal_supports_read_the_kept_cells(monkeypatch):
     wick._TABLE.clear()
     star_poly(so3, f, g, order=4)
     (pieces,) = wick._TABLE.values()
-    size, walked = pieces.cell_size, []
-    cover, landings = wick._Pieces.cover, wick._landings
-    monkeypatch.setattr(wick._Pieces, "cover", lambda self, *args: (
-        walked.append(args[0]), cover(self, *args)))
+    size, walked, landings = pieces.cell_size, [], wick._landings
     monkeypatch.setattr(wick, "_landings", lambda *args: (
         walked.append(args[0]), landings(*args))[1])
     assert star_poly(so3, F, G, order=4) == want
@@ -657,9 +664,9 @@ def test_the_pieces_table_stays_within_its_bounds(monkeypatch):
     assert record.cells
     share = record.cell_size
     monkeypatch.setattr(wick, "_TABLE_ENTRIES", wick._TABLE_BIVECTORS * share)
-    cover, covered = wick._Pieces.cover, []
-    monkeypatch.setattr(wick._Pieces, "cover", lambda self, *args: (
-        cover(self, *args), covered.append(self.cell_size)))
+    order, covered = wick._Pieces.order, []
+    monkeypatch.setattr(wick._Pieces, "order", lambda self, *args: (
+        order(self, *args), covered.append(self.cell_size))[0])
     star_poly(alphas[-1], f * g, g, order=2)  # a walk adds covered pairs
     assert max(covered) > share
     assert not record.cells and record.cell_size == 0

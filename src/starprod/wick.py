@@ -19,11 +19,11 @@ legs of each direction that land on f and on g matters, and choosing them
 weighs binomial coefficients.  The signed integer counts are tallied by (I,
 J, M, K) before any polynomial work.  Three prunings keep the tally small:
 a derivative is zero exactly when no monomial of the polynomial dominates
-its count vector, which is tested without differentiating; a multiset whose
-2n legs cannot all land (2n > deg f + deg g + deg P_M) is skipped, and so
-is a split that leaves P_M more legs than its degree.  P_M, the orientation
-classes and the tests of P_M are built once per bivector, kept in a bounded
-table.
+its count vector, which is tested with one bitmask per direction and
+exponent, without differentiating; a multiset whose 2n legs cannot all
+land (2n > deg f + deg g + deg P_M) is skipped, and so is a split that
+leaves P_M more legs than its degree.  P_M, the orientation classes and
+the tests of P_M are built once per bivector, kept in a bounded table.
 The binomial weights of the splits depend only on the leg counts, so each
 leg vector's box of splits is built once, kept in a bounded cache, and a
 walk only filters it against its factors.
@@ -31,13 +31,17 @@ walk only filters it against its factors.
 For an (I, J) whose derivatives the factors leave nonzero, the cell
 C^(n)_IJ, and the number of splits that build it, depend on the bivector
 alone, so the table keeps them too, up to the bivector's share of the
-table's bound.  So does the set of count vectors that the legs of order n
-can land on a factor, and the (I, J) that a product's factors admit there
-are those of the set they leave nonzero.  The bivector's record owns each
-order: given the factors' two tests, it enumerates the multisets, walks
-only the admitted I whose kept cells miss an admitted J, against the Js
-they miss, keeps what the walk finds, and reads the order from the kept
-cells.  It charges the splits of every admitted (I, J), walked or not.
+table's bound: the walk's (M, K) counts of a cell are contracted once into
+the polynomial sum count * d_K P_M, which is what the table keeps.  So
+does the set of count vectors that the legs of order n can land on a
+factor, with the multisets order n reaches and what they charge, and the
+(I, J) that a product's factors admit there are those of the set they
+leave nonzero.  The bivector's record owns each order: given the factors'
+two tests, it enumerates the multisets once, walks only the admitted I
+whose kept cells miss an admitted J, against the Js they miss, keeps what
+the walk finds, and reads the order from the kept cells.  It charges the
+multisets and classes, and the splits of every admitted (I, J), walked or
+not.
 
 Every product is a series product sum_{k,l} hbar^(k+l) u_k * v_l (star has
 one coefficient a side).  Order n pairs u_k with v_l only when k + l + n
@@ -49,7 +53,8 @@ or at a basepoint (star, moyal, the outer products of associator), where
 d_I u_k, d_J v_l and C^(n)_IJ are evaluated before anything is multiplied.
 Both contract Gaussian-integer numerators, the symbolic one with superalg's
 multiply-accumulate kernel; the symbolic one reduces each hbar power once,
-the one at a point the sum of each (n, k, l).
+the one at a point the sum of each (n, k, l).  A product differentiates
+and evaluates only its factors: each cell is read as it is kept.
 
 Consequences worth knowing:
 
@@ -76,9 +81,10 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (CalibrationError, InputError, ResourceLimitError,
@@ -88,17 +94,20 @@ from .scalars import HALF_I, ONE, Scalar, ScalarLike, _reduced
 from .superalg import (GradedPoly, GradedSpace, HbarSeries, _accumulate,
                        _canonical, _check_product, _deriv, _Point,
                        _point_values, _products, _rows, coeff_space)
-from .monomials import _Layout
+from .monomials import _FIELD, _Layout
 
 DEFAULT_ORDER = 3
 MAX_ORDER = 6
 DEFAULT_MAX_WORK = 5_000_000
 
 Series = dict[int, GradedPoly]
-# (polys, orders, us, vs, order): orders[n] maps (I, J) to {(M, K): count},
-# B_n(u_k, v_l) sums count * d_K polys[M] * d_I u_k * d_J v_l, each count an
-# int; us and vs are the nonzero (k, u_k), (l, v_l), k, l <= order, by key
-Operator = tuple[dict, list[dict], list, list, int]
+# (ring, orders, us, vs, order): orders[n] maps (I, J) to the cell C^(n)_IJ
+# as (den, rows, deg), numerator rows over den of degree deg at most, and
+# B_n(u_k, v_l) sums C^(n)_IJ * d_I u_k * d_J v_l; us and vs are the
+# nonzero (k, u_k), (l, v_l), k, l <= order, by key
+Operator = tuple[GradedSpace, list[dict], list, list, int]
+_UNIT_ROWS = {0: (1, 0)}  # the packed key 0 is the constant monomial
+_UNIT_CELL = (1, _UNIT_ROWS, 0)  # the cell of B_0(u_k, v_l) = u_k v_l
 
 
 def _bump(counts: tuple[int, ...], k: int, by: int) -> tuple[int, ...]:
@@ -193,19 +202,38 @@ class _Admits(dict):
 
     d^K x^beta is nonzero exactly when beta dominates K, and distinct beta
     stay distinct, so d^K p vanishes exactly when no monomial of its
-    support dominates the count vector K.  Nothing is differentiated: the
-    support is unpacked once, and tested field by field.
+    support dominates the count vector K.  Nothing is differentiated: bit
+    s stands for the s-th monomial of the support, and steps[k] lists the
+    positive exponents e that the support takes in direction k, ascending,
+    with the bits of the monomials whose exponent there is at least e.  K
+    is admitted when the AND, over the directions with K[k] > 0, of the
+    bits of the least e >= K[k] is nonzero.  A direction keeps one mask
+    per exponent that occurs, so no table grows with the size of an
+    exponent, and one that no monomial uses keeps none.
     """
 
-    __slots__ = ("support",)
+    __slots__ = ("full", "steps")
 
     def __init__(self, polys: Sequence[GradedPoly]):
-        self.support = {p.space._layout.unpack(b)
-                        for p in polys for b in p.rows}
+        keys = list({b for p in polys for b in p.rows})
+        self.full = (1 << len(keys)) - 1  # the zero vector's: every bit
+        self.steps = []
+        for shift in polys[0].space._layout.shifts if polys else ():
+            at: dict = {}  # exponent -> the bits of the monomials with it
+            for s, key in enumerate(keys):
+                if e := key >> shift & _FIELD:
+                    at[e] = at.get(e, 0) | 1 << s
+            exps = tuple(sorted(at))
+            masks = accumulate(map(at.get, reversed(exps)), operator.or_)
+            self.steps.append((exps, tuple(masks)[::-1]))
 
     def __missing__(self, counts: tuple[int, ...]) -> bool:
-        got = self[counts] = any(all(map(operator.ge, beta, counts))
-                                 for beta in self.support)
+        bits = self.full
+        for (exps, masks), c in zip(self.steps, counts):
+            if c and bits:
+                i = bisect_left(exps, c)
+                bits = bits & masks[i] if i < len(exps) else 0
+        got = self[counts] = bits != 0
         return got
 
 
@@ -279,34 +307,39 @@ def _landings(legs: tuple[int, ...], admitted: set, sign: int) -> list:
 class _Pieces:
     """One bivector's factor-independent pieces, built on first use: P_M by
     multiset M, the dominance test of P_M and classes of M for each M
-    reached, the count vectors the legs of each order can land on a factor,
-    and the operator's cells.
+    reached, what each order reaches and where its legs can land on a
+    factor, and the operator's cells.
 
-    landable[n, t] is (lefts, rights): the D <= some left, or right, leg
-    vector of a class of order n, over the multisets whose need is at most
-    t.  A factor admits at order n the D of those that it leaves nonzero.
+    landable[n, t] is (lefts, rights, reached, charge): the D <= some left,
+    or right, leg vector of a class of order n, over the multisets whose
+    need is at most t, those multisets with their need, test and classes,
+    and the units that enumerating them charges.  A factor admits at order
+    n the D of lefts, or rights, that it leaves nonzero.
 
     cells[n][I] is (covered, kept): covered holds each J whose cell
-    C^(n)_IJ is known, and kept maps those J with a split to [splits,
-    cell], cell being {(M, K): count}; every other covered J has no split
-    and an empty cell.  For an I and J that the factors admit, the cell
-    and its splits do not depend on the factors: the test of P_M and the
-    test |I| + |J| >= need read the bivector alone, and a multiset skipped
-    by the degree test has need > |I| + |J|.  order builds, walks, keeps
-    and reads an order, so it alone knows these formats; a product passes
-    it only the factors' tests.  The trim drops every cell of a record
-    whose cells pass its share of the table's entries.
+    C^(n)_IJ is known, and kept maps those J with a split to (splits,
+    cell), cell being C^(n)_IJ as (den, rows, deg) in lowest terms, or None
+    if no split reaches a P_M that the legs leave nonzero; every other
+    covered J has no split and no cell.  For an I and J that the factors
+    admit, the cell and its splits do not depend on the factors: the test
+    of P_M and the test |I| + |J| >= need read the bivector alone, and a
+    multiset skipped by the degree test has need > |I| + |J|.  order
+    builds, walks, keeps and reads an order, so it alone knows these
+    formats; a product passes it only the factors' tests.  The trim drops
+    every cell of a record whose cells pass its share of the table's
+    entries.
     """
 
     def __init__(self, alpha: Multivector):
         self.keys, self.dim = sorted(alpha.components), alpha.dim
         self.comps = [alpha.components[key] for key in self.keys]
         self.degs = [p.total_degree() for p in self.comps]
-        self.polys = {(0,) * len(self.keys): GradedPoly.one(alpha.ring())}
+        self.ring = alpha.ring()
+        self.polys = {(0,) * len(self.keys): GradedPoly.one(self.ring)}
         self.multisets, self.size = {}, 0  # size: entries at the last trim
-        self.landable: dict[tuple[int, int], tuple[set, set]] = {}
+        self.landable: dict[tuple[int, int], tuple] = {}
         self.cells: dict[int, dict] = {}
-        self.cell_size = 0  # covered pairs and (M, K) counts of the cells
+        self.cell_size = 0  # covered pairs and rows of the kept cells
 
     def product(self, mult: tuple[int, ...]) -> GradedPoly:
         """P_M, from the product with one factor fewer."""
@@ -317,16 +350,18 @@ class _Pieces:
                                       * self.comps[c])
         return got
 
-    def order(self, n: int, t: int, admits_u: _Admits, admits_v: _Admits,
-              spend: Callable[[int], None]) -> dict:
-        """Order n's nonempty cells over the (I, J) that admits_u and
-        admits_v leave nonzero, t being min(deg u + deg v, 2n) of the
-        factors.  Charges each multiset, the classes of each reached, and
-        the splits of each admitted (I, J): first those the walk of the rows
-        that miss a J examines, then the rest as the cells are read."""
-        reached = []
+    def reach(self, n: int, t: int, spend: Callable[[int], None]) -> tuple:
+        """landable[n, t], charged: built the first time, each multiset and
+        the classes of each reached charged as it is enumerated; later in
+        one charge of their sum, which refuses exactly when they would."""
+        got = self.landable.get((n, t))
+        if got is not None:
+            spend(got[3])
+            return got
+        reached, charge = [], 0
         for mult in _multisets(n, len(self.keys)):
             spend(1)
+            charge += 1
             # the 2n legs land on u, v and P_M, so at least need of them
             # land on u and v; need <= 2n, so t decides what is reached
             need = 2 * n - sum(map(operator.mul, mult, self.degs))
@@ -338,14 +373,39 @@ class _Pieces:
                     _orientations(self.keys, mult, self.dim))
             admits_p, classes = self.multisets[mult]
             spend(len(classes))
+            charge += len(classes)
             reached.append((mult, need, admits_p, classes))
-        if (n, t) not in self.landable:
-            met = {key for *_, classes in reached for key in classes}
-            self.landable[n, t] = tuple(
-                {entry[0] for legs in {key[side] for key in met}
-                 for entry in _box(legs, sign)}
-                for side, sign in ((0, 1), (1, -1)))
-        land_u, land_v = self.landable[n, t]
+        met = {key for *_, classes in reached for key in classes}
+        lefts, rights = (
+            {entry[0] for legs in {key[side] for key in met}
+             for entry in _box(legs, sign)}
+            for side, sign in ((0, 1), (1, -1)))
+        got = self.landable[n, t] = lefts, rights, reached, charge
+        return got
+
+    def contract(self, counts: dict, derivs: dict) -> tuple:
+        """The cell sum of count * d_K P_M over counts {(M, K): count}, as
+        (den, rows, deg) in lowest terms; derivs keeps each d_K P_M's rows
+        for the other cells of a walk."""
+        den = math.lcm(*{self.polys[mult].den for mult, _ in counts})
+        pairs = []
+        for (mult, K), count in counts.items():
+            p = self.polys[mult]
+            rows = derivs.get((mult, K))
+            if rows is None:
+                rows = derivs[mult, K] = _deriv(self.ring._layout, p.rows, K)
+            pairs.append((count * (den // p.den), rows, _UNIT_ROWS))
+        cell = _canonical(self.ring, den, _products(self.ring, pairs))
+        return cell.den, cell.rows, cell.total_degree()
+
+    def order(self, n: int, t: int, admits_u: _Admits, admits_v: _Admits,
+              spend: Callable[[int], None]) -> dict:
+        """Order n's cells over the (I, J) that admits_u and admits_v leave
+        nonzero, t being min(deg u + deg v, 2n) of the factors.  Charges
+        each multiset, the classes of each reached, and the splits of each
+        admitted (I, J): first those the walk of the rows that miss a J
+        examines, then the rest as the cells are read."""
+        land_u, land_v, reached, _ = self.reach(n, t, spend)
         adm_u = {D for D in land_u if admits_u[D]}
         adm_v = {D for D in land_v if admits_v[D]}
         # the admitted I whose covered Js miss an admitted J, and those Js
@@ -353,7 +413,7 @@ class _Pieces:
         todo = {I for I in adm_u if I not in rows or not rows[I][0] >= adm_v}
         miss = set().union(*[adm_v - rows[I][0] if I in rows else adm_v
                              for I in todo])
-        tally, walked = {}, 0  # I -> {J: [splits, cell]} with a split
+        tally, walked = {}, 0  # I -> {J: [splits, {(M, K): count}]}
         lefts, rights = {}, {}  # leg vector -> its landings
         for mult, need, admits_p, classes in reached if todo else ():
             for (left, right), weight in classes.items():
@@ -383,16 +443,19 @@ class _Pieces:
                             _accumulate(entry[1], (mult, K), wl * wr)
                 spend(splits)
                 walked += splits
-        # covered sets are replaced, not changed in place, so rows share miss
+        # covered sets are replaced, not changed in place, so rows share
+        # miss; each new cell's counts are contracted once, as it is kept
+        derivs: dict = {}
         for I in todo:
             covered, kept = rows.get(I) or (frozenset(), {})
             grown = covered | miss if covered else miss
             self.cell_size += len(grown) - len(covered)
             rows[I] = grown, kept
-            for J, entry in tally.get(I, {}).items():
+            for J, (count, counts) in tally.get(I, {}).items():
                 if J not in kept:
-                    kept[J] = entry
-                    self.cell_size += len(entry[1])
+                    cell = self.contract(counts, derivs) if counts else None
+                    kept[J] = count, cell
+                    self.cell_size += len(cell[1]) if cell else 0
         cells, splits = {}, 0
         for I in adm_u:
             kept = rows[I][1]
@@ -417,32 +480,33 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
               max_work: int) -> Operator:
     """The coefficients C^(n)_IJ of B_0..B_n, pruned to the factor series.
 
-    orders[n] maps (I, J) to {(M, K): count}, and C^(n)_IJ is the sum of
-    count * d_K polys[M], where M counts the insertions of each component
-    and polys[M] is their product P_M.  Order n pairs u_k with v_l only
-    when k + l <= order - n, so its pruning tests the union of the supports
-    of the coefficients on each side that such a pair takes: one operator
-    serves every pair (u_k, v_l), and it stops at the highest order a pair
-    needs.  Here only the factor side is built: each order's two dominance
-    tests and the degree bound t, which the bivector's record (_Pieces.order)
-    turns into the order's cells.
+    orders[n] maps (I, J) to the cell C^(n)_IJ as (den, rows, deg): the
+    sum of count * d_K P_M, where M counts the insertions of each component,
+    P_M is their product and K the legs left to it.  Order n pairs u_k with
+    v_l only when k + l <= order - n, so its pruning tests the union of the
+    supports of the coefficients on each side that such a pair takes: one
+    operator serves every pair (u_k, v_l), and it stops at the highest
+    order a pair needs.  Here only the factor side is built: each order's
+    two dominance tests and the degree bound t, which the bivector's record
+    (_Pieces.order) turns into the order's cells.
     Each multiset of components, each orientation class of it and each split
     of its legs between u, v and P_M is one unit of work against max_work,
     whether or not it is walked: a read charges the splits its cells were
     walked with, less those the walk charged.  A class's splits are charged
-    together after the class; the totals, and so the smallest budget that
-    succeeds, are those of one charge a split.  The trim applies every
-    bound of the table: a record's share of its entries, the entries of
-    one record alone, and then the table's bivectors and entries, least
+    together after the class, and an order reached before charges its
+    multisets and classes in one sum; the totals, and so the smallest
+    budget that succeeds, are those of one charge a unit.  The trim applies
+    every bound of the table: a record's share of its entries, the entries
+    of one record alone, and then the table's bivectors and entries, least
     recently used out first.
     """
-    _, us, vs, reach = _check_factors(alpha, u, v, order, max_work)
+    ring, us, vs, reach = _check_factors(alpha, u, v, order, max_work)
     key = (alpha.dim, tuple(sorted(
         (k, p.den, tuple(sorted(p.rows.items())))
         for k, p in alpha.components.items())))
     tests_u: dict[int, _Admits] = {}
     tests_v: dict[int, _Admits] = {}
-    zero, none = (0,) * alpha.dim, (0,) * len(alpha.components)
+    zero = (0,) * alpha.dim
     work = 0
 
     def spend(units: int) -> None:
@@ -463,7 +527,7 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
         return tests[len(taken)], max(p.total_degree() for p in taken)
 
     # B_0(u_k, v_l) = u_k v_l: no insertions
-    orders = [{(zero, zero): {(none, zero): 1}}] if reach >= 0 else []
+    orders = [{(zero, zero): _UNIT_CELL}] if reach >= 0 else []
     with _TABLE_LOCK:
         pieces = _TABLE[key] = _TABLE.pop(key, None) or _Pieces(alpha)
         try:
@@ -477,32 +541,32 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
                 pieces.cells, pieces.cell_size = {}, 0  # over its share
             pieces.size = sum(len(p.rows) for p in pieces.polys.values()) + sum(
                 len(a) + len(b) for a, b in pieces.multisets.values()
-            ) + sum(len(a) + len(b) for a, b in pieces.landable.values()
+            ) + sum(len(a) + len(b) for a, b, *_ in pieces.landable.values()
                     ) + pieces.cell_size
             if pieces.size > _TABLE_ENTRIES:  # too big alone: drop it first
                 del _TABLE[key]
             total = sum(entry.size for entry in _TABLE.values())
             while len(_TABLE) > _TABLE_BIVECTORS or total > _TABLE_ENTRIES:
                 total -= _TABLE.pop(next(iter(_TABLE))).size
-    return pieces.polys, orders, us, vs, order
+    return ring, orders, us, vs, order
 
 
 class _Values(dict):
-    """(name, counts) -> d^counts of factors[name] or polys[name], built once
-    by superalg's _deriv and _Point: rows over its den D, or its value
-    (re, im) over D q^deg at a point; (name, None) -> (rows, deg, that D)."""
+    """(name, counts) -> d^counts of factors[name], built once by superalg's
+    _deriv and _Point: rows over its den D, or its value (re, im) over D
+    q^deg at a point; (name, None) -> (rows, deg, that D)."""
 
-    __slots__ = ("point", "factors", "polys", "layout")
+    __slots__ = ("point", "factors", "layout")
 
-    def __init__(self, point: Optional[_Point], factors: dict, polys: dict,
+    def __init__(self, point: Optional[_Point], factors: dict,
                  layout: _Layout):
-        self.point, self.factors, self.polys = point, factors, polys
+        self.point, self.factors = point, factors
         self.layout = layout  # the ring's, which counts are packed into
 
     def __missing__(self, key: tuple):
         name, counts = key
         if counts is None:
-            p = self.factors.get(name) or self.polys[name]
+            p = self.factors[name]
             d, deg = p.den, p.total_degree()
             got = p.rows, deg, d * self.point.q ** deg if self.point else d
         else:
@@ -519,50 +583,49 @@ def _apply(op: Operator, point: Optional[_Point] = None,
     for: polynomials, or numbers at a point.
 
     The pair (u_k, v_l) adds w^n/n! B_n(u_k, v_l) at hbar^(k+l+n), w the
-    calibrated weight unless given.  The derivatives of u_k, v_l and P_M
-    are formed once from their stored rows (_Values), and C^(n)_IJ is formed
-    for all pairs over the lcm of the denominators of order n.  Symbolically,
-    the (n, k, l) sums of one hbar power are put over their lcm and reduced
-    once; at a point, each is reduced and added into its power.  As with
-    `*`, d_I u_k * d_J v_l and its product with C^(n)_IJ meet the product
-    cap (not at a point, where each is a number).
+    calibrated weight unless given.  The derivatives of u_k and v_l are
+    formed once from their stored rows (_Values), and each cell C^(n)_IJ
+    is read as kept, over the lcm of the denominators of order n: its rows
+    symbolically, and at a point its one value, every cell of the order
+    over q to the order's largest degree.  Symbolically, the (n, k, l) sums
+    of one hbar power are put over their lcm and reduced once; at a point,
+    each is reduced and added into its power.  As with `*`, d_I u_k * d_J
+    v_l and its product with C^(n)_IJ meet the product cap (not at a point,
+    where each is a number).
     """
-    polys, orders, us, vs, order = op
-    ring = next(iter(polys.values())).space  # every P_M lives in it
-    # ("u", k) and ("v", l) name the factors apart from every multiset M
+    ring, orders, us, vs, order = op
+    # ("u", k) and ("v", l) name the factors apart
     at = _Values(point, {("u", k): p for k, p in us}
-                 | {("v", l): p for l, p in vs}, polys, ring._layout)
-    unit = {0: (1, 0)}  # the packed key 0 is the constant monomial
+                 | {("v", l): p for l, p in vs}, ring._layout)
     # numbers at a point; else the (den, rows, weight) pieces of each power
     out: list = [Scalar()] * (order + 1) if point \
         else [[] for _ in range(order + 1)]
     for n, terms in enumerate(orders):
         pairs = [(("u", k), ("v", l), k + l, [0, 0] if point else [])
                  for k, _ in us for l, _ in vs if k + l <= order - n]
-        den = math.lcm(*{at[m, None][2] for c in terms.values() for m, _ in c})
-        for (I, J), cell in terms.items():
+        lcm = math.lcm(*{d for d, _, _ in terms.values()})
+        top = max((deg for _, _, deg in terms.values()), default=0)
+        den = lcm * point.q ** top if point else lcm
+        for (I, J), (d, rows, _) in terms.items():
+            s = lcm // d
             if point is not None:
-                x = y = 0
-                for (mult, K), count in cell.items():
-                    (a, b), s = at[mult, K], count * den // at[mult, None][2]
-                    x, y = x + a * s, y + b * s
+                x, y = point.value(rows, top)
+                if s != 1:
+                    x, y = x * s, y * s
                 for u, v, _, acc in pairs if x or y else ():
                     (a, b), (c, e) = at[u, I], at[v, J]
                     a, b = a * c - b * e, a * e + b * c
                     acc[0] += a * x - b * y
                     acc[1] += a * y + b * x
                 continue
-            coeff = _products(ring, [
-                (count * den // at[mult, None][2], at[mult, K], unit)
-                for (mult, K), count in cell.items()])
             for u, v, _, acc in pairs:
                 du, dv = at[u, I], at[v, J]
                 if du and dv:
                     _check_product(ring, du, dv)
-                    if coeff:
+                    if rows:
                         piece = _products(ring, [(1, du, dv)])
-                        _check_product(ring, piece, coeff)
-                        acc.append((1, piece, coeff))
+                        _check_product(ring, piece, rows)
+                        acc.append((s, piece, rows))
         wd, weight = _rows({0: _order_weight(n, w) if n else ONE})
         a, b = weight[0]
         for u, v, kl, acc in pairs:
@@ -669,7 +732,6 @@ def _moyal_operator(alpha: Multivector, u: Series, v: Series, order: int,
     admits_u = _Admits([p for _, p in us])
     admits_v = _Admits([p for _, p in vs])
     zero = (0,) * alpha.dim
-    polys = {(): GradedPoly.one(ring)}  # and each coefficient c under c
     orders = []
     for n in range(reach + 1):
         coeffs: dict = {}
@@ -681,9 +743,9 @@ def _moyal_operator(alpha: Multivector, u: Series, v: Series, order: int,
                 continue
             _accumulate(coeffs, (I, J),
                         math.prod((value for _, _, value in row), start=ONE))
-        polys |= {c: GradedPoly.constant(ring, c) for c in coeffs.values()}
-        orders.append({ij: {(c, zero): 1} for ij, c in coeffs.items()})
-    return polys, orders, us, vs, order
+        # each coefficient c is a cell of degree 0
+        orders.append({ij: (*_rows({0: c}), 0) for ij, c in coeffs.items()})
+    return ring, orders, us, vs, order
 
 
 def moyal_poly(alpha: Multivector, f: GradedPoly, g: GradedPoly,

@@ -23,12 +23,23 @@ apply is the operator application the library used before it contracted
 in Gaussian-integer numerators: every multiply and add is a reduced Scalar
 or a GradedPoly product, each derivative a GradedPoly (deriv) and each
 point value a sum of Scalar monomials from one shared table (evaluator).
-It takes the library's operators as they are, so any difference in output
-or in the product caps it meets shows in the library's application.
+It takes the library's operators as they are, each cell read into a
+GradedPoly through Scalars, so any difference in output or in the product
+caps it meets shows in the library's application.
+
+cell_counts and contract are the cells as the library built them before it
+kept each one as its polynomial: the (M, K) counts of C^(n)_IJ, found here
+by walking every labelled sequence of n oriented insertions, and their sum
+count * d_K P_M in GradedPoly derivatives and products.
+
+_Dominates is the dominance test the library used before its bitmasks: a
+count vector is admitted when some monomial of the support dominates it,
+tested field by field.
 """
 
 import math
 import operator
+from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, Sequence
 
@@ -120,12 +131,20 @@ def evaluator(values: Sequence[Optional[Scalar]]
     return at
 
 
+def cell_poly(ring, cell) -> GradedPoly:
+    """The library's cell (den, rows, deg) as a GradedPoly, through Scalars."""
+    den, rows, _ = cell
+    unpack = ring._layout.unpack
+    return GradedPoly(ring, {unpack(key): Scalar(Fraction(a, den),
+                                                 Fraction(b, den))
+                             for key, (a, b) in rows.items()})
+
+
 def apply(op: Operator, point: Optional[Sequence[Scalar]] = None,
           w: Optional[Scalar] = None) -> list:
     """hbar coefficients 0..order of the product of the series op was built
     for, in reduced Scalars and GradedPoly products."""
-    polys, orders, us, vs, order = op
-    ring = next(iter(polys.values())).space
+    ring, orders, us, vs, order = op
     if point is None:
         zero, unit = GradedPoly.zero(ring), GradedPoly.one(ring)
         at = deriv
@@ -147,10 +166,7 @@ def apply(op: Operator, point: Optional[Sequence[Scalar]] = None,
                  for k, uk in us for l, vl in vs if k + l <= top]
         sums = [zero] * (top + 1)
         for (I, J), cell in terms.items():
-            coeff = zero
-            for (mult, K), count in cell.items():
-                term = d(mult, polys[mult], K)
-                coeff = coeff + (term if count == 1 else term * count)
+            coeff = at(cell_poly(ring, cell), (0,) * len(ring))
             for kl, uname, uk, vname, vl in pairs:
                 piece = d(uname, uk, I) * d(vname, vl, J)
                 sums[kl] = sums[kl] + (piece if coeff == unit
@@ -160,6 +176,79 @@ def apply(op: Operator, point: Optional[Sequence[Scalar]] = None,
                 total = total * _order_weight(n, w) if n else total
                 out[t] = total if out[t] is zero else out[t] + total
     return out
+
+
+def labelled_classes(alpha: Multivector, n: int) -> dict:
+    """(M, left, right) -> signed count of the labelled sequences of n
+    oriented insertions with multiset M (insertions per component, in
+    sorted key order) and those left and right leg vectors.  Each insertion
+    of component (i, j) reads it as (i, j), or as (j, i) at a factor -1."""
+    keys = sorted(alpha.components)
+    zero = (0,) * alpha.dim
+    out: dict = {}
+    for picks in product(range(len(keys)), (1, -1), repeat=n):
+        mult, left, right, sign = [0] * len(keys), zero, zero, 1
+        for c, orient in zip(picks[::2], picks[1::2]):
+            i, j = keys[c] if orient > 0 else keys[c][::-1]
+            mult[c] += 1
+            left, right = _bump(left, i - 1, 1), _bump(right, j - 1, 1)
+            sign *= orient
+        key = (tuple(mult), left, right)
+        out[key] = out.get(key, 0) + sign
+    return out
+
+
+def cell_counts(alpha: Multivector, classes: dict, I: tuple, J: tuple
+                ) -> dict:
+    """(M, K) -> count of C^(n)_IJ: of each class's legs, I land on f and J
+    on g (binomial ways each, a factor -1 for each right leg that lands on
+    an insertion), and K = legs - I - J on P_M, kept only when P_M has at
+    least |K| degrees for them."""
+    keys = sorted(alpha.components)
+    degs = [alpha.components[key].total_degree() for key in keys]
+    out: dict = {}
+    for (mult, left, right), sign in classes.items():
+        if not sign or any(map(operator.lt, left, I)) \
+                or any(map(operator.lt, right, J)):
+            continue
+        K = tuple(l + r - i - j for l, r, i, j in zip(left, right, I, J))
+        if sum(K) > sum(map(operator.mul, mult, degs)):
+            continue
+        count = sign * (-1) ** (sum(right) - sum(J))
+        for legs, sub in ((left, I), (right, J)):
+            count *= math.prod(map(math.comb, legs, sub))
+        out[(mult, K)] = out.get((mult, K), 0) + count
+    return out
+
+
+def contract(alpha: Multivector, counts: dict) -> GradedPoly:
+    """The sum of count * d_K P_M over counts {(M, K): count}, P_M the
+    product of mult[c] copies of the c-th component in sorted key order."""
+    keys = sorted(alpha.components)
+    total = GradedPoly.zero(alpha.ring())
+    for (mult, K), count in counts.items():
+        p = GradedPoly.one(alpha.ring())
+        for key, m in zip(keys, mult):
+            for _ in range(m):
+                p = p * alpha.components[key]
+        total = total + deriv(p, K) * count
+    return total
+
+
+class _Dominates(dict):
+    """counts -> whether some monomial of the support dominates them, field
+    by field."""
+
+    __slots__ = ("support",)
+
+    def __init__(self, polys: Sequence[GradedPoly]):
+        self.support = {p.space._layout.unpack(b)
+                        for p in polys for b in p.rows}
+
+    def __missing__(self, counts: tuple[int, ...]) -> bool:
+        got = self[counts] = any(all(map(operator.ge, beta, counts))
+                                 for beta in self.support)
+        return got
 
 
 class _Rooms(dict):

@@ -12,7 +12,9 @@ And it keeps the landing table built afresh on every call, which the
 library now filters out of one box per leg vector, and the application of
 an operator in reduced Scalars and GradedPoly products, which the library
 now contracts in Gaussian-integer numerators: both must give the same
-numbers and refuse the same products.
+numbers and refuse the same products.  The cells the library keeps must be
+the polynomials a labelled walk's (M, K) counts contract to, and its
+bitmask dominance test must agree with the field-by-field one.
 """
 
 import math
@@ -20,7 +22,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starprod import (Multivector, ResourceLimitError, associator,
@@ -28,11 +30,12 @@ from starprod import (Multivector, ResourceLimitError, associator,
                       star_poly, star_series, wick)
 from starprod.scalars import ONE, Scalar
 from starprod.superalg import MAX_POWER_TERMS, GradedPoly, _Point
-from starprod.wick import (_Admits, _apply, _box, _landings,
+from starprod.wick import (MAX_ORDER, _Admits, _apply, _box, _landings,
                            _moyal_operator, _operator)
-from reference_engine import (_associator, _engine_terms, _Rooms,
-                              _series_product,
-                              _landings as reference_landings, apply)
+from reference_engine import (_associator, _Dominates, _engine_terms, _Rooms,
+                              _series_product, _landings as reference_landings,
+                              apply, cell_counts, cell_poly, contract,
+                              labelled_classes)
 from support import random_basepoint, random_multivector, random_poly
 
 BUDGET = 10 ** 7
@@ -225,3 +228,100 @@ def test_a_capped_product_is_refused_as_the_scalar_loop_refuses_it():
         apply(_operator(alpha, {0: f}, {0: g}, 0, BUDGET))
     assert str(ours.value) == str(theirs.value) == \
         "a product with up to 6400 terms exceeds the cap of 5000 terms"
+
+
+@pytest.mark.parametrize("name", ["so3", "nonpoisson4d", "random"])
+def test_kept_cells_are_the_contracted_counts_of_a_labelled_walk(name):
+    """After stars and an associator at each of orders 1-4, every covered
+    (I, J) of the bivector's record holds, in lowest terms, the sum count *
+    d_K P_M of the (M, K) counts that a walk of every labelled sequence of
+    insertions finds for it, or no cell where that sum is zero.  "random"
+    is two random dim-3 bivectors with three degree-2 components."""
+    rng = random.Random(name)
+    alphas = [] if name == "random" else [fixture(name)]
+    while len(alphas) < 2 and name == "random":
+        alpha = random_multivector(rng, 3, 2, coeff_space(3),
+                                   max_coeff_degree=2)
+        if len(alpha.components) == 3:
+            alphas.append(alpha)
+    wick._default_calibration()  # its probe's record is built once, first
+    for alpha in alphas:
+        ring = alpha.ring()
+        wick._TABLE.clear()
+        for order in range(1, 5):
+            for _ in range(3):
+                f, g = (random_poly(rng, ring, max_degree=4, max_terms=5)
+                        for _ in "fg")
+                star_poly(alpha, f, g, order=order)
+            associator_poly(alpha, *[random_poly(rng, ring) for _ in "fgh"],
+                            order=order)
+        (pieces,) = wick._TABLE.values()
+        assert sorted(pieces.cells) == [1, 2, 3, 4]
+        kept = 0
+        for n, rows in pieces.cells.items():
+            classes = labelled_classes(alpha, n)
+            for I, (covered, cells) in rows.items():
+                for J in covered:
+                    want = contract(alpha, cell_counts(alpha, classes, I, J))
+                    _, cell = cells.get(J, (0, None))
+                    if cell is None:
+                        assert want.is_zero()
+                        continue
+                    kept += 1
+                    assert cell == (want.den, want.rows, want.total_degree())
+                    assert cell_poly(ring, cell) == want
+        assert kept >= 10
+
+
+@st.composite
+def dominance_cases(draw):
+    """A support of up to 5 monomials in 1-4 directions, some exponents
+    past 2 * MAX_ORDER, split over one or two polynomials or none, and
+    count vectors that reach past every exponent."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    exps = st.integers(min_value=0, max_value=3 * MAX_ORDER)
+    support = draw(st.lists(st.tuples(*[exps] * dim), max_size=5,
+                            unique=True))
+    cut = draw(st.integers(min_value=0, max_value=len(support)))
+    parts = [support[:cut], support[cut:]] if draw(st.booleans()) \
+        else [support]
+    polys = [GradedPoly(coeff_space(dim), dict.fromkeys(part, 1))
+             for part in parts if part or draw(st.booleans())]
+    counts = draw(st.lists(st.tuples(*[st.integers(
+        min_value=0, max_value=3 * MAX_ORDER + 2)] * dim), max_size=10))
+    return dim, support, polys, counts
+
+
+@given(case=dominance_cases())
+@example(case=(2, [], [], [(0, 0), (1, 0)]))
+@example(case=(2, [(3, 0)], [GradedPoly(coeff_space(2), {(3, 0): 1})],
+               [(0, 0), (3, 0), (4, 0), (0, 1)]))
+@settings(max_examples=300, deadline=None)
+def test_admits_agrees_with_the_field_by_field_test(case):
+    """The bitmask test admits a count vector exactly when a monomial of
+    the support dominates it: for an empty support (no polynomial, or zero
+    ones), the zero count vector, exponents past 2 * MAX_ORDER and count
+    vectors past every exponent; and it keeps at most one mask for each
+    exponent that occurs in each direction."""
+    dim, support, polys, counts = case
+    admits, reference = _Admits(polys), _Dominates(polys)
+    tops = [max(column, default=0) for column in zip(*support)] or [0] * dim
+    past = [tuple(top + 1 if k == d else 0 for k, top in enumerate(tops))
+            for d in range(dim)]
+    for K in counts + past + [(0,) * dim, tuple(tops)]:
+        assert admits[K] == reference[K], K
+    assert admits[(0,) * dim] == bool(support)
+    assert not any(admits[K] for K in past)
+    assert all(len(exps) == len(masks) <= len(support)
+               for exps, masks in admits.steps)
+
+
+def test_admits_keeps_one_mask_per_exponent_that_occurs():
+    """A factor of degree 10^6 in one direction keeps a mask for each of
+    its two positive exponents there, not a table as long as the exponent,
+    and one for the other direction's one positive exponent."""
+    ring = coeff_space(2)
+    admits = _Admits([GradedPoly(ring, {(10 ** 6, 0): 1, (1, 1): 1})])
+    assert [exps for exps, _ in admits.steps] == [(1, 10 ** 6), (1,)]
+    assert admits[(10 ** 6, 0)] and admits[(1, 1)] and admits[(2, 0)]
+    assert not admits[(10 ** 6 + 1, 0)] and not admits[(2, 1)]

@@ -431,17 +431,20 @@ def test_equal_bivectors_share_their_pieces():
     ring = coeff_space(3)
     f = parse_poly("x1^2*x2 + x3", ring)
     g = parse_poly("x2*x3^2 + x1", ring)
+
+    def polys(alpha, u, v):
+        """The P_M of alpha's record, after an operator for u and v."""
+        wick._operator(alpha, {0: u}, {0: v}, 4, DEFAULT_MAX_WORK)
+        return wick._TABLE[next(reversed(wick._TABLE))].polys
+
     wick._TABLE.clear()
-    first = dict(wick._operator(fixture("so3"), {0: f}, {0: g}, 4,
-                                DEFAULT_MAX_WORK)[0])
+    first = dict(polys(fixture("so3"), f, g))
     data = fixture("so3").to_data()
-    again = wick._operator(Multivector.from_data(data), {0: g}, {0: f}, 4,
-                           DEFAULT_MAX_WORK)[0]
+    again = polys(Multivector.from_data(data), g, f)
     assert len(first) > 1
     assert all(again[mult] is p for mult, p in first.items())
     data["components"]["2,3"] = "2*x1"
-    changed = wick._operator(Multivector.from_data(data), {0: f}, {0: g}, 4,
-                             DEFAULT_MAX_WORK)[0]
+    changed = polys(Multivector.from_data(data), f, g)
     assert not any(changed.get(mult) is p for mult, p in first.items())
 
 
@@ -521,10 +524,13 @@ def _cell_cases():
 def test_read_cells_give_the_walk_and_its_budget(case, monkeypatch):
     """An operator from an empty table and box cache, one from a table
     warmed by other factors, one whose cells are all kept, one from a
-    table that covers some of its rows and one from a table that covers
-    its rows against other Js give equal orders and are refused below the
-    same budget; the last two walk only the rows that miss an admitted J,
-    against only the Js that those rows miss."""
+    table that covers some of its rows, one from a table that covers its
+    rows against other Js and one from a record that holds every order's
+    reach at the same t but no cells give equal orders and are refused
+    below the same budget; the two partly covered ones walk only the rows
+    that miss an admitted J, against only the Js that those rows miss, and
+    the last charges each order's multisets and classes in one sum,
+    without enumerating them again."""
     alpha, u, v, x, y, order = case
 
     def build(max_work):
@@ -551,15 +557,31 @@ def test_read_cells_give_the_walk_and_its_budget(case, monkeypatch):
         cold()
         wick._operator(alpha, u, x, order, DEFAULT_MAX_WORK)
 
+    def reached():  # every order's reach at the same t, and no cell
+        kept()
+        (pieces,) = wick._TABLE.values()
+        pieces.cells, pieces.cell_size = {}, 0
+
     budget = _smallest_budget(build)
     cold()
     want = build(budget)
-    for state in (cold, warmed, kept, partly, crossed):
+    for state in (cold, warmed, kept, partly, crossed, reached):
         state()
         assert build(budget) == want
         state()
         with pytest.raises(ResourceLimitError):
             build(budget - 1)
+    enumerated, multisets = [], wick._multisets
+    monkeypatch.setattr(wick, "_multisets", lambda *args: (
+        enumerated.append(args), multisets(*args))[1])
+    reached()
+    enumerated.clear()
+    assert build(budget) == want and not enumerated
+    reached()
+    enumerated.clear()
+    with pytest.raises(ResourceLimitError):
+        build(budget - 1)
+    assert not enumerated
     filters, landings = [], wick._landings
     monkeypatch.setattr(wick, "_landings", lambda legs, admitted, sign: (
         filters.append((sum(legs), sign, admitted)),
@@ -631,13 +653,14 @@ def test_a_wide_factor_is_tested_only_where_legs_land(monkeypatch):
 
 def _entries(pieces):
     """P_M terms, P_M tests, classes, landable count vectors, and for the
-    cells each covered (I, J) and each (M, K) count of a kept cell."""
+    cells each covered (I, J) and each row of a kept cell's polynomial."""
     return (sum(len(p.terms) for p in pieces.polys.values())
             + sum(len(test) + len(classes)
                   for test, classes in pieces.multisets.values())
             + sum(len(lefts) + len(rights)
-                  for lefts, rights in pieces.landable.values())
-            + sum(len(covered) + sum(len(cell) for _, cell in kept.values())
+                  for lefts, rights, *_ in pieces.landable.values())
+            + sum(len(covered) + sum(len(cell[1]) for _, cell in kept.values()
+                                     if cell)
                   for rows in pieces.cells.values()
                   for covered, kept in rows.values()))
 

@@ -174,33 +174,25 @@ def bullet_diagrams(alpha: Multivector, w1: DifferentialForm,
     def comp(w: DifferentialForm, i: int) -> GradedPoly:
         return w.components.get((i,), zero)
 
-    # d_i w_k for every index i the bivector names, and d_k A^{ij} for every
-    # stored component, formed once per call: the patterns ask for them once
-    # per oriented component
-    named = {i for key in alpha.components for i in key}
-    dw1, dw2 = ({(k, i): comp(w, k).deriv_left(f"x{i}")
-                 for k in range(1, d + 1) for i in named} for w in (w1, w2))
-    da = {(key, k): a.deriv_left(f"x{k}")
-          for key, a in alpha.components.items() for k in range(1, d + 1)}
-
     # each stored component A^{ij} in both orientations, A^{ji} = -A^{ij},
-    # the sign carried apart from the polynomial, with its stored key
+    # the sign carried apart from the polynomial; d_j w_k and d_k A^{ij} are
+    # asked for per orientation, and each polynomial's table scans them once
     oriented = []
     for (i, j), a in alpha.components.items():
-        oriented += [(1, i, j, a, (i, j)), (-1, j, i, a, (i, j))]
-    t_of = {target: _mac(ring, [(s, da[key, i], comp(w, j))
-                                for s, i, j, _, key in oriented])
+        oriented += [(1, i, j, a), (-1, j, i, a)]
+    t_of = {target: _mac(ring, [(s, a.deriv_left(f"x{i}"), comp(w, j))
+                                for s, i, j, a in oriented])
             for target, w in (("first", w1), ("second", w2))}
-    a_w1 = [(s, j, a * comp(w1, i)) for s, i, j, a, _ in oriented]
+    a_w1 = [(s, j, a * comp(w1, i)) for s, i, j, a in oriented]
     transport_second = {(k,): _mac(ring, [
-        (s, aw, dw2[k, j]) for s, j, aw in a_w1])
+        (s, aw, comp(w2, k).deriv_left(f"x{j}")) for s, j, aw in a_w1])
         for k in range(1, d + 1)}
     transport_first = {(k,): _mac(ring, [
-        (s, a * dw1[k, i], comp(w2, j))
-        for s, i, j, a, _ in oriented]) for k in range(1, d + 1)}
+        (s, a * comp(w1, k).deriv_left(f"x{i}"), comp(w2, j))
+        for s, i, j, a in oriented]) for k in range(1, d + 1)}
     vertex_derivative = {(k,): _mac(ring, [
-        (s, da[key, k] * comp(w1, i), comp(w2, j))
-        for s, i, j, _, key in oriented]) for k in range(1, d + 1)}
+        (s, a.deriv_left(f"x{k}") * comp(w1, i), comp(w2, j))
+        for s, i, j, a in oriented]) for k in range(1, d + 1)}
     tadpole_second = {(k,): t_of["second"] * comp(w1, k) for k in range(1, d + 1)}
     tadpole_first = {(k,): t_of["first"] * comp(w2, k) for k in range(1, d + 1)}
     return [

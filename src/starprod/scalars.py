@@ -113,18 +113,8 @@ class Scalar:
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int) or n < 0:
             raise ValueError("scalar powers must be nonnegative integers")
-        if not n:
-            return ONE
-        # start from the base at the lowest set bit, square up to the highest
-        base = self
-        while not n & 1:
-            base, n = base * base, n >> 1
-        out = base
-        while n := n >> 1:
-            base = base * base
-            if n & 1:
-                out = out * base
-        return out
+        # (1 + i)^2 / 2^2 is 2i/4: a power's parts may share a factor
+        return _reduced(*_gaussian_power(self._a, self._b, n), self._d ** n)
 
     def __eq__(self, other) -> bool:
         if type(other) is not Scalar:
@@ -169,6 +159,19 @@ def _reduced(a: int, b: int, d: int) -> Scalar:
         if g != 1:
             a, b, d = a // g, b // g, d // g
     return _exact(a, b, d)
+
+
+def _gaussian_power(a: int, b: int, n: int) -> tuple[int, int]:
+    """(x, y) with x + y*i = (a + b*i)^n, n >= 0, by squaring."""
+    if not b:
+        return a ** n, 0
+    x, y = 1, 0
+    while True:
+        if n & 1:
+            x, y = x * a - y * b, x * b + y * a
+        if not (n := n >> 1):
+            return x, y
+        a, b = a * a - b * b, 2 * a * b
 
 
 def _parts(a: int, b: int, d: int) -> tuple[int, int, int, int]:

@@ -34,6 +34,11 @@ signed sum over the lcm of the denominators, reduced once (_sum).  Scalar
 and exponent tuples appear only at the edges: values and terms passed in,
 the values of evaluate and constant_value, and p.terms, a read-only mapping
 keyed by exponent tuples, built on each read.
+
+Each polynomial keeps the first derivatives taken of it (deriv_left and
+deriv_right) in a table keyed by the generator and the fields of the odd
+generators it is moved past, so both sides of an even generator are one
+entry; one scan of the rows (_strike) fills an entry on first use.
 """
 
 from __future__ import annotations
@@ -50,7 +55,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import InputError, InternalError, ResourceLimitError, require_int
 from .monomials import FIELD_BITS, MAX_DEGREE, _FIELD, _Layout, _layout_for
-from .scalars import Scalar, ScalarLike, _ints, _parts, _reduced
+from .scalars import (Scalar, ScalarLike, _gaussian_power, _ints, _parts,
+                      _reduced)
 
 HBAR = "hbar"
 DEFAULT_HBAR_ORDER = 3
@@ -177,19 +183,6 @@ def _check_product(space: GradedSpace, a: dict, b: dict) -> None:
             raise ResourceLimitError(f"a product with up to {size} terms "
                                      f"exceeds the cap of "
                                      f"{MAX_POWER_TERMS} terms")
-
-
-def _gaussian_power(a: int, b: int, n: int) -> tuple[int, int]:
-    """(x, y) with x + y*i = (a + b*i)^n, n >= 0, by squaring."""
-    if not b:
-        return a ** n, 0
-    x, y = 1, 0
-    while True:
-        if n & 1:
-            x, y = x * a - y * b, x * b + y * a
-        if not (n := n >> 1):
-            return x, y
-        a, b = a * a - b * b, 2 * a * b
 
 
 def _crossings(ma: int, mb: int) -> int:
@@ -378,7 +371,7 @@ class GradedPoly:
     constructor takes such a mapping.
     """
 
-    __slots__ = ("space", "den", "rows")
+    __slots__ = ("space", "den", "rows", "_derivatives")
 
     def __init__(self, space: GradedSpace, terms: Optional[Mapping[tuple, ScalarLike]] = None):
         normalized: dict[int, Scalar] = {}
@@ -407,6 +400,7 @@ class GradedPoly:
         _set_space(self, space)
         _set_den(self, den)
         _set_rows(self, rows)
+        _set_derivatives(self, {})
 
     def __setattr__(self, *_):
         raise AttributeError("GradedPoly is immutable")
@@ -578,6 +572,7 @@ class GradedPoly:
         _set_space(p, space)
         _set_den(p, den)
         _set_rows(p, rows)
+        _set_derivatives(p, {})
         return p
 
     def _coerce(self, other) -> "GradedPoly":
@@ -591,23 +586,32 @@ class GradedPoly:
 
     def deriv_left(self, name: str) -> "GradedPoly":
         """Left derivative: move the generator to the front, then strike it."""
-        return self._strike(name, operator.lt)
+        return self._derivative(name, operator.lt)
 
     def deriv_right(self, name: str) -> "GradedPoly":
         """Right derivative: move the generator to the back, then strike it."""
-        return self._strike(name, operator.gt)
+        return self._derivative(name, operator.gt)
 
-    def _strike(self, name: str, crosses: Callable[[int, int], bool]
-                ) -> "GradedPoly":
-        """The derivative in one generator.  An odd generator k is first
-        moved past the odd generators i with crosses(i, k), a sign each."""
+    def _derivative(self, name: str, crosses: Callable[[int, int], bool]
+                    ) -> "GradedPoly":
+        """The derivative in generator k = name, an odd k first moved past
+        the odd generators i with crosses(i, k), a sign each: read from the
+        table of derivatives, which _strike fills on first use (threads
+        that race to fill an entry store equal polynomials)."""
         space = self.space
-        layout = space._layout
         k = space.index(name)
-        shift, unit = layout.shifts[k], layout.units[k]
-        # the bits of the crossed generators' fields
-        crossed = sum(1 << layout.shifts[i] for i in space.odd_indices
+        crossed = sum(1 << space._layout.shifts[i] for i in space.odd_indices
                       if crosses(i, k)) if space.parities[k] else 0
+        got = self._derivatives.get((k, crossed))
+        if got is None:
+            got = self._derivatives[k, crossed] = self._strike(k, crossed)
+        return got
+
+    def _strike(self, k: int, crossed: int) -> "GradedPoly":
+        """One scan of the rows: the derivative in generator k, a sign for
+        each row with an odd number of bits in crossed."""
+        layout = self.space._layout
+        shift, unit = layout.shifts[k], layout.units[k]
         out: dict[int, tuple[int, int]] = {}
         for key, (a, b) in self.rows.items():
             if e := key >> shift & _FIELD:  # an odd exponent is 1
@@ -616,7 +620,7 @@ class GradedPoly:
                 if (key & crossed).bit_count() & 1:
                     a, b = -a, -b
                 out[key - unit] = a, b
-        return _canonical(space, self.den, out)
+        return _canonical(self.space, self.den, out)
 
     # substitution and evaluation
 
@@ -704,8 +708,8 @@ class GradedPoly:
 
 # GradedPoly's own __setattr__ refuses every assignment, so its results are
 # built through the slots' setters
-_set_space, _set_den, _set_rows = (GradedPoly.__dict__[name].__set__
-                                   for name in GradedPoly.__slots__)
+_set_space, _set_den, _set_rows, _set_derivatives = (
+    GradedPoly.__dict__[name].__set__ for name in GradedPoly.__slots__)
 _blank = object.__new__
 
 

@@ -91,3 +91,30 @@ def relabel(field, perm):
         swaps = sum(1 for a, b in combinations(image, 2) if a > b)
         out[tuple(sorted(image))] = -moved if swaps & 1 else moved
     return type(field)(field.dim, field.degree, out)
+
+
+def record_scans(monkeypatch):
+    """Every derivative scan (GradedPoly._strike) made from here on, as
+    (polynomial, generator name, crossed fields).  The list keeps each
+    scanned polynomial alive, so two entries with one id are one object."""
+    scans = []
+    strike = GradedPoly._strike
+
+    def recording(self, k, crossed):
+        scans.append((self, self.space.names[k], crossed))
+        return strike(self, k, crossed)
+
+    monkeypatch.setattr(GradedPoly, "_strike", recording)
+    return scans
+
+
+def repeated_scans(scans):
+    """The scans that repeat an earlier one: same object, generator and
+    crossed fields."""
+    seen, repeats = set(), []
+    for p, name, crossed in scans:
+        key = (id(p), name, crossed)
+        if key in seen:
+            repeats.append((p, name, crossed))
+        seen.add(key)
+    return repeats

@@ -1,6 +1,7 @@
 """Odd bracket, odd Laplacian, and the master-equation layer."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from starprod import (
     super_space,
     symbol,
 )
+from support import record_scans, repeated_scans
 
 
 def even_odd_space():
@@ -150,6 +152,26 @@ def test_axiom_suite_on_random_triples():
             rep = check_bv_axioms(bvs, f, g, h)
             assert rep.all_zero(), {k: poly_to_expr(v)
                                     for k, v in rep.residuals().items()}
+
+
+def test_axiom_suite_differentiates_each_operand_once(monkeypatch):
+    """check_bv_axioms brackets f, g and h several times and takes the
+    laplacian of f; each operand is still scanned once per generator and
+    side, and a side is its own scan only for the odd generators c and vp."""
+    bvs = even_odd_space()
+    f, g, h = (bvs.poly(text) for text in ("v*c*vp + v^2*cp", "c*cp + 2*v*c",
+                                           "v^3*vp"))
+    scans = record_scans(monkeypatch)
+    assert check_bv_axioms(bvs, f, g, h).all_zero()
+    owner = {id(f): "f", id(g): "g", id(h): "h"}
+    counts = Counter((owner[id(p)], name) for p, name, _ in scans
+                     if id(p) in owner)
+    # f and g are bracketed in both slots, h only in the second
+    assert counts == {**{(x, "v"): 1 for x in "fgh"},
+                      **{(x, "cp"): 1 for x in "fgh"},
+                      **{(x, name): 2 for x in "fg" for name in ("c", "vp")},
+                      ("h", "c"): 1, ("h", "vp"): 1}
+    assert repeated_scans(scans) == []
 
 
 def test_axiom_suite_requires_homogeneous_inputs():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from starprod import (
     DifferentialForm,
-    GradedPoly,
     InputError,
     Multivector,
     anchor,
@@ -28,7 +27,7 @@ from starprod import (
 )
 import reference_brackets
 from support import (odd_permutation, random_multivector, random_one_form,
-                     random_poly, relabel)
+                     random_poly, record_scans, relabel, repeated_scans)
 
 
 def test_exact_form_is_the_gradient():
@@ -198,51 +197,44 @@ def test_diagram_catalog_is_complete():
 
 
 def test_diagrams_differentiate_each_form_component_once(monkeypatch):
-    """d_i w_k is formed once per call for each component k and each index
+    """d_i w_k is scanned once per call for each component k and each index
     i the bivector names, not once per oriented bivector component."""
     so3 = fixture("so3")  # names every index in two components
     ring = coeff_space(3)
-    forms = [DifferentialForm(3, 1, {(k,): parse_poly(f"x{k}^2 + {c}*x{j}", ring)
-                                     for k, j in ((1, 2), (2, 3), (3, 1))})
-             for c in (2, 5)]
-    want = bullet_diagrams(so3, *forms)
-    owner = {id(p): (n, k) for n, w in enumerate(forms)
+
+    def forms():
+        return [DifferentialForm(3, 1, {
+            (k,): parse_poly(f"x{k}^2 + {c}*x{j}", ring)
+            for k, j in ((1, 2), (2, 3), (3, 1))}) for c in (2, 5)]
+
+    want = bullet_diagrams(so3, *forms())
+    fresh = forms()  # no derivative taken yet
+    owner = {id(p): (n, k) for n, w in enumerate(fresh)
              for (k,), p in w.components.items()}
-    calls = []
-
-    def counting(self, name):
-        if id(self) in owner:
-            calls.append((*owner[id(self)], name))
-        return deriv_left(self, name)
-
-    deriv_left = GradedPoly.deriv_left
-    monkeypatch.setattr(GradedPoly, "deriv_left", counting)
-    assert bullet_diagrams(so3, *forms) == want
-    assert sorted(calls) == [(n, k, f"x{i}") for n in (0, 1)
-                             for k in (1, 2, 3) for i in (1, 2, 3)]
+    scans = record_scans(monkeypatch)
+    assert bullet_diagrams(so3, *fresh) == want
+    assert sorted((*owner[id(p)], name) for p, name, _ in scans
+                  if id(p) in owner) == \
+        [(n, k, f"x{i}") for n in (0, 1) for k in (1, 2, 3) for i in (1, 2, 3)]
+    assert repeated_scans(scans) == []
 
 
 def test_diagrams_differentiate_each_bivector_component_once(monkeypatch):
-    """d_k A^{ij} is formed once per call for each stored component and
+    """d_k A^{ij} is scanned once per call for each stored component and
     each index k, not once per orientation and pattern."""
-    so3 = fixture("so3")
+    # a copy of so3 whose components have no derivative taken yet
+    so3 = Multivector.from_data(fixture("so3").to_data())
     ring = coeff_space(3)
     w1 = DifferentialForm(3, 1, {(1,): parse_poly("x2", ring), (3,): 1})
     w2 = DifferentialForm(3, 1, {(2,): parse_poly("x1^2", ring)})
-    want = bullet_diagrams(so3, w1, w2)
+    want = bullet_diagrams(fixture("so3"), w1, w2)
     owner = {id(p): key for key, p in so3.components.items()}
-    calls = []
-
-    def counting(self, name):
-        if id(self) in owner:
-            calls.append((owner[id(self)], name))
-        return deriv_left(self, name)
-
-    deriv_left = GradedPoly.deriv_left
-    monkeypatch.setattr(GradedPoly, "deriv_left", counting)
+    scans = record_scans(monkeypatch)
     assert bullet_diagrams(so3, w1, w2) == want
-    assert sorted(calls) == [(key, f"x{k}") for key in sorted(so3.components)
-                             for k in (1, 2, 3)]
+    assert sorted((owner[id(p)], name) for p, name, _ in scans
+                  if id(p) in owner) == \
+        [(key, f"x{k}") for key in sorted(so3.components) for k in (1, 2, 3)]
+    assert repeated_scans(scans) == []
 
 
 def test_unknown_route_rejected():

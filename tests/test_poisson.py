@@ -32,7 +32,7 @@ from starprod import (
 import reference_brackets
 from reference_brackets import schouten_direct
 from support import (odd_permutation, random_basepoint, random_multivector,
-                     random_poly, relabel)
+                     random_poly, record_scans, relabel, repeated_scans)
 
 
 def test_component_storage_is_antisymmetric():
@@ -254,6 +254,23 @@ def test_jacobi_classification_of_fixtures():
     assert poly_to_expr(defect) == "1"
     assert jacobi_defect(np4, 2, 3, 4) == defect
     assert jacobi_witness(fixture("so3")) is None
+
+
+def test_jacobi_witness_differentiates_each_component_once(monkeypatch):
+    """so3 plus a central x4: every triple's defect is zero, so each of the
+    four runs, and A^{12} and A^{23} each meet two triples unnegated; each
+    stored component is still scanned once in each coordinate it holds."""
+    ring = coeff_space(4)
+    alpha = Multivector(4, 2, {(1, 2): parse_poly("x3", ring),
+                               (2, 3): parse_poly("x1", ring),
+                               (1, 3): parse_poly("-x2", ring)})
+    owner = {id(p): key for key, p in alpha.components.items()}
+    scans = record_scans(monkeypatch)
+    assert jacobi_witness(alpha) is None
+    assert sorted((owner[id(p)], name) for p, name, _ in scans
+                  if id(p) in owner) == [((1, 2), "x3"), ((1, 3), "x2"),
+                                         ((2, 3), "x1")]
+    assert repeated_scans(scans) == []
 
 
 @pytest.mark.parametrize("name", ["canonical2d", "so3", "nonpoisson4d"])

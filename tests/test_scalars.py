@@ -70,7 +70,7 @@ def test_pow(monkeypatch):
     assert (Scalar(2) ** 10).re == 1024
     with pytest.raises(ValueError):
         i ** -1
-    # squarings up to the highest bit plus one product per further set bit
+    # the power squares integer parts and reduces once: no Scalar product
     calls = []
     multiply = Scalar.__mul__
 
@@ -78,11 +78,15 @@ def test_pow(monkeypatch):
         calls.append(1)
         return multiply(a, b)
 
+    half = Scalar(Fraction(1, 2), Fraction(1, 2))
     monkeypatch.setattr(Scalar, "__mul__", counted)
-    for n, products in ((0, 0), (1, 0), (2, 1), (5, 3), (8, 3), (13, 5)):
-        calls.clear()
+    monkeypatch.setattr(Scalar, "__rmul__", counted)
+    for n in (0, 1, 2, 5, 8, 13):
         assert Scalar(3) ** n == Scalar(3 ** n)
-        assert len(calls) == products, n
+    # ((1 + i)/2)^2 is 2i/4 before it is reduced
+    assert half ** 2 == Scalar(0, Fraction(1, 2))
+    assert half ** 0 == Scalar(1)
+    assert calls == []
 
 
 def test_report_format_round_trips():

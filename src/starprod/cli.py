@@ -261,9 +261,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, tuple[str, ...],
         add(p, "--order", type=int, default=DEFAULT_ORDER,
                help=f"truncation order (default {DEFAULT_ORDER})")
         add(p, "--max-work", type=int, default=wick.DEFAULT_MAX_WORK,
-               help="work budget for each product (associator "
-                    "makes four): operator terms visited, or index "
-                    f"rows for moyal (default {wick.DEFAULT_MAX_WORK})")
+               help="work budget for the job: operator terms visited, "
+                    "the associator's Leibniz terms, or index rows for "
+                    f"moyal (default {wick.DEFAULT_MAX_WORK})")
         p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("check-poisson", parents=[common],

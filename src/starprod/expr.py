@@ -33,7 +33,6 @@ however many terms it has.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -47,53 +46,79 @@ MAX_NESTING = 100
 
 # AST ------------------------------------------------------------------------
 # slotted nodes, built with plain assignments and not changed after; equal
-# and hashed by class and fields
+# and hashed by class and fields.  Plain classes, not dataclasses: defining
+# seven dataclasses costs a few milliseconds of every start
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Num:
-    value: Union[int, Fraction]
-    pos: int = 0
+class _Node:
+    """Equal and hashed by class and fields, the __slots__ in order, and
+    printed as a dataclass prints them; pos, the last field, is 0 unless
+    given."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((type(self), self._fields()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{name}={value!r}" for name, value in
+            zip(self.__slots__, self._fields())) + ")"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Name:
-    ident: str
-    pos: int = 0
+class Num(_Node):
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: Union[int, Fraction], pos: int = 0):
+        self.value, self.pos = value, pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Neg:
-    arg: "Node"
-    pos: int = 0
+class Name(_Node):
+    __slots__ = ("ident", "pos")
+
+    def __init__(self, ident: str, pos: int = 0):
+        self.ident, self.pos = ident, pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Add:
-    left: "Node"
-    right: "Node"
-    pos: int = 0
+class Neg(_Node):
+    __slots__ = ("arg", "pos")
+
+    def __init__(self, arg: "Node", pos: int = 0):
+        self.arg, self.pos = arg, pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-    pos: int = 0
+class _Binary(_Node):
+    __slots__ = ()  # each operator's own, so that it lists the fields
+
+    def __init__(self, left: "Node", right: "Node", pos: int = 0):
+        self.left, self.right, self.pos = left, right, pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-    pos: int = 0
+class Add(_Binary):
+    __slots__ = ("left", "right", "pos")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Pow:
-    base: "Node"
-    exponent: int
-    pos: int = 0
+class Sub(_Binary):
+    __slots__ = ("left", "right", "pos")
+
+
+class Mul(_Binary):
+    __slots__ = ("left", "right", "pos")
+
+
+class Pow(_Node):
+    __slots__ = ("base", "exponent", "pos")
+
+    def __init__(self, base: "Node", exponent: int, pos: int = 0):
+        self.base, self.exponent, self.pos = base, exponent, pos
 
 
 Node = Union[Num, Name, Neg, Add, Sub, Mul, Pow]

@@ -46,11 +46,13 @@ not.
 Every product is a series product sum_{k,l} hbar^(k+l) u_k * v_l (star has
 one coefficient a side).  Order n pairs u_k with v_l only when k + l + n
 <= order, so one operator, each order pruned to the union of the supports
-that such pairs take, serves every pair (k, l); an associator is four
-products.  The operator is
+that such pairs take, serves every pair (k, l).  The associator is one
+operator of its own, on three factors: hbar^s of (f * g) * h - f * (g * h)
+sums tri-cells T^(s)_PQL * d_P f * d_Q g * d_L h, which Leibniz builds from
+the cells and the record keeps beside them (tricells).  An operator is
 applied symbolically (star_poly, star_series, associator_poly, calibrate),
-or at a basepoint (star, moyal, the outer products of associator), where
-d_I u_k, d_J v_l and C^(n)_IJ are evaluated before anything is multiplied.
+or at a basepoint (star, moyal, associator), where the factors'
+derivatives and each cell are evaluated before anything is multiplied.
 Both contract Gaussian-integer numerators, the symbolic one with superalg's
 multiply-accumulate kernel; the symbolic one reduces each hbar power once,
 the one at a point the sum of each (n, k, l).  A product differentiates
@@ -81,6 +83,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from contextlib import contextmanager
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
@@ -94,7 +97,7 @@ from .scalars import HALF_I, ONE, Scalar, ScalarLike, _reduced
 from .superalg import (GradedPoly, GradedSpace, HbarSeries, _accumulate,
                        _canonical, _check_product, _deriv, _Point,
                        _point_values, _products, _rows, coeff_space)
-from .monomials import _FIELD, _Layout
+from .monomials import _FIELD
 
 DEFAULT_ORDER = 3
 MAX_ORDER = 6
@@ -325,9 +328,15 @@ class _Pieces:
     of P_M and the test |I| + |J| >= need read the bivector alone, and a
     multiset skipped by the degree test has need > |I| + |J|.  order
     builds, walks, keeps and reads an order, so it alone knows these
-    formats; a product passes it only the factors' tests.  The trim drops
-    every cell of a record whose cells pass its share of the table's
-    entries.
+    formats; a product passes it only the factors' tests.
+
+    tri[s][P][Q] maps L to (terms, cell) for each associator tri-cell
+    T^(s)_PQL with a Leibniz term, cell None if they cancel, and supports
+    maps the supports of three factors whose tri-cells were built, with
+    the order, to what the build's reads of the cells charged; the
+    tricells module alone reads and writes them.  The trim drops every
+    cell, tri-cell and support of a record whose cells and tri-cells pass
+    its share of the table's entries.
     """
 
     def __init__(self, alpha: Multivector):
@@ -339,7 +348,12 @@ class _Pieces:
         self.multisets, self.size = {}, 0  # size: entries at the last trim
         self.landable: dict[tuple[int, int], tuple] = {}
         self.cells: dict[int, dict] = {}
-        self.cell_size = 0  # covered pairs and rows of the kept cells
+        self.tri: dict[int, dict] = {}
+        self.supports: dict[tuple, int] = {}
+        # covered pairs, kept tri-cells, their cells' rows, supports' keys
+        self.cell_size = 0
+        # the directions that legs land in
+        self.dirs = {k - 1 for key in self.keys for k in key}
 
     def product(self, mult: tuple[int, ...]) -> GradedPoly:
         """P_M, from the product with one factor fewer."""
@@ -398,16 +412,16 @@ class _Pieces:
         cell = _canonical(self.ring, den, _products(self.ring, pairs))
         return cell.den, cell.rows, cell.total_degree()
 
-    def order(self, n: int, t: int, admits_u: _Admits, admits_v: _Admits,
+    def order(self, n: int, t: int, admits_u: Callable, admits_v: Callable,
               spend: Callable[[int], None]) -> dict:
-        """Order n's cells over the (I, J) that admits_u and admits_v leave
-        nonzero, t being min(deg u + deg v, 2n) of the factors.  Charges
+        """Order n's cells over the (I, J) that admits_u and admits_v admit,
+        t being min(deg u + deg v, 2n) of the factors, or 2n.  Charges
         each multiset, the classes of each reached, and the splits of each
         admitted (I, J): first those the walk of the rows that miss a J
         examines, then the rest as the cells are read."""
         land_u, land_v, reached, _ = self.reach(n, t, spend)
-        adm_u = {D for D in land_u if admits_u[D]}
-        adm_v = {D for D in land_v if admits_v[D]}
+        adm_u = set(filter(admits_u, land_u))
+        adm_v = set(filter(admits_v, land_v))
         # the admitted I whose covered Js miss an admitted J, and those Js
         rows = self.cells.setdefault(n, {})
         todo = {I for I in adm_u if I not in rows or not rows[I][0] >= adm_v}
@@ -476,6 +490,51 @@ _TABLE_ENTRIES = 50_000  # P_M terms and tests, classes, landable D, cells
 _TABLE_LOCK = threading.Lock()
 
 
+@contextmanager
+def _record(alpha: Multivector):
+    """The bivector's record, held under the table's lock; afterwards the
+    trim applies every bound of the table: a record's share of its entries,
+    the entries of one record alone, and then the table's bivectors and
+    entries, least recently used out first."""
+    key = (alpha.dim, tuple(sorted(
+        (k, p.den, tuple(sorted(p.rows.items())))
+        for k, p in alpha.components.items())))
+    with _TABLE_LOCK:
+        pieces = _TABLE[key] = _TABLE.pop(key, None) or _Pieces(alpha)
+        try:
+            yield pieces
+        finally:
+            if pieces.cell_size > _TABLE_ENTRIES // _TABLE_BIVECTORS:
+                pieces.cells, pieces.tri, pieces.supports = {}, {}, {}
+                pieces.cell_size = 0
+            pieces.size = sum(len(p.rows) for p in pieces.polys.values()) + sum(
+                len(a) + len(b) for a, b in pieces.multisets.values()
+            ) + sum(len(a) + len(b) for a, b, *_ in pieces.landable.values()
+                    ) + pieces.cell_size
+            if pieces.size > _TABLE_ENTRIES:  # too big alone: drop it first
+                del _TABLE[key]
+            total = sum(entry.size for entry in _TABLE.values())
+            while len(_TABLE) > _TABLE_BIVECTORS or total > _TABLE_ENTRIES:
+                total -= _TABLE.pop(next(iter(_TABLE))).size
+
+
+class _Budget:
+    """spend(units) charges units of work, refusing past max_work; work is
+    what has been charged."""
+
+    __slots__ = ("work", "max_work")
+
+    def __init__(self, max_work: int):
+        self.work, self.max_work = 0, max_work
+
+    def __call__(self, units: int) -> None:
+        self.work += units
+        if self.work > self.max_work:
+            raise ResourceLimitError(
+                f"operator enumeration exceeded max_work={self.max_work}; "
+                "raise the limit or lower the order")
+
+
 def _operator(alpha: Multivector, u: Series, v: Series, order: int,
               max_work: int) -> Operator:
     """The coefficients C^(n)_IJ of B_0..B_n, pruned to the factor series.
@@ -495,27 +554,13 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
     walked with, less those the walk charged.  A class's splits are charged
     together after the class, and an order reached before charges its
     multisets and classes in one sum; the totals, and so the smallest
-    budget that succeeds, are those of one charge a unit.  The trim applies
-    every bound of the table: a record's share of its entries, the entries
-    of one record alone, and then the table's bivectors and entries, least
-    recently used out first.
+    budget that succeeds, are those of one charge a unit.
     """
     ring, us, vs, reach = _check_factors(alpha, u, v, order, max_work)
-    key = (alpha.dim, tuple(sorted(
-        (k, p.den, tuple(sorted(p.rows.items())))
-        for k, p in alpha.components.items())))
     tests_u: dict[int, _Admits] = {}
     tests_v: dict[int, _Admits] = {}
     zero = (0,) * alpha.dim
-    work = 0
-
-    def spend(units: int) -> None:
-        nonlocal work
-        work += units
-        if work > max_work:
-            raise ResourceLimitError(
-                f"operator enumeration exceeded max_work={max_work}; raise "
-                "the limit or lower the order")
+    spend = _Budget(max_work)
 
     def side(coeffs: list, other: int, n: int, tests: dict) -> tuple:
         """The dominance test of the coefficients that order n's pairs take,
@@ -528,50 +573,54 @@ def _operator(alpha: Multivector, u: Series, v: Series, order: int,
 
     # B_0(u_k, v_l) = u_k v_l: no insertions
     orders = [{(zero, zero): _UNIT_CELL}] if reach >= 0 else []
-    with _TABLE_LOCK:
-        pieces = _TABLE[key] = _TABLE.pop(key, None) or _Pieces(alpha)
-        try:
-            for n in range(1, reach + 1):
-                admits_u, deg_u = side(us, vs[0][0], n, tests_u)
-                admits_v, deg_v = side(vs, us[0][0], n, tests_v)
-                orders.append(pieces.order(n, min(deg_u + deg_v, 2 * n),
-                                           admits_u, admits_v, spend))
-        finally:
-            if pieces.cell_size > _TABLE_ENTRIES // _TABLE_BIVECTORS:
-                pieces.cells, pieces.cell_size = {}, 0  # over its share
-            pieces.size = sum(len(p.rows) for p in pieces.polys.values()) + sum(
-                len(a) + len(b) for a, b in pieces.multisets.values()
-            ) + sum(len(a) + len(b) for a, b, *_ in pieces.landable.values()
-                    ) + pieces.cell_size
-            if pieces.size > _TABLE_ENTRIES:  # too big alone: drop it first
-                del _TABLE[key]
-            total = sum(entry.size for entry in _TABLE.values())
-            while len(_TABLE) > _TABLE_BIVECTORS or total > _TABLE_ENTRIES:
-                total -= _TABLE.pop(next(iter(_TABLE))).size
+    with _record(alpha) as pieces:
+        for n in range(1, reach + 1):
+            admits_u, deg_u = side(us, vs[0][0], n, tests_u)
+            admits_v, deg_v = side(vs, us[0][0], n, tests_v)
+            orders.append(pieces.order(n, min(deg_u + deg_v, 2 * n),
+                                       admits_u.__getitem__,
+                                       admits_v.__getitem__, spend))
     return ring, orders, us, vs, order
 
 
 class _Values(dict):
     """(name, counts) -> d^counts of factors[name], built once by superalg's
     _deriv and _Point: rows over its den D, or its value (re, im) over D
-    q^deg at a point; (name, None) -> (rows, deg, that D)."""
+    q^deg at a point; (name, None) -> (rows, deg, that D).  A factor that
+    is a pair (g, h) takes a pair (Q, L) of count vectors, for d_Q g * d_L
+    h over the product of their D, a product capped as `*` caps it."""
 
-    __slots__ = ("point", "factors", "layout")
+    __slots__ = ("point", "factors", "ring")
 
     def __init__(self, point: Optional[_Point], factors: dict,
-                 layout: _Layout):
-        self.point, self.factors = point, factors
-        self.layout = layout  # the ring's, which counts are packed into
+                 ring: GradedSpace):
+        self.point, self.ring, self.factors = point, ring, dict(factors)
+        for name, p in factors.items():
+            if isinstance(p, tuple):
+                self.factors.update(((name, i), q) for i, q in enumerate(p))
 
     def __missing__(self, key: tuple):
         name, counts = key
-        if counts is None:
-            p = self.factors[name]
+        p = self.factors[name]
+        if isinstance(p, tuple):
+            Q, L = counts or (None, None)
+            first, second = self[(name, 0), Q], self[(name, 1), L]
+            if counts is None:
+                got = None, None, first[2] * second[2]
+            elif self.point:
+                (a, b), (c, e) = first, second
+                got = a * c - b * e, a * e + b * c
+            elif first and second:
+                _check_product(self.ring, first, second)
+                got = _products(self.ring, [(1, first, second)])
+            else:
+                got = {}
+        elif counts is None:
             d, deg = p.den, p.total_degree()
             got = p.rows, deg, d * self.point.q ** deg if self.point else d
         else:
             rows, deg, _ = self[name, None]
-            got = _deriv(self.layout, rows, counts)
+            got = _deriv(self.ring._layout, rows, counts)
             got = got if self.point is None else self.point.value(got, deg)
         self[key] = got
         return got
@@ -596,7 +645,7 @@ def _apply(op: Operator, point: Optional[_Point] = None,
     ring, orders, us, vs, order = op
     # ("u", k) and ("v", l) name the factors apart
     at = _Values(point, {("u", k): p for k, p in us}
-                 | {("v", l): p for l, p in vs}, ring._layout)
+                 | {("v", l): p for l, p in vs}, ring)
     # numbers at a point; else the (den, rows, weight) pieces of each power
     out: list = [Scalar()] * (order + 1) if point \
         else [[] for _ in range(order + 1)]
@@ -681,13 +730,26 @@ def star_series(alpha: Multivector, u: Mapping[int, GradedPoly],
 def _associator(alpha: Multivector, f: GradedPoly, g: GradedPoly,
                 h: GradedPoly, order: int, max_work: int,
                 point: Optional[_Point] = None) -> list:
-    """(f * g) * h - f * (g * h); the outer products at the point if given."""
-    left = _apply(_operator(alpha, star_poly(alpha, f, g, order, max_work),
-                            {0: h}, order, max_work), point)
-    right = _apply(_operator(alpha, {0: f},
-                             star_poly(alpha, g, h, order, max_work),
-                             order, max_work), point)
-    return [a - b for a, b in zip(left, right)]
+    """(f * g) * h - f * (g * h), the sum of T^(s)_PQL d_P f d_Q g d_L h
+    with T^(s) at hbar^s weighed w^s/s!, as _apply applies an operator:
+    g and h are one factor to it, and a tri-cell's key is (P, (Q, L)).
+
+    One budget serves the whole associator.  It charges each factor's
+    downset of count vectors, the reads of the cells its tri-cells are
+    built from, as a product charges its own, and each Leibniz term of
+    every tri-cell it reads, whether built now or before."""
+    # f and g, the order and the budget first, then h: a bad order or
+    # budget is refused before a bad h, and every check before any work
+    ring, _, _, _ = _check_factors(alpha, {0: f}, {0: g}, order, max_work)
+    _check_factors(alpha, {0: h}, {}, order, max_work)
+    tri: list = [{}] * (order + 1)
+    if order and f.rows and g.rows and h.rows:
+        spend = _Budget(max_work)
+        from . import tricells  # compiled by the first associator only
+        with _record(alpha) as pieces:
+            tri = tricells.read(pieces, order, (f, g, h), spend)
+    return _apply((ring, tri, [(0, f)] if f.rows else [],
+                   [(0, (g, h))] if g.rows and h.rows else [], order), point)
 
 
 def associator_poly(alpha: Multivector, f: GradedPoly, g: GradedPoly,

@@ -12,7 +12,9 @@ random degree-2 bivector at order 4 can take 18 s.
 _series_product and _associator are the per-pair composition the library
 used before one operator served every pair of series coefficients: one
 operator, pruned to u_k and v_l alone, and one single-pair apply for each
-pair (k, l).
+pair (k, l).  _associator composes four products, f * g and g * h, then
+(f * g) * h and f * (g * h), as the library did before it kept the
+associator's own tri-differential operator.
 
 _landings is the landing table the library built on every operator call
 before it kept one box per leg vector: it weighs each split D <= legs whose

@@ -5,8 +5,10 @@ library sums over insertion multisets and lets Leibniz collect the legs that
 land on insertions.  The raw, unweighted sums E_n must agree exactly.
 
 It also keeps the per-pair composition of series products: one operator for
-each pair of coefficients (u_k, v_l).  The library builds one operator for
-all pairs; star_series, associator_poly and associator must agree exactly.
+each pair of coefficients (u_k, v_l), and the associator as four such
+products.  The library builds one operator for all pairs, and one
+tri-differential operator for the associator; star_series, associator_poly
+and associator must agree exactly.
 
 And it keeps the landing table built afresh on every call, which the
 library now filters out of one box per leg vector, and the application of
@@ -19,6 +21,7 @@ bitmask dominance test must agree with the field-by-field one.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,7 +30,7 @@ from hypothesis import strategies as st
 
 from starprod import (Multivector, ResourceLimitError, associator,
                       associator_poly, coeff_space, fixture, parse_poly,
-                      star_poly, star_series, wick)
+                      star_poly, star_series, tricells, wick)
 from starprod.scalars import ONE, Scalar
 from starprod.superalg import MAX_POWER_TERMS, GradedPoly, _Point
 from starprod.wick import (MAX_ORDER, _Admits, _apply, _box, _landings,
@@ -95,8 +98,9 @@ def assert_series_products_match(rng, alpha, order):
 
 @pytest.mark.parametrize("name", ["so3", "nonpoisson4d", "canonical2d"])
 def test_series_products_match_the_per_pair_composition(name):
+    """Through order 4, and order 5 where the bivector is not constant."""
     rng = random.Random(name)
-    for order in range(5):
+    for order in range(5 if name == "canonical2d" else 6):
         assert_series_products_match(rng, fixture(name), order)
 
 
@@ -110,24 +114,158 @@ def test_series_products_match_on_random_bivectors():
             assert_series_products_match(rng, alpha, order)
 
 
-def test_an_associator_builds_four_operators(monkeypatch):
-    built = []
+def divergence(alpha):
+    """The components of the vector field sum_i d_i A^(ij)."""
+    ring = alpha.ring()
+    out = [GradedPoly.zero(ring) for _ in range(alpha.dim)]
+    for (i, j), p in alpha.components.items():
+        out[j - 1] = out[j - 1] + p.deriv_left(f"x{i}")
+        out[i - 1] = out[i - 1] - p.deriv_left(f"x{j}")
+    return out
 
-    def counted(*args):
-        built.append(args[3])
-        return operator_of(*args)
 
-    operator_of = wick._operator
-    wick._default_calibration()  # its probe products are built once, first
-    monkeypatch.setattr(wick, "_operator", counted)
+def test_random_bivectors_of_nonzero_divergence():
+    """The fixtures are divergence-free, so their associator vanishes at
+    hbar^1.  With a divergence v, order 1 holds the derivation f v(g) - v(f)
+    g beside the bracket, and the hbar^1 associator is -(f g v(h) + v(f) g
+    h): the tri-cells reached only through legs that land on their own
+    insertion must match the composition too."""
+    rng = random.Random(28)
+    drawn = []
+    while len(drawn) < 6:
+        alpha = random_multivector(rng, 3, 2, coeff_space(3),
+                                   max_coeff_degree=2)
+        if not all(v.is_zero() for v in divergence(alpha)):
+            drawn.append(alpha)
+    vanishing = []
+    for alpha in drawn:
+        for order in range(4):
+            assert_series_products_match(rng, alpha, order)
+        f, g, h = (random_poly(rng, alpha.ring(), max_degree=2, max_terms=3)
+                   for _ in range(3))
+        vanishing.append(associator_poly(alpha, f, g, h, order=1)[1].is_zero())
+    assert vanishing.count(False) >= 4
+    for name in ("so3", "nonpoisson4d"):
+        assert all(v.is_zero() for v in divergence(fixture(name)))
+
+
+def test_an_associator_over_its_share_is_the_same_cold_warm_and_trimmed():
+    """A dim-8 associator whose tri-cells pass the record's share of the
+    table, so the trim drops them after every call: from an empty table, a
+    trimmed one and one warmed by other products it gives the reference
+    composition's values."""
+    ring = coeff_space(8)
+    alpha = Multivector(8, 2, {
+        (1, 2): parse_poly("x3 + x5", ring), (3, 4): parse_poly("x1*x6", ring),
+        (5, 6): parse_poly("x7", ring), (7, 8): parse_poly("x2 + 1", ring),
+        (2, 7): parse_poly("x8", ring)})
+    f, g, h = (parse_poly(p, ring) for p in (
+        "x1^2*x2*x3 + x4*x5^2 + x6*x7*x8", "x1*x4*x7^2 + x2*x3 + x5*x8",
+        "x2*x6 + x3^2*x7*x1 + x4"))
+    point = [1, 2, 3, 1, Fraction(1, 2), 1, 1, 2]
+    want = tuple(_associator(alpha, f, g, h, 4,
+                             point=[Scalar.of(x) for x in point]))
+    wick._TABLE.clear()
+    sizes = []
+    build = tricells.build
+
+    def kept(pieces, top, *args):
+        built = build(pieces, top, *args)
+        if top == 4:
+            sizes.append(pieces.cell_size)
+        return built
+
+    got = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tricells, "build", kept)
+        for warm in (False, False, True):
+            if warm:
+                star_poly(alpha, f, h, order=3)
+                associator_poly(alpha, g, h, f, order=2)
+            got.append(associator(alpha, f, g, h, point, order=4).coefficients)
+    assert got == [want] * 3
+    assert len(sizes) == 3
+    assert min(sizes) > wick._TABLE_ENTRIES // wick._TABLE_BIVECTORS
+    (record,) = [p for p in wick._TABLE.values() if p.dim == 8]
+    assert not (record.cells or record.tri or record.supports)
+
+
+def test_a_warm_associator_builds_no_operator(monkeypatch):
+    """Warm, the Baseline associator reads its kept tri-cells: it builds
+    no operator, walks no order and builds no tri-cell.  At order 4 it
+    reads 0, 0, 19, 50 and 75 of them at hbar^0..hbar^4, where the four
+    products it replaced read 298 cells and formed two 21-term inner
+    products."""
     ring = coeff_space(3)
     f, g, h = (parse_poly(p, ring)
                for p in ("x1^2*x2 + x3", "x2*x3^2 + x1", "x1*x3 + x2"))
-    associator(fixture("so3"), f, g, h, [1, 2, 3], order=3)
-    # f * g and g * h, then (f * g) * h and f * (g * h)
-    assert built == [3, 3, 3, 3]
+    want = associator(fixture("so3"), f, g, h, [1, 2, 3], order=4)
+    built, read = [], []
+    for name in ("_operator", "_moyal_operator"):
+        monkeypatch.setattr(wick, name, lambda *args: built.append(args))
+    monkeypatch.setattr(wick._Pieces, "order",
+                        lambda *args: built.append(args))
+    monkeypatch.setattr(tricells, "build", lambda *args: built.append(args))
+    triples = tricells.read
+    monkeypatch.setattr(tricells, "read", lambda *args: (
+        read.append(triples(*args)), read[-1])[1])
+    assert associator(fixture("so3"), f, g, h, [1, 2, 3], order=4) == want
+    assert not built
+    assert [len(cells) for cells in read[0]] == [0, 0, 19, 50, 75]
 
 
+def test_cold_build_work_is_bounded_per_admitted_triple():
+    """The lines a cold build of tri-cells runs, its own loops and not the
+    walks of the cells it reads, stay within 100 per admitted (s, P, Q, L)
+    with |P| + |Q| + |L| <= 2s, on so3 at orders 2-5, three random dim-3
+    bivectors and nonpoisson4d."""
+    code = tricells.build.__code__
+
+    def lines_and_triples(alpha, f, g, h, order):
+        wick._TABLE.clear()
+        count, built = [0], []
+        build = tricells.build
+
+        def traced(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+
+            def local(frame, event, arg):
+                count[0] += event == "line"
+                return local
+            return local
+
+        def kept(pieces, top, adm, spend):
+            built.append((top, adm))
+            return build(pieces, top, adm, spend)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tricells, "build", kept)
+            sys.settrace(traced)
+            try:
+                associator_poly(alpha, f, g, h, order=order)
+            finally:
+                sys.settrace(None)
+        ((top, (fs, gs, hs)),) = built
+        return count[0], sum(1 for s in range(1, top + 1) for P in fs
+                             for Q in gs for L in hs
+                             if sum(P) + sum(Q) + sum(L) <= 2 * s)
+
+    rng = random.Random(4)
+    ring = coeff_space(3)
+    cases = [(fixture("so3"), *(parse_poly(p, ring) for p in (
+        "x1^2*x2 + x3", "x2*x3^2 + x1", "x1*x3 + x2")), order)
+        for order in range(2, 6)]
+    for _ in range(3):
+        alpha = random_multivector(rng, 3, 2, ring, max_coeff_degree=2)
+        cases.append((alpha, *(random_poly(rng, ring, max_degree=3,
+                                           max_terms=3) for _ in "fgh"), 3))
+    ring = coeff_space(4)
+    cases.append((fixture("nonpoisson4d"), *(random_poly(
+        rng, ring, max_degree=3, max_terms=3) for _ in "fgh"), 4))
+    for alpha, f, g, h, order in cases:
+        lines, triples = lines_and_triples(alpha, f, g, h, order)
+        assert 0 < lines <= 100 * triples
 @st.composite
 def landing_cases(draw):
     """A leg vector of dimension 1-5 with at most 6 legs, the support of a

@@ -32,7 +32,7 @@ from starprod import (
     star_poly,
     star_series,
 )
-from starprod import superalg, wick
+from starprod import superalg, tricells, wick
 from starprod.wick import DEFAULT_MAX_WORK, _order_weight
 from support import (
     random_basepoint,
@@ -320,9 +320,11 @@ def test_baseline_work_counts(order, work):
 
 
 # the same for associator_poly(so3, x1^2*x2 + x3, x2*x3^2 + x1,
-# x1*x3 + x2): max_work is one budget per product, and the associator makes
-# four, so the count is that of its largest product
-ASSOCIATOR_WORK = {2: 187, 3: 742, 4: 2018}
+# x1*x3 + x2): one budget for the whole associator, which charges each
+# factor's downset of count vectors, its reads of the cells its tri-cells are
+# built from, as a product charges them, and every Leibniz term of each
+# tri-cell it reads
+ASSOCIATOR_WORK = {2: 913, 3: 2954, 4: 6952}
 
 
 @pytest.mark.parametrize("order, work", sorted(ASSOCIATOR_WORK.items()))
@@ -341,8 +343,8 @@ def test_series_products_reduce_once_per_hbar_power(monkeypatch):
     """The (n, k, l) pieces of one hbar power go over their lcm and are
     reduced once.  With the bivector's pieces already built, these are all
     the gcd passes (superalg._canonical) of the Baseline associator at
-    order 4 and of a product of two-coefficient series: one per power of
-    each product, and one per power for the associator's differences."""
+    order 4, which reads its kept tri-cells, and of a product of
+    two-coefficient series: one per power of each."""
     ring = coeff_space(3)
     f = parse_poly("x1^2*x2 + x3", ring)
     g = parse_poly("x2*x3^2 + x1", ring)
@@ -360,7 +362,7 @@ def test_series_products_reduce_once_per_hbar_power(monkeypatch):
     monkeypatch.setattr(superalg, "_canonical", counting)
     monkeypatch.setattr(wick, "_canonical", counting)
     assert associator_poly(so3, f, g, h, order=4) == want
-    assert len(calls) == 4 * 5 + 5
+    assert len(calls) == 5
     calls.clear()
     assert star_series(so3, {0: f, 1: g}, {0: g, 1: h}, order=4) == series
     assert len(calls) == 5
@@ -652,8 +654,12 @@ def test_a_wide_factor_is_tested_only_where_legs_land(monkeypatch):
 
 
 def _entries(pieces):
-    """P_M terms, P_M tests, classes, landable count vectors, and for the
-    cells each covered (I, J) and each row of a kept cell's polynomial."""
+    """P_M terms, P_M tests, classes, landable count vectors; for the cells
+    each covered (I, J) and each row of a kept cell's polynomial; and for
+    the tri-cells each kept (P, Q, L), each row of its polynomial and the
+    monomials of the factors of each support kept."""
+    triples = [entry for rows in pieces.tri.values() for by_q in rows.values()
+               for kept in by_q.values() for entry in kept.values()]
     return (sum(len(p.terms) for p in pieces.polys.values())
             + sum(len(test) + len(classes)
                   for test, classes in pieces.multisets.values())
@@ -662,7 +668,9 @@ def _entries(pieces):
             + sum(len(covered) + sum(len(cell[1]) for _, cell in kept.values()
                                      if cell)
                   for rows in pieces.cells.values()
-                  for covered, kept in rows.values()))
+                  for covered, kept in rows.values())
+            + sum(1 + (len(cell[1]) if cell else 0) for _, cell in triples)
+            + sum(sum(map(len, keys)) for keys, _ in pieces.supports))
 
 
 def test_the_pieces_table_stays_within_its_bounds(monkeypatch):
@@ -711,6 +719,51 @@ def test_the_pieces_table_stays_within_its_bounds(monkeypatch):
     for key, polys in kept.items():
         assert all(a is b for a, b in zip(wick._TABLE[key].polys.values(),
                                           polys))
+
+
+def test_tri_cells_count_against_the_share(monkeypatch):
+    """An associator keeps its tri-cells and its factors' supports beside
+    the cells, counted in the record's entries, and a record that passes
+    its share drops them with the cells."""
+    ring = coeff_space(3)
+    f, g, h = (parse_poly(p, ring)
+               for p in ("x1^2*x2 + x3", "x2*x3^2 + x1", "x1*x3 + x2"))
+    wick._TABLE.clear()
+    associator_poly(fixture("so3"), f, g, h, order=3)
+    associator_poly(fixture("so3"), g, h, f, order=2)
+    (record,) = wick._TABLE.values()
+    assert record.tri and len(record.supports) == 2
+    assert record.size == _entries(record)
+    share = record.cell_size
+    monkeypatch.setattr(wick, "_TABLE_ENTRIES", wick._TABLE_BIVECTORS * share)
+    associator_poly(fixture("so3"), f, g, h * h, order=3)
+    assert not (record.cells or record.tri or record.supports)
+    assert record.cell_size == 0 and record.size == _entries(record)
+
+
+def test_a_record_keeps_its_most_recent_supports():
+    """Past tricells.SUPPORTS factor supports a record forgets the least
+    recently used, out of its entries too; an associator on forgotten
+    supports builds again, finds its tri-cells kept, and gives the same
+    values for the same smallest budget."""
+    ring = coeff_space(3)
+    so3 = fixture("so3")
+    g, h = parse_poly("x2*x3 + x1", ring), parse_poly("x3^2 + x2", ring)
+    wick._TABLE.clear()
+
+    def run(k, budget=DEFAULT_MAX_WORK):
+        return associator_poly(so3, parse_poly(f"x1^{k} + x3", ring), g, h,
+                               order=2, max_work=budget)
+
+    first = run(1)
+    work = _smallest_budget(lambda budget: run(1, budget))
+    for k in range(2, tricells.SUPPORTS + 2):
+        run(k)
+    record = wick._TABLE[next(reversed(wick._TABLE))]
+    assert len(record.supports) == tricells.SUPPORTS
+    assert record.size == _entries(record)
+    assert run(1) == first and _smallest_budget(
+        lambda budget: run(1, budget)) == work
 
 
 def test_products_from_several_threads_agree(monkeypatch):

@@ -262,7 +262,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, tuple[str, ...],
                help=f"truncation order (default {DEFAULT_ORDER})")
         add(p, "--max-work", type=int, default=wick.DEFAULT_MAX_WORK,
                help="work budget for the job: operator terms visited, "
-                    "the associator's Leibniz terms, or index rows for "
+                    "the associator's tri-cell terms, or index rows for "
                     f"moyal (default {wick.DEFAULT_MAX_WORK})")
         p.set_defaults(handler=_cmd_series)
 

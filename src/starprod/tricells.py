@@ -12,7 +12,8 @@ B, C) d_A C^(n)_IJ d_(I+B) f d_(J+C) g over I' = A + B + C, so order m of
 the product applied to order n's result puts binom(s, n) (I'; A, B, C)
 C^(m)_I'L d_A C^(n)_IJ on T^(n+m)_(I+B, J+C, L), for (f * g) * h, and the
 same, negated, with C^(m)_PJ' on T^(n+m)_(P, I+B, J+C), for f * (g * h).
-Each such product of two nonzero cells is a term of its tri-cell.
+The inner sums for one I' are summed first, so a term of a tri-cell is
+the product of one outer cell with one such sum.
 
 The tri-cells live in the bivector's record (wick._Pieces) beside the
 cells, under the same rules: their content is the bivector's, the
@@ -21,14 +22,15 @@ record's entries, and they go with the cells when the record passes its
 share of the table.  A factor admits the count vectors that one of its
 monomials dominates (its downset).  The build for three factors reads the
 cells their tri-cells need, as the four products of the composition read
-theirs, through the record's order, which charges those reads as it
-charges a product's; it keeps each tri-cell that is not kept yet.  The
-record keeps what the reads charged under the factors' supports and the
-order, and a later associator on factors of the same supports charges it
-in one sum instead of reading again.  A term is charged as its tri-cell is
-built, and every term of an admitted tri-cell as it is read, less those
-just built, so warm and cold calls charge the same.  This module is
-imported by the first associator, so start-up compiles none of it.
+theirs (f * g's in the same walks as f * (g * h)'s outer ones), through
+the record's order, which charges those reads as it charges a product's,
+and forms the terms of every tri-cell they admit, keeping those not kept
+yet.  The record keeps what the reads charged under the factors' supports
+and the order, and a later associator on factors of the same supports
+charges it in one sum instead of reading again.  A term is charged as it
+is formed, and every term of an admitted tri-cell as it is read, less
+those just formed, so warm and cold calls charge the same.  This module
+is imported by the first associator, so start-up compiles none of it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import operator
 from itertools import product
 from typing import Callable
 
-from .superalg import GradedPoly, _canonical, _deriv
+from .superalg import GradedPoly, _deriv
 from .wick import _UNIT_CELL, _Budget
 
 
@@ -47,7 +49,7 @@ from .wick import _UNIT_CELL, _Budget
 SUPPORTS = 64
 
 
-def _downset(p: GradedPoly, dirs: set, top: int, spend: Callable
+def downset(p: GradedPoly, dirs: set, top: int, spend: Callable
             ) -> frozenset:
     """The count vectors D, |D| <= top and zero off dirs, that a monomial
     of p dominates, so that d_D p is nonzero.  Each monomial is charged the
@@ -61,19 +63,13 @@ def _downset(p: GradedPoly, dirs: set, top: int, spend: Callable
     return frozenset(out)
 
 
-def _above(vectors, D: tuple[int, ...]) -> list:
-    """(X, X - D) for each X of vectors that dominates D."""
-    return [(X, tuple(map(operator.sub, X, D))) for X in vectors
-            if all(map(operator.ge, X, D))]
-
-
-def read(pieces, top: int, factors: tuple, spend: _Budget) -> list:
-    """The tri-cells T^(s), s = 0..top, that factors = (f, g, h) admit:
-    for each s, (P, (Q, L)) -> each nonzero tri-cell as (den, rows, deg).
-    Charges each factor's downset, what the build's cell reads charge, in
-    one sum when factors of the same supports were built to top before,
-    then the terms of every admitted tri-cell."""
-    adm = tuple(_downset(p, pieces.dirs, 2 * top, spend) for p in factors)
+def read(pieces, top: int, factors: tuple, adm: tuple, spend: _Budget
+         ) -> list:
+    """The tri-cells T^(s), s = 0..top, that factors = (f, g, h) admit,
+    adm being their downsets: for each s, (P, (Q, L)) -> each nonzero
+    tri-cell as (den, rows, deg).  Charges what the build's cell reads
+    charge, in one sum when factors of the same supports were built to top
+    before, then the terms of every admitted tri-cell."""
     key = (tuple(tuple(sorted(p.rows)) for p in factors), top)
     charge, built = pieces.supports.get(key), 0
     if charge is None:
@@ -105,95 +101,165 @@ def read(pieces, top: int, factors: tuple, spend: _Budget) -> list:
 
 
 def build(pieces, top: int, adm: tuple, spend: _Budget) -> tuple:
-    """Keeps each tri-cell over the downsets adm = (f's, g's, h's), to
-    hbar^top, that has terms and is not kept yet, charging its terms as it
-    is built.  The cells are read through the record's order, which
-    charges them as a product does: inner ones over two factors' downsets,
-    outer ones over the third factor's and every I' (J') that the inner
-    ones need.  Returns the terms charged and what the cell reads
-    charged."""
-    zero, ring, layout = (0,) * pieces.dim, pieces.ring, pieces.ring._layout
+    """Keeps every tri-cell over the downsets adm = (f's, g's, h's) to
+    hbar^top that has terms, charging its terms as they are formed;
+    returns the terms formed and what the cell reads charged.
+
+    The cells are read through the record's order, which charges them as a
+    product does: inner ones over two factors' downsets, then outer ones
+    over the third factor's and every I' (J') that the inner ones reach.
+    f * g's inner cells of an order are read in one walk with f * (g * h)'s
+    outer ones of that order, over f's downset against g's and the J'.
+    E^(n)[I'][X, Y], the coefficient of d_X f d_Y g in d_I' B_n(f, g) (of
+    d_X g d_Y h in d_J' B_n(g, h)), sums (I'; A, B, C) d_A C^(n)_IJ over
+    its splits, and each product of one with an outer cell is one term.
+    A tri-cell's terms all come from cells over the factors' downsets, so
+    one build finds all of them, and |P| + |Q| + |L| <= 2s holds by itself.
+    The outer order m = 0 and the inner n = 0 on an underived f (for
+    f * (g * h), an underived h) are left out: B_n(f, g) h and f B_n(g, h)
+    cancel the terms of B_n(f g, h) and B_n(f, g h) that leave h and f
+    underived."""
+    zero, layout = (0,) * pieces.dim, pieces.ring._layout
     before = spend.work
-    fs, gs, hs = adm
-    within = [frozenset(L for L in hs if sum(L) <= room)
-              for room in range(2 * top + 1)]
-    # (s, P, Q) -> (the Ls wanted, the kept tri-cells, new terms by L)
-    slots = {(s, P, Q): (within[room],
-                         pieces.tri.get(s, {}).get(P, {}).get(Q, {}), {})
-             for s in range(1, top + 1) for P in fs for Q in gs
-             if (room := 2 * s - sum(P) - sum(Q)) >= 0}
-    ends = {(s, Q, L) for (s, _, Q), (Ls, _, _) in slots.items() for L in Ls}
-    for sign, xs, ys, zs in ((1, fs, gs, hs), (-1, gs, hs, fs)):
-        inner, need = [], [set() for _ in range(top + 1)]
-        for n in range(top + 1):
-            cells = pieces.order(n, 2 * n, xs.__contains__, ys.__contains__,
-                                 spend) if n else {(zero, zero): _UNIT_CELL}
-            for (I, J), (dn, rows, _) in cells.items():
-                # an outer order m <= top - n lands |I'| <= m legs
-                room, derivs = top - n, {}
-                subs = {A for key in rows for A in product(*map(
-                    range, map((1).__add__, layout.unpack(key))))
-                    if sum(A) <= room}
-                # each split (X - I, Y - J) = (B, C) with the I' = A + B + C
-                # it reaches, (I'; A, B, C) and d_A C^(n)_IJ
-                splits = []
-                for (X, B), (Y, C) in product(_above(xs, I), _above(ys, J)):
+    # (sign, inner factors, outer factor) of each side, as places in adm;
+    # a factor's count vectors are numbered, (X, Y) is x * |ys| + y, and
+    # T^(s)_PQL is ((s |fs| + p) |gs| + q) |hs| + l.  f * (g * h) goes
+    # first: its outer cells of order m < top are read with those of f * g
+    sides, lists = ((-1, 1, 2, 0), (1, 0, 1, 2)), [list(D) for D in adm]
+    sizes = [len(vectors) for vectors in lists]
+    places = [{D: i for i, D in enumerate(vectors)} for vectors in lists]
+    fg: list = [None] * top  # f * g's inner cells by order
+    # a real bivector has real cells: its sums then carry no imaginary part
+    real = not any(b for p in pieces.comps for _, b in p.rows.values())
+    passes, douts, above = [], [], {}
+    for sign, x, y, z in sides:
+        # the inner cells of orders n < top: an outer order m >= 1 follows
+        cells_by_n = [{(zero, zero): _UNIT_CELL}] + (
+            fg[1:] if sign > 0 else [
+                pieces.order(n, 2 * n, adm[x].__contains__,
+                             adm[y].__contains__, spend)
+                for n in range(1, top)])
+        din = math.lcm(*[dn for cells in cells_by_n
+                         for dn, _, _ in cells.values()])
+        E: list = [{} for _ in range(top)]  # numerator rows over din
+        for n, cells in enumerate(cells_by_n):
+            room = top - n  # an outer order m <= top - n lands |I'| <= m
+            for (I, J), (dn, rows, deg) in cells.items():
+                for at, D in ((x, I), (y, J)):
+                    if (at, D) not in above:
+                        above[at, D] = [
+                            (i, B, sum(B)) for i, X in enumerate(lists[at])
+                            if all(map(operator.ge, X, D))
+                            for B in [tuple(map(operator.sub, X, D))]]
+                # each split (X - I, Y - J) = (B, C) not cancelled, with
+                # the |A| <= room - |B| - |C| left to d_A C^(n)_IJ
+                splits = [(i * sizes[y] + j, B, C, room - nb - nc)
+                          for (i, B, nb), (j, C, nc) in product(
+                              above[x, I], above[y, J])
+                          if nb + nc <= room
+                          and (n or (nb if sign > 0 else nc))]
+                if not splits:
+                    continue
+                # d_A C^(n)_IJ for each A that one split leaves room for,
+                # by |A|; a cell of degree 0 takes none but A = 0
+                most = min(deg, max(split[3] for split in splits))
+                derivs = [(0, zero, rows)] if not most else [
+                    (na, A, _deriv(layout, rows, A))
+                    for na, A in sorted((sum(A), A) for A in {
+                        A for key in rows for A in product(*map(
+                            range, map((1).__add__, layout.unpack(key))))
+                        if sum(A) <= most})]
+                w = sign * din // dn
+                for xy, B, C, left in splits:
                     S = tuple(map(operator.add, B, C))
-                    w = sign * math.prod(map(math.comb, S, B))
-                    shifts = []
-                    for A in subs:
-                        Ip = tuple(map(operator.add, A, S))
-                        if sum(Ip) <= room:
-                            if A not in derivs:
-                                derivs[A] = _deriv(layout, rows, A)
-                            shifts.append((Ip, w * math.prod(
-                                map(math.comb, Ip, A)), derivs[A]))
-                    splits.append((X, Y, shifts))
-                lands = {Ip for _, _, shifts in splits for Ip, _, _ in shifts}
-                for m in range(n == 0, top - n + 1):
-                    need[m] |= lands
-                inner.append((n, dn, splits))
-        # C^(m)_I'L by I', or C^(m)_PJ' by J', over the I' (J') needed
-        outer = [{zero: [(zero, _UNIT_CELL)]}]
+                    wb = w * math.prod(map(math.comb, S, B))
+                    for na, A, d in derivs:
+                        if na > left:
+                            break
+                        Ip, k = S, wb
+                        if na:
+                            Ip = tuple(map(operator.add, A, S))
+                            k *= math.prod(map(math.comb, Ip, A))
+                        by_xy = E[n].get(Ip) or E[n].setdefault(Ip, {})
+                        e = by_xy.get(xy) or by_xy.setdefault(xy, {})
+                        if real:
+                            for key, (a, _) in d.items():
+                                e[key] = e.get(key, 0) + a * k
+                            continue
+                        for key, (a, b) in d.items():
+                            u, v = e.get(key, (0, 0))
+                            e[key] = u + a * k, v + b * k
+        # C^(m)_I'L by I', or C^(m)_PJ' by J', over the I' (J') reached,
+        # with L's (P's) place in the tri-cell's number
+        outer: list = [None]
         for m in range(1, top + 1):
-            tests = (need[m], zs) if sign > 0 else (zs, need[m])
+            need = set().union(*E[:top - m + 1])
             outer.append({})
-            for (I, J), cell in pieces.order(m, 2 * m, tests[0].__contains__,
-                                             tests[1].__contains__,
-                                             spend).items():
+            if sign > 0:
+                cells = pieces.order(m, 2 * m, need.__contains__,
+                                     adm[z].__contains__, spend)
+            else:  # and C^(m)_IJ over f's and g's, for f * g
+                gs = adm[1] if m < top else frozenset()
+                cells = pieces.order(m, 2 * m, adm[z].__contains__,
+                                     (need | gs).__contains__, spend)
+                if m < top:
+                    fg[m] = {IJ: cell for IJ, cell in cells.items()
+                             if IJ[1] in gs}
+            for (I, J), cell in cells.items():
                 I, J = (I, J) if sign > 0 else (J, I)
-                outer[m].setdefault(I, []).append((J, cell))
-        for n, dn, splits in inner:
-            for m in range(n == 0, top - n + 1):
-                s, row, c = n + m, outer[m], math.comb(n + m, n)
-                for X, Y, shifts in splits:
-                    slot = slots.get((s, X, Y)) if sign > 0 else \
-                        (s, X, Y) in ends
-                    for Ip, w, d in shifts if slot else ():
-                        for Z, (do, cell, _) in row.get(Ip, ()):
-                            at, L = (slot, Z) if sign > 0 else (
-                                slots.get((s, Z, X)), Y)
-                            if at and L in at[0] and L not in at[1]:
-                                at[2].setdefault(L, []).append(
-                                    (w * c, dn * do, cell, d))
-    built, reads = 0, spend.work - before
-    for (s, P, Q), (_, kept, new) in slots.items():
-        if new:
-            pieces.tri.setdefault(s, {}).setdefault(P, {})[Q] = kept
-        for L, ts in new.items():
-            spend(len(ts))
-            built += len(ts)
-            den, acc = math.lcm(*{d for _, d, _, _ in ts}), {}
-            for w, d, rows, other in ts:  # no odd generator, no hbar
-                w *= den // d
-                for ka, (a, b) in rows.items():
-                    a, b = a * w, b * w
-                    for kb, (u, v) in other.items():
-                        x, y = acc.get(ka + kb, (0, 0))
-                        acc[ka + kb] = x + a * u - b * v, y + a * v + b * u
-            cell = _canonical(ring, den, {key: ab for key, ab in acc.items()
-                                          if ab != (0, 0)})
-            kept[L] = len(ts), (cell.den, cell.rows, cell.total_degree()
-                                ) if cell.rows else None
-            pieces.cell_size += 1 + len(cell.rows)
-    return built, reads
+                if I not in need:
+                    continue  # a cell of f * g alone
+                place = places[z][J]
+                outer[m].setdefault(I, []).append(
+                    (place if sign > 0 else place * sizes[1] * sizes[2],
+                     cell))
+                douts.append(cell[0])
+        passes.append((sizes[2] if sign > 0 else 1, din, E, outer))
+    dout, each = math.lcm(*douts), math.prod(sizes)
+    din = math.lcm(*[d for _, d, _, _ in passes])
+    new: dict = {}  # tri-cell number -> [terms, rows over din * dout]
+    for step, d, E, outer in passes:
+        for n, by_ip in enumerate(E):
+            for m in range(1, top - n + 1):
+                s, row, formed = n + m, outer[m], 0
+                c = math.comb(s, n) * dout * (din // d)
+                for Ip, by_xy in by_ip.items():
+                    for place, (do, rows, _) in row.get(Ip, ()):
+                        k, base = c // do, s * each + place
+                        scaled = [(ka, a * k, b * k)
+                                  for ka, (a, b) in rows.items()]
+                        formed += len(by_xy)
+                        for xy, e in by_xy.items():
+                            got = new.get(base + xy * step)
+                            if got is None:
+                                got = new[base + xy * step] = [0, {}]
+                            got[0] += 1
+                            acc = got[1]
+                            for ka, a, b in scaled:  # no odd, no hbar
+                                if real:
+                                    for kb, u in e.items():
+                                        acc[ka + kb] = acc.get(ka + kb, 0) \
+                                            + a * u
+                                    continue
+                                for kb, (u, v) in e.items():
+                                    re, im = acc.get(ka + kb, (0, 0))
+                                    acc[ka + kb] = (re + a * u - b * v,
+                                                    im + a * v + b * u)
+                spend(formed)
+    # kept over din * dout, not reduced: the products reduce each power
+    built, den, field, last = 0, din * dout, layout.top, None
+    for number in sorted(new):  # those of one (s, P, Q) in a run
+        (terms, acc), (spq, L) = new[number], divmod(number, sizes[2])
+        if spq != last:
+            last, (s, pq) = spq, divmod(spq, sizes[0] * sizes[1])
+            P, Q = divmod(pq, sizes[1])
+            kept = pieces.tri.setdefault(s, {}).setdefault(
+                lists[0][P], {}).setdefault(lists[1][Q], {})
+        built, L = built + terms, lists[2][L]
+        if L not in kept:
+            rows = {key: (ab, 0) if real else ab for key, ab in acc.items()
+                    if ab != (0 if real else (0, 0))}
+            # the top field of a key holds its degree
+            kept[L] = terms, (den, rows, max(rows) >> field) if rows else None
+            pieces.cell_size += 1 + len(rows)
+    return built, spend.work - before - built

@@ -87,7 +87,7 @@ from contextlib import contextmanager
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate, chain, combinations_with_replacement, product
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (CalibrationError, InputError, ResourceLimitError,
@@ -331,7 +331,8 @@ class _Pieces:
     formats; a product passes it only the factors' tests.
 
     tri[s][P][Q] maps L to (terms, cell) for each associator tri-cell
-    T^(s)_PQL with a Leibniz term, cell None if they cancel, and supports
+    T^(s)_PQL with a term, cell as (den, rows, deg) over its build's
+    denominator, not reduced, or None if its terms cancel, and supports
     maps the supports of three factors whose tri-cells were built, with
     the order, to what the build's reads of the cells charged; the
     tricells module alone reads and writes them.  The trim drops every
@@ -402,15 +403,23 @@ class _Pieces:
         (den, rows, deg) in lowest terms; derivs keeps each d_K P_M's rows
         for the other cells of a walk."""
         den = math.lcm(*{self.polys[mult].den for mult, _ in counts})
-        pairs = []
+        acc: dict = {}
         for (mult, K), count in counts.items():
             p = self.polys[mult]
             rows = derivs.get((mult, K))
             if rows is None:
                 rows = derivs[mult, K] = _deriv(self.ring._layout, p.rows, K)
-            pairs.append((count * (den // p.den), rows, _UNIT_ROWS))
-        cell = _canonical(self.ring, den, _products(self.ring, pairs))
-        return cell.den, cell.rows, cell.total_degree()
+            count *= den // p.den
+            for key, (a, b) in rows.items():
+                x, y = acc.get(key, (0, 0))
+                acc[key] = x + a * count, y + b * count
+        rows = {key: ab for key, ab in acc.items() if ab != (0, 0)}
+        g = math.gcd(den, *chain.from_iterable(rows.values()))
+        if g != 1:
+            den //= g
+            rows = {key: (a // g, b // g) for key, (a, b) in rows.items()}
+        # the top field of a key holds its degree
+        return den, rows, max(rows, default=0) >> self.ring._layout.top
 
     def order(self, n: int, t: int, admits_u: Callable, admits_v: Callable,
               spend: Callable[[int], None]) -> dict:
@@ -439,19 +448,20 @@ class _Pieces:
                 for I, wl, nl, rest_i in lefts[left]:
                     if not to_g or nl + to_g[0][2] < need:
                         break
+                    least = need - nl
+                    row = tally.get(I) or tally.setdefault(I, {})
+                    # K = legs - I - J, the legs left to P_M, dominates
+                    # rest_i: none is admitted unless rest_i is
+                    live = admits_p[rest_i]
                     wl *= weight
-                    row = tally.get(I)
-                    if row is None:
-                        row = tally[I] = {}
                     for J, wr, nr, rest_j in to_g:
-                        if nl + nr < need:
+                        if nr < least:
                             break
                         splits += 1
-                        entry = row.get(J)
-                        if entry is None:
-                            entry = row[J] = [0, {}]
+                        entry = row.get(J) or row.setdefault(J, [0, {}])
                         entry[0] += 1
-                        # K = legs - I - J, the legs left to P_M
+                        if not live:
+                            continue
                         K = tuple(map(operator.add, rest_i, rest_j))
                         if admits_p[K]:
                             _accumulate(entry[1], (mult, K), wl * wr)
@@ -736,18 +746,27 @@ def _associator(alpha: Multivector, f: GradedPoly, g: GradedPoly,
 
     One budget serves the whole associator.  It charges each factor's
     downset of count vectors, the reads of the cells its tri-cells are
-    built from, as a product charges its own, and each Leibniz term of
-    every tri-cell it reads, whether built now or before."""
-    # f and g, the order and the budget first, then h: a bad order or
-    # budget is refused before a bad h, and every check before any work
+    built from, as a product charges its own, and each term of every
+    tri-cell it reads, whether formed now or before."""
     ring, _, _, _ = _check_factors(alpha, {0: f}, {0: g}, order, max_work)
-    _check_factors(alpha, {0: h}, {}, order, max_work)
     tri: list = [{}] * (order + 1)
-    if order and f.rows and g.rows and h.rows:
-        spend = _Budget(max_work)
+    if not (order and f.rows and g.rows):
+        _check_factors(alpha, {0: h}, {}, order, max_work)
+    else:
         from . import tricells  # compiled by the first associator only
+        spend = _Budget(max_work)
         with _record(alpha) as pieces:
-            tri = tricells.read(pieces, order, (f, g, h), spend)
+            # f's and g's count vectors are charged before h is checked,
+            # as f * g was before g * h read h: an exhausted budget is
+            # refused before a bad h
+            adm = [tricells.downset(p, pieces.dirs, 2 * order, spend)
+                   for p in (f, g)]
+            _check_factors(alpha, {0: h}, {}, order, max_work)
+            if h.rows:
+                adm.append(tricells.downset(h, pieces.dirs, 2 * order,
+                                            spend))
+                tri = tricells.read(pieces, order, (f, g, h), tuple(adm),
+                                    spend)
     return _apply((ring, tri, [(0, f)] if f.rows else [],
                    [(0, (g, h))] if g.rows and h.rows else [], order), point)
 

@@ -322,9 +322,10 @@ def test_baseline_work_counts(order, work):
 # the same for associator_poly(so3, x1^2*x2 + x3, x2*x3^2 + x1,
 # x1*x3 + x2): one budget for the whole associator, which charges each
 # factor's downset of count vectors, its reads of the cells its tri-cells are
-# built from, as a product charges them, and every Leibniz term of each
-# tri-cell it reads
-ASSOCIATOR_WORK = {2: 913, 3: 2954, 4: 6952}
+# built from, as a product charges them (f * g's with f * (g * h)'s outer
+# ones of the same order, in one read), and every term of each tri-cell it
+# reads, one product of an outer cell with a sum of inner Leibniz terms
+ASSOCIATOR_WORK = {2: 563, 3: 2166, 4: 5424}
 
 
 @pytest.mark.parametrize("order, work", sorted(ASSOCIATOR_WORK.items()))
@@ -764,6 +765,39 @@ def test_a_record_keeps_its_most_recent_supports():
     assert record.size == _entries(record)
     assert run(1) == first and _smallest_budget(
         lambda budget: run(1, budget)) == work
+
+
+def test_new_supports_over_kept_tri_cells_charge_as_from_empty():
+    """An associator on factor supports not seen before, whose tri-cells
+    an earlier associator on other supports of the same count vectors
+    kept, forms their terms again but keeps no new tri-cell, and gives the
+    same values for the same smallest budget as from an empty table."""
+    ring = coeff_space(3)
+    so3 = fixture("so3")
+    g, h = parse_poly("x2*x3 + x1", ring), parse_poly("x3^2 + x2", ring)
+    # both factors admit the count vectors 0, e1, 2 e1 and e3
+    f = parse_poly("x1^2 + x3", ring)
+    other = parse_poly("x1^2 + x1 + x3", ring)
+
+    def run(p, budget=DEFAULT_MAX_WORK):
+        return associator_poly(so3, p, g, h, order=3, max_work=budget)
+
+    def cold(budget):
+        wick._TABLE.clear()
+        return run(other, budget)
+
+    want, work = cold(DEFAULT_MAX_WORK), _smallest_budget(cold)
+    for budget in (work, work - 1):
+        wick._TABLE.clear()
+        run(f)
+        record = wick._TABLE[next(reversed(wick._TABLE))]
+        size = record.cell_size
+        if budget < work:
+            with pytest.raises(ResourceLimitError):
+                run(other, budget)
+        else:
+            assert run(other, budget) == want
+            assert record.cell_size == size + len(other.rows) + 4
 
 
 def test_products_from_several_threads_agree(monkeypatch):

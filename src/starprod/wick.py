@@ -43,20 +43,17 @@ the walk finds, and reads the order from the kept cells.  It charges the
 multisets and classes, and the splits of every admitted (I, J), walked or
 not.
 
-Every product is a series product sum_{k,l} hbar^(k+l) u_k * v_l (star has
-one coefficient a side).  Order n pairs u_k with v_l only when k + l + n
-<= order, so one operator, each order pruned to the union of the supports
-that such pairs take, serves every pair (k, l).  The associator is one
-operator of its own, on three factors: hbar^s of (f * g) * h - f * (g * h)
-sums tri-cells T^(s)_PQL * d_P f * d_Q g * d_L h, which Leibniz builds from
-the cells and the record keeps beside them (tricells).  An operator is
-applied symbolically (star_poly, star_series, associator_poly, calibrate),
-or at a basepoint (star, moyal, associator), where the factors'
-derivatives and each cell are evaluated before anything is multiplied.
-Both contract Gaussian-integer numerators, the symbolic one with superalg's
-multiply-accumulate kernel; the symbolic one reduces each hbar power once,
-the one at a point the sum of each (n, k, l).  A product differentiates
-and evaluates only its factors: each cell is read as it is kept.
+The associator is one operator of its own, on three factors: hbar^s of
+(f * g) * h - f * (g * h) sums tri-cells T^(s)_PQL * d_P f * d_Q g * d_L h,
+which Leibniz builds from the cells and the record keeps beside them
+(tricells).  An operator is applied symbolically (star_poly,
+associator_poly, calibrate), or at a basepoint (star, moyal, associator),
+where the factors' derivatives and each cell are evaluated before anything
+is multiplied.  Both contract Gaussian-integer numerators, the symbolic one
+with superalg's multiply-accumulate kernel, and reduce each hbar power
+once.  A product differentiates and evaluates only its factors: each cell
+is read as it is kept.  The product of hbar series (star_series) is the
+bilinear extension: a sum of the products of its coefficient pairs.
 
 Consequences worth knowing:
 
@@ -88,7 +85,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, combinations_with_replacement, product
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (CalibrationError, InputError, ResourceLimitError,
                      require_int)
@@ -104,13 +101,12 @@ MAX_ORDER = 6
 DEFAULT_MAX_WORK = 5_000_000
 
 Series = dict[int, GradedPoly]
-# (ring, orders, us, vs, order): orders[n] maps (I, J) to the cell C^(n)_IJ
+# (ring, orders, f, g, order): orders[n] maps (I, J) to the cell C^(n)_IJ
 # as (den, rows, deg), numerator rows over den of degree deg at most, and
-# B_n(u_k, v_l) sums C^(n)_IJ * d_I u_k * d_J v_l; us and vs are the
-# nonzero (k, u_k), (l, v_l), k, l <= order, by key
-Operator = tuple[GradedSpace, list[dict], list, list, int]
+# B_n(f, g) sums C^(n)_IJ * d_I f * d_J g; no order if f or g is zero
+Operator = tuple[GradedSpace, list[dict], GradedPoly, GradedPoly, int]
 _UNIT_ROWS = {0: (1, 0)}  # the packed key 0 is the constant monomial
-_UNIT_CELL = (1, _UNIT_ROWS, 0)  # the cell of B_0(u_k, v_l) = u_k v_l
+_UNIT_CELL = (1, _UNIT_ROWS, 0)  # the cell of B_0(f, g) = f g
 
 
 def _bump(counts: tuple[int, ...], k: int, by: int) -> tuple[int, ...]:
@@ -120,9 +116,7 @@ def _bump(counts: tuple[int, ...], k: int, by: int) -> tuple[int, ...]:
 # calibration --------------------------------------------------------------------
 
 def _proportionality(a: GradedPoly, b: GradedPoly) -> Optional[Scalar]:
-    """The scalar c with a == c * b, or None if no such scalar exists."""
-    if b.is_zero():
-        return None
+    """The scalar c with a == c * b, b nonzero, or None if there is none."""
     if a.is_zero():
         return Scalar()
     key = next(iter(b.rows))
@@ -143,9 +137,8 @@ def calibrate(alpha: Multivector, f_probe: GradedPoly, g_probe: GradedPoly,
     Probes whose bracket vanishes, or for which the raw term is not
     proportional to the bracket, raise CalibrationError.
     """
-    u, v = {0: f_probe}, {0: g_probe}
-    raw_fg = _apply(_operator(alpha, u, v, 1, max_work), w=ONE)[1]
-    raw_gf = _apply(_operator(alpha, v, u, 1, max_work), w=ONE)[1]
+    raw_fg = _apply(_operator(alpha, f_probe, g_probe, 1, max_work), w=ONE)[1]
+    raw_gf = _apply(_operator(alpha, g_probe, f_probe, 1, max_work), w=ONE)[1]
     anti = (raw_fg - raw_gf) * Fraction(1, 2)
     bracket = poisson_bracket(alpha, f_probe, g_probe)
     if bracket.is_zero():
@@ -177,31 +170,25 @@ def _order_weight(n: int, w: Optional[Scalar] = None) -> Scalar:
 
 # bidifferential operators -------------------------------------------------------
 
-def _check_factors(alpha: Multivector, u: Series, v: Series, order: int,
-                   max_work: int) -> tuple[GradedSpace, list, list, int]:
-    """Bivector, every key and coefficient of both series, order, work budget
-    and order cap, before any is filtered out.  Returns the ring, each side's
-    nonzero (k, p) with k <= order, by key, and the highest operator order a
-    pair of them needs (-1 if none)."""
+def _check_factors(alpha: Multivector, factors: Iterable[GradedPoly],
+                   order: int, max_work: int) -> GradedSpace:
+    """Bivector, each factor, order, work budget and order cap, in that
+    order; returns the bivector's ring."""
     _require_bivector(alpha)
     ring = alpha.ring()
-    for side in (u, v):
-        for k, p in side.items():
-            require_int(k, "each series key")
-            if not isinstance(p, GradedPoly) or p.space != ring:
-                raise InputError("factors must live in the coefficient ring "
-                                 f"of the bivector (x1..x{alpha.dim})")
+    for p in factors:
+        if not isinstance(p, GradedPoly) or p.space != ring:
+            raise InputError("factors must live in the coefficient ring "
+                             f"of the bivector (x1..x{alpha.dim})")
     require_int(order, "order")
     require_int(max_work, "max_work")
     if order > MAX_ORDER:
         raise ResourceLimitError(f"order {order} exceeds the cap {MAX_ORDER}")
-    us = [(k, p) for k, p in sorted(u.items()) if k <= order and p.rows]
-    vs = [(l, p) for l, p in sorted(v.items()) if l <= order and p.rows]
-    return ring, us, vs, (order - us[0][0] - vs[0][0] if us and vs else -1)
+    return ring
 
 
 class _Admits(dict):
-    """counts -> whether d^counts leaves some poly nonzero.
+    """counts -> whether d^counts leaves p nonzero.
 
     d^K x^beta is nonzero exactly when beta dominates K, and distinct beta
     stay distinct, so d^K p vanishes exactly when no monomial of its
@@ -217,13 +204,12 @@ class _Admits(dict):
 
     __slots__ = ("full", "steps")
 
-    def __init__(self, polys: Sequence[GradedPoly]):
-        keys = list({b for p in polys for b in p.rows})
-        self.full = (1 << len(keys)) - 1  # the zero vector's: every bit
+    def __init__(self, p: GradedPoly):
+        self.full = (1 << len(p.rows)) - 1  # the zero vector's: every bit
         self.steps = []
-        for shift in polys[0].space._layout.shifts if polys else ():
+        for shift in p.space._layout.shifts:
             at: dict = {}  # exponent -> the bits of the monomials with it
-            for s, key in enumerate(keys):
+            for s, key in enumerate(p.rows):
                 if e := key >> shift & _FIELD:
                     at[e] = at.get(e, 0) | 1 << s
             exps = tuple(sorted(at))
@@ -384,7 +370,7 @@ class _Pieces:
                 continue
             if mult not in self.multisets:
                 self.multisets[mult] = (
-                    _Admits([self.product(mult)]),
+                    _Admits(self.product(mult)),
                     _orientations(self.keys, mult, self.dim))
             admits_p, classes = self.multisets[mult]
             spend(len(classes))
@@ -545,76 +531,60 @@ class _Budget:
                 "raise the limit or lower the order")
 
 
-def _operator(alpha: Multivector, u: Series, v: Series, order: int,
+def _operator(alpha: Multivector, f: GradedPoly, g: GradedPoly, order: int,
               max_work: int) -> Operator:
-    """The coefficients C^(n)_IJ of B_0..B_n, pruned to the factor series.
+    """The coefficients C^(n)_IJ of B_0..B_order, pruned to f and g.
 
     orders[n] maps (I, J) to the cell C^(n)_IJ as (den, rows, deg): the
     sum of count * d_K P_M, where M counts the insertions of each component,
-    P_M is their product and K the legs left to it.  Order n pairs u_k with
-    v_l only when k + l <= order - n, so its pruning tests the union of the
-    supports of the coefficients on each side that such a pair takes: one
-    operator serves every pair (u_k, v_l), and it stops at the highest
-    order a pair needs.  Here only the factor side is built: each order's
-    two dominance tests and the degree bound t, which the bivector's record
-    (_Pieces.order) turns into the order's cells.
+    P_M is their product and K the legs left to it.  Here only the factor
+    side is built: the dominance tests of f and g, once, and each order's
+    degree bound t, which the bivector's record (_Pieces.order) turns into
+    the order's cells.
     Each multiset of components, each orientation class of it and each split
-    of its legs between u, v and P_M is one unit of work against max_work,
+    of its legs between f, g and P_M is one unit of work against max_work,
     whether or not it is walked: a read charges the splits its cells were
     walked with, less those the walk charged.  A class's splits are charged
     together after the class, and an order reached before charges its
     multisets and classes in one sum; the totals, and so the smallest
     budget that succeeds, are those of one charge a unit.
     """
-    ring, us, vs, reach = _check_factors(alpha, u, v, order, max_work)
-    tests_u: dict[int, _Admits] = {}
-    tests_v: dict[int, _Admits] = {}
+    ring = _check_factors(alpha, (f, g), order, max_work)
     zero = (0,) * alpha.dim
-    spend = _Budget(max_work)
-
-    def side(coeffs: list, other: int, n: int, tests: dict) -> tuple:
-        """The dominance test of the coefficients that order n's pairs take,
-        and their largest degree; other is the least key of the other side.
-        They are a prefix of coeffs, so tests keeps one by its length."""
-        taken = [p for k, p in coeffs if k + other <= order - n]
-        if len(taken) not in tests:
-            tests[len(taken)] = _Admits(taken)
-        return tests[len(taken)], max(p.total_degree() for p in taken)
-
-    # B_0(u_k, v_l) = u_k v_l: no insertions
-    orders = [{(zero, zero): _UNIT_CELL}] if reach >= 0 else []
-    with _record(alpha) as pieces:
-        for n in range(1, reach + 1):
-            admits_u, deg_u = side(us, vs[0][0], n, tests_u)
-            admits_v, deg_v = side(vs, us[0][0], n, tests_v)
-            orders.append(pieces.order(n, min(deg_u + deg_v, 2 * n),
-                                       admits_u.__getitem__,
-                                       admits_v.__getitem__, spend))
-    return ring, orders, us, vs, order
+    # B_0(f, g) = f g: no insertions
+    orders = [{(zero, zero): _UNIT_CELL}] if f.rows and g.rows else []
+    if orders and order:
+        admits_f, admits_g = _Admits(f), _Admits(g)
+        deg, spend = f.total_degree() + g.total_degree(), _Budget(max_work)
+        with _record(alpha) as pieces:
+            orders += [pieces.order(n, min(deg, 2 * n), admits_f.__getitem__,
+                                    admits_g.__getitem__, spend)
+                       for n in range(1, order + 1)]
+    return ring, orders, f, g, order
 
 
 class _Values(dict):
-    """(name, counts) -> d^counts of factors[name], built once by superalg's
+    """(side, counts) -> d^counts of factors[side], built once by superalg's
     _deriv and _Point: rows over its den D, or its value (re, im) over D
-    q^deg at a point; (name, None) -> (rows, deg, that D).  A factor that
+    q^deg at a point; (side, None) -> (rows, deg, that D).  A factor that
     is a pair (g, h) takes a pair (Q, L) of count vectors, for d_Q g * d_L
     h over the product of their D, a product capped as `*` caps it."""
 
     __slots__ = ("point", "factors", "ring")
 
-    def __init__(self, point: Optional[_Point], factors: dict,
+    def __init__(self, point: Optional[_Point], factors: tuple,
                  ring: GradedSpace):
-        self.point, self.ring, self.factors = point, ring, dict(factors)
-        for name, p in factors.items():
-            if isinstance(p, tuple):
-                self.factors.update(((name, i), q) for i, q in enumerate(p))
+        self.point, self.ring = point, ring
+        self.factors = dict(enumerate(factors))
+        if isinstance(factors[1], tuple):  # the associator's (g, h)
+            self.factors.update(((1, i), q) for i, q in enumerate(factors[1]))
 
     def __missing__(self, key: tuple):
-        name, counts = key
-        p = self.factors[name]
+        side, counts = key
+        p = self.factors[side]
         if isinstance(p, tuple):
             Q, L = counts or (None, None)
-            first, second = self[(name, 0), Q], self[(name, 1), L]
+            first, second = self[(side, 0), Q], self[(side, 1), L]
             if counts is None:
                 got = None, None, first[2] * second[2]
             elif self.point:
@@ -629,7 +599,7 @@ class _Values(dict):
             d, deg = p.den, p.total_degree()
             got = p.rows, deg, d * self.point.q ** deg if self.point else d
         else:
-            rows, deg, _ = self[name, None]
+            rows, deg, _ = self[side, None]
             got = _deriv(self.ring._layout, rows, counts)
             got = got if self.point is None else self.point.value(got, deg)
         self[key] = got
@@ -638,70 +608,57 @@ class _Values(dict):
 
 def _apply(op: Operator, point: Optional[_Point] = None,
            w: Optional[Scalar] = None) -> list:
-    """hbar coefficients 0..order of the product of the series op was built
-    for: polynomials, or numbers at a point.
+    """hbar coefficients 0..order of the product of the two factors op was
+    built for: polynomials, or numbers at a point.
 
-    The pair (u_k, v_l) adds w^n/n! B_n(u_k, v_l) at hbar^(k+l+n), w the
-    calibrated weight unless given.  The derivatives of u_k and v_l are
-    formed once from their stored rows (_Values), and each cell C^(n)_IJ
-    is read as kept, over the lcm of the denominators of order n: its rows
-    symbolically, and at a point its one value, every cell of the order
-    over q to the order's largest degree.  Symbolically, the (n, k, l) sums
-    of one hbar power are put over their lcm and reduced once; at a point,
-    each is reduced and added into its power.  As with `*`, d_I u_k * d_J
-    v_l and its product with C^(n)_IJ meet the product cap (not at a point,
+    Order n adds w^n/n! B_n(f, g) at hbar^n, w the calibrated weight unless
+    given.  The derivatives of f and g are formed once from their stored
+    rows (_Values), and each cell C^(n)_IJ is read as kept, over the lcm of
+    the denominators of order n: its rows symbolically, and at a point its
+    one value, every cell of the order over q to the order's largest
+    degree.  Each order with a term is reduced once: symbolically in one
+    gcd pass, at a point to one exact scalar.  As with `*`, d_I f * d_J g
+    and its product with C^(n)_IJ meet the product cap (not at a point,
     where each is a number).
     """
-    ring, orders, us, vs, order = op
-    # ("u", k) and ("v", l) name the factors apart
-    at = _Values(point, {("u", k): p for k, p in us}
-                 | {("v", l): p for l, p in vs}, ring)
-    # numbers at a point; else the (den, rows, weight) pieces of each power
-    out: list = [Scalar()] * (order + 1) if point \
-        else [[] for _ in range(order + 1)]
+    ring, orders, f, g, order = op
+    at = _Values(point, (f, g), ring)
+    out = [Scalar() if point else GradedPoly.zero(ring)] * (order + 1)
     for n, terms in enumerate(orders):
-        pairs = [(("u", k), ("v", l), k + l, [0, 0] if point else [])
-                 for k, _ in us for l, _ in vs if k + l <= order - n]
         lcm = math.lcm(*{d for d, _, _ in terms.values()})
         top = max((deg for _, _, deg in terms.values()), default=0)
         den = lcm * point.q ** top if point else lcm
+        # numbers at a point; else the (scale, d_I f * d_J g, cell) pieces
+        acc: list = [0, 0] if point else []
         for (I, J), (d, rows, _) in terms.items():
             s = lcm // d
             if point is not None:
                 x, y = point.value(rows, top)
-                if s != 1:
-                    x, y = x * s, y * s
-                for u, v, _, acc in pairs if x or y else ():
-                    (a, b), (c, e) = at[u, I], at[v, J]
-                    a, b = a * c - b * e, a * e + b * c
+                if x or y:
+                    (a, b), (c, e) = at[0, I], at[1, J]
+                    a, b = (a * c - b * e) * s, (a * e + b * c) * s
                     acc[0] += a * x - b * y
                     acc[1] += a * y + b * x
                 continue
-            for u, v, _, acc in pairs:
-                du, dv = at[u, I], at[v, J]
-                if du and dv:
-                    _check_product(ring, du, dv)
-                    if rows:
-                        piece = _products(ring, [(1, du, dv)])
-                        _check_product(ring, piece, rows)
-                        acc.append((s, piece, rows))
+            du, dv = at[0, I], at[1, J]
+            if du and dv:
+                _check_product(ring, du, dv)
+                if rows:
+                    piece = _products(ring, [(1, du, dv)])
+                    _check_product(ring, piece, rows)
+                    acc.append((s, piece, rows))
+        if not any(acc):
+            continue
         wd, weight = _rows({0: _order_weight(n, w) if n else ONE})
         a, b = weight[0]
-        for u, v, kl, acc in pairs:
-            d = wd * den * at[u, None][2] * at[v, None][2]
-            if point:
-                out[kl + n] += _reduced(acc[0] * a - acc[1] * b,
-                                        acc[0] * b + acc[1] * a, d)
-            elif acc:
-                out[kl + n].append((d, _products(ring, acc), weight))
-    if point:
-        return out
-    reduced = []
-    for pieces in out:  # one reduction per hbar power
-        lcm = math.lcm(*[d for d, _, _ in pieces])
-        reduced.append(_canonical(ring, lcm, _products(
-            ring, [(lcm // d, rows, weight) for d, rows, weight in pieces])))
-    return reduced
+        d = wd * den * at[0, None][2] * at[1, None][2]
+        if point:
+            out[n] = _reduced(acc[0] * a - acc[1] * b,
+                              acc[0] * b + acc[1] * a, d)
+        else:
+            out[n] = _canonical(ring, d, _products(
+                ring, [(1, _products(ring, acc), weight)]))
+    return out
 
 
 # products -----------------------------------------------------------------------
@@ -717,8 +674,7 @@ def star_poly(alpha: Multivector, f: GradedPoly, g: GradedPoly,
               order: int = DEFAULT_ORDER,
               max_work: int = DEFAULT_MAX_WORK) -> Series:
     """hbar coefficients of f * g as polynomials (symbolic basepoint)."""
-    return dict(enumerate(
-        _apply(_operator(alpha, {0: f}, {0: g}, order, max_work))))
+    return dict(enumerate(_apply(_operator(alpha, f, g, order, max_work))))
 
 
 def star(alpha: Multivector, f: GradedPoly, g: GradedPoly,
@@ -727,14 +683,29 @@ def star(alpha: Multivector, f: GradedPoly, g: GradedPoly,
     """Deformation product evaluated at a basepoint, as an hbar series."""
     point = _point(alpha, basepoint)
     return HbarSeries(order, tuple(
-        _apply(_operator(alpha, {0: f}, {0: g}, order, max_work), point)))
+        _apply(_operator(alpha, f, g, order, max_work), point)))
 
 
 def star_series(alpha: Multivector, u: Mapping[int, GradedPoly],
                 v: Mapping[int, GradedPoly], order: int = DEFAULT_ORDER,
                 max_work: int = DEFAULT_MAX_WORK) -> Series:
-    """Bilinear extension of the product to truncated hbar series."""
-    return dict(enumerate(_apply(_operator(alpha, u, v, order, max_work))))
+    """Bilinear extension of the product to truncated hbar series: the sum
+    of hbar^(k+l) star_poly(u_k, v_l, order - k - l) over the keys with
+    k + l <= order.  Every key and coefficient is checked first.  Each
+    pair's product has its own max_work, as star_poly of that pair does:
+    with k + l <= order <= MAX_ORDER = 6, at most 28 products."""
+    # each key is checked as its coefficient is reached, after the bivector
+    ring = _check_factors(alpha, (p for side in (u, v) for k, p in side.items()
+                                  if require_int(k, "each series key") >= 0),
+                          order, max_work)
+    out = [GradedPoly.zero(ring)] * (order + 1)
+    for k, uk in u.items():
+        for l, vl in v.items():
+            if k + l <= order:
+                for m, p in enumerate(_apply(_operator(
+                        alpha, uk, vl, order - k - l, max_work)), k + l):
+                    out[m] = out[m] + p
+    return dict(enumerate(out))
 
 
 def _associator(alpha: Multivector, f: GradedPoly, g: GradedPoly,
@@ -748,10 +719,10 @@ def _associator(alpha: Multivector, f: GradedPoly, g: GradedPoly,
     downset of count vectors, the reads of the cells its tri-cells are
     built from, as a product charges its own, and each term of every
     tri-cell it reads, whether formed now or before."""
-    ring, _, _, _ = _check_factors(alpha, {0: f}, {0: g}, order, max_work)
+    ring = _check_factors(alpha, (f, g), order, max_work)
     tri: list = [{}] * (order + 1)
     if not (order and f.rows and g.rows):
-        _check_factors(alpha, {0: h}, {}, order, max_work)
+        _check_factors(alpha, (h,), order, max_work)
     else:
         from . import tricells  # compiled by the first associator only
         spend = _Budget(max_work)
@@ -761,14 +732,13 @@ def _associator(alpha: Multivector, f: GradedPoly, g: GradedPoly,
             # refused before a bad h
             adm = [tricells.downset(p, pieces.dirs, 2 * order, spend)
                    for p in (f, g)]
-            _check_factors(alpha, {0: h}, {}, order, max_work)
+            _check_factors(alpha, (h,), order, max_work)
             if h.rows:
                 adm.append(tricells.downset(h, pieces.dirs, 2 * order,
                                             spend))
                 tri = tricells.read(pieces, order, (f, g, h), tuple(adm),
                                     spend)
-    return _apply((ring, tri, [(0, f)] if f.rows else [],
-                   [(0, (g, h))] if g.rows and h.rows else [], order), point)
+    return _apply((ring, tri, f, (g, h), order), point)
 
 
 def associator_poly(alpha: Multivector, f: GradedPoly, g: GradedPoly,
@@ -790,15 +760,15 @@ def associator(alpha: Multivector, f: GradedPoly, g: GradedPoly,
 
 # constant-coefficient reference product ------------------------------------------
 
-def _moyal_operator(alpha: Multivector, u: Series, v: Series, order: int,
-                    max_work: int) -> Operator:
+def _moyal_operator(alpha: Multivector, f: GradedPoly, g: GradedPoly,
+                    order: int, max_work: int) -> Operator:
     """The exponential formula's constant coefficients, by index rows.
 
     Independent of the insertion multisets: C^(n)_IJ sums
     A^(i1 j1)..A^(in jn) over the index rows whose left indices make I and
     whose right indices make J.  Requires constant coefficients.
     """
-    ring, us, vs, reach = _check_factors(alpha, u, v, order, max_work)
+    ring = _check_factors(alpha, (f, g), order, max_work)
     entries: list[tuple[int, int, Scalar]] = []
     for (i, j), comp in sorted(alpha.components.items()):
         if not comp.is_constant():
@@ -810,23 +780,22 @@ def _moyal_operator(alpha: Multivector, u: Series, v: Series, order: int,
         raise ResourceLimitError(
             f"about {len(entries) ** order} index rows at order {order} "
             f"exceed max_work={max_work}")
-    admits_u = _Admits([p for _, p in us])
-    admits_v = _Admits([p for _, p in vs])
+    admits_f, admits_g = _Admits(f), _Admits(g)
     zero = (0,) * alpha.dim
     orders = []
-    for n in range(reach + 1):
+    for n in range(order + 1 if f.rows and g.rows else 0):
         coeffs: dict = {}
         for row in product(entries, repeat=n):
             I = J = zero
             for i, j, _ in row:
                 I, J = _bump(I, i, 1), _bump(J, j, 1)
-            if not (admits_u[I] and admits_v[J]):
+            if not (admits_f[I] and admits_g[J]):
                 continue
             _accumulate(coeffs, (I, J),
                         math.prod((value for _, _, value in row), start=ONE))
         # each coefficient c is a cell of degree 0
         orders.append({ij: (*_rows({0: c}), 0) for ij, c in coeffs.items()})
-    return ring, orders, us, vs, order
+    return ring, orders, f, g, order
 
 
 def moyal_poly(alpha: Multivector, f: GradedPoly, g: GradedPoly,
@@ -839,7 +808,7 @@ def moyal_poly(alpha: Multivector, f: GradedPoly, g: GradedPoly,
     iterated derivatives of f and g.  Requires constant coefficients.
     """
     return dict(enumerate(
-        _apply(_moyal_operator(alpha, {0: f}, {0: g}, order, max_work))))
+        _apply(_moyal_operator(alpha, f, g, order, max_work))))
 
 
 def moyal(alpha: Multivector, f: GradedPoly, g: GradedPoly,
@@ -848,4 +817,4 @@ def moyal(alpha: Multivector, f: GradedPoly, g: GradedPoly,
     """Constant-bivector exponential product evaluated at a basepoint."""
     point = _point(alpha, basepoint)
     return HbarSeries(order, tuple(_apply(
-        _moyal_operator(alpha, {0: f}, {0: g}, order, max_work), point)))
+        _moyal_operator(alpha, f, g, order, max_work), point)))

@@ -9,12 +9,14 @@ shapes are tallied before any polynomial work.  The raw sums E_n it returns
 must equal the library's operator form exactly.  It is slow: a single
 random degree-2 bivector at order 4 can take 18 s.
 
-_series_product and _associator are the per-pair composition the library
-used before one operator served every pair of series coefficients: one
-operator, pruned to u_k and v_l alone, and one single-pair apply for each
-pair (k, l).  _associator composes four products, f * g and g * h, then
-(f * g) * h and f * (g * h), as the library did before it kept the
-associator's own tri-differential operator.
+_series_product and _associator are per-pair compositions of products.
+_series_product builds one operator for each pair of series coefficients
+(u_k, v_l) and applies it, as the library did before one operator, pruned
+to the union of the coefficients' supports, served every pair, and as its
+star_series, the sum of the pairs' star_poly products, does again.
+_associator composes four products, f * g and g * h, then (f * g) * h and
+f * (g * h), as the library did before it kept the associator's own
+tri-differential operator.
 
 _landings is the landing table the library built on every operator call
 before it kept one box per leg vector: it weighs each split D <= legs whose
@@ -68,7 +70,7 @@ def _series_product(alpha: Multivector, u: Series, v: Series, order: int,
         for l, vl in sorted(v.items()):
             if k + l > order or vl.is_zero():
                 continue
-            op = _operator(alpha, {0: uk}, {0: vl}, order - k - l, max_work)
+            op = _operator(alpha, uk, vl, order - k - l, max_work)
             at = None if point is None else _Point(point)
             for m, p in enumerate(_apply(op, at)):
                 out[k + l + m] = out[k + l + m] + p
@@ -144,9 +146,9 @@ def cell_poly(ring, cell) -> GradedPoly:
 
 def apply(op: Operator, point: Optional[Sequence[Scalar]] = None,
           w: Optional[Scalar] = None) -> list:
-    """hbar coefficients 0..order of the product of the series op was built
-    for, in reduced Scalars and GradedPoly products."""
-    ring, orders, us, vs, order = op
+    """hbar coefficients 0..order of the product of the two factors op was
+    built for, in reduced Scalars and GradedPoly products."""
+    ring, orders, f, g, order = op
     if point is None:
         zero, unit = GradedPoly.zero(ring), GradedPoly.one(ring)
         at = deriv
@@ -155,28 +157,21 @@ def apply(op: Operator, point: Optional[Sequence[Scalar]] = None,
         at = evaluator(point)
     seen: dict = {}
 
-    def d(name, p, counts):
-        got = seen.get((name, counts))
+    def d(side, p, counts):
+        got = seen.get((side, counts))
         if got is None:
-            got = seen[(name, counts)] = at(p, counts)
+            got = seen[(side, counts)] = at(p, counts)
         return got
 
     out = [zero] * (order + 1)
     for n, terms in enumerate(orders):
-        top = order - n
-        pairs = [(k + l, ("u", k), uk, ("v", l), vl)
-                 for k, uk in us for l, vl in vs if k + l <= top]
-        sums = [zero] * (top + 1)
+        total = zero
         for (I, J), cell in terms.items():
             coeff = at(cell_poly(ring, cell), (0,) * len(ring))
-            for kl, uname, uk, vname, vl in pairs:
-                piece = d(uname, uk, I) * d(vname, vl, J)
-                sums[kl] = sums[kl] + (piece if coeff == unit
-                                       else piece * coeff)
-        for t, total in enumerate(sums, start=n):
-            if total is not zero:
-                total = total * _order_weight(n, w) if n else total
-                out[t] = total if out[t] is zero else out[t] + total
+            piece = d(0, f, I) * d(1, g, J)
+            total = total + (piece if coeff == unit else piece * coeff)
+        if total is not zero:
+            out[n] = total * _order_weight(n, w) if n else total
     return out
 
 
@@ -316,7 +311,7 @@ def _oriented_pairs(alpha: Multivector):
 def _engine_terms(alpha: Multivector, f: GradedPoly, g: GradedPoly,
                   order: int, max_work: int = DEFAULT_MAX_WORK) -> Series:
     """Raw unweighted contraction sums E_n for n = 0..order."""
-    ring = _check_factors(alpha, {0: f}, {0: g}, order, max_work)[0]
+    ring = _check_factors(alpha, (f, g), order, max_work)
     oriented = _oriented_pairs(alpha)
     acache = {key: _Derivs(poly) for key, poly in alpha.components.items()}
     maxdeg = {key: poly.total_degree() for key, poly in alpha.components.items()}

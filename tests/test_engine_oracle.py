@@ -6,7 +6,7 @@ land on insertions.  The raw, unweighted sums E_n must agree exactly.
 
 It also keeps the per-pair composition of series products: one operator for
 each pair of coefficients (u_k, v_l), and the associator as four such
-products.  The library builds one operator for all pairs, and one
+products.  The library sums the pairs' star_poly products, and builds one
 tri-differential operator for the associator; star_series, associator_poly
 and associator must agree exactly.
 
@@ -46,7 +46,7 @@ BUDGET = 10 ** 7
 
 def raw_sums(alpha, f, g, order):
     # with w = 1, order n carries 1/n!
-    op = _operator(alpha, {0: f}, {0: g}, order, BUDGET)
+    op = _operator(alpha, f, g, order, BUDGET)
     return [term * math.factorial(n)
             for n, term in enumerate(_apply(op, w=ONE))]
 
@@ -287,7 +287,7 @@ def test_landings_match_the_per_call_loop(case):
     factor = GradedPoly(coeff_space(len(legs)), dict.fromkeys(support, 1))
     # the library keeps the D that a monomial dominates, the reference
     # those with room left
-    admits = _Admits([factor])
+    admits = _Admits(factor)
     got = _landings(legs, {D for D, *_ in _box(legs, sign) if admits[D]},
                     sign)
     assert [entry[:3] for entry in got] == reference_landings(
@@ -312,11 +312,11 @@ def polys(ring, degree, size, q):
 
 @st.composite
 def applications(draw):
-    """An operator for two series, an order and a basepoint: the insertion
+    """An operator for two factors, an order and a basepoint: the insertion
     operator of a dim-2 or dim-3 bivector with Gaussian coefficients, or
     the exponential formula's operator of a constant one.  Each component,
-    each series coefficient and each coordinate has its own denominator,
-    so every sum the kernel forms is over an lcm of unequal ones."""
+    each factor and each coordinate has its own denominator, so every sum
+    the kernel forms is over an lcm of unequal ones."""
     dim = draw(st.sampled_from([2, 3]))
     ring = coeff_space(dim)
     constant = draw(st.booleans())
@@ -324,12 +324,9 @@ def applications(draw):
     comps = {key: draw(polys(ring, 0 if constant else 1, 2, q))
              for key, q in zip(keys, (2, 3, 5))
              if key == (1, 2) or draw(st.booleans())}
-    powers = st.lists(st.sampled_from(range(4)), min_size=1, max_size=3,
-                      unique=True)
-    u, v = ({k: draw(polys(ring, 2, 3, q + k)) for k in draw(powers)}
-            for q in (1, 4))
+    f, g = (draw(polys(ring, 2, 3, q)) for q in (4, 7))
     build = _moyal_operator if constant else _operator
-    op = build(Multivector(dim, 2, comps), u, v, draw(st.integers(0, 3)),
+    op = build(Multivector(dim, 2, comps), f, g, draw(st.integers(0, 3)),
                BUDGET)
     point = [Scalar(Fraction(draw(st.integers(-5, 5)), q),
                     Fraction(draw(st.integers(-3, 3)), q + 1))
@@ -363,7 +360,7 @@ def test_a_capped_product_is_refused_as_the_scalar_loop_refuses_it():
     with pytest.raises(ResourceLimitError) as ours:
         star_poly(alpha, f, g, order=0)
     with pytest.raises(ResourceLimitError) as theirs:
-        apply(_operator(alpha, {0: f}, {0: g}, 0, BUDGET))
+        apply(_operator(alpha, f, g, 0, BUDGET))
     assert str(ours.value) == str(theirs.value) == \
         "a product with up to 6400 terms exceeds the cap of 5000 terms"
 
@@ -414,35 +411,31 @@ def test_kept_cells_are_the_contracted_counts_of_a_labelled_walk(name):
 @st.composite
 def dominance_cases(draw):
     """A support of up to 5 monomials in 1-4 directions, some exponents
-    past 2 * MAX_ORDER, split over one or two polynomials or none, and
+    past 2 * MAX_ORDER, as one polynomial (zero for an empty support), and
     count vectors that reach past every exponent."""
     dim = draw(st.integers(min_value=1, max_value=4))
     exps = st.integers(min_value=0, max_value=3 * MAX_ORDER)
     support = draw(st.lists(st.tuples(*[exps] * dim), max_size=5,
                             unique=True))
-    cut = draw(st.integers(min_value=0, max_value=len(support)))
-    parts = [support[:cut], support[cut:]] if draw(st.booleans()) \
-        else [support]
-    polys = [GradedPoly(coeff_space(dim), dict.fromkeys(part, 1))
-             for part in parts if part or draw(st.booleans())]
+    poly = GradedPoly(coeff_space(dim), dict.fromkeys(support, 1))
     counts = draw(st.lists(st.tuples(*[st.integers(
         min_value=0, max_value=3 * MAX_ORDER + 2)] * dim), max_size=10))
-    return dim, support, polys, counts
+    return dim, support, poly, counts
 
 
 @given(case=dominance_cases())
-@example(case=(2, [], [], [(0, 0), (1, 0)]))
-@example(case=(2, [(3, 0)], [GradedPoly(coeff_space(2), {(3, 0): 1})],
+@example(case=(2, [], GradedPoly.zero(coeff_space(2)), [(0, 0), (1, 0)]))
+@example(case=(2, [(3, 0)], GradedPoly(coeff_space(2), {(3, 0): 1}),
                [(0, 0), (3, 0), (4, 0), (0, 1)]))
 @settings(max_examples=300, deadline=None)
 def test_admits_agrees_with_the_field_by_field_test(case):
     """The bitmask test admits a count vector exactly when a monomial of
-    the support dominates it: for an empty support (no polynomial, or zero
-    ones), the zero count vector, exponents past 2 * MAX_ORDER and count
+    the support dominates it: for an empty support (the zero polynomial),
+    the zero count vector, exponents past 2 * MAX_ORDER and count
     vectors past every exponent; and it keeps at most one mask for each
     exponent that occurs in each direction."""
-    dim, support, polys, counts = case
-    admits, reference = _Admits(polys), _Dominates(polys)
+    dim, support, poly, counts = case
+    admits, reference = _Admits(poly), _Dominates([poly])
     tops = [max(column, default=0) for column in zip(*support)] or [0] * dim
     past = [tuple(top + 1 if k == d else 0 for k, top in enumerate(tops))
             for d in range(dim)]
@@ -459,7 +452,7 @@ def test_admits_keeps_one_mask_per_exponent_that_occurs():
     its two positive exponents there, not a table as long as the exponent,
     and one for the other direction's one positive exponent."""
     ring = coeff_space(2)
-    admits = _Admits([GradedPoly(ring, {(10 ** 6, 0): 1, (1, 1): 1})])
+    admits = _Admits(GradedPoly(ring, {(10 ** 6, 0): 1, (1, 1): 1}))
     assert [exps for exps, _ in admits.steps] == [(1, 10 ** 6), (1,)]
     assert admits[(10 ** 6, 0)] and admits[(1, 1)] and admits[(2, 0)]
     assert not admits[(10 ** 6 + 1, 0)] and not admits[(2, 1)]

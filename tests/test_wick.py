@@ -225,6 +225,41 @@ def test_star_series_checks_every_input_before_filtering(u, v, order,
                     max_work=max_work)
 
 
+def test_star_series_gives_each_pair_its_own_budget():
+    """Each coefficient pair's product has its own max_work, as star_poly
+    of that pair does: the smallest budget with which the series product
+    succeeds is the largest of the pairs' smallest star_poly budgets, and
+    one unit less is refused."""
+    ring = coeff_space(3)
+    f = parse_poly("x1^2*x2 + x3", ring)
+    g = parse_poly("x2*x3^2 + x1", ring)
+    h = parse_poly("x1*x3 + x2", ring)
+    so3, order = fixture("so3"), 4
+    u, v = {0: f, 1: g}, {0: g, 2: h}
+    budgets = [_smallest_budget(
+        lambda w, a=uk, b=vl, n=order - k - l: star_poly(so3, a, b, n, w))
+        for k, uk in u.items() for l, vl in v.items() if k + l <= order]
+    most = max(budgets)
+    assert len(budgets) == 4 and most < sum(budgets)
+    want = star_series(so3, u, v, order)
+    assert star_series(so3, u, v, order, most) == want
+    with pytest.raises(ResourceLimitError):
+        star_series(so3, u, v, order, most - 1)
+
+
+def test_proportionality_finds_the_scalar_or_none():
+    """_proportionality(a, b), b nonzero, is c where a == c * b, zero for a
+    zero a, and None for an a that is no multiple of b, whether or not it
+    has b's first key."""
+    ring = coeff_space(2)
+    b = parse_poly("x1 + 2*x2", ring)
+    c = Scalar(3, -1)
+    assert wick._proportionality(b * c, b) == c
+    assert wick._proportionality(GradedPoly.zero(ring), b) == Scalar()
+    assert wick._proportionality(parse_poly("x1 + x2", ring), b) is None
+    assert wick._proportionality(parse_poly("x1*x2", ring), b) is None
+
+
 @pytest.mark.parametrize("order", [True, False])
 def test_order_is_not_a_bool(order):
     so3 = fixture("so3")
@@ -340,19 +375,18 @@ def test_associator_work_counts(order, work):
                         max_work=work - 1)
 
 
-def test_series_products_reduce_once_per_hbar_power(monkeypatch):
-    """The (n, k, l) pieces of one hbar power go over their lcm and are
-    reduced once.  With the bivector's pieces already built, these are all
-    the gcd passes (superalg._canonical) of the Baseline associator at
-    order 4, which reads its kept tri-cells, and of a product of
-    two-coefficient series: one per power of each."""
+def test_the_associator_reduces_at_most_once_per_hbar_power(monkeypatch):
+    """Each hbar power's pieces go over their lcm and are reduced once, and
+    a power with no term is not reduced.  With the bivector's pieces
+    already built, these are all the gcd passes (superalg._canonical) of
+    the Baseline associator at order 4, which reads its kept tri-cells:
+    one for each of hbar^2..hbar^4, none for hbar^0 and hbar^1."""
     ring = coeff_space(3)
     f = parse_poly("x1^2*x2 + x3", ring)
     g = parse_poly("x2*x3^2 + x1", ring)
     h = parse_poly("x1*x3 + x2", ring)
     so3 = fixture("so3")
     want = associator_poly(so3, f, g, h, order=4)  # builds the pieces
-    series = star_series(so3, {0: f, 1: g}, {0: g, 1: h}, order=4)
     calls = []
 
     def counting(*args):
@@ -363,10 +397,7 @@ def test_series_products_reduce_once_per_hbar_power(monkeypatch):
     monkeypatch.setattr(superalg, "_canonical", counting)
     monkeypatch.setattr(wick, "_canonical", counting)
     assert associator_poly(so3, f, g, h, order=4) == want
-    assert len(calls) == 5
-    calls.clear()
-    assert star_series(so3, {0: f, 1: g}, {0: g, 1: h}, order=4) == series
-    assert len(calls) == 5
+    assert len(calls) == 3
 
 
 @st.composite
@@ -437,7 +468,7 @@ def test_equal_bivectors_share_their_pieces():
 
     def polys(alpha, u, v):
         """The P_M of alpha's record, after an operator for u and v."""
-        wick._operator(alpha, {0: u}, {0: v}, 4, DEFAULT_MAX_WORK)
+        wick._operator(alpha, u, v, 4, DEFAULT_MAX_WORK)
         return wick._TABLE[next(reversed(wick._TABLE))].polys
 
     wick._TABLE.clear()
@@ -498,10 +529,10 @@ def _smallest_budget(build):
 
 
 def _cell_cases():
-    """Bivectors, four two-coefficient factor series and an order: two
-    random dim-3 bivectors with degree-2 coefficients at each of orders
-    1-4, and so3 and nonpoisson4d at order 4.  Each coefficient has 2-3
-    terms of degree 1-3."""
+    """Bivectors, four factors and an order: two random dim-3 bivectors
+    with degree-2 coefficients at each of orders 1-4, and so3 and
+    nonpoisson4d at order 4.  Each factor is the sum of two random parts
+    of 2-3 terms of degree 1-3."""
     rng = random.Random(22)
     alphas = [(random_multivector(rng, 3, 2, coeff_space(3),
                                   max_coeff_degree=2), n)
@@ -519,7 +550,7 @@ def _cell_cases():
 
     for alpha, order in alphas + [(fixture("so3"), 4),
                                   (fixture("nonpoisson4d"), 4)]:
-        yield alpha, *[{k: factor(alpha.dim) for k in (0, 1)}
+        yield alpha, *[factor(alpha.dim) + factor(alpha.dim)
                        for _ in range(4)], order
 
 
@@ -648,9 +679,9 @@ def test_a_wide_factor_is_tested_only_where_legs_land(monkeypatch):
         tested.append(counts), missing(self, counts))[1])
     wick._TABLE.clear()
     with pytest.raises(ResourceLimitError):
-        wick._operator(alpha, {0: f}, {0: f}, 6, 1)
+        wick._operator(alpha, f, f, 6, 1)
     assert not tested
-    wick._operator(alpha, {0: f}, {0: f}, 6, DEFAULT_MAX_WORK)
+    wick._operator(alpha, f, f, 6, DEFAULT_MAX_WORK)
     assert tested and not any(any(counts[2:]) for counts in tested)
 
 

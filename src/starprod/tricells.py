@@ -24,13 +24,12 @@ monomials dominates (its downset).  The build for three factors reads the
 cells their tri-cells need, as the four products of the composition read
 theirs (f * g's in the same walks as f * (g * h)'s outer ones), through
 the record's order, which charges those reads as it charges a product's,
-and forms the terms of every tri-cell they admit, keeping those not kept
-yet.  The record keeps what the reads charged under the factors' supports
-and the order, and a later associator on factors of the same supports
-charges it in one sum instead of reading again.  A term is charged as it
-is formed, and every term of an admitted tri-cell as it is read, less
-those just formed, so warm and cold calls charge the same.  This module
-is imported by the first associator, so start-up compiles none of it.
+and forms and charges every term of every tri-cell they admit, keeping
+the nonzero ones not kept yet.  The record keeps the build's whole charge
+under the factors' supports and the order, and a later associator on
+factors of the same supports charges it in one sum instead of building
+again, so warm and cold calls charge the same.  This module is imported
+by the first associator, so start-up compiles none of it.
 """
 
 from __future__ import annotations
@@ -67,13 +66,14 @@ def read(pieces, top: int, factors: tuple, adm: tuple, spend: _Budget
          ) -> list:
     """The tri-cells T^(s), s = 0..top, that factors = (f, g, h) admit,
     adm being their downsets: for each s, (P, (Q, L)) -> each nonzero
-    tri-cell as (den, rows, deg).  Charges what the build's cell reads
-    charge, in one sum when factors of the same supports were built to top
-    before, then the terms of every admitted tri-cell."""
+    tri-cell as (den, rows, deg).  Charges what the build charges, in one
+    sum when factors of the same supports were built to top before."""
     key = (tuple(tuple(sorted(p.rows)) for p in factors), top)
-    charge, built = pieces.supports.get(key), 0
+    charge = pieces.supports.get(key)
     if charge is None:
-        built, charge = build(pieces, top, adm, spend)
+        before = spend.work
+        build(pieces, top, adm, spend)
+        charge = spend.work - before
         pieces.cell_size += sum(map(len, key[0]))
         if len(pieces.supports) >= SUPPORTS:  # the least recently used goes
             old = next(iter(pieces.supports))
@@ -83,27 +83,23 @@ def read(pieces, top: int, factors: tuple, adm: tuple, spend: _Budget
         spend(charge)
         del pieces.supports[key]  # to the end, as the most recently used
     pieces.supports[key] = charge
-    out, charge, (_, gs, hs) = [{}], 0, adm
+    out, (_, gs, hs) = [{}], adm
     for s in range(1, top + 1):
         rows, cells = pieces.tri.get(s, {}), {}
         for P in adm[0]:
             by_q = rows.get(P)
             for Q, kept in by_q.items() if by_q else ():
                 if Q in gs:
-                    for L, (terms, cell) in kept.items():
+                    for L, cell in kept.items():
                         if L in hs:
-                            charge += terms
-                            if cell:
-                                cells[P, (Q, L)] = cell
+                            cells[P, (Q, L)] = cell
         out.append(cells)
-    spend(charge - built)
     return out
 
 
-def build(pieces, top: int, adm: tuple, spend: _Budget) -> tuple:
-    """Keeps every tri-cell over the downsets adm = (f's, g's, h's) to
-    hbar^top that has terms, charging its terms as they are formed;
-    returns the terms formed and what the cell reads charged.
+def build(pieces, top: int, adm: tuple, spend: _Budget) -> None:
+    """Keeps every nonzero tri-cell over the downsets adm = (f's, g's,
+    h's) to hbar^top not kept yet, charging its terms as they are formed.
 
     The cells are read through the record's order, which charges them as a
     product does: inner ones over two factors' downsets, then outer ones
@@ -120,7 +116,6 @@ def build(pieces, top: int, adm: tuple, spend: _Budget) -> tuple:
     cancel the terms of B_n(f g, h) and B_n(f, g h) that leave h and f
     underived."""
     zero, layout = (0,) * pieces.dim, pieces.ring._layout
-    before = spend.work
     # (sign, inner factors, outer factor) of each side, as places in adm;
     # a factor's count vectors are numbered, (X, Y) is x * |ys| + y, and
     # T^(s)_PQL is ((s |fs| + p) |gs| + q) |hs| + l.  f * (g * h) goes
@@ -217,7 +212,7 @@ def build(pieces, top: int, adm: tuple, spend: _Budget) -> tuple:
         passes.append((sizes[2] if sign > 0 else 1, din, E, outer))
     dout, each = math.lcm(*douts), math.prod(sizes)
     din = math.lcm(*[d for _, d, _, _ in passes])
-    new: dict = {}  # tri-cell number -> [terms, rows over din * dout]
+    new: dict = {}  # tri-cell number -> rows over din * dout
     for step, d, E, outer in passes:
         for n, by_ip in enumerate(E):
             for m in range(1, top - n + 1):
@@ -230,11 +225,9 @@ def build(pieces, top: int, adm: tuple, spend: _Budget) -> tuple:
                                   for ka, (a, b) in rows.items()]
                         formed += len(by_xy)
                         for xy, e in by_xy.items():
-                            got = new.get(base + xy * step)
-                            if got is None:
-                                got = new[base + xy * step] = [0, {}]
-                            got[0] += 1
-                            acc = got[1]
+                            acc = new.get(base + xy * step)
+                            if acc is None:
+                                acc = new[base + xy * step] = {}
                             for ka, a, b in scaled:  # no odd, no hbar
                                 if real:
                                     for kb, u in e.items():
@@ -247,19 +240,16 @@ def build(pieces, top: int, adm: tuple, spend: _Budget) -> tuple:
                                                     im + a * v + b * u)
                 spend(formed)
     # kept over din * dout, not reduced: the products reduce each power
-    built, den, field, last = 0, din * dout, layout.top, None
-    for number in sorted(new):  # those of one (s, P, Q) in a run
-        (terms, acc), (spq, L) = new[number], divmod(number, sizes[2])
-        if spq != last:
-            last, (s, pq) = spq, divmod(spq, sizes[0] * sizes[1])
-            P, Q = divmod(pq, sizes[1])
+    den, field, (fs, gs, hs) = din * dout, layout.top, lists
+    for number, acc in new.items():
+        rows = {key: (ab, 0) if real else ab for key, ab in acc.items()
+                if ab != (0 if real else (0, 0))}
+        if rows:
+            spq, L = divmod(number, sizes[2])
+            sp, Q = divmod(spq, sizes[1])
+            s, P = divmod(sp, sizes[0])
             kept = pieces.tri.setdefault(s, {}).setdefault(
-                lists[0][P], {}).setdefault(lists[1][Q], {})
-        built, L = built + terms, lists[2][L]
-        if L not in kept:
-            rows = {key: (ab, 0) if real else ab for key, ab in acc.items()
-                    if ab != (0 if real else (0, 0))}
-            # the top field of a key holds its degree
-            kept[L] = terms, (den, rows, max(rows) >> field) if rows else None
-            pieces.cell_size += 1 + len(rows)
-    return built, spend.work - before - built
+                fs[P], {}).setdefault(gs[Q], {})
+            if hs[L] not in kept:  # the top field of a key holds its degree
+                kept[hs[L]] = den, rows, max(rows) >> field
+                pieces.cell_size += 1 + len(rows)

@@ -316,14 +316,13 @@ class _Pieces:
     builds, walks, keeps and reads an order, so it alone knows these
     formats; a product passes it only the factors' tests.
 
-    tri[s][P][Q] maps L to (terms, cell) for each associator tri-cell
-    T^(s)_PQL with a term, cell as (den, rows, deg) over its build's
-    denominator, not reduced, or None if its terms cancel, and supports
-    maps the supports of three factors whose tri-cells were built, with
-    the order, to what the build's reads of the cells charged; the
-    tricells module alone reads and writes them.  The trim drops every
-    cell, tri-cell and support of a record whose cells and tri-cells pass
-    its share of the table's entries.
+    tri[s][P][Q] maps L to each nonzero associator tri-cell T^(s)_PQL as
+    (den, rows, deg) over its build's denominator, not reduced, and
+    supports maps the supports of three factors whose tri-cells were
+    built, with the order, to the build's whole charge: its reads of the
+    cells and the terms it formed; the tricells module alone reads and
+    writes them.  The trim drops every cell, tri-cell and support of a
+    record whose cells and tri-cells pass its share of the table's entries.
     """
 
     def __init__(self, alpha: Multivector):

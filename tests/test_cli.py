@@ -542,6 +542,28 @@ def test_parser_is_shared_without_leaking_state(tmp_path):
         assert together == [(0, alone[0]), (0, alone[1])]
 
 
+def test_only_the_first_associator_imports_tricells():
+    """Start-up and a star job leave the tricells module unimported, so
+    they compile none of it; the first associator at an order >= 1 imports
+    it."""
+    script = """if True:
+        import io, sys
+        from starprod.cli import main
+        common = ["--alpha", "so3", "--f", "x1^2*x2 + x3",
+                  "--g", "x2*x3^2 + x1", "--at", "1,2,3"]
+        for argv in (["star", *common, "--order", "3"],
+                     ["associator", *common, "--h", "x1*x3 + x2",
+                      "--order", "1"]):
+            assert main(argv, out=io.StringIO()) == 0
+            print("starprod.tricells" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(starprod.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "False\nTrue\n", "")
+
+
 NOT_UTF8 = b"\xff\xfe{bad"
 
 

@@ -701,7 +701,7 @@ def _entries(pieces):
                                      if cell)
                   for rows in pieces.cells.values()
                   for covered, kept in rows.values())
-            + sum(1 + (len(cell[1]) if cell else 0) for _, cell in triples)
+            + sum(1 + len(rows) for _, rows, _ in triples)
             + sum(sum(map(len, keys)) for keys, _ in pieces.supports))
 
 
@@ -771,6 +771,25 @@ def test_tri_cells_count_against_the_share(monkeypatch):
     associator_poly(fixture("so3"), f, g, h * h, order=3)
     assert not (record.cells or record.tri or record.supports)
     assert record.cell_size == 0 and record.size == _entries(record)
+
+
+def test_a_record_keeps_the_nonzero_tri_cells_and_one_charge():
+    """After the Baseline associator at order 4 from an empty table, the
+    record keeps each nonzero tri-cell as its polynomial alone, and under
+    the factors' supports the whole charge of the build: the budget less
+    the factors' downsets, 22 count vectors for these factors."""
+    ring = coeff_space(3)
+    f, g, h = (parse_poly(p, ring)
+               for p in ("x1^2*x2 + x3", "x2*x3^2 + x1", "x1*x3 + x2"))
+    wick._TABLE.clear()
+    associator_poly(fixture("so3"), f, g, h, order=4)
+    (record,) = [pieces for pieces in wick._TABLE.values() if pieces.dim == 3]
+    cells = [cell for rows in record.tri.values() for by_q in rows.values()
+             for kept in by_q.values() for cell in kept.values()]
+    assert len(cells) == 144
+    assert all(len(cell) == 3 and cell[1] for cell in cells)
+    (charge,) = record.supports.values()
+    assert charge == 5402 and charge + 22 == ASSOCIATOR_WORK[4]
 
 
 def test_a_record_keeps_its_most_recent_supports():

@@ -5,11 +5,12 @@ to the vector field X_w = i_w alpha, the insertion of w into the bivector
 (one_form_insertion), and
 
     [w1, w2] = L_{X_{w1}} w2 - L_{X_{w2}} w1 - d<alpha | w1 ^ w2>
+             = i_{X_{w1}} dw2 - i_{X_{w2}} dw1 + d<alpha | w1 ^ w2>
 
-with the Lie derivative expanded through the insertion operators
-(L_X = d i_X + i_X d).  On exact forms this gives [df, dg] = d{f, g} for
-ANY bivector; the Jacobi identity for the bracket itself holds exactly when
-the bivector is Poisson.
+by Cartan's formula L_X = d i_X + i_X d, as i_{X_{w1}} w2 is the pairing
+and i_{X_{w2}} w1 its negative, so the route takes d of the pairing once.
+On exact forms this gives [df, dg] = d{f, g} for ANY bivector; the Jacobi
+identity for the bracket itself holds exactly when the bivector is Poisson.
 
 The diagram route rebuilds the same bracket from single-insertion
 contraction patterns, the degree-one analogue of the order-1 product term.
@@ -141,9 +142,10 @@ def koszul_bracket(alpha: Multivector, w1: DifferentialForm,
     if route == "geometric":
         u, v = ({i: p for (i,), p in w.components.items()} for w in (w1, w2))
         pairing = DifferentialForm(alpha.dim, 0, {(): _pairing(alpha, u, v)})
-        return _field_sum([(1, lie_derivative(anchor(alpha, w1), w2)),
-                           (-1, lie_derivative(anchor(alpha, w2), w1)),
-                           (-1, exterior_derivative(pairing))])
+        x1, x2 = anchor(alpha, w1), anchor(alpha, w2)
+        return _field_sum([(1, vector_insertion(x1, exterior_derivative(w2))),
+                           (-1, vector_insertion(x2, exterior_derivative(w1))),
+                           (1, exterior_derivative(pairing))])
     if route == "diagram":
         skew = bullet(alpha, w1, w2) - bullet(alpha, w2, w1)
         return skew * Fraction(1, 2)

@@ -29,11 +29,13 @@ than one term, the bracket contractions built on them and wick's
 contraction go through one multiply-accumulate kernel, _products, which
 sums scale * a * b over pairs of numerator rows; _times caps one product of
 rows for `*` and for expressions, and _mac caps polynomial pairs and puts
-them over one denominator.  Every sum, of two terms or of many, is one
-signed sum over the lcm of the denominators, reduced once (_sum).  Scalar
-and exponent tuples appear only at the edges: values and terms passed in,
-the values of evaluate and constant_value, and p.terms, a read-only mapping
-keyed by exponent tuples, built on each read.
+them over one denominator.  Every sum, wick's cells count * d_K P_M too,
+is one scaled sum over the lcm of the denominators, reduced once (_sum).
+The associator's tri-cell products are tricells' own loop: it scales an
+outer cell once for all its Leibniz sums, where _products regroups both
+operands of every pair.  Scalars and exponent tuples appear only at the
+edges: values and terms passed in, evaluate's and constant_value's values,
+and p.terms, a read-only mapping by exponent tuples, built on each read.
 
 Each polynomial keeps the first derivatives taken of it (deriv_left and
 deriv_right) in a table keyed by the generator and the fields of the odd
@@ -327,14 +329,14 @@ def _times(space: GradedSpace, den: int, rows: dict, d: int, other: dict
 
 def _sum(space: GradedSpace, terms: Iterable[tuple[int, int, dict]]
          ) -> "GradedPoly":
-    """The sum of sign * rows/den over the terms (sign, den, rows), sign = 1
-    or -1: one dict over the lcm of the denominators, without cancelled
-    rows, reduced once.  No term's rows are changed.  If no key is in two
-    terms, terms in lowest terms give a sum in lowest terms, not reduced:
-    a prime power of the lcm is the full power in some term's den, that
-    term's scale misses the prime, and the term has a part the prime does
-    not divide.  expr's values need not be in lowest terms; to_poly
-    reduces its result."""
+    """The sum of scale * rows/den over the terms (scale, den, rows), scale
+    a nonzero int: one dict over the lcm of the denominators, without
+    cancelled rows, reduced once.  No term's rows are changed.  If no key
+    is in two terms, terms in lowest terms with scales +-1 give a sum in
+    lowest terms, not reduced: a prime power of the lcm is the full power
+    in some term's den, lcm // den misses the prime, and the term has a
+    part the prime does not divide.  Other callers reduce the result:
+    expr's to_poly and wick's _Pieces.contract."""
     # no rows at all: the zero polynomial, over 1
     terms = [term for term in terms if term[2]] or [(1, 1, {})]
     lcm = math.lcm(*[d for _, d, _ in terms])

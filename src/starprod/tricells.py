@@ -13,7 +13,7 @@ the product applied to order n's result puts binom(s, n) (I'; A, B, C)
 C^(m)_I'L d_A C^(n)_IJ on T^(n+m)_(I+B, J+C, L), for (f * g) * h, and the
 same, negated, with C^(m)_PJ' on T^(n+m)_(P, I+B, J+C), for f * (g * h).
 The inner sums for one I' are summed first, so a term of a tri-cell is
-the product of one outer cell with one such sum.
+the product of one outer cell with one such sum, in Gaussian integers.
 
 The tri-cells live in the bivector's record (wick._Pieces) beside the
 cells, under the same rules: their content is the bivector's, the
@@ -124,8 +124,6 @@ def build(pieces, top: int, adm: tuple, spend: _Budget) -> None:
     sizes = [len(vectors) for vectors in lists]
     places = [{D: i for i, D in enumerate(vectors)} for vectors in lists]
     fg: list = [None] * top  # f * g's inner cells by order
-    # a real bivector has real cells: its sums then carry no imaginary part
-    real = not any(b for p in pieces.comps for _, b in p.rows.values())
     passes, douts, above = [], [], {}
     for sign, x, y, z in sides:
         # the inner cells of orders n < top: an outer order m >= 1 follows
@@ -177,10 +175,6 @@ def build(pieces, top: int, adm: tuple, spend: _Budget) -> None:
                             k *= math.prod(map(math.comb, Ip, A))
                         by_xy = E[n].get(Ip) or E[n].setdefault(Ip, {})
                         e = by_xy.get(xy) or by_xy.setdefault(xy, {})
-                        if real:
-                            for key, (a, _) in d.items():
-                                e[key] = e.get(key, 0) + a * k
-                            continue
                         for key, (a, b) in d.items():
                             u, v = e.get(key, (0, 0))
                             e[key] = u + a * k, v + b * k
@@ -229,11 +223,6 @@ def build(pieces, top: int, adm: tuple, spend: _Budget) -> None:
                             if acc is None:
                                 acc = new[base + xy * step] = {}
                             for ka, a, b in scaled:  # no odd, no hbar
-                                if real:
-                                    for kb, u in e.items():
-                                        acc[ka + kb] = acc.get(ka + kb, 0) \
-                                            + a * u
-                                    continue
                                 for kb, (u, v) in e.items():
                                     re, im = acc.get(ka + kb, (0, 0))
                                     acc[ka + kb] = (re + a * u - b * v,
@@ -242,8 +231,7 @@ def build(pieces, top: int, adm: tuple, spend: _Budget) -> None:
     # kept over din * dout, not reduced: the products reduce each power
     den, field, (fs, gs, hs) = din * dout, layout.top, lists
     for number, acc in new.items():
-        rows = {key: (ab, 0) if real else ab for key, ab in acc.items()
-                if ab != (0 if real else (0, 0))}
+        rows = {key: ab for key, ab in acc.items() if ab != (0, 0)}
         if rows:
             spq, L = divmod(number, sizes[2])
             sp, Q = divmod(spq, sizes[1])

@@ -84,7 +84,7 @@ from contextlib import contextmanager
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (CalibrationError, InputError, ResourceLimitError,
@@ -93,7 +93,7 @@ from .poisson import Multivector, _require_bivector, poisson_bracket
 from .scalars import HALF_I, ONE, Scalar, ScalarLike, _reduced
 from .superalg import (GradedPoly, GradedSpace, HbarSeries, _accumulate,
                        _canonical, _check_product, _deriv, _Point,
-                       _point_values, _products, _rows, coeff_space)
+                       _point_values, _products, _rows, _sum, coeff_space)
 from .monomials import _FIELD
 
 DEFAULT_ORDER = 3
@@ -387,24 +387,19 @@ class _Pieces:
         """The cell sum of count * d_K P_M over counts {(M, K): count}, as
         (den, rows, deg) in lowest terms; derivs keeps each d_K P_M's rows
         for the other cells of a walk."""
-        den = math.lcm(*{self.polys[mult].den for mult, _ in counts})
-        acc: dict = {}
+        terms = []
         for (mult, K), count in counts.items():
             p = self.polys[mult]
-            rows = derivs.get((mult, K))
-            if rows is None:
-                rows = derivs[mult, K] = _deriv(self.ring._layout, p.rows, K)
-            count *= den // p.den
-            for key, (a, b) in rows.items():
-                x, y = acc.get(key, (0, 0))
-                acc[key] = x + a * count, y + b * count
-        rows = {key: ab for key, ab in acc.items() if ab != (0, 0)}
-        g = math.gcd(den, *chain.from_iterable(rows.values()))
-        if g != 1:
-            den //= g
-            rows = {key: (a // g, b // g) for key, (a, b) in rows.items()}
+            if (mult, K) not in derivs:
+                derivs[mult, K] = _deriv(self.ring._layout, p.rows, K)
+            terms.append((count, p.den, derivs[mult, K]))
+        # counts and _deriv's falling factorials leave terms that are not
+        # in lowest terms, so a sum that merges no key is reduced here too
+        cell = _sum(self.ring, terms)
+        cell = _canonical(self.ring, cell.den, cell.rows)
         # the top field of a key holds its degree
-        return den, rows, max(rows, default=0) >> self.ring._layout.top
+        return (cell.den, cell.rows,
+                max(cell.rows, default=0) >> self.ring._layout.top)
 
     def order(self, n: int, t: int, admits_u: Callable, admits_v: Callable,
               spend: Callable[[int], None]) -> dict:
@@ -589,11 +584,9 @@ class _Values(dict):
             elif self.point:
                 (a, b), (c, e) = first, second
                 got = a * c - b * e, a * e + b * c
-            elif first and second:
+            else:
                 _check_product(self.ring, first, second)
                 got = _products(self.ring, [(1, first, second)])
-            else:
-                got = {}
         elif counts is None:
             d, deg = p.den, p.total_degree()
             got = p.rows, deg, d * self.point.q ** deg if self.point else d

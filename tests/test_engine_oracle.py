@@ -96,12 +96,22 @@ def assert_series_products_match(rng, alpha, order):
                           point=[Scalar.of(x) for x in point]))
 
 
-@pytest.mark.parametrize("name", ["so3", "nonpoisson4d", "canonical2d"])
+def gaussian_so3():
+    """so3 with its (1, 3) component times 1 + i, so that the products of
+    two imaginary parts in the cells and tri-cells are checked too."""
+    comps = dict(fixture("so3").components)
+    comps[1, 3] = comps[1, 3] * Scalar(1, 1)
+    return Multivector(3, 2, comps)
+
+
+@pytest.mark.parametrize("name",
+                         ["so3", "nonpoisson4d", "canonical2d", "gaussian_so3"])
 def test_series_products_match_the_per_pair_composition(name):
     """Through order 4, and order 5 where the bivector is not constant."""
     rng = random.Random(name)
+    alpha = gaussian_so3() if name == "gaussian_so3" else fixture(name)
     for order in range(5 if name == "canonical2d" else 6):
-        assert_series_products_match(rng, fixture(name), order)
+        assert_series_products_match(rng, alpha, order)
 
 
 def test_series_products_match_on_random_bivectors():
